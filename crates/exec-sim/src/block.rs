@@ -2,13 +2,12 @@
 //!
 //! The op-at-a-time interpreter (retained as [`crate::sched::reference`])
 //! pays per executed op: a vtable call into the program, a `match`,
-//! a page-table walk, counter read-modify-writes and an `OpResult`
-//! round trip. A [`BlockCtx`] hands the *program* a bounded window of
-//! the schedule instead: the program runs its own concrete inner loop
-//! against [`BlockCtx::access`] / [`BlockCtx::compute`], which are
-//! monomorphic, translate through a tiny direct-mapped TLB, and
-//! accumulate time/counter charges in scratch state that is flushed
-//! once per block.
+//! counter read-modify-writes and an `OpResult` round trip. A
+//! [`BlockCtx`] hands the *program* a bounded window of the schedule
+//! instead: the program runs its own concrete inner loop against
+//! [`BlockCtx::access`] / [`BlockCtx::compute`], which are
+//! monomorphic and accumulate time/counter charges in scratch state
+//! that is flushed once per block.
 //!
 //! Two collapse levels sit on top:
 //!
@@ -42,12 +41,6 @@ use crate::machine::{Machine, Pid};
 /// Fixed issue cost of a load beyond its cache latency (address
 /// generation, AGU/port occupancy). Mirrors the interpreter.
 pub const ACCESS_ISSUE_COST: u64 = 1;
-
-/// Direct-mapped translation cache entries. The hot programs touch a
-/// handful of pages (sender: 1, receiver: ≤ 9, noise: buffer pages),
-/// so a tiny power-of-two table removes the per-access page-table
-/// walk without growing the context.
-const TLB_WAYS: usize = 16;
 
 /// Outcome of one closed-form [`BlockCtx::advance_paced`] call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -115,8 +108,6 @@ pub struct BlockCtx<'a> {
     repeat_ok: bool,
     /// Granted closed-form access cost (`None` = not granted).
     analytic_cycles: Option<u64>,
-    /// Direct-mapped VPN → frame cache. `u64::MAX` marks empty.
-    tlb: [(u64, u64); TLB_WAYS],
 }
 
 impl<'a> BlockCtx<'a> {
@@ -204,7 +195,6 @@ impl<'a> BlockCtx<'a> {
             memo: None,
             repeat_ok,
             analytic_cycles,
-            tlb: [(u64::MAX, 0); TLB_WAYS],
         }
     }
 
@@ -399,19 +389,10 @@ impl<'a> BlockCtx<'a> {
     }
 
     #[inline]
-    fn translate(&mut self, va: VirtAddr) -> PhysAddr {
-        let vpn = va.page_number();
-        let slot = (vpn as usize) & (TLB_WAYS - 1);
-        let (tag, frame) = self.tlb[slot];
-        if tag == vpn {
-            return PhysAddr::from_frame(frame, va.page_offset());
-        }
-        let pa = self
-            .machine
+    fn translate(&self, va: VirtAddr) -> PhysAddr {
+        self.machine
             .translate(self.pid, va)
-            .unwrap_or_else(|| panic!("access to unmapped page by {:?} at {va}", self.pid));
-        self.tlb[slot] = (vpn, pa.page_number());
-        pa
+            .unwrap_or_else(|| panic!("access to unmapped page by {:?} at {va}", self.pid))
     }
 
     /// Closes the block: flushes the scratch counters and skipped-hit

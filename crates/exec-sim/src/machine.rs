@@ -13,12 +13,21 @@ pub struct Pid(pub u32);
 
 #[derive(Debug, Clone, Default)]
 struct AddressSpace {
-    /// Virtual page number → physical frame number.
-    page_table: BTreeMap<u64, u64>,
-    /// Next virtual page number handed out by the allocator.
-    next_vpn: u64,
+    /// First virtual page number of the process (its per-pid base).
+    base_vpn: u64,
+    /// The page table: `frames[i]` backs VPN `base_vpn + i`. Pages
+    /// are handed out densely from the base, so a lookup is a bounds
+    /// check and an index.
+    frames: Vec<u64>,
     /// Protection domain (partitioned-cache experiments).
     domain: Domain,
+}
+
+impl AddressSpace {
+    /// One past the last mapped VPN (the next one handed out).
+    fn end_vpn(&self) -> u64 {
+        self.base_vpn + self.frames.len() as u64
+    }
 }
 
 /// A single physical core with its cache hierarchy, plus the set of
@@ -89,19 +98,24 @@ impl Machine {
 
     /// Creates a new process with an empty address space.
     ///
-    /// Each process gets a distinct virtual base (an ASLR stand-in):
-    /// two processes never share linear addresses by accident, which
+    /// Each process gets a distinct virtual base (an ASLR stand-in),
+    /// `0x3571` pages (about 53 MB) above the previous pid's. That
     /// matters for the AMD µtag way predictor (§VI-B — the whole
     /// point is that the two parties use *different* linear addresses
-    /// for one shared physical line).
+    /// for one shared physical line). The ranges stay disjoint only
+    /// while no process maps more pages than that spacing: a larger
+    /// one runs into the next pid's base, which debug builds assert
+    /// against. The bases are fixed because µtags hash virtual
+    /// addresses, so every output depends on them.
     pub fn create_process(&mut self) -> Pid {
         let pid = self.spaces.len() as u64;
         let space = AddressSpace {
-            next_vpn: 0x10_000 + pid * 0x3571,
+            base_vpn: 0x10_000 + pid * 0x3571,
             ..AddressSpace::default()
         };
         self.spaces.push(space);
         self.counters.push(PerfCounters::new());
+        debug_assert!(self.spaces_disjoint(), "pid {pid}'s base is mapped");
         Pid(pid as u32)
     }
 
@@ -124,18 +138,9 @@ impl Machine {
     /// Panics if `pid` does not exist or `n == 0`.
     pub fn alloc_pages(&mut self, pid: Pid, n: u64) -> VirtAddr {
         assert!(n > 0, "cannot allocate zero pages");
-        let base_vpn = {
-            let space = self.space_mut(pid);
-            let base = space.next_vpn;
-            space.next_vpn += n;
-            base
-        };
-        for i in 0..n {
-            let frame = self.next_frame;
-            self.next_frame += 1;
-            self.space_mut(pid).page_table.insert(base_vpn + i, frame);
-        }
-        VirtAddr::from_page(base_vpn, 0)
+        let first = self.next_frame;
+        self.next_frame += n;
+        self.map_frames(pid, first..first + n)
     }
 
     /// Maps one *shared* page into two processes (the "shared library
@@ -145,27 +150,16 @@ impl Machine {
     pub fn map_shared_page(&mut self, a: Pid, b: Pid) -> (VirtAddr, VirtAddr) {
         let frame = self.next_frame;
         self.next_frame += 1;
-        let va_a = {
-            let space = self.space_mut(a);
-            let vpn = space.next_vpn;
-            space.next_vpn += 1;
-            space.page_table.insert(vpn, frame);
-            VirtAddr::from_page(vpn, 0)
-        };
-        let va_b = {
-            let space = self.space_mut(b);
-            let vpn = space.next_vpn;
-            space.next_vpn += 1;
-            space.page_table.insert(vpn, frame);
-            VirtAddr::from_page(vpn, 0)
-        };
-        (va_a, va_b)
+        (self.map_frames(a, [frame]), self.map_frames(b, [frame]))
     }
 
     /// Translates a virtual address. Returns `None` for unmapped
     /// pages.
+    #[inline]
     pub fn translate(&self, pid: Pid, va: VirtAddr) -> Option<PhysAddr> {
-        let frame = *self.space(pid).page_table.get(&va.page_number())?;
+        let space = self.space(pid);
+        let idx = va.page_number().checked_sub(space.base_vpn)?;
+        let frame = *space.frames.get(usize::try_from(idx).ok()?)?;
         Some(PhysAddr::from_frame(frame, va.page_offset()))
     }
 
@@ -255,6 +249,24 @@ impl Machine {
     pub fn pages_per_l1_span(&self) -> u64 {
         let span = self.hierarchy.l1().geometry().set_stride();
         span.div_ceil(PAGE_SIZE)
+    }
+
+    /// Maps `frames` at `pid`'s next free VPNs and returns the
+    /// virtual address of the first.
+    fn map_frames(&mut self, pid: Pid, frames: impl IntoIterator<Item = u64>) -> VirtAddr {
+        let space = self.space_mut(pid);
+        let vpn = space.end_vpn();
+        space.frames.extend(frames);
+        debug_assert!(self.spaces_disjoint(), "{pid:?} grew past a base");
+        VirtAddr::from_page(vpn, 0)
+    }
+
+    /// The guarantee documented on [`Machine::create_process`]: every
+    /// process's mapped range ends at or below the next pid's base.
+    fn spaces_disjoint(&self) -> bool {
+        self.spaces
+            .windows(2)
+            .all(|w| w[0].end_vpn() <= w[1].base_vpn)
     }
 
     fn space(&self, pid: Pid) -> &AddressSpace {
@@ -357,6 +369,131 @@ mod tests {
         let mut m = machine();
         let p = m.create_process();
         let _ = m.access(p, VirtAddr::from_page(999, 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "unmapped")]
+    fn access_one_page_past_the_mapping_panics() {
+        let mut m = machine();
+        let p = m.create_process();
+        let va = m.alloc_pages(p, 2);
+        let _ = m.access(p, va.add(2 * PAGE_SIZE));
+    }
+
+    #[test]
+    fn translate_is_none_outside_the_mapped_range() {
+        let mut m = machine();
+        let a = m.create_process();
+        let b = m.create_process();
+        let va = m.alloc_pages(a, 4);
+        let (first, last) = (va.page_number(), va.page_number() + 3);
+        assert_eq!(m.translate(a, VirtAddr::from_page(first - 1, 0xfff)), None);
+        assert_eq!(m.translate(a, VirtAddr::from_page(last + 1, 0)), None);
+        assert_eq!(m.translate(a, VirtAddr::new(0)), None);
+        assert_eq!(m.translate(a, VirtAddr::new(u64::MAX)), None);
+        assert!(m.translate(a, VirtAddr::from_page(last, 0xfff)).is_some());
+        // `b` has mapped nothing, not even at its own base.
+        assert_eq!(
+            m.translate(b, VirtAddr::from_page(0x10_000 + 0x3571, 0)),
+            None
+        );
+        assert_eq!(m.translate(b, va), None);
+        assert_eq!(
+            m.probe_level(a, VirtAddr::from_page(last + 1, 0)),
+            HitLevel::Mem
+        );
+        assert_eq!(m.read_byte(a, VirtAddr::from_page(last + 1, 0)), 0);
+    }
+
+    /// The exact layout every experiment's addresses derive from: per-
+    /// pid bases `0x3571` pages apart, VPNs handed out densely from
+    /// each base, frames in call order from 1. µtags hash virtual
+    /// addresses and caches index physical ones, so any change here
+    /// changes output bytes.
+    #[test]
+    fn mixed_mappings_pin_every_address() {
+        let mut m = machine();
+        let (a, b, c) = (m.create_process(), m.create_process(), m.create_process());
+        let a0 = m.alloc_pages(a, 2); // frames 1, 2
+        let (a2, b0) = m.map_shared_page(a, b); // frame 3
+        let c0 = m.alloc_pages(c, 1); // frame 4
+        let (c1, c2) = m.map_shared_page(c, c); // frame 5, twice in `c`
+        let b1 = m.alloc_pages(b, 3); // frames 6..=8
+        let (b4, a3) = m.map_shared_page(b, a); // frame 9
+        let returned = [a0, a2, b0, c0, c1, c2, b1, b4, a3].map(VirtAddr::raw);
+        assert_eq!(
+            returned,
+            [
+                0x1000_0000,
+                0x1000_2000,
+                0x1357_1000,
+                0x16ae_2000,
+                0x16ae_3000,
+                0x16ae_4000,
+                0x1357_2000,
+                0x1357_5000,
+                0x1000_3000,
+            ]
+        );
+        let pins: [(Pid, u64, u64); 14] = [
+            (a, 0x1000_0000, 0x1000),
+            (a, 0x1000_1fff, 0x2fff),
+            (a, 0x1000_22c0, 0x32c0),
+            (a, 0x1000_3040, 0x9040),
+            (b, 0x1357_1000, 0x3000),
+            (b, 0x1357_2000, 0x6000),
+            (b, 0x1357_3abc, 0x7abc),
+            (b, 0x1357_4000, 0x8000),
+            (b, 0x1357_5fc0, 0x9fc0),
+            (c, 0x16ae_2000, 0x4000),
+            (c, 0x16ae_3100, 0x5100),
+            (c, 0x16ae_4100, 0x5100),
+            (c, 0x16ae_4fff, 0x5fff),
+            (c, 0x16ae_2040, 0x4040),
+        ];
+        for (pid, va, pa) in pins {
+            let got = m.translate(pid, VirtAddr::new(va)).map(PhysAddr::raw);
+            assert_eq!(got, Some(pa), "{pid:?} va {va:#x}");
+        }
+        for (pid, next) in [(a, 0x1000_4000), (b, 0x1357_6000), (c, 0x16ae_5000)] {
+            assert_eq!(m.translate(pid, VirtAddr::new(next)), None, "{pid:?}");
+        }
+    }
+
+    #[test]
+    fn a_large_allocation_maps_consecutive_frames() {
+        // mcf-sized: 64 MiB of pages in one call.
+        let mut m = machine();
+        let p = m.create_process();
+        let head = m.alloc_pages(p, 1);
+        let va = m.alloc_pages(p, 16_384);
+        assert_eq!(va.page_number(), head.page_number() + 1);
+        for i in 0..16_384 {
+            let pa = m.translate(p, va.add(i * PAGE_SIZE + 8)).unwrap();
+            assert_eq!(pa.raw(), ((2 + i) << 12) + 8, "page {i}");
+        }
+        assert_eq!(m.translate(p, va.add(16_384 * PAGE_SIZE)), None);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "grew past a base")]
+    fn growing_into_the_next_base_trips_the_debug_check() {
+        let mut m = machine();
+        let a = m.create_process();
+        let _b = m.create_process();
+        m.alloc_pages(a, 0x3571);
+        m.alloc_pages(a, 1);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "base is mapped")]
+    fn a_base_inside_a_grown_process_trips_the_debug_check() {
+        let mut m = machine();
+        let a = m.create_process();
+        m.alloc_pages(a, 16_384);
+        m.create_process();
     }
 
     #[test]

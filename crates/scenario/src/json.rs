@@ -110,11 +110,12 @@ impl Value {
     /// # Errors
     ///
     /// Returns a human-readable description of the first syntax
-    /// error.
+    /// error, or of arrays/objects nested deeper than [`MAX_DEPTH`].
     pub fn parse(text: &str) -> Result<Value, String> {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -279,9 +280,17 @@ impl fmt::Display for Value {
     }
 }
 
+/// Deepest array/object nesting [`Value::parse`] accepts. Every
+/// document the project reads (scenarios, requests, journal and cache
+/// entries) nests a few levels; the cap turns a hostile document's
+/// unbounded recursion into an error instead of a stack overflow.
+pub const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -328,8 +337,8 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'"') => self.string().map(Value::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             other => Err(format!(
                 "unexpected {:?} at byte {}",
@@ -337,6 +346,21 @@ impl Parser<'_> {
                 self.pos
             )),
         }
+    }
+
+    /// Runs `parse` one nesting level deeper, refusing to go past
+    /// [`MAX_DEPTH`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value, String>) -> Result<Value, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Value, String> {
@@ -537,6 +561,24 @@ mod tests {
         assert!(Value::parse("{").is_err());
         assert!(Value::parse("[1,]").is_err());
         assert!(Value::parse("'single'").is_err());
+    }
+
+    #[test]
+    fn hostile_nesting_is_an_error_not_a_stack_overflow() {
+        for open in ["[", r#"{"a":"#] {
+            let err = Value::parse(&open.repeat(200_000)).unwrap_err();
+            assert!(err.contains("nesting deeper than 128"), "{err}");
+        }
+    }
+
+    #[test]
+    fn nesting_at_the_cap_still_parses() {
+        let at_cap = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert_eq!(Value::parse(&at_cap).unwrap().to_string(), at_cap);
+        let objs = format!("{}1{}", r#"{"a":"#.repeat(MAX_DEPTH), "}".repeat(MAX_DEPTH));
+        assert_eq!(Value::parse(&objs).unwrap().to_string(), objs);
+        let over = format!("[{at_cap}]");
+        assert!(Value::parse(&over).unwrap_err().contains("nesting"));
     }
 
     #[test]

@@ -17,6 +17,9 @@
 //!    paying for it: the server cancels the job cooperatively.
 //! 5. **Shutdown drains.** Queued jobs complete and their clients
 //!    get results before `Server::run` returns.
+//! 6. **Hostile nesting is a typed error.** A request nested deeper
+//!    than the JSON parser's cap is a `bad_request`, and the server
+//!    keeps serving.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -238,6 +241,35 @@ fn an_expired_deadline_is_a_structured_timeout() {
     let summary = join.join().unwrap().expect("server run");
     assert_eq!(summary.failed, 1);
     assert_eq!(summary.completed, 0);
+}
+
+#[test]
+fn a_hostile_nesting_depth_is_a_bad_request_and_the_server_survives() {
+    let (addr, handle, join) = spawn_server(ServerConfig::default());
+
+    // 100k open arrays would overflow an uncapped recursive parser's
+    // stack, which aborts the whole process, not one connection.
+    {
+        let mut stream = TcpStream::connect(&addr).expect("connect");
+        let line = format!("{{\"cmd\":\"adhoc\",\"scenario\":{}\n", "[".repeat(100_000));
+        stream.write_all(line.as_bytes()).expect("send");
+        let mut reply = String::new();
+        BufReader::new(&stream).read_line(&mut reply).expect("recv");
+        let event = Value::parse(reply.trim()).expect("error event");
+        assert_eq!(
+            event.get("status").and_then(Value::as_str),
+            Some("bad_request")
+        );
+        let message = event.get("message").and_then(Value::as_str).unwrap();
+        assert!(message.contains("nesting"), "{message}");
+    }
+
+    let event = client::request(&addr, &fig5_request(), |_| {}).expect("request");
+    assert_eq!(body_of(&event), fig5_cli_body());
+
+    handle.begin_shutdown();
+    let summary = join.join().unwrap().expect("server run");
+    assert_eq!((summary.failed, summary.completed), (1, 1));
 }
 
 #[test]
