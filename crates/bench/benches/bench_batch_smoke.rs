@@ -14,7 +14,7 @@
 //!   error-rate sweep streamed through `ScalarStats`, both asserted
 //!   bit-identical on 1 and 4 workers. Live memory is
 //!   `O(workers × chunk)` accumulators by construction
-//!   (`lru_channel::trials::run_trials_fold`), never `O(trials)`.
+//!   (`lru_channel::trials::run_trials_fold_ctrl`), never `O(trials)`.
 //!
 //! Run with:
 //!
@@ -25,10 +25,11 @@
 use std::time::Instant;
 
 use bench_harness::{header, BENCH_SEED};
-use lru_channel::trials::set_worker_count;
+use lru_channel::trials::RunCtrl;
 use scenario::aggregate::ScalarStats;
 use scenario::registry::{self, RunOpts};
 use scenario::spec::{ExperimentKind, InitId, MessageSource, Scenario, SequenceId};
+use scenario::{Aggregate, CancelToken, Engine};
 
 /// Trials of the large streaming sweep (the acceptance floor).
 const SWEEP_TRIALS: usize = 1_000_000;
@@ -111,9 +112,12 @@ fn main() {
     for id in ["fig5", "fig6"] {
         let artifact = registry::get(id).expect("registered");
         let natural = RunOpts::default();
-        set_worker_count(1);
-        let (seq_secs, seq) = timed(|| artifact.run(&natural));
-        set_worker_count(0);
+        let sequential = Engine::new().with_workers(1);
+        let (seq_secs, (seq, _)) = timed(|| {
+            sequential
+                .run_artifact(artifact, &natural, None, &CancelToken::new())
+                .expect("plain run")
+        });
         let (def_secs, def) = timed(|| artifact.run(&natural));
         let identical = seq.text == def.text && seq.metrics.to_string() == def.metrics.to_string();
         assert!(identical, "{id}: output must not depend on worker count");
@@ -123,11 +127,13 @@ fn main() {
 
     // ---- streaming: the ≥1M-trial constant-memory sweep ----
     let sweep = sweep_scenario();
-    set_worker_count(1);
-    let (sweep_seq_secs, sweep_seq) = timed(|| sweep.run_summary());
-    set_worker_count(4);
-    let (sweep_par_secs, sweep_par) = timed(|| sweep.run_summary());
-    set_worker_count(0);
+    let summary = |workers: usize| {
+        Aggregate::for_scenario(&sweep)
+            .reduce(&sweep, &RunCtrl::new().with_workers(workers))
+            .expect("plain run")
+    };
+    let (sweep_seq_secs, sweep_seq) = timed(|| summary(1));
+    let (sweep_par_secs, sweep_par) = timed(|| summary(4));
     assert_eq!(
         sweep_seq.to_string(),
         sweep_par.to_string(),
@@ -149,7 +155,11 @@ fn main() {
     // ---- streaming: fig4-style error-rate stream ----
     let fig4ish = fig4_style_scenario();
     let stats = ScalarStats::new(&["error_rate"]);
-    let (fig4_secs, fig4_out) = timed(|| fig4ish.run_reduced(&stats));
+    let (fig4_secs, fig4_out) = timed(|| {
+        fig4ish
+            .run_reduced(&stats, &RunCtrl::new())
+            .expect("plain run")
+    });
     let err_mean = fig4_out
         .get("keys")
         .and_then(|k| k.get("error_rate"))
@@ -213,7 +223,7 @@ fn main() {
         FIG4_STYLE_TRIALS as f64 / fig4_secs
     ));
     json.push_str("    },\n");
-    json.push_str("    \"memory\": \"live accumulators bounded at O(workers x chunk) by the backpressured in-order merge (lru_channel::trials::run_trials_fold); chunk layout is a function of trial count only, so output is bit-identical for any --threads\"\n");
+    json.push_str("    \"memory\": \"live accumulators bounded at O(workers x chunk) by the in-order wave merge (lru_channel::trials::run_trials_fold_ctrl); chunk layout is a function of trial count only, so output is bit-identical for any --threads\"\n");
     json.push_str("  }\n");
     json.push_str("}\n");
     // Tests and benches run with CWD = the package dir; anchor the

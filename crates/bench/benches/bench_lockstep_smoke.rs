@@ -66,10 +66,10 @@ fn fig4_cell() -> Scenario {
 
 /// One timed single-worker run under `mode`; returns `(secs, bytes)`.
 fn run(scenario: &Scenario, mode: LockstepMode) -> (f64, String) {
-    let ctrl = RunCtrl::new().with_workers(1);
+    let ctrl = RunCtrl::new().with_workers(1).with_lockstep(mode);
     let start = Instant::now();
     let out = scenario
-        .run_reduced_ctrl_mode(&CollectMetrics, None, &ctrl, mode)
+        .run_reduced(&CollectMetrics, &ctrl)
         .expect("cell runs");
     (start.elapsed().as_secs_f64(), out.to_string())
 }

@@ -33,7 +33,7 @@ use cache_sim::reference::RefCache;
 use cache_sim::replacement::{Domain, PolicyKind};
 use lru_channel::covert::{percent_ones, GridPoint, Variant};
 use lru_channel::params::{ChannelParams, Platform};
-use lru_channel::trials::{derive_seed, run_trials_on};
+use lru_channel::trials::{derive_seed, run_trials_fold_ctrl, RunCtrl};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -166,18 +166,26 @@ fn scaling_grid() -> Vec<GridPoint> {
 fn run_grid_on(workers: usize, points: &[GridPoint]) -> (f64, Vec<f64>) {
     let platform = Platform::e5_2690();
     let start = Instant::now();
-    let fractions: Vec<f64> = run_trials_on(workers, points.len(), |i| {
-        let p = points[i];
-        percent_ones(
-            platform,
-            p.params,
-            Variant::SharedMemory,
-            p.bit,
-            GRID_SAMPLES,
-            p.seed,
-        )
-        .expect("valid parameters")
-    });
+    let fractions: Vec<f64> = run_trials_fold_ctrl(
+        &RunCtrl::new().with_workers(workers),
+        points.len(),
+        |i| {
+            let p = points[i];
+            percent_ones(
+                platform,
+                p.params,
+                Variant::SharedMemory,
+                p.bit,
+                GRID_SAMPLES,
+                p.seed,
+            )
+            .expect("valid parameters")
+        },
+        Vec::new,
+        |acc, _i, v| acc.push(v),
+        |acc, mut part| acc.append(&mut part),
+    )
+    .expect("plain run");
     (start.elapsed().as_secs_f64(), fractions)
 }
 

@@ -1,17 +1,14 @@
-//! # bench-harness — regenerate every table and figure of the paper
+//! # bench-harness — perf gates and shared bench helpers
 //!
-//! Each bench target (`harness = false`) reruns one experiment of
-//! *"Leaking Information Through Cache LRU States"* (HPCA 2020) on
-//! the simulated platforms and prints the same rows/series the paper
-//! reports. Run everything with `cargo bench --workspace`, or one
-//! experiment with `cargo bench -p bench-harness --bench <name>`.
-//!
-//! Since the scenario redesign the targets are thin wrappers: every
-//! experiment lives in [`scenario::registry`] as a declarative grid,
-//! and a bench target just fetches its artifact and prints the
-//! report ([`run_artifact`]). The `lru-leak` CLI runs the *same*
-//! grids, so `lru-leak run fig6 --json` emits exactly the numbers
-//! `cargo bench --bench fig6_timesliced` prints, for the same seed.
+//! The paper's tables and figures are regenerated by the `lru-leak`
+//! CLI: every experiment lives in [`scenario::registry`] as a
+//! declarative grid, `lru-leak run fig6` prints its table and
+//! `lru-leak run fig6 --json` emits the same numbers, for the same
+//! seed (`lru-leak run-all` runs them all). This crate keeps the perf
+//! gates (`cargo bench -p bench-harness --bench bench_perf_smoke`,
+//! `bench_batch_smoke`, `bench_execsim_smoke`, `bench_lockstep_smoke`)
+//! and the `micro` criterion benches, plus the helpers they share:
+//! the report header and the BENCH json read/upsert functions.
 //!
 //! The absolute numbers come from a simulator, not the authors'
 //! testbed; EXPERIMENTS.md records, per experiment, which *shape*
@@ -22,29 +19,14 @@
 #![warn(missing_docs)]
 
 pub use scenario::fmt::{kbps, pct, pct1, sparkline, BENCH_SEED};
-use scenario::registry::{self, RunOpts};
 use scenario::Value;
 
-/// Prints the standard experiment header (used by the perf smoke
-/// bench, which is not a paper artifact).
+/// Prints the standard experiment header (used by the perf gates,
+/// which are not paper artifacts).
 pub fn header(id: &str, paper_ref: &str, what: &str) {
     let mut buf = String::new();
     scenario::fmt::header(&mut buf, id, paper_ref, what);
     print!("{buf}");
-}
-
-/// Runs a registered paper artifact and prints its report — the
-/// whole body of every figure/table bench target.
-///
-/// # Panics
-///
-/// Panics if `id` is not in the registry (a bench target naming a
-/// missing artifact is a build-time bug, and the registry
-/// completeness test pins the mapping).
-pub fn run_artifact(id: &str) {
-    let artifact = registry::get(id)
-        .unwrap_or_else(|| panic!("bench target references unknown artifact {id:?}"));
-    print!("{}", artifact.run(&RunOpts::default()).text);
 }
 
 /// Prints the one-line old→new comparison every perf gate emits

@@ -81,7 +81,7 @@
 use std::fmt::Write;
 use std::time::{Duration, Instant};
 
-use lru_channel::trials::{FoldError, RunCtrl};
+use lru_channel::trials::RunCtrl;
 use lru_leak_server::{client as service_client, Server, ServerConfig, DEFAULT_ADDR};
 use scenario::registry::{self, RunOpts};
 use scenario::spec::Scenario;
@@ -377,18 +377,6 @@ fn opts_from(flags: &Flags) -> RunOpts {
     RunOpts {
         trials: flags.trials,
         seed: flags.seed.unwrap_or(defaults.seed),
-    }
-}
-
-/// `adhoc` only: pins the process-global worker count. `run`,
-/// `run-all` and the server size their pools per job through
-/// [`Engine::with_workers`] instead, so `--threads` never sticks
-/// beyond the job it was given for (the global
-/// [`lru_channel::trials::set_worker_count`] latches on first use —
-/// fine for a one-shot process, wrong for a long-lived one).
-fn apply_threads(flags: &Flags) {
-    if let Some(threads) = flags.threads {
-        lru_channel::trials::set_worker_count(threads);
     }
 }
 
@@ -950,13 +938,6 @@ fn run_cli_inner(
                     "--timeout-secs/--cache-dir apply to run and run-all",
                 ));
             }
-            if flags.summary && flags.lockstep.is_some() {
-                return Err(CliError::usage(
-                    "--summary streams through the default aggregate; combine --lockstep \
-                     with the per-trial adhoc path",
-                ));
-            }
-            apply_threads(&flags);
             let mut sc = load_scenario(spec)?;
             if let Some(trials) = flags.trials {
                 sc.trials = trials.max(1);
@@ -973,29 +954,26 @@ fn run_cli_inner(
                     return Err(CliError::run(format!("--lockstep=force: {reason}")));
                 }
             }
-            let mode = flags.lockstep.unwrap_or(LockstepMode::Auto);
             let cb =
                 |done: usize, total: usize| emit_progress(sink, "adhoc", "trials", done, total);
-            let progress: Option<scenario::ProgressFn> =
-                if flags.progress { Some(&cb) } else { None };
+            let mut ctrl = RunCtrl::new()
+                .with_workers(flags.threads.unwrap_or(0))
+                .with_lockstep(flags.lockstep.unwrap_or_default());
+            if flags.progress {
+                ctrl = ctrl.with_progress(&cb);
+            }
             let outcome = if flags.summary {
                 // Stream through the scenario's constant-memory
                 // default aggregate (noisy covert scenarios get the
                 // channel-capacity estimate): O(workers × chunk)
                 // memory even for million-trial sweeps.
-                scenario::Aggregate::for_scenario(&sc).reduce(&sc, progress)
+                scenario::Aggregate::for_scenario(&sc).reduce(&sc, &ctrl)
             } else {
-                // Identical bytes to sc.run() in every mode, with
-                // the progress callback and lockstep routing
-                // threaded through.
-                match sc.run_ctrl_with_mode(progress, &RunCtrl::new(), mode) {
-                    Ok(v) => v,
-                    Err(FoldError::Cancelled) => {
-                        unreachable!("default RunCtrl never cancels")
-                    }
-                    Err(FoldError::ChunkPanicked { payload, .. }) => std::panic::panic_any(payload),
-                }
-            };
+                // Identical bytes to sc.run() for every worker count
+                // and lockstep mode.
+                sc.run_ctrl(&ctrl)
+            }
+            .map_err(|e| CliError::run(format!("adhoc: {e}")))?;
             let result = Value::obj()
                 .with("scenario", sc.to_json())
                 .with("outcome", outcome);

@@ -352,7 +352,7 @@ pub struct GridPoint {
 
 /// Evaluates a whole percent-of-ones grid, one independent
 /// [`percent_ones`] run per point, fanned out over the host's cores
-/// by [`crate::trials::run_trials`].
+/// by [`crate::trials::run_trials_fold_ctrl`].
 ///
 /// Each point's run is seeded only by its own [`GridPoint::seed`],
 /// so the returned fractions (in `points` order) are bit-identical
@@ -363,16 +363,29 @@ pub struct GridPoint {
 ///
 /// Returns the first [`ParamError`] in `points` order, if any point
 /// has parameters that do not fit the platform's L1 geometry.
+///
+/// # Panics
+///
+/// Panics if a point's run panics on both its first run and its
+/// retry.
 pub fn percent_ones_grid(
     platform: Platform,
     variant: Variant,
     points: &[GridPoint],
     n_samples: usize,
 ) -> Result<Vec<f64>, ParamError> {
-    crate::trials::run_trials(points.len(), |i| {
-        let p = points[i];
-        percent_ones(platform, p.params, variant, p.bit, n_samples, p.seed)
-    })
+    crate::trials::run_trials_fold_ctrl(
+        &crate::trials::RunCtrl::new(),
+        points.len(),
+        |i| {
+            let p = points[i];
+            percent_ones(platform, p.params, variant, p.bit, n_samples, p.seed)
+        },
+        Vec::new,
+        |acc, _i, v| acc.push(v),
+        |acc, mut part| acc.append(&mut part),
+    )
+    .unwrap_or_else(|e| panic!("{e}"))
     .into_iter()
     .collect()
 }

@@ -130,8 +130,9 @@ pub fn eligible(platform: &Platform, sharing: Sharing) -> bool {
 }
 
 /// How a run driver should use the lockstep path. Plumbed from the
-/// `lru-leak --lockstep=off|auto|force` debug flag down to
-/// `Scenario::run_reduced_ctrl` so regressions can be bisected
+/// `lru-leak --lockstep=off|auto|force` debug flag through
+/// [`RunCtrl::with_lockstep`](crate::trials::RunCtrl::with_lockstep)
+/// down to `Scenario::run_reduced`, so regressions can be bisected
 /// against the scalar path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum LockstepMode {

@@ -8,15 +8,16 @@
 //! many cores as the host offers — *provided the results do not
 //! depend on execution order*.
 //!
-//! Two entry points share one scheduler:
+//! Two entry points share one scheduler, and both take a [`RunCtrl`]:
 //!
-//! * [`run_trials`] maps `f` over `0..n` and returns the results in
-//!   index order (memory `O(n)` — you asked for every result).
-//! * [`run_trials_fold`] *streams*: trial results are folded into
+//! * [`run_trials_fold_ctrl`] *streams*: trial results are folded into
 //!   per-chunk accumulators as they are produced and the chunk
 //!   accumulators are combined **in fixed chunk order**, so live
 //!   memory stays `O(workers × chunk)` no matter how many trials run.
-//!   Million-trial sweeps reduce to a few counters.
+//!   Million-trial sweeps reduce to a few counters. (A caller that
+//!   wants every result folds into a `Vec`.)
+//! * [`run_trials_lockstep`] is the same fold with a per-chunk batch
+//!   function in place of the per-index trial function.
 //!
 //! The scheduler claims *chunks* of consecutive indices and hands
 //! finished chunk accumulators over through a **two-phase wave**: in
@@ -39,13 +40,13 @@
 //! non-associative (floating-point) reductions — the
 //! `trial_driver_determinism` suite asserts it.
 //!
-//! The worker count defaults to the host's available parallelism,
-//! clamped by the `LRU_LEAK_THREADS` environment variable
+//! The worker count is a property of one run: [`RunCtrl::with_workers`]
+//! pins it, and without a pin the run uses the host's available
+//! parallelism, clamped by the `LRU_LEAK_THREADS` environment variable
 //! (`LRU_LEAK_THREADS=1` forces sequential execution, e.g. for
 //! debugging or timing baselines). The environment is consulted once
-//! and cached; embedders such as the `lru-leak` CLI can override the
-//! count explicitly with [`set_worker_count`] instead of mutating
-//! the environment (`--threads` therefore beats `LRU_LEAK_THREADS`).
+//! and cached. There is no process-wide override, so one run's width
+//! never leaks into the next run of a long-lived process.
 //!
 //! ## Resilience
 //!
@@ -66,17 +67,15 @@
 //! Cancellation is cooperative: a [`CancelToken`] (optionally carrying a
 //! deadline) is checked **at chunk boundaries** — between chunks, never
 //! inside one — so a cancelled run stops within one chunk's worth of
-//! work and returns [`FoldError::Cancelled`]. The control surface is
-//! bundled in a [`RunCtrl`] passed to [`run_trials_fold_ctrl`]; the
-//! legacy entry points ([`run_trials`], [`run_trials_fold`]) use a
-//! default `RunCtrl` (never cancelled) and re-raise a persistent chunk
-//! panic, preserving their historical panicking contract.
+//! work and returns [`FoldError::Cancelled`].
 
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
+
+use crate::lockstep::LockstepMode;
 
 /// Derives the seed of trial `index` from the experiment's master
 /// seed (SplitMix64 finalizer over the pair — consecutive indices
@@ -88,31 +87,14 @@ pub fn derive_seed(master: u64, index: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Explicit worker-count override (0 = none). Takes precedence over
-/// both the environment and the hardware default.
-static WORKER_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
-
 /// Cached parse of `LRU_LEAK_THREADS`, read from the environment at
 /// most once per process.
 static ENV_WORKERS: OnceLock<Option<usize>> = OnceLock::new();
 
-/// Explicitly pins the worker count used by [`run_trials`]
-/// (`1` = sequential). Passing `0` clears the override, falling back
-/// to `LRU_LEAK_THREADS` / the hardware default. This is how the
-/// `lru-leak` CLI implements `--threads` — no environment mutation.
-pub fn set_worker_count(workers: usize) {
-    WORKER_OVERRIDE.store(workers, Ordering::SeqCst);
-}
-
-/// Worker count used by [`run_trials`]: an explicit
-/// [`set_worker_count`] override if one is set, else available
+/// Worker count of a run whose [`RunCtrl`] pins none: available
 /// parallelism clamped by `LRU_LEAK_THREADS` (parsed once, then
 /// cached — later changes to the environment are not observed).
-pub fn worker_count() -> usize {
-    let forced = WORKER_OVERRIDE.load(Ordering::SeqCst);
-    if forced > 0 {
-        return forced;
-    }
+fn default_workers() -> usize {
     let env = ENV_WORKERS.get_or_init(|| {
         std::env::var("LRU_LEAK_THREADS")
             .ok()
@@ -130,7 +112,7 @@ pub fn worker_count() -> usize {
 ///
 /// A function of `n` **only** — never the worker count — so the
 /// chunk/merge structure (and with it the floating-point combination
-/// order of [`run_trials_fold`]) is identical for any `--threads`
+/// order of [`run_trials_fold_ctrl`]) is identical for any `--threads`
 /// value. Small sweeps get chunk 1 (every index steals
 /// independently); large sweeps cap at 64 indices per chunk so the
 /// claim counter is touched ~once per 64 trials while plenty of
@@ -233,50 +215,91 @@ impl CancelToken {
     }
 }
 
+/// Progress callback: `(completed, total)` trials (or grid cells, at
+/// the job layer). Invoked from worker threads, hence `Sync`.
+pub type ProgressFn<'a> = &'a (dyn Fn(usize, usize) + Sync);
+
 /// Control surface for one scheduled run: the [`CancelToken`] the
-/// workers poll at chunk boundaries, an optional per-run worker-count
-/// override, plus a retry counter the driver increments every time a
-/// panicked chunk is deterministically re-run.
-#[derive(Debug, Default)]
-pub struct RunCtrl {
+/// workers poll at chunk boundaries, an optional worker-count pin,
+/// the [`LockstepMode`] scenario drivers route by, an optional
+/// per-trial progress callback, and a retry counter the driver
+/// increments every time a panicked chunk is deterministically re-run.
+///
+/// Clones share the token and the retry counter, so a nested run
+/// (the job engine's per-cell trial sweep) can carry its own progress
+/// callback while its retries still count toward the outer run.
+#[derive(Clone, Default)]
+pub struct RunCtrl<'a> {
     cancel: CancelToken,
     workers: Option<usize>,
-    retried: AtomicUsize,
+    lockstep: LockstepMode,
+    progress: Option<ProgressFn<'a>>,
+    retried: Arc<AtomicUsize>,
 }
 
-impl RunCtrl {
+impl std::fmt::Debug for RunCtrl<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("RunCtrl")
+            .field("cancel", &self.cancel)
+            .field("workers", &self.workers)
+            .field("lockstep", &self.lockstep)
+            .field("progress", &self.progress.is_some())
+            .field("retried", &self.retried)
+            .finish()
+    }
+}
+
+impl<'a> RunCtrl<'a> {
     /// A control block that never cancels.
-    pub fn new() -> RunCtrl {
+    pub fn new() -> RunCtrl<'a> {
         RunCtrl::default()
     }
 
     /// A control block driven by an existing token.
-    pub fn with_cancel(cancel: CancelToken) -> RunCtrl {
+    pub fn with_cancel(cancel: CancelToken) -> RunCtrl<'a> {
         RunCtrl {
             cancel,
             ..RunCtrl::default()
         }
     }
 
-    /// Pins this run (and only this run) to `workers` threads,
-    /// overriding the process-global [`worker_count`] without
-    /// touching it. This is how a long-lived process (the `lru-leak`
-    /// server) sizes worker pools per job: the global
-    /// [`set_worker_count`] override sticks for the life of the
-    /// process, so the first request's `--threads` would otherwise
-    /// leak into every later job. `0` clears the override. Results
-    /// are bit-identical for any value — the chunk/merge structure
-    /// is a function of the trial count alone.
+    /// Pins this run to `workers` threads (`0` clears the pin). A
+    /// long-lived process (the `lru-leak` server) sizes each job this
+    /// way, so one request's width never leaks into the next.
+    /// Results are bit-identical for any value — the chunk/merge
+    /// structure is a function of the trial count alone.
     #[must_use]
-    pub fn with_workers(mut self, workers: usize) -> RunCtrl {
+    pub fn with_workers(mut self, workers: usize) -> RunCtrl<'a> {
         self.workers = (workers > 0).then_some(workers);
         self
     }
 
-    /// The worker count this run uses: the per-run override if one
-    /// is set, else the process-global [`worker_count`].
+    /// Sets how scenario drivers use the lockstep trial path (`Auto`
+    /// by default). The trial drivers themselves ignore it; results
+    /// are bit-identical for every mode.
+    #[must_use]
+    pub fn with_lockstep(mut self, mode: LockstepMode) -> RunCtrl<'a> {
+        self.lockstep = mode;
+        self
+    }
+
+    /// Reports `(completed, total)` to `progress` after every trial.
+    /// The callback never influences the result.
+    #[must_use]
+    pub fn with_progress(mut self, progress: ProgressFn<'a>) -> RunCtrl<'a> {
+        self.progress = Some(progress);
+        self
+    }
+
+    /// The worker count this run uses: the pin if one is set, else
+    /// the host's available parallelism clamped by `LRU_LEAK_THREADS`.
     pub fn workers(&self) -> usize {
-        self.workers.unwrap_or_else(worker_count)
+        self.workers.unwrap_or_else(default_workers)
+    }
+
+    /// The lockstep routing mode.
+    pub fn lockstep(&self) -> LockstepMode {
+        self.lockstep
     }
 
     /// The token workers poll.
@@ -293,6 +316,17 @@ impl RunCtrl {
 
     fn note_retry(&self) {
         self.retried.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// A per-run reporter for `n` trials: calls the progress callback,
+    /// if any, with a running count.
+    fn ticker(&self, n: usize) -> impl Fn() + Sync + '_ {
+        let done = AtomicUsize::new(0);
+        move || {
+            if let Some(p) = self.progress {
+                p(done.fetch_add(1, Ordering::Relaxed) + 1, n);
+            }
+        }
     }
 }
 
@@ -348,17 +382,6 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Re-raises a [`FoldError`] for the legacy (panicking) entry points:
-/// a persistent chunk panic becomes a plain panic again, carrying the
-/// stringified payload. The default [`RunCtrl`] never cancels, so
-/// [`FoldError::Cancelled`] cannot reach here.
-fn resurface(e: FoldError) -> ! {
-    match e {
-        FoldError::Cancelled => unreachable!("default RunCtrl never cancels"),
-        FoldError::ChunkPanicked { payload, .. } => panic::panic_any(payload),
-    }
-}
-
 /// Drains a possibly-poisoned lock: a panic elsewhere must not
 /// cascade into every thread that later touches the mutex (the fold
 /// state stays consistent because chunk panics are caught *before*
@@ -368,63 +391,8 @@ fn drain_lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Runs `n` independent trials of `f` and returns their results in
-/// index order.
-///
-/// `f(i)` must depend only on `i` (derive randomness via
-/// [`derive_seed`]); then the output is identical whether the trials
-/// run on one thread or many. Workers claim chunks of indices from a
-/// shared counter, so long and short trials balance dynamically.
-pub fn run_trials<T, F>(n: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    run_trials_on(worker_count(), n, f)
-}
-
-/// [`run_trials`] on exactly `workers` threads (1 = fully
-/// sequential, no threads spawned).
-pub fn run_trials_on<T, F>(workers: usize, n: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    // Collecting materializes all n results anyway, so a narrow wave
-    // would cap nothing — run one wave over every chunk and let
-    // workers race past a slow chunk freely.
-    let cfg = FoldCfg {
-        workers,
-        n,
-        pending_cap: usize::MAX,
-    };
-    fold_impl(
-        cfg,
-        &RunCtrl::new(),
-        f,
-        Vec::new,
-        |acc, _i, v| acc.push(v),
-        |acc, mut part| acc.append(&mut part),
-    )
-    .unwrap_or_else(|e| resurface(e))
-}
-
-/// Streams `n` independent trials through a chunked fold:
-/// [`run_trials_fold_on`] with the default [`worker_count`].
-pub fn run_trials_fold<T, A, F, I, Fo, M>(n: usize, trial: F, init: I, fold: Fo, merge: M) -> A
-where
-    T: Send,
-    A: Send,
-    F: Fn(usize) -> T + Sync,
-    I: Fn() -> A + Sync,
-    Fo: Fn(&mut A, usize, T) + Sync,
-    M: Fn(&mut A, A) + Sync,
-{
-    run_trials_fold_on(worker_count(), n, trial, init, fold, merge)
-}
-
 /// The streaming reduce pipeline: runs `trial(i)` for `i in 0..n` on
-/// `workers` threads and folds the results into one accumulator
+/// `ctrl`'s workers and folds the results into one accumulator
 /// without ever materializing all `n` of them.
 ///
 /// The index range is cut into chunks of [`fold_chunk_size`]`(n)`
@@ -438,56 +406,29 @@ where
 /// buffer. Live memory is therefore `O(workers × chunk)` trial
 /// results plus `O(workers)` accumulators, regardless of `n`.
 ///
-/// Sequential execution (`workers == 1`) walks the *same*
-/// chunk/merge structure, so the result is bit-identical for every
-/// worker count even when `merge` is only left-to-right deterministic
+/// Sequential execution (one worker) walks the *same* chunk/merge
+/// structure, so the result is bit-identical for every worker count
+/// even when `merge` is only left-to-right deterministic
 /// (floating-point sums), not truly associative.
-pub fn run_trials_fold_on<T, A, F, I, Fo, M>(
-    workers: usize,
-    n: usize,
-    trial: F,
-    init: I,
-    fold: Fo,
-    merge: M,
-) -> A
-where
-    T: Send,
-    A: Send,
-    F: Fn(usize) -> T + Sync,
-    I: Fn() -> A + Sync,
-    Fo: Fn(&mut A, usize, T) + Sync,
-    M: Fn(&mut A, A) + Sync,
-{
-    let cfg = FoldCfg {
-        workers,
-        n,
-        pending_cap: PENDING_PER_WORKER * workers.max(1),
-    };
-    fold_impl(cfg, &RunCtrl::new(), trial, init, fold, merge).unwrap_or_else(|e| resurface(e))
-}
-
-/// [`run_trials_fold_on`] under an explicit [`RunCtrl`]: the
-/// resilient entry point the job engine uses.
 ///
-/// Identical chunk/merge structure (and therefore bit-identical
-/// results on success), but instead of panicking the driver
+/// The driver
 ///
 /// * checks `ctrl`'s [`CancelToken`] at every chunk boundary and
 ///   returns [`FoldError::Cancelled`] once it fires;
 /// * catches a panicking chunk, re-runs it **once** from a fresh
 ///   accumulator (`ctrl` counts the retry), and only if it panics
 ///   again returns [`FoldError::ChunkPanicked`] — after draining the
-///   other workers, so the bounded merge buffer never deadlocks on a
-///   dead worker.
+///   other workers, so the wave handoff never deadlocks on a dead
+///   worker;
+/// * reports each folded trial to `ctrl`'s progress callback, if any.
 ///
 /// # Errors
 ///
 /// [`FoldError::Cancelled`] on cooperative cancellation,
 /// [`FoldError::ChunkPanicked`] when a chunk fails twice.
 pub fn run_trials_fold_ctrl<T, A, F, I, Fo, M>(
-    workers: usize,
-    n: usize,
     ctrl: &RunCtrl,
+    n: usize,
     trial: F,
     init: I,
     fold: Fo,
@@ -501,12 +442,19 @@ where
     Fo: Fn(&mut A, usize, T) + Sync,
     M: Fn(&mut A, A) + Sync,
 {
-    let cfg = FoldCfg {
-        workers,
+    let tick = ctrl.ticker(n);
+    fold_chunked_impl(
+        ctrl,
         n,
-        pending_cap: PENDING_PER_WORKER * workers.max(1),
-    };
-    fold_impl(cfg, ctrl, trial, init, fold, merge)
+        |lo, hi, part: &mut A| {
+            for i in lo..hi {
+                fold(part, i, trial(i));
+                tick();
+            }
+        },
+        init,
+        merge,
+    )
 }
 
 /// The lockstep fold driver: [`run_trials_fold_ctrl`] with the
@@ -538,9 +486,8 @@ where
 /// [`FoldError::Cancelled`] on cooperative cancellation,
 /// [`FoldError::ChunkPanicked`] when a batch fails twice.
 pub fn run_trials_lockstep<T, A, B, I, Fo, M>(
-    workers: usize,
-    n: usize,
     ctrl: &RunCtrl,
+    n: usize,
     batch: B,
     init: I,
     fold: Fo,
@@ -554,14 +501,10 @@ where
     Fo: Fn(&mut A, usize, T) + Sync,
     M: Fn(&mut A, A) + Sync,
 {
-    let cfg = FoldCfg {
-        workers,
-        n,
-        pending_cap: PENDING_PER_WORKER * workers.max(1),
-    };
+    let tick = ctrl.ticker(n);
     fold_chunked_impl(
-        cfg,
         ctrl,
+        n,
         |lo, hi, part: &mut A| {
             let results = batch(lo, hi);
             assert_eq!(
@@ -571,48 +514,7 @@ where
             );
             for (k, v) in results.into_iter().enumerate() {
                 fold(part, lo + k, v);
-            }
-        },
-        init,
-        merge,
-    )
-}
-
-/// Scheduler geometry: `pending_cap` is the wave width in chunks —
-/// how many chunk slots one compute phase fills before the merge
-/// phase drains them — or `usize::MAX` to run a single wave over
-/// every chunk (collecting callers, whose output is `O(n)`
-/// regardless).
-struct FoldCfg {
-    workers: usize,
-    n: usize,
-    pending_cap: usize,
-}
-
-/// Per-index scheduler body: wraps the trial/fold pair into the
-/// chunk-filling shape of [`fold_chunked_impl`].
-fn fold_impl<T, A, F, I, Fo, M>(
-    cfg: FoldCfg,
-    ctrl: &RunCtrl,
-    trial: F,
-    init: I,
-    fold: Fo,
-    merge: M,
-) -> Result<A, FoldError>
-where
-    T: Send,
-    A: Send,
-    F: Fn(usize) -> T + Sync,
-    I: Fn() -> A + Sync,
-    Fo: Fn(&mut A, usize, T) + Sync,
-    M: Fn(&mut A, A) + Sync,
-{
-    fold_chunked_impl(
-        cfg,
-        ctrl,
-        |lo, hi, part: &mut A| {
-            for i in lo..hi {
-                fold(part, i, trial(i));
+                tick();
             }
         },
         init,
@@ -625,8 +527,8 @@ where
 /// fresh accumulator it is handed. See [`run_trials_fold_ctrl`] for
 /// the resilience contract.
 fn fold_chunked_impl<A, Fill, I, M>(
-    cfg: FoldCfg,
     ctrl: &RunCtrl,
+    n: usize,
     fill: Fill,
     init: I,
     merge: M,
@@ -637,14 +539,9 @@ where
     I: Fn() -> A + Sync,
     M: Fn(&mut A, A) + Sync,
 {
-    let FoldCfg {
-        workers,
-        n,
-        pending_cap,
-    } = cfg;
     let chunk = fold_chunk_size(n);
     let chunks = n.div_ceil(chunk);
-    let workers = workers.max(1).min(chunks.max(1));
+    let workers = ctrl.workers().min(chunks.max(1));
     let cancel = ctrl.cancel_token();
     let chunk_range = |c: usize| (c * chunk, ((c + 1) * chunk).min(n));
     // One guarded attempt at chunk `c`: fill a fresh accumulator with
@@ -708,7 +605,7 @@ where
     // advances the wave and wakes the others. There is no queue and
     // no backpressure wait; the only blocking is a worker arriving at
     // an exhausted wave while a sibling still computes.
-    let wave_cap = pending_cap.min(chunks).max(1);
+    let wave_cap = (PENDING_PER_WORKER * workers).min(chunks);
 
     /// Shared wave state.
     struct FoldState<A> {
@@ -840,24 +737,41 @@ where
 mod tests {
     use super::*;
 
+    fn on(workers: usize) -> RunCtrl<'static> {
+        RunCtrl::new().with_workers(workers)
+    }
+
+    /// Every trial result in index order, on exactly `workers` threads.
+    fn collect<T: Send>(workers: usize, n: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
+        run_trials_fold_ctrl(
+            &on(workers),
+            n,
+            f,
+            Vec::new,
+            |acc, _i, v| acc.push(v),
+            |acc, mut part| acc.append(&mut part),
+        )
+        .unwrap()
+    }
+
     #[test]
     fn results_are_in_index_order() {
-        let out = run_trials_on(4, 37, |i| i * i);
+        let out = collect(4, 37, |i| i * i);
         assert_eq!(out, (0..37).map(|i| i * i).collect::<Vec<_>>());
     }
 
     #[test]
     fn parallel_matches_sequential() {
         let f = |i: usize| derive_seed(0xabcd, i as u64);
-        let seq = run_trials_on(1, 100, f);
-        let par = run_trials_on(8, 100, f);
+        let seq = collect(1, 100, f);
+        let par = collect(8, 100, f);
         assert_eq!(seq, par);
     }
 
     #[test]
     fn zero_and_one_trials() {
-        assert!(run_trials_on(4, 0, |i| i).is_empty());
-        assert_eq!(run_trials_on(4, 1, |i| i), vec![0]);
+        assert!(collect(4, 0, |i| i).is_empty());
+        assert_eq!(collect(4, 1, |i| i), vec![0]);
     }
 
     #[test]
@@ -872,8 +786,9 @@ mod tests {
     }
 
     #[test]
-    fn worker_count_is_positive() {
-        assert!(worker_count() >= 1);
+    fn default_worker_count_is_positive() {
+        assert!(default_workers() >= 1);
+        assert!(RunCtrl::new().workers() >= 1);
     }
 
     #[test]
@@ -889,14 +804,15 @@ mod tests {
         // A deliberately non-associative reduction: floating-point
         // sums only reproduce if the combination order is fixed.
         let sum_on = |workers: usize| {
-            run_trials_fold_on(
-                workers,
+            run_trials_fold_ctrl(
+                &on(workers),
                 10_000,
                 |i| (derive_seed(0xf0, i as u64) % 1_000) as f64 / 7.0,
                 || 0.0f64,
                 |acc, _i, x| *acc += x,
                 |acc, part| *acc += part,
             )
+            .unwrap()
         };
         let seq = sum_on(1);
         for workers in [2, 3, 4, 8] {
@@ -911,14 +827,15 @@ mod tests {
     #[test]
     fn fold_handles_zero_and_one_trials() {
         let count = |n: usize| {
-            run_trials_fold_on(
-                4,
+            run_trials_fold_ctrl(
+                &on(4),
                 n,
                 |i| i,
                 || 0usize,
                 |acc, _i, _v| *acc += 1,
                 |acc, part| *acc += part,
             )
+            .unwrap()
         };
         assert_eq!(count(0), 0);
         assert_eq!(count(1), 1);
@@ -928,15 +845,15 @@ mod tests {
     fn fold_live_accumulators_stay_bounded() {
         use std::sync::atomic::AtomicIsize;
         // init() births an accumulator, merge() consumes one: the
-        // difference is how many are alive. The backpressured
-        // scheduler must keep that number O(workers), far below the
-        // chunk count of a large sweep.
+        // difference is how many are alive. The wave handoff must
+        // keep that number O(workers), far below the chunk count of
+        // a large sweep.
         let live = AtomicIsize::new(0);
         let max_live = AtomicIsize::new(0);
         let workers = 4;
         let n = 40_000; // chunk 64 → 625 chunks
-        let total: u64 = run_trials_fold_on(
-            workers,
+        let total: u64 = run_trials_fold_ctrl(
+            &on(workers),
             n,
             |i| i as u64,
             || {
@@ -949,7 +866,8 @@ mod tests {
                 live.fetch_sub(1, Ordering::SeqCst);
                 *acc += part;
             },
-        );
+        )
+        .unwrap();
         assert_eq!(total, (n as u64 - 1) * n as u64 / 2);
         let bound = (1 + PENDING_PER_WORKER * workers + 2 * workers) as isize;
         let seen = max_live.load(Ordering::SeqCst);
@@ -961,10 +879,9 @@ mod tests {
 
     #[test]
     fn skewed_trial_lengths_still_give_index_ordered_results() {
-        // Trial 0 is ~1000× the others: under the old round-robin
-        // split one worker owned it plus every 4th index; chunked
-        // claiming lets the other workers drain the rest. Either way
-        // the output must stay index-ordered and bit-identical.
+        // Trial 0 is ~1000× the others: chunked claiming lets the
+        // other workers drain the rest. Either way the output must
+        // stay index-ordered and bit-identical.
         let f = |i: usize| {
             let spins = if i == 0 { 200_000 } else { 200 };
             let mut acc = derive_seed(0xbeef, i as u64);
@@ -973,40 +890,26 @@ mod tests {
             }
             (i, acc)
         };
-        let seq = run_trials_on(1, 200, f);
-        let par = run_trials_on(4, 200, f);
+        let seq = collect(1, 200, f);
+        let par = collect(4, 200, f);
         assert_eq!(seq, par);
         assert!(par.iter().enumerate().all(|(i, &(j, _))| i == j));
     }
 
     #[test]
-    fn explicit_override_beats_environment() {
-        // Tests share the process: restore the default afterwards.
-        set_worker_count(3);
-        assert_eq!(worker_count(), 3);
-        set_worker_count(0);
-        assert!(worker_count() >= 1);
-    }
-
-    #[test]
-    fn per_run_worker_override_does_not_touch_the_global() {
-        let before = worker_count();
-        let ctrl = RunCtrl::new().with_workers(2);
-        assert_eq!(ctrl.workers(), 2);
-        // The override is scoped to the RunCtrl, not the process.
-        assert_eq!(worker_count(), before);
+    fn per_run_worker_pin_leaves_the_default_alone() {
+        let before = RunCtrl::new().workers();
+        let ctrl = on(before + 1);
+        assert_eq!(ctrl.workers(), before + 1);
+        // The pin is scoped to the RunCtrl, not the process.
         assert_eq!(RunCtrl::new().workers(), before);
-        // Zero clears the override back to the global default.
-        assert_eq!(
-            RunCtrl::new().with_workers(2).with_workers(0).workers(),
-            before
-        );
+        // Zero clears the pin back to the default.
+        assert_eq!(on(2).with_workers(0).workers(), before);
         // And the run itself is bit-identical either way.
         let sum = |ctrl: &RunCtrl| {
             run_trials_fold_ctrl(
-                ctrl.workers(),
-                1000,
                 ctrl,
+                1000,
                 |i| (derive_seed(0xaa, i as u64) % 97) as f64 / 3.0,
                 || 0.0f64,
                 |acc, _i, v| *acc += v,
@@ -1014,22 +917,49 @@ mod tests {
             )
             .unwrap()
         };
-        let pinned = sum(&RunCtrl::new().with_workers(2));
-        let global = sum(&RunCtrl::new());
-        assert_eq!(pinned.to_bits(), global.to_bits());
+        let pinned = sum(&on(2));
+        let default = sum(&RunCtrl::new());
+        assert_eq!(pinned.to_bits(), default.to_bits());
+    }
+
+    #[test]
+    fn progress_reports_every_trial_once() {
+        for workers in [1, 4] {
+            let calls = AtomicUsize::new(0);
+            let highest = AtomicUsize::new(0);
+            let cb = |done: usize, total: usize| {
+                assert_eq!(total, 1000);
+                calls.fetch_add(1, Ordering::SeqCst);
+                highest.fetch_max(done, Ordering::SeqCst);
+            };
+            let ctrl = on(workers).with_progress(&cb);
+            let per_index = run_trials_fold_ctrl(
+                &ctrl,
+                1000,
+                |i| i as u64,
+                || 0u64,
+                |acc, _i, v| *acc += v,
+                |acc, part| *acc += part,
+            );
+            let batched = run_trials_lockstep(
+                &ctrl,
+                1000,
+                |lo, hi| (lo..hi).map(|i| i as u64).collect::<Vec<_>>(),
+                || 0u64,
+                |acc, _i, v| *acc += v,
+                |acc, part| *acc += part,
+            );
+            assert_eq!(per_index, batched);
+            assert_eq!(calls.load(Ordering::SeqCst), 2000, "workers={workers}");
+            assert_eq!(highest.load(Ordering::SeqCst), 1000, "workers={workers}");
+        }
     }
 
     /// Sums 0..n with an optional injected one-shot panic.
-    fn sum_ctrl(
-        workers: usize,
-        n: usize,
-        ctrl: &RunCtrl,
-        boom: &AtomicUsize,
-    ) -> Result<u64, FoldError> {
+    fn sum_ctrl(n: usize, ctrl: &RunCtrl, boom: &AtomicUsize) -> Result<u64, FoldError> {
         run_trials_fold_ctrl(
-            workers,
-            n,
             ctrl,
+            n,
             |i| {
                 if i == 7
                     && boom
@@ -1050,20 +980,29 @@ mod tests {
     fn one_shot_panic_is_retried_to_an_identical_result() {
         let expected = (0..1000u64).sum::<u64>();
         for workers in [1, 4] {
-            let ctrl = RunCtrl::new();
+            let ctrl = on(workers);
             let boom = AtomicUsize::new(1); // fire once
-            assert_eq!(sum_ctrl(workers, 1000, &ctrl, &boom), Ok(expected));
+            assert_eq!(sum_ctrl(1000, &ctrl, &boom), Ok(expected));
             assert_eq!(ctrl.retried_chunks(), 1, "workers={workers}");
             assert_eq!(boom.load(Ordering::SeqCst), 0, "fault consumed");
         }
     }
 
     #[test]
+    fn clones_count_retries_into_the_same_run() {
+        let outer = on(2);
+        let nested = outer.clone().with_progress(&|_, _| {});
+        let boom = AtomicUsize::new(1);
+        assert!(sum_ctrl(1000, &nested, &boom).is_ok());
+        assert_eq!(outer.retried_chunks(), 1);
+    }
+
+    #[test]
     fn persistent_panic_surfaces_a_structured_error() {
         for workers in [1, 4] {
-            let ctrl = RunCtrl::new();
+            let ctrl = on(workers);
             let boom = AtomicUsize::new(usize::MAX); // fire every time
-            let err = sum_ctrl(workers, 1000, &ctrl, &boom).unwrap_err();
+            let err = sum_ctrl(1000, &ctrl, &boom).unwrap_err();
             let FoldError::ChunkPanicked {
                 chunk,
                 trial_range: (lo, hi),
@@ -1082,14 +1021,12 @@ mod tests {
 
     #[test]
     fn persistent_panic_under_backpressure_does_not_deadlock() {
-        // Chunk 0 always fails while later chunks are slow enough to
-        // fill the bounded pending buffer behind the dead frontier;
-        // the drain logic must wake and release every worker.
-        let ctrl = RunCtrl::new();
+        // Chunk 0 always fails while later chunks keep filling the
+        // waves behind it; the drain logic must wake and release
+        // every worker.
         let err = run_trials_fold_ctrl(
-            4,
-            40_000, // chunk 64 → 625 chunks, plenty of backpressure
-            &ctrl,
+            &on(4),
+            40_000, // chunk 64 → 625 chunks, many waves
             |i| {
                 if i == 0 {
                     panic!("frontier chunk dies");
@@ -1112,11 +1049,9 @@ mod tests {
         let token = CancelToken::new();
         token.cancel();
         let ran = AtomicUsize::new(0);
-        let ctrl = RunCtrl::with_cancel(token);
         let out = run_trials_fold_ctrl(
-            4,
+            &RunCtrl::with_cancel(token).with_workers(4),
             10_000,
-            &ctrl,
             |i| {
                 ran.fetch_add(1, Ordering::SeqCst);
                 i
@@ -1132,12 +1067,10 @@ mod tests {
     #[test]
     fn mid_run_cancel_stops_at_a_chunk_boundary() {
         let token = CancelToken::new();
-        let ctrl = RunCtrl::with_cancel(token.clone());
         let ran = AtomicUsize::new(0);
         let out = run_trials_fold_ctrl(
-            2,
+            &RunCtrl::with_cancel(token.clone()).with_workers(2),
             100_000,
-            &ctrl,
             |i| {
                 if ran.fetch_add(1, Ordering::SeqCst) == 500 {
                     token.cancel();
@@ -1178,11 +1111,9 @@ mod tests {
     #[test]
     fn merge_panic_is_terminal_but_structured() {
         for workers in [1, 4] {
-            let ctrl = RunCtrl::new();
             let out = run_trials_fold_ctrl(
-                workers,
+                &on(workers),
                 1000,
-                &ctrl,
                 |i| i as u64,
                 || 0u64,
                 |acc, _i, v| *acc += v,
@@ -1201,19 +1132,19 @@ mod tests {
         // Same non-associative float reduction as the per-index test:
         // the chunk/fold/merge structure must line up exactly.
         let trial = |i: usize| (derive_seed(0xf0, i as u64) % 1_000) as f64 / 7.0;
-        let per_index = run_trials_fold_on(
-            3,
+        let per_index = run_trials_fold_ctrl(
+            &on(3),
             10_000,
             trial,
             || 0.0f64,
             |acc, _i, x| *acc += x,
             |acc, part| *acc += part,
-        );
+        )
+        .unwrap();
         for workers in [1, 4, 8] {
             let batched = run_trials_lockstep(
-                workers,
+                &on(workers),
                 10_000,
-                &RunCtrl::new(),
                 |lo, hi| (lo..hi).map(trial).collect::<Vec<_>>(),
                 || 0.0f64,
                 |acc, _i, x| *acc += x,
@@ -1230,7 +1161,7 @@ mod tests {
         // is indistinguishable from a fault-free run.
         let expected = (0..1000u64).sum::<u64>();
         let boom = AtomicUsize::new(1);
-        let ctrl = RunCtrl::new();
+        let ctrl = on(4);
         let batch = |lo: usize, hi: usize| {
             if lo <= 7
                 && 7 < hi
@@ -1243,9 +1174,8 @@ mod tests {
             (lo..hi).map(|i| i as u64).collect::<Vec<_>>()
         };
         let sum = run_trials_lockstep(
-            4,
-            1000,
             &ctrl,
+            1000,
             batch,
             || 0u64,
             |acc, _i, v| *acc += v,
@@ -1256,9 +1186,8 @@ mod tests {
         assert_eq!(ctrl.retried_chunks(), 1);
         // Persistent fault: surfaces as the chunk's structured error.
         let err = run_trials_lockstep(
-            4,
+            &on(4),
             1000,
-            &RunCtrl::new(),
             |lo: usize, hi: usize| {
                 if lo <= 7 && 7 < hi {
                     panic!("persistent batch panic");
@@ -1283,9 +1212,8 @@ mod tests {
         token.cancel();
         let ran = AtomicUsize::new(0);
         let out = run_trials_lockstep(
-            4,
+            &RunCtrl::with_cancel(token).with_workers(4),
             10_000,
-            &RunCtrl::with_cancel(token),
             |lo, hi| {
                 ran.fetch_add(hi - lo, Ordering::SeqCst);
                 (lo..hi).collect::<Vec<_>>()
@@ -1296,23 +1224,5 @@ mod tests {
         );
         assert_eq!(out, Err(FoldError::Cancelled));
         assert_eq!(ran.load(Ordering::SeqCst), 0, "no batch may start");
-    }
-
-    #[test]
-    fn legacy_entry_points_still_panic_on_persistent_faults() {
-        let caught = std::panic::catch_unwind(|| {
-            run_trials_on(2, 100, |i| {
-                if i == 3 {
-                    panic!("persistent");
-                }
-                i
-            })
-        });
-        let payload = caught.unwrap_err();
-        let msg = payload
-            .downcast_ref::<String>()
-            .cloned()
-            .unwrap_or_default();
-        assert!(msg.contains("persistent"), "{msg}");
     }
 }

@@ -6,7 +6,7 @@
 //! scale. A [`Reducer`] inverts that: each trial's [`Outcome`] is
 //! folded into an accumulator the moment it is produced, partial
 //! accumulators merge in fixed chunk order (see
-//! [`lru_channel::trials::run_trials_fold`]), and only the finished
+//! [`lru_channel::trials::run_trials_fold_ctrl`]), and only the finished
 //! summary survives. A million-trial sweep reduces to a handful of
 //! counters while staying bit-identical across worker counts.
 //!
@@ -18,13 +18,11 @@
 //! want; [`Aggregate::for_kind`] picks a sensible one per
 //! [`ExperimentKind`].
 
+use lru_channel::trials::{FoldError, RunCtrl};
+
 use crate::experiment::Outcome;
 use crate::json::Value;
 use crate::spec::{ExperimentKind, Scenario};
-
-/// Progress callback: `(completed, total)` trials or grid cells.
-/// Invoked from worker threads, hence `Sync`.
-pub type ProgressFn<'a> = &'a (dyn Fn(usize, usize) + Sync);
 
 /// A streaming reduction over trial outcomes.
 ///
@@ -364,42 +362,21 @@ impl Aggregate {
         Aggregate::for_kind(&scenario.kind)
     }
 
-    /// Runs `scenario`'s trials through this aggregate's reducer.
-    pub fn reduce(&self, scenario: &Scenario, progress: Option<ProgressFn>) -> Value {
-        match *self {
-            Aggregate::Collect => scenario.run_reduced_with(&CollectMetrics, progress),
-            Aggregate::Stats(keys) => scenario.run_reduced_with(&ScalarStats::new(keys), progress),
-            Aggregate::Histogram { key, bins } => {
-                scenario.run_reduced_with(&KeyHistogram { key, bins }, progress)
-            }
-            Aggregate::Capacity => scenario.run_reduced_with(&CapacityStats, progress),
-        }
-    }
-
-    /// [`Aggregate::reduce`] under an explicit
-    /// [`RunCtrl`](lru_channel::trials::RunCtrl): bit-identical on
-    /// success, but cancellable at chunk boundaries and panic-isolated
-    /// (a twice-panicked chunk returns a structured error instead of
-    /// unwinding).
+    /// Runs `scenario`'s trials through this aggregate's reducer,
+    /// under `ctrl`'s workers, cancel token, progress callback and
+    /// lockstep mode.
     ///
     /// # Errors
     ///
-    /// See [`crate::spec::Scenario::run_reduced_ctrl`].
-    pub fn reduce_ctrl(
-        &self,
-        scenario: &Scenario,
-        progress: Option<ProgressFn>,
-        ctrl: &lru_channel::trials::RunCtrl,
-    ) -> Result<Value, lru_channel::trials::FoldError> {
+    /// See [`Scenario::run_reduced`].
+    pub fn reduce(&self, scenario: &Scenario, ctrl: &RunCtrl) -> Result<Value, FoldError> {
         match *self {
-            Aggregate::Collect => scenario.run_reduced_ctrl(&CollectMetrics, progress, ctrl),
-            Aggregate::Stats(keys) => {
-                scenario.run_reduced_ctrl(&ScalarStats::new(keys), progress, ctrl)
-            }
+            Aggregate::Collect => scenario.run_reduced(&CollectMetrics, ctrl),
+            Aggregate::Stats(keys) => scenario.run_reduced(&ScalarStats::new(keys), ctrl),
             Aggregate::Histogram { key, bins } => {
-                scenario.run_reduced_ctrl(&KeyHistogram { key, bins }, progress, ctrl)
+                scenario.run_reduced(&KeyHistogram { key, bins }, ctrl)
             }
-            Aggregate::Capacity => scenario.run_reduced_ctrl(&CapacityStats, progress, ctrl),
+            Aggregate::Capacity => scenario.run_reduced(&CapacityStats, ctrl),
         }
     }
 }

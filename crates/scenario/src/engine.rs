@@ -62,9 +62,8 @@ use std::time::Duration;
 
 use lru_channel::lockstep::LockstepMode;
 use lru_channel::trials::{derive_seed, run_trials_fold_ctrl};
-pub use lru_channel::trials::{CancelToken, FoldError, RunCtrl};
+pub use lru_channel::trials::{CancelToken, FoldError, ProgressFn, RunCtrl};
 
-use crate::aggregate::ProgressFn;
 use crate::json::Value;
 use crate::registry::{Artifact, Report, RunOpts};
 use crate::spec::Scenario;
@@ -568,11 +567,10 @@ impl Engine {
     }
 
     /// Sizes this engine's jobs to `workers` threads via the per-run
-    /// [`RunCtrl`] override — the process-global
-    /// [`lru_channel::trials::set_worker_count`] is never touched, so
-    /// a long-lived host (the `lru-leak` server) can run consecutive
-    /// jobs at different widths without one request's setting
-    /// sticking. Results are bit-identical for any width.
+    /// [`RunCtrl`] pin, so a long-lived host (the `lru-leak` server)
+    /// can run consecutive jobs at different widths without one
+    /// request's setting sticking. Results are bit-identical for any
+    /// width.
     #[must_use]
     pub fn with_workers(mut self, workers: usize) -> Engine {
         self.workers = (workers > 0).then_some(workers);
@@ -598,16 +596,6 @@ impl Engine {
         self
     }
 
-    /// The engine's lockstep routing mode.
-    pub fn lockstep(&self) -> LockstepMode {
-        self.lockstep
-    }
-
-    /// The configured per-job timeout, if any.
-    pub fn timeout(&self) -> Option<Duration> {
-        self.timeout
-    }
-
     /// Runs every cell of `job` through the chunked, panic-isolated,
     /// cancellable fold driver and returns the outcomes in grid
     /// order — byte-identical for any worker count, with a cache for
@@ -629,8 +617,7 @@ impl Engine {
         progress: Option<ProgressFn>,
         cancel: &CancelToken,
     ) -> Result<(Vec<Value>, JobStatus), EngineError> {
-        let ctrl = self.job_ctrl(cancel);
-        self.run_job_ctrl(job, progress, &ctrl)
+        self.run_job_inner(job, progress, None, cancel)
     }
 
     /// [`Engine::run_job`] with a rich [`JobProgress`] observer
@@ -649,49 +636,26 @@ impl Engine {
         observer: Option<JobProgressFn>,
         cancel: &CancelToken,
     ) -> Result<(Vec<Value>, JobStatus), EngineError> {
-        let ctrl = self.job_ctrl(cancel);
-        self.run_job_inner(job, None, observer, &ctrl)
+        self.run_job_inner(job, None, observer, cancel)
     }
 
-    /// Derives one job's control block: deadline child token when a
-    /// timeout is configured, per-run worker override when a width
-    /// is.
-    fn job_ctrl(&self, cancel: &CancelToken) -> RunCtrl {
-        let token = match self.timeout {
-            Some(t) => cancel.child_with_timeout(t),
-            None => cancel.clone(),
-        };
-        let mut ctrl = RunCtrl::with_cancel(token);
-        if let Some(w) = self.workers {
-            ctrl = ctrl.with_workers(w);
-        }
-        ctrl
-    }
-
-    /// [`Engine::run_job`] under a caller-supplied [`RunCtrl`] —
-    /// the timeout-child derivation is skipped, so the caller owns
-    /// the whole cancellation story (used by [`Artifact::run_ctrl`]).
-    ///
-    /// # Errors
-    ///
-    /// See [`Engine::run_job`].
-    pub fn run_job_ctrl(
-        &self,
-        job: &Job,
-        progress: Option<ProgressFn>,
-        ctrl: &RunCtrl,
-    ) -> Result<(Vec<Value>, JobStatus), EngineError> {
-        self.run_job_inner(job, progress, None, ctrl)
-    }
-
-    /// Shared body of the `run_job*` entry points.
+    /// Shared body of the `run_job*` entry points. One job's control
+    /// block: a deadline child token when a timeout is configured,
+    /// the engine's worker pin and lockstep mode.
     fn run_job_inner(
         &self,
         job: &Job,
         progress: Option<ProgressFn>,
         observer: Option<JobProgressFn>,
-        ctrl: &RunCtrl,
+        cancel: &CancelToken,
     ) -> Result<(Vec<Value>, JobStatus), EngineError> {
+        let token = match self.timeout {
+            Some(t) => cancel.child_with_timeout(t),
+            None => cancel.clone(),
+        };
+        let ctrl = &RunCtrl::with_cancel(token)
+            .with_workers(self.workers.unwrap_or(0))
+            .with_lockstep(self.lockstep);
         let run = JobRun {
             engine: self,
             job,
@@ -706,9 +670,8 @@ impl Engine {
         };
         let total = job.grid.len();
         let outcomes = run_trials_fold_ctrl(
-            ctrl.workers(),
-            total,
             ctrl,
+            total,
             |i| run.cell(i),
             Vec::new,
             |acc: &mut Vec<Value>, _i, v| acc.push(v),
@@ -739,8 +702,8 @@ impl Engine {
     }
 
     /// [`Engine::run_job`] for a registry artifact, rendered into the
-    /// artifact's [`Report`]. The report bytes are identical to
-    /// [`Artifact::run`] whenever the job completes.
+    /// artifact's [`Report`] (what [`Artifact::run`] calls on a plain
+    /// engine).
     ///
     /// # Errors
     ///
@@ -795,7 +758,7 @@ pub type JobProgressFn<'a> = &'a (dyn Fn(JobProgress) + Sync);
 struct JobRun<'a> {
     engine: &'a Engine,
     job: &'a Job,
-    ctrl: &'a RunCtrl,
+    ctrl: &'a RunCtrl<'a>,
     progress: Option<ProgressFn<'a>>,
     observer: Option<JobProgressFn<'a>>,
     trials_total: usize,
@@ -844,15 +807,22 @@ impl JobRun<'_> {
             }
         }
         // Trial-level progress only when someone is listening: the
-        // callback path costs one atomic per trial otherwise.
+        // callback path costs one atomic per trial otherwise. The
+        // clone shares the job's token and retry counter.
         let trial_cb = |_done: usize, _total: usize| {
             self.trials_done.fetch_add(1, Ordering::Relaxed);
             if let Some(obs) = self.observer {
                 obs(self.snapshot());
             }
         };
-        let trial_progress: Option<ProgressFn> = self.observer.is_some().then_some(&trial_cb);
-        match scenario.run_ctrl_with_mode(trial_progress, self.ctrl, self.engine.lockstep) {
+        let observed;
+        let ctrl = if self.observer.is_some() {
+            observed = self.ctrl.clone().with_progress(&trial_cb);
+            &observed
+        } else {
+            self.ctrl
+        };
+        match scenario.run_ctrl(ctrl) {
             Ok(outcome) => {
                 if let Some(cache) = &self.engine.cache {
                     // A failed store only loses the cache benefit.

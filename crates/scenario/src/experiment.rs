@@ -49,10 +49,9 @@ use lru_channel::trials::{
 };
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use workloads::spec_like::Benchmark;
 
-use crate::aggregate::{Aggregate, CollectMetrics, ProgressFn, Reducer};
+use crate::aggregate::{CollectMetrics, Reducer};
 use crate::json::Value;
 use crate::spec::{
     ChannelId, DefenseId, ExperimentKind, HierarchyId, InitId, MessageSource, Scenario, SequenceId,
@@ -117,85 +116,36 @@ impl Scenario {
     /// directly when `trials == 1`) and returns the metrics — a
     /// single tree for one trial, an array for several.
     ///
-    /// Since the streaming refactor this is [`Scenario::run_reduced`]
-    /// with the [`CollectMetrics`] compatibility reducer: the output
-    /// is byte-identical to the old buffered path (pinned by
-    /// `tests/streaming_equivalence.rs`), but the trials flow through
-    /// the chunked work-stealing scheduler. For large `trials`,
-    /// prefer [`Scenario::run_summary`] or a constant-memory
-    /// [`Reducer`] of your own.
+    /// This is [`Scenario::run_ctrl`] under a default [`RunCtrl`];
+    /// for large `trials`, prefer [`Scenario::run_reduced`] with a
+    /// constant-memory [`Reducer`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if a trial chunk panics on both its first run and its
+    /// retry.
     pub fn run(&self) -> Value {
-        if self.trials <= 1 {
-            return self.run_once(self.seed).metrics;
-        }
-        self.run_reduced(&CollectMetrics)
-    }
-
-    /// The pre-refactor buffered reference: run every trial
-    /// sequentially, collect all metrics into a `Vec`, wrap.
-    /// `O(trials)` memory by construction — kept as the oracle the
-    /// streaming path is tested against, not for production sweeps.
-    pub fn run_buffered(&self) -> Value {
-        if self.trials <= 1 {
-            return self.run_once(self.seed).metrics;
-        }
-        let outs = (0..self.trials)
-            .map(|i| self.run_once(derive_seed(self.seed, i as u64)).metrics)
-            .collect();
-        Value::Arr(outs)
+        self.run_ctrl(&RunCtrl::new())
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Streams the scenario's trials through `reducer`. The result
-    /// is bit-identical for any worker count, and the driver keeps
-    /// only `O(workers)` live accumulators plus `O(workers × chunk)`
-    /// in-flight trial results — so with a constant-size accumulator
+    /// is bit-identical for any worker count and lockstep mode, and
+    /// the driver keeps only `O(workers)` live accumulators plus
+    /// `O(workers × chunk)` in-flight trial results — so with a
+    /// constant-size accumulator
     /// ([`ScalarStats`](crate::aggregate::ScalarStats),
     /// [`KeyHistogram`](crate::aggregate::KeyHistogram)) total memory
     /// is independent of the trial count. The bound covers the
     /// *number* of accumulators, not their size: a reducer whose
     /// accumulator grows per trial ([`CollectMetrics`]) still ends up
     /// `O(trials)`.
-    pub fn run_reduced<R: Reducer>(&self, reducer: &R) -> Value {
-        self.run_reduced_with(reducer, None)
-    }
-
-    /// [`Scenario::run_reduced`] with a progress callback, invoked
-    /// from worker threads as `(completed, total)` after each trial.
-    pub fn run_reduced_with<R: Reducer>(&self, reducer: &R, progress: Option<ProgressFn>) -> Value {
-        match self.run_reduced_ctrl(reducer, progress, &RunCtrl::new()) {
-            Ok(v) => v,
-            Err(FoldError::Cancelled) => unreachable!("default RunCtrl never cancels"),
-            // Preserve the historical panicking contract of the
-            // uncontrolled entry point.
-            Err(FoldError::ChunkPanicked { payload, .. }) => std::panic::panic_any(payload),
-        }
-    }
-
-    /// [`Scenario::run_reduced_with`] under an explicit [`RunCtrl`] —
-    /// the resilient form the [`crate::engine`] job layer calls.
-    /// Bit-identical bytes on success; additionally the trial chunks
-    /// are panic-isolated (one deterministic retry, then a structured
-    /// error) and `ctrl`'s [`CancelToken`](lru_channel::trials::CancelToken)
-    /// is honoured at every chunk boundary.
     ///
-    /// # Errors
-    ///
-    /// [`FoldError::Cancelled`] when the token fires before the sweep
-    /// completes; [`FoldError::ChunkPanicked`] when a trial chunk
-    /// panics twice (original run + deterministic retry).
-    pub fn run_reduced_ctrl<R: Reducer>(
-        &self,
-        reducer: &R,
-        progress: Option<ProgressFn>,
-        ctrl: &RunCtrl,
-    ) -> Result<Value, FoldError> {
-        self.run_reduced_ctrl_mode(reducer, progress, ctrl, LockstepMode::Auto)
-    }
-
-    /// [`Scenario::run_reduced_ctrl`] with an explicit
-    /// [`LockstepMode`]. Under `Auto` (what every other entry point
-    /// uses) and `Force`, scenarios with a [`Scenario::lockstep_spec`]
-    /// run their trials in lockstep batches over the lane-major
+    /// `ctrl` supplies the worker count, the cancel token (polled at
+    /// every chunk boundary), the per-trial progress callback and
+    /// the [`LockstepMode`]. Under `Auto` (the default) and `Force`,
+    /// scenarios with a [`Scenario::lockstep_spec`] run their trials
+    /// in lockstep batches over the lane-major
     /// [`cache_sim::batch::BatchCache`]; ineligible scenarios — and
     /// every run under `Off` — take the scalar per-trial path. The
     /// produced bytes are identical either way (pinned by
@@ -205,44 +155,35 @@ impl Scenario {
     ///
     /// # Errors
     ///
-    /// See [`Scenario::run_reduced_ctrl`].
-    pub fn run_reduced_ctrl_mode<R: Reducer>(
-        &self,
-        reducer: &R,
-        progress: Option<ProgressFn>,
-        ctrl: &RunCtrl,
-        mode: LockstepMode,
-    ) -> Result<Value, FoldError> {
-        if mode != LockstepMode::Off {
+    /// [`FoldError::Cancelled`] when the token fires before the sweep
+    /// completes; [`FoldError::ChunkPanicked`] when a trial chunk
+    /// panics twice (original run + deterministic retry).
+    pub fn run_reduced<R: Reducer>(&self, reducer: &R, ctrl: &RunCtrl) -> Result<Value, FoldError> {
+        if ctrl.lockstep() != LockstepMode::Off {
             if let Ok(spec) = self.lockstep_spec() {
-                return self.run_reduced_lockstep(reducer, progress, ctrl, &spec);
+                return self.run_reduced_lockstep(reducer, ctrl, &spec);
             }
         }
         let experiment = self.experiment();
-        let n = self.trials.max(1);
-        let single = self.trials <= 1;
-        let done = AtomicUsize::new(0);
         let acc = run_trials_fold_ctrl(
-            ctrl.workers(),
-            n,
             ctrl,
-            |i| {
-                let seed = if single {
-                    self.seed
-                } else {
-                    derive_seed(self.seed, i as u64)
-                };
-                let outcome = experiment.run(seed);
-                if let Some(p) = progress {
-                    p(done.fetch_add(1, Ordering::Relaxed) + 1, n);
-                }
-                outcome
-            },
+            self.trials.max(1),
+            |i| experiment.run(self.trial_seed(i)),
             || reducer.init(),
             |acc, i, outcome| reducer.fold(acc, i, outcome),
             |acc, other| reducer.merge(acc, other),
         )?;
         Ok(reducer.finish(acc))
+    }
+
+    /// Seed of trial `i`: the master seed itself for a single-trial
+    /// scenario, a [`derive_seed`] stream otherwise.
+    fn trial_seed(&self, i: usize) -> u64 {
+        if self.trials <= 1 {
+            self.seed
+        } else {
+            derive_seed(self.seed, i as u64)
+        }
     }
 
     /// The lockstep fold: one [`lockstep::run_batch`] call per
@@ -254,28 +195,16 @@ impl Scenario {
     fn run_reduced_lockstep<R: Reducer>(
         &self,
         reducer: &R,
-        progress: Option<ProgressFn>,
         ctrl: &RunCtrl,
         spec: &BatchSpec,
     ) -> Result<Value, FoldError> {
-        let n = self.trials.max(1);
-        let single = self.trials <= 1;
-        let done = AtomicUsize::new(0);
-        let seed_of = |i: usize| {
-            if single {
-                self.seed
-            } else {
-                derive_seed(self.seed, i as u64)
-            }
-        };
         let acc = run_trials_lockstep(
-            ctrl.workers(),
-            n,
             ctrl,
+            self.trials.max(1),
             |lo, hi| {
                 let lanes: Vec<LaneSpec> = (lo..hi)
                     .map(|i| {
-                        let seed = seed_of(i);
+                        let seed = self.trial_seed(i);
                         LaneSpec {
                             message: self.message.bits(seed),
                             seed,
@@ -286,17 +215,13 @@ impl Scenario {
                 runs.into_iter()
                     .enumerate()
                     .map(|(k, r)| {
-                        let outcome = covert_outcome(
+                        covert_outcome(
                             self,
-                            seed_of(lo + k),
+                            self.trial_seed(lo + k),
                             &r.samples,
                             r.hit_threshold,
                             r.rate_bps,
-                        );
-                        if let Some(p) = progress {
-                            p(done.fetch_add(1, Ordering::Relaxed) + 1, n);
-                        }
-                        outcome
+                        )
                     })
                     .collect()
             },
@@ -308,56 +233,20 @@ impl Scenario {
     }
 
     /// [`Scenario::run`] under an explicit [`RunCtrl`]: the same
-    /// bytes as [`Scenario::run`] on success (including the
-    /// single-trial unwrapping), but cancellable and panic-isolated.
-    /// This is the per-cell entry point of the [`crate::engine`] job
-    /// layer, and what makes every grid cell's outcome safely
-    /// cacheable — a faulted-then-retried cell reproduces the
-    /// fault-free bytes exactly.
+    /// bytes (including the single-trial unwrapping), but cancellable
+    /// and panic-isolated. This is the per-cell entry point of the
+    /// [`crate::engine`] job layer, and what makes every grid cell's
+    /// outcome safely cacheable — a faulted-then-retried cell
+    /// reproduces the fault-free bytes exactly.
     ///
     /// # Errors
     ///
-    /// See [`Scenario::run_reduced_ctrl`].
+    /// See [`Scenario::run_reduced`].
     pub fn run_ctrl(&self, ctrl: &RunCtrl) -> Result<Value, FoldError> {
-        self.run_ctrl_with(None, ctrl)
-    }
-
-    /// [`Scenario::run_ctrl`] with a per-trial progress callback,
-    /// invoked from worker threads as `(completed, total)` after each
-    /// trial — the hook the job engine threads through so a streaming
-    /// server can report trial-level progress. The callback never
-    /// influences the result; the bytes stay identical to
-    /// [`Scenario::run`].
-    ///
-    /// # Errors
-    ///
-    /// See [`Scenario::run_reduced_ctrl`].
-    pub fn run_ctrl_with(
-        &self,
-        progress: Option<ProgressFn>,
-        ctrl: &RunCtrl,
-    ) -> Result<Value, FoldError> {
-        self.run_ctrl_with_mode(progress, ctrl, LockstepMode::Auto)
-    }
-
-    /// [`Scenario::run_ctrl_with`] with an explicit [`LockstepMode`]
-    /// — the entry point the job engine uses so `lru-leak
-    /// --lockstep=…` reaches every cell. Same bytes for every mode.
-    ///
-    /// # Errors
-    ///
-    /// See [`Scenario::run_reduced_ctrl`].
-    pub fn run_ctrl_with_mode(
-        &self,
-        progress: Option<ProgressFn>,
-        ctrl: &RunCtrl,
-        mode: LockstepMode,
-    ) -> Result<Value, FoldError> {
-        let v = self.run_reduced_ctrl_mode(&CollectMetrics, progress, ctrl, mode)?;
+        let v = self.run_reduced(&CollectMetrics, ctrl)?;
         if self.trials <= 1 {
-            // Scenario::run returns the bare metrics tree for a
-            // single trial; unwrap the one-element array the
-            // compatibility reducer builds.
+            // A single trial yields its bare metrics tree; unwrap the
+            // one-element array the compatibility reducer builds.
             if let Value::Arr(mut items) = v {
                 debug_assert_eq!(items.len(), 1);
                 return Ok(items.remove(0));
@@ -365,15 +254,6 @@ impl Scenario {
             unreachable!("CollectMetrics finishes with an array");
         }
         Ok(v)
-    }
-
-    /// Streams the trials through the scenario's default
-    /// [`Aggregate::for_scenario`] summary — the constant-memory way
-    /// to run a million-trial sweep. (Noisy covert scenarios get the
-    /// channel-capacity aggregate; everything else keeps its kind's
-    /// default.)
-    pub fn run_summary(&self) -> Value {
-        Aggregate::for_scenario(self).reduce(self, None)
     }
 
     /// The [`BatchSpec`] this scenario would run in lockstep, or the

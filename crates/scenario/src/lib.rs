@@ -43,13 +43,14 @@
 //! * [`registry`] — paper artifact IDs (`fig3`…`fig15`,
 //!   `table1`…`table7`, ablations — including the `ablation_noise_*`
 //!   interference sweeps) resolved to scenario grids plus
-//!   renderers; bench targets and the `lru-leak` CLI both run
-//!   artifacts through [`registry::Artifact::run`].
+//!   renderers; the `lru-leak` CLI and the experiment service run
+//!   artifacts through [`engine::Engine::run_artifact`], and
+//!   [`registry::Artifact::run`] is the same call on a plain engine.
 //! * [`json`] — the dependency-free JSON tree both layers serialize
 //!   through (deterministic writer, so `--json` output is
 //!   bit-identical for a fixed seed).
 //! * [`fmt`] — the table/sparkline text helpers the renderers and
-//!   bench targets share.
+//!   perf benches share.
 //!
 //! ## Quickstart
 //!
@@ -93,12 +94,10 @@ pub mod json;
 pub mod registry;
 pub mod spec;
 
-pub use aggregate::{
-    Aggregate, CapacityStats, CollectMetrics, KeyHistogram, ProgressFn, Reducer, ScalarStats,
-};
+pub use aggregate::{Aggregate, CapacityStats, CollectMetrics, KeyHistogram, Reducer, ScalarStats};
 pub use engine::{
     content_hash64, CacheStats, CancelToken, Engine, EngineError, FaultPlan, Job, JobProgress,
-    JobStatus, ResultCache,
+    JobStatus, ProgressFn, ResultCache,
 };
 pub use experiment::{Experiment, LockstepIneligible, Outcome};
 pub use fmt::BENCH_SEED;

@@ -2,20 +2,18 @@
 //! the reproduction, keyed by a stable ID, resolved to a scenario
 //! grid plus a renderer.
 //!
-//! A bench target is now a two-liner — fetch the [`Artifact`], run
-//! it, print [`Report::text`] — and `lru-leak run <id> --json` emits
-//! the same numbers as [`Report::metrics`], because both come from
-//! the same grid run through the deterministic trial driver.
+//! `lru-leak run <id>` prints [`Report::text`] and `lru-leak run <id>
+//! --json` emits the same numbers as [`Report::metrics`], because both
+//! come from the same grid run through the deterministic trial driver.
 
 use std::fmt::Write;
 
 use cache_sim::replacement::PolicyKind;
 use lru_channel::covert::{Sharing, Variant};
 use lru_channel::params::ChannelParams;
-use lru_channel::trials::{FoldError, RunCtrl};
 use workloads::spec_like::SUITE;
 
-use crate::aggregate::ProgressFn;
+use crate::engine::{CancelToken, Engine};
 use crate::fmt::{geomean, header, kbps, pct, pct1, row, sparkline, BENCH_SEED};
 use crate::json::Value;
 use crate::spec::{
@@ -23,7 +21,7 @@ use crate::spec::{
     PlatformId, Scenario, SequenceId, WorkloadId,
 };
 
-/// Knobs the CLI and the bench targets pass down to a grid.
+/// Knobs the CLI and the service pass down to a grid.
 #[derive(Debug, Clone, Copy)]
 pub struct RunOpts {
     /// Overrides the artifact's natural trial/sample count per grid
@@ -54,7 +52,7 @@ impl RunOpts {
 pub struct Report {
     /// Artifact ID (`fig6`, `table4`, …).
     pub id: &'static str,
-    /// The human tables, exactly what the bench target prints.
+    /// The human tables, exactly what `lru-leak run <id>` prints.
     pub text: String,
     /// The same numbers as a deterministic JSON tree.
     pub metrics: Value,
@@ -69,7 +67,8 @@ type RenderFn = fn(&RunOpts, &[Scenario], &[Value]) -> (String, Value);
 pub struct Artifact {
     /// Stable ID (`fig6`, `table4`, `ablation_multiset`, …).
     pub id: &'static str,
-    /// The bench target reproducing it (`fig6_timesliced`, …).
+    /// Long name (`fig6_timesliced`, …), printed in the report
+    /// header and accepted by [`get`] in place of the ID.
     pub bench: &'static str,
     /// Paper cross-reference.
     pub paper_ref: &'static str,
@@ -86,74 +85,18 @@ impl Artifact {
     }
 
     /// Runs the whole grid (fanned out over the host's cores through
-    /// the work-stealing trial scheduler) and renders the report.
+    /// the work-stealing trial scheduler) and renders the report:
+    /// [`Engine::run_artifact`] on a plain engine.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a grid chunk panics on both its first run and its
+    /// retry.
     pub fn run(&self, opts: &RunOpts) -> Report {
-        self.run_with(opts, None)
-    }
-
-    /// [`Artifact::run`] with a progress callback, invoked from
-    /// worker threads as `(completed, total)` after each grid cell.
-    pub fn run_with(&self, opts: &RunOpts, progress: Option<ProgressFn>) -> Report {
-        match self.run_ctrl(opts, progress, &RunCtrl::new()) {
-            Ok(report) => report,
-            Err(FoldError::Cancelled) => unreachable!("default RunCtrl never cancels"),
-            Err(FoldError::ChunkPanicked { payload, .. }) => std::panic::panic_any(payload),
+        match Engine::new().run_artifact(self, opts, None, &CancelToken::new()) {
+            Ok((report, _status)) => report,
+            Err(e) => panic!("{}: {e}", self.id),
         }
-    }
-
-    /// [`Artifact::run_with`] under an external [`RunCtrl`]: the grid
-    /// runs through the panic-isolated, cancellable engine and a
-    /// failure comes back as a structured error instead of an abort.
-    /// (The richer entry point — caching, deadlines, job status — is
-    /// [`crate::engine::Engine::run_artifact`], which this shares its
-    /// execution path with.)
-    ///
-    /// # Errors
-    ///
-    /// [`FoldError::Cancelled`] when the control's token fires before
-    /// the grid completes; [`FoldError::ChunkPanicked`] when a grid
-    /// chunk panics on both its original run and its retry.
-    pub fn run_ctrl(
-        &self,
-        opts: &RunOpts,
-        progress: Option<ProgressFn>,
-        ctrl: &RunCtrl,
-    ) -> Result<Report, FoldError> {
-        let engine = crate::engine::Engine::new();
-        let job = crate::engine::Job::from_artifact(self, opts);
-        let (outcomes, _status) =
-            engine
-                .run_job_ctrl(&job, progress, ctrl)
-                .map_err(|e| match e {
-                    crate::engine::EngineError::Cancelled
-                    | crate::engine::EngineError::DeadlineExceeded { .. } => FoldError::Cancelled,
-                    crate::engine::EngineError::ChunkPanicked {
-                        chunk,
-                        trial_range,
-                        payload,
-                    } => FoldError::ChunkPanicked {
-                        chunk,
-                        trial_range,
-                        payload,
-                    },
-                    // Raised by front ends before execution, never by
-                    // the engine itself.
-                    crate::engine::EngineError::LockstepIneligible { .. } => {
-                        unreachable!("the engine treats Force like Auto")
-                    }
-                })?;
-        Ok(self.render_report(opts, &job.grid, &outcomes))
-    }
-
-    /// The pre-refactor buffered reference: every grid cell runs
-    /// sequentially through [`Scenario::run_buffered`], all outcomes
-    /// are collected, then rendered. Kept as the oracle
-    /// `tests/streaming_equivalence.rs` pins [`Artifact::run`]
-    /// against.
-    pub fn run_buffered(&self, opts: &RunOpts) -> Report {
-        let grid = self.scenarios(opts);
-        let outcomes: Vec<Value> = grid.iter().map(Scenario::run_buffered).collect();
-        self.render_report(opts, &grid, &outcomes)
     }
 
     /// Renders already-computed grid outcomes into this artifact's

@@ -114,6 +114,12 @@ const IDLE_SLICE: Duration = Duration::from_millis(100);
 /// instead of growing an unbounded in-memory queue.
 const PIPELINE_CAP: usize = 32;
 
+/// Longest frame the server reads: an NDJSON request line, an HTTP
+/// request line, one HTTP header line, or an HTTP body. A longer frame
+/// is rejected as a `bad_request` and the connection is closed, so a
+/// client that never sends a newline cannot grow server memory.
+pub const MAX_FRAME_BYTES: usize = 1 << 20;
+
 /// The synthetic connection id recovery replays run under (no real
 /// socket ever carries it — connection ids count up from zero).
 const RECOVERY_CONN: u64 = u64::MAX;
@@ -126,9 +132,8 @@ pub struct ServerConfig {
     /// means [`DEFAULT_ADDR`].
     pub addr: String,
     /// Default worker-pool width per job (a request's own `threads`
-    /// field wins). Applied per-run — the process-global worker count
-    /// is never touched, so consecutive jobs can run at different
-    /// widths.
+    /// field wins). Applied per run, so consecutive jobs can run at
+    /// different widths.
     pub threads: Option<usize>,
     /// Content-addressed result cache shared by every connection.
     pub cache_dir: Option<PathBuf>,
@@ -498,6 +503,35 @@ fn write_line(writer: &Mutex<TcpStream>, line: &str) -> io::Result<()> {
     w.flush()
 }
 
+/// One read from a connection, capped at [`MAX_FRAME_BYTES`].
+enum Frame {
+    /// A complete `\n`-terminated UTF-8 line.
+    Line(String),
+    /// [`MAX_FRAME_BYTES`] passed without a newline.
+    TooLarge,
+    /// EOF, a read error, non-UTF-8 bytes, or a final unterminated
+    /// fragment (the client died mid-frame — don't parse half of it).
+    End,
+}
+
+fn read_frame(reader: &mut impl BufRead) -> Frame {
+    let mut buf = Vec::new();
+    let cap = MAX_FRAME_BYTES as u64 + 1;
+    match reader.by_ref().take(cap).read_until(b'\n', &mut buf) {
+        Ok(_) if buf.ends_with(b"\n") => String::from_utf8(buf).map_or(Frame::End, Frame::Line),
+        Ok(_) if buf.len() > MAX_FRAME_BYTES => Frame::TooLarge,
+        _ => Frame::End,
+    }
+}
+
+/// The `bad_request` event an over-cap frame gets.
+fn frame_too_large_event() -> Value {
+    proto::error_event(
+        "bad_request",
+        &format!("frame exceeds {MAX_FRAME_BYTES} bytes without a newline"),
+    )
+}
+
 /// Sniffs the first byte: NDJSON requests start with `{`, anything
 /// else is handed to the HTTP/1.1 shim.
 fn handle_connection(shared: &Arc<Shared>, stream: TcpStream, conn_id: u64) {
@@ -532,27 +566,22 @@ fn serve_ndjson(shared: &Arc<Shared>, stream: TcpStream, conn_id: u64) {
     let _ = stream.set_write_timeout(Some(shared.write_timeout));
     let writer = Mutex::new(stream);
     let active: Arc<Mutex<Option<CancelToken>>> = Arc::new(Mutex::new(None));
-    let (tx, rx) = mpsc::sync_channel::<String>(PIPELINE_CAP);
+    let (tx, rx) = mpsc::sync_channel::<Frame>(PIPELINE_CAP);
     let reader_active = Arc::clone(&active);
     let reader = thread::spawn(move || {
         let mut lines = BufReader::new(read_half);
         loop {
-            let mut line = String::new();
-            match lines.read_line(&mut line) {
-                Ok(0) | Err(_) => break,
-                Ok(_) => {
-                    // `read_line` hands back a final unterminated
-                    // fragment at EOF as if it were a line; NDJSON
-                    // frames end in `\n`, so a missing one means the
-                    // client died mid-request — drop it, don't parse
-                    // half a frame.
-                    if !line.ends_with('\n') {
-                        break;
-                    }
-                    if tx.send(line).is_err() {
+            match read_frame(&mut lines) {
+                Frame::Line(line) => {
+                    if tx.send(Frame::Line(line)).is_err() {
                         break;
                     }
                 }
+                Frame::TooLarge => {
+                    let _ = tx.send(Frame::TooLarge);
+                    break;
+                }
+                Frame::End => break,
             }
         }
         // Client gone: cancel the in-flight request, if any.
@@ -566,7 +595,15 @@ fn serve_ndjson(shared: &Arc<Shared>, stream: TcpStream, conn_id: u64) {
     });
     loop {
         match rx.recv_timeout(IDLE_SLICE) {
-            Ok(line) => {
+            // The reader stops after an over-cap frame (and never
+            // forwards `End`): reject it and hang up.
+            Ok(Frame::TooLarge | Frame::End) => {
+                shared.stats.requests.fetch_add(1, Ordering::Relaxed);
+                shared.stats.failed.fetch_add(1, Ordering::Relaxed);
+                let _ = write_line(&writer, &frame_too_large_event().to_string());
+                break;
+            }
+            Ok(Frame::Line(line)) => {
                 let line = line.trim();
                 if line.is_empty() {
                     continue;
@@ -922,32 +959,38 @@ fn serve_http(shared: &Arc<Shared>, stream: TcpStream, conn_id: u64) {
         return;
     };
     let mut reader = BufReader::new(read_half);
-    let mut request_line = String::new();
-    if reader.read_line(&mut request_line).is_err() || request_line.is_empty() {
-        return;
-    }
+    let too_large = |stream| {
+        shared.stats.requests.fetch_add(1, Ordering::Relaxed);
+        shared.stats.failed.fetch_add(1, Ordering::Relaxed);
+        let payload = frame_too_large_event().to_string();
+        respond_http(stream, 400, "Bad Request", &payload, None);
+    };
+    let request_line = match read_frame(&mut reader) {
+        Frame::Line(line) => line,
+        Frame::TooLarge => return too_large(stream),
+        Frame::End => return,
+    };
     let mut parts = request_line.split_whitespace();
     let method = parts.next().unwrap_or("");
     let path = parts.next().unwrap_or("");
     let mut content_length: usize = 0;
     loop {
-        let mut header = String::new();
-        match reader.read_line(&mut header) {
-            Ok(0) | Err(_) => return,
-            Ok(_) => {
-                let header = header.trim();
-                if header.is_empty() {
-                    break;
-                }
-                if let Some(v) = header.to_ascii_lowercase().strip_prefix("content-length:") {
-                    content_length = v.trim().parse().unwrap_or(0);
-                }
-            }
+        let header = match read_frame(&mut reader) {
+            Frame::Line(line) => line,
+            Frame::TooLarge => return too_large(stream),
+            Frame::End => return,
+        };
+        let header = header.trim();
+        if header.is_empty() {
+            break;
+        }
+        if let Some(v) = header.to_ascii_lowercase().strip_prefix("content-length:") {
+            content_length = v.trim().parse().unwrap_or(0);
         }
     }
     // A megabyte of request JSON is already absurd; cap the read so a
     // bogus Content-Length cannot pin the thread.
-    let mut body = vec![0u8; content_length.min(1 << 20)];
+    let mut body = vec![0u8; content_length.min(MAX_FRAME_BYTES)];
     if !body.is_empty() && reader.read_exact(&mut body).is_err() {
         return;
     }

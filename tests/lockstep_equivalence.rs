@@ -9,7 +9,7 @@
 //! cell route identically under every mode, so they ride along as a
 //! no-regression check for free.
 
-use lru_leak::scenario::engine::{CancelToken, Engine};
+use lru_leak::scenario::engine::{CancelToken, Engine, RunCtrl};
 use lru_leak::scenario::registry::{self, RunOpts};
 use lru_leak::scenario::{LockstepMode, Scenario};
 
@@ -81,24 +81,12 @@ fn multi_trial_covert_sweep_is_bit_identical_across_modes() {
         .unwrap();
     assert!(scenario.lockstep_spec().is_ok());
     let scalar = scenario
-        .run_reduced_ctrl_mode(
-            &lru_leak::scenario::aggregate::CollectMetrics,
-            None,
-            &lru_leak::scenario::engine::RunCtrl::new(),
-            LockstepMode::Off,
-        )
+        .run_ctrl(&RunCtrl::new().with_lockstep(LockstepMode::Off))
         .unwrap();
     for workers in [1usize, 4, 8] {
-        let ctrl = lru_leak::scenario::engine::RunCtrl::new().with_workers(workers);
         for mode in [LockstepMode::Auto, LockstepMode::Force] {
-            let batched = scenario
-                .run_reduced_ctrl_mode(
-                    &lru_leak::scenario::aggregate::CollectMetrics,
-                    None,
-                    &ctrl,
-                    mode,
-                )
-                .unwrap();
+            let ctrl = RunCtrl::new().with_workers(workers).with_lockstep(mode);
+            let batched = scenario.run_ctrl(&ctrl).unwrap();
             assert_eq!(
                 batched.to_string(),
                 scalar.to_string(),

@@ -7,9 +7,10 @@ use lru_leak::lru_channel::decode::{self, BitConvention};
 use lru_leak::lru_channel::edit_distance::error_rate;
 use lru_leak::lru_channel::noise::NoiseModel;
 use lru_leak::lru_channel::params::{ChannelParams, Platform};
+use lru_leak::lru_channel::trials::RunCtrl;
 use lru_leak::scenario::registry;
 use lru_leak::scenario::spec::{ExperimentKind, MessageSource, Scenario};
-use lru_leak::scenario::Value;
+use lru_leak::scenario::{Aggregate, Value};
 
 use cache_sim::replacement::PolicyKind;
 use exec_sim::machine::Machine;
@@ -195,7 +196,9 @@ fn noisy_covert_summary_streams_the_capacity_estimate() {
         .build()
         .unwrap();
     assert_eq!(sc.kind, ExperimentKind::Covert);
-    let summary = sc.run_summary();
+    let summary = Aggregate::for_scenario(&sc)
+        .reduce(&sc, &RunCtrl::new())
+        .unwrap();
     assert_eq!(
         summary.get("aggregate").and_then(Value::as_str),
         Some("capacity"),

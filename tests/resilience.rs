@@ -436,7 +436,6 @@ fn lockstep_cells_recover_byte_identically_from_an_injected_panic() {
 
 #[test]
 fn lockstep_runs_honour_cancellation_at_batch_boundaries() {
-    use lru_leak::scenario::aggregate::CollectMetrics;
     use lru_leak::scenario::engine::{FoldError, RunCtrl};
     use lru_leak::scenario::spec::Scenario;
     use lru_leak::scenario::LockstepMode;
@@ -448,10 +447,8 @@ fn lockstep_runs_honour_cancellation_at_batch_boundaries() {
     assert!(scenario.lockstep_spec().is_ok());
     let token = CancelToken::new();
     token.cancel();
-    let ctrl = RunCtrl::with_cancel(token);
-    let err = scenario
-        .run_reduced_ctrl_mode(&CollectMetrics, None, &ctrl, LockstepMode::Force)
-        .unwrap_err();
+    let ctrl = RunCtrl::with_cancel(token).with_lockstep(LockstepMode::Force);
+    let err = scenario.run_ctrl(&ctrl).unwrap_err();
     assert!(matches!(err, FoldError::Cancelled), "got {err:?}");
 
     // And through the engine: a per-job deadline fires while lockstep

@@ -3,13 +3,13 @@
 //! the CLI contract (deterministic JSON, registry-equivalent text).
 
 use lru_leak::lru_channel::params::ParamError;
+use lru_leak::lru_channel::trials::RunCtrl;
 use lru_leak::scenario::registry::{self, RunOpts};
 use lru_leak::scenario::spec::{ExperimentKind, MessageSource, PlatformId, Scenario};
 use lru_leak::scenario::{ScenarioError, Value};
 
-/// Every paper-artifact bench target in `crates/bench/benches/`
-/// (`micro` and `bench_perf_smoke` measure the library itself, not a
-/// paper artifact, and are deliberately absent).
+/// Every paper artifact's long `bench` name — the label each report
+/// header prints, and an alias `registry::get` accepts for the ID.
 const BENCH_TARGETS: [&str; 26] = [
     "fig3_pointer_chase",
     "fig4_error_rates",
@@ -488,4 +488,25 @@ fn trials_override_scales_grids() {
     for sc in &small {
         assert_eq!(sc.kind, ExperimentKind::PercentOnes { samples: 3 });
     }
+}
+
+#[test]
+fn adhoc_threads_does_not_latch_the_default_worker_count() {
+    // `--threads` sizes one run; later runs in the same process
+    // (tests, or anything embedding the CLI) keep their own default.
+    let before = RunCtrl::new().workers();
+    let k = (before + 1).to_string();
+    let sc = Scenario::builder()
+        .kind(ExperimentKind::PlruEviction {
+            sequence: lru_leak::scenario::spec::SequenceId::Seq1,
+            init: lru_leak::scenario::spec::InitId::Random,
+            iterations: 2,
+            trials: 1,
+        })
+        .message(MessageSource::Alternating { bits: 1 })
+        .trials(4)
+        .build()
+        .unwrap();
+    cli(&["adhoc", &sc.to_json().to_string(), "--threads", &k]).unwrap();
+    assert_eq!(RunCtrl::new().workers(), before);
 }

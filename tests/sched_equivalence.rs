@@ -20,6 +20,8 @@
 //!   engine, for both sharing models, including fast-forward-eligible
 //!   paced co-runners.
 
+mod oracle;
+
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use lru_leak::cache_sim::profiles::MicroArch;
@@ -75,9 +77,9 @@ fn every_registry_artifact_is_engine_invariant() {
     };
     for id in registry::ids() {
         let artifact = registry::get(id).unwrap();
-        // run_buffered: sequential, so the comparison is pure engine
-        // behaviour, independent of the worker pool.
-        let (fast, refr) = under_both_engines(|| artifact.run_buffered(&opts));
+        // The buffered oracle is sequential, so the comparison is
+        // pure engine behaviour, independent of the worker pool.
+        let (fast, refr) = under_both_engines(|| oracle::run_artifact(artifact, &opts));
         assert_eq!(
             fast.text, refr.text,
             "{id}: fast-forward text differs from the reference interpreter"

@@ -21,14 +21,14 @@
 //!    than the JSON parser's cap is a `bad_request`, and the server
 //!    keeps serving.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::thread;
 use std::time::{Duration, Instant};
 
 use lru_leak::scenario::Value;
 use lru_leak_cli::run_cli;
-use lru_leak_server::{client, Server, ServerConfig, ServerHandle};
+use lru_leak_server::{client, Server, ServerConfig, ServerHandle, MAX_FRAME_BYTES};
 
 fn args(list: &[&str]) -> Vec<String> {
     list.iter().map(|s| s.to_string()).collect()
@@ -270,6 +270,47 @@ fn a_hostile_nesting_depth_is_a_bad_request_and_the_server_survives() {
     handle.begin_shutdown();
     let summary = join.join().unwrap().expect("server run");
     assert_eq!((summary.failed, summary.completed), (1, 1));
+}
+
+#[test]
+fn an_oversized_frame_is_a_bad_request_and_the_server_survives() {
+    let (addr, handle, join) = spawn_server(ServerConfig::default());
+
+    // 2 MiB without a newline, on the NDJSON path (first byte `{`)
+    // and on the HTTP request line. The server stops reading at
+    // MAX_FRAME_BYTES, so the tail of the write may fail: send from
+    // a second thread and read the rejection here.
+    for head in ["{", "GET /"] {
+        let mut stream = TcpStream::connect(&addr).expect("connect");
+        let mut writer = stream.try_clone().expect("clone");
+        let sender = thread::spawn(move || {
+            let mut frame = head.as_bytes().to_vec();
+            frame.resize(2 * MAX_FRAME_BYTES, b'a');
+            let _ = writer.write_all(&frame);
+        });
+        let mut reply = String::new();
+        // The connection closes after the reply (possibly with a
+        // reset, since the server leaves the tail unread).
+        let _ = stream.read_to_string(&mut reply);
+        sender.join().unwrap();
+        if head == "GET /" {
+            assert!(reply.starts_with("HTTP/1.1 400 "), "{reply}");
+        }
+        let event = reply.lines().last().unwrap_or_default();
+        let event = Value::parse(event).expect("error event");
+        assert_eq!(
+            event.get("status").and_then(Value::as_str),
+            Some("bad_request"),
+            "{head}: {event}"
+        );
+    }
+
+    let event = client::request(&addr, &fig5_request(), |_| {}).expect("request");
+    assert_eq!(body_of(&event), fig5_cli_body());
+
+    handle.begin_shutdown();
+    let summary = join.join().unwrap().expect("server run");
+    assert_eq!((summary.failed, summary.completed), (2, 1));
 }
 
 #[test]

@@ -1,51 +1,45 @@
 //! The streaming refactor's contract: stream-and-reduce must be
 //! byte-identical to the pre-refactor buffer-then-fold path.
 //!
-//! `Artifact::run_buffered` / `Scenario::run_buffered` keep the old
-//! semantics — run every trial sequentially, collect a `Vec`, then
-//! render — as the oracle. The streamed path (chunked work-stealing
-//! scheduler, in-order chunk merging) must reproduce the oracle's
-//! `Report { text, metrics }` byte for byte on 1, 4 and 8 workers,
-//! for every artifact in the registry.
+//! The buffered oracles in `oracle/mod.rs` keep the old semantics —
+//! run every trial sequentially, collect a `Vec`, then render. The
+//! streamed path (chunked work-stealing scheduler, in-order chunk
+//! merging) must reproduce the oracle's `Report { text, metrics }`
+//! byte for byte on 1, 4 and 8 workers, for every artifact in the
+//! registry. Each run pins its own worker count, so the tests share
+//! no process state.
 
-use std::sync::{Mutex, MutexGuard};
+mod oracle;
 
-use lru_leak::lru_channel::trials::set_worker_count;
+use lru_leak::lru_channel::trials::RunCtrl;
 use lru_leak::scenario::aggregate::{KeyHistogram, ScalarStats};
 use lru_leak::scenario::registry::{self, RunOpts};
 use lru_leak::scenario::spec::{ExperimentKind, InitId, MessageSource, Scenario, SequenceId};
+use lru_leak::scenario::{Aggregate, CancelToken, Engine, Value};
 
-/// The worker-count override is process-global; tests that flip it
-/// serialize on this lock and restore the default when done.
-static WORKERS: Mutex<()> = Mutex::new(());
-
-struct WorkerGuard<'a>(#[allow(dead_code)] MutexGuard<'a, ()>);
-
-impl WorkerGuard<'_> {
-    fn lock() -> WorkerGuard<'static> {
-        WorkerGuard(WORKERS.lock().unwrap_or_else(|e| e.into_inner()))
-    }
+fn on(workers: usize) -> RunCtrl<'static> {
+    RunCtrl::new().with_workers(workers)
 }
 
-impl Drop for WorkerGuard<'_> {
-    fn drop(&mut self) {
-        set_worker_count(0);
-    }
+/// The scenario's default summary aggregate under `ctrl`.
+fn summary(sc: &Scenario, ctrl: &RunCtrl) -> Value {
+    Aggregate::for_scenario(sc).reduce(sc, ctrl).unwrap()
 }
 
 #[test]
 fn every_artifact_streams_bit_identical_to_the_buffered_path() {
-    let _guard = WorkerGuard::lock();
     let opts = RunOpts {
         trials: Some(1),
         seed: 0x5eed_cafe,
     };
     for id in registry::ids() {
         let artifact = registry::get(id).unwrap();
-        let reference = artifact.run_buffered(&opts);
+        let reference = oracle::run_artifact(artifact, &opts);
         for workers in [1usize, 4, 8] {
-            set_worker_count(workers);
-            let streamed = artifact.run(&opts);
+            let (streamed, _) = Engine::new()
+                .with_workers(workers)
+                .run_artifact(artifact, &opts, None, &CancelToken::new())
+                .unwrap();
             assert_eq!(
                 streamed.text, reference.text,
                 "{id}: streamed text differs from the buffered oracle at {workers} workers"
@@ -77,13 +71,11 @@ fn plru_scenario(trials: usize) -> Scenario {
 
 #[test]
 fn scenario_run_matches_the_buffered_oracle_per_worker_count() {
-    let _guard = WorkerGuard::lock();
     let sc = plru_scenario(97); // not a multiple of any chunk size
-    let reference = sc.run_buffered();
+    let reference = oracle::run_scenario(&sc);
     for workers in [1usize, 4, 8] {
-        set_worker_count(workers);
         assert_eq!(
-            sc.run().to_string(),
+            sc.run_ctrl(&on(workers)).unwrap().to_string(),
             reference.to_string(),
             "collected trials differ at {workers} workers"
         );
@@ -92,7 +84,6 @@ fn scenario_run_matches_the_buffered_oracle_per_worker_count() {
 
 #[test]
 fn streaming_reducers_are_worker_count_invariant() {
-    let _guard = WorkerGuard::lock();
     let sc = plru_scenario(500);
     // Non-associative floating-point state (sums) and associative
     // integer state (bins) must both reproduce exactly.
@@ -101,23 +92,24 @@ fn streaming_reducers_are_worker_count_invariant() {
         key: "steady_state",
         bins: 8,
     };
-    set_worker_count(1);
-    let stats_seq = sc.run_reduced(&stats).to_string();
-    let hist_seq = sc.run_reduced(&hist).to_string();
-    let summary_seq = sc.run_summary().to_string();
+    let stats_seq = sc.run_reduced(&stats, &on(1)).unwrap().to_string();
+    let hist_seq = sc.run_reduced(&hist, &on(1)).unwrap().to_string();
+    let summary_seq = summary(&sc, &on(1)).to_string();
     for workers in [4usize, 8] {
-        set_worker_count(workers);
-        assert_eq!(sc.run_reduced(&stats).to_string(), stats_seq);
-        assert_eq!(sc.run_reduced(&hist).to_string(), hist_seq);
-        assert_eq!(sc.run_summary().to_string(), summary_seq);
+        let ctrl = on(workers);
+        assert_eq!(
+            sc.run_reduced(&stats, &ctrl).unwrap().to_string(),
+            stats_seq
+        );
+        assert_eq!(sc.run_reduced(&hist, &ctrl).unwrap().to_string(), hist_seq);
+        assert_eq!(summary(&sc, &ctrl).to_string(), summary_seq);
     }
 }
 
 #[test]
 fn summary_aggregate_agrees_with_the_buffered_trials() {
-    let _guard = WorkerGuard::lock();
     let sc = plru_scenario(64);
-    let buffered = sc.run_buffered();
+    let buffered = oracle::run_scenario(&sc);
     let trials = buffered.as_arr().expect("trials array");
     let count = trials
         .iter()
@@ -125,23 +117,13 @@ fn summary_aggregate_agrees_with_the_buffered_trials() {
         .count() as u64;
     let max = trials
         .iter()
-        .filter_map(|t| {
-            t.get("steady_state")
-                .and_then(lru_leak::scenario::Value::as_f64)
-        })
+        .filter_map(|t| t.get("steady_state").and_then(Value::as_f64))
         .fold(f64::NEG_INFINITY, f64::max);
-    let summary = sc.run_summary();
+    let summary = summary(&sc, &RunCtrl::new());
     let stat = summary
         .get("keys")
         .and_then(|k| k.get("steady_state"))
         .expect("summary stat");
-    assert_eq!(
-        stat.get("count")
-            .and_then(lru_leak::scenario::Value::as_u64),
-        Some(count)
-    );
-    assert_eq!(
-        stat.get("max").and_then(lru_leak::scenario::Value::as_f64),
-        Some(max)
-    );
+    assert_eq!(stat.get("count").and_then(Value::as_u64), Some(count));
+    assert_eq!(stat.get("max").and_then(Value::as_f64), Some(max));
 }

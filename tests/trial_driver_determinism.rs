@@ -5,9 +5,24 @@
 
 use lru_leak::lru_channel::covert::{percent_ones_grid, GridPoint, Variant};
 use lru_leak::lru_channel::params::{ChannelParams, Platform};
-use lru_leak::lru_channel::trials::{
-    derive_seed, fold_chunk_size, run_trials, run_trials_fold_on, run_trials_on,
-};
+use lru_leak::lru_channel::trials::{derive_seed, fold_chunk_size, run_trials_fold_ctrl, RunCtrl};
+
+/// Every trial result in index order, under `ctrl`.
+fn collect<T: Send>(ctrl: &RunCtrl, n: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    run_trials_fold_ctrl(
+        ctrl,
+        n,
+        f,
+        Vec::new,
+        |acc, _i, v| acc.push(v),
+        |acc, mut part| acc.append(&mut part),
+    )
+    .unwrap()
+}
+
+fn on(workers: usize) -> RunCtrl<'static> {
+    RunCtrl::new().with_workers(workers)
+}
 
 /// A small but real grid: every point runs the full time-sliced
 /// channel simulation (machine, scheduler, probe).
@@ -68,16 +83,16 @@ fn worker_count_does_not_change_results() {
         }
         acc
     };
-    let one = run_trials_on(1, 64, f);
+    let one = collect(&on(1), 64, f);
     for workers in [2, 3, 4, 8, 64] {
-        assert_eq!(run_trials_on(workers, 64, f), one, "workers={workers}");
+        assert_eq!(collect(&on(workers), 64, f), one, "workers={workers}");
     }
 }
 
 #[test]
 fn default_driver_matches_sequential() {
     let f = |i: usize| derive_seed(7, i as u64) % 1000;
-    assert_eq!(run_trials(100, f), run_trials_on(1, 100, f));
+    assert_eq!(collect(&RunCtrl::new(), 100, f), collect(&on(1), 100, f));
 }
 
 #[test]
@@ -95,14 +110,15 @@ fn fold_pipeline_is_bit_identical_for_floating_point_reductions() {
     // order reproduces. The fold driver pins chunk layout and merge
     // order as functions of n alone.
     let mean_on = |workers: usize, n: usize| {
-        let sum = run_trials_fold_on(
-            workers,
+        let sum = run_trials_fold_ctrl(
+            &on(workers),
             n,
             |i| 1.0 / (derive_seed(0x44, i as u64) % 997 + 1) as f64,
             || 0.0f64,
             |acc, _i, x| *acc += x,
             |acc, part| *acc += part,
-        );
+        )
+        .unwrap();
         sum / n as f64
     };
     for n in [1usize, 63, 64, 65, 4096, 10_007] {
@@ -123,15 +139,16 @@ fn fold_pipeline_matches_a_plain_sequential_fold_over_collected_results() {
     // folding the collected per-trial results in index order.
     let trial = |i: usize| derive_seed(9, i as u64) % 100_000;
     let n = 5_000;
-    let collected: u64 = run_trials_on(1, n, trial).into_iter().sum();
-    let streamed = run_trials_fold_on(
-        4,
+    let collected: u64 = collect(&on(1), n, trial).into_iter().sum();
+    let streamed = run_trials_fold_ctrl(
+        &on(4),
         n,
         trial,
         || 0u64,
         |acc, _i, v| *acc += v,
         |acc, part| *acc += part,
-    );
+    )
+    .unwrap();
     assert_eq!(collected, streamed);
 }
 
