@@ -11,7 +11,7 @@ use cache_sim::counters::{MissRates, PerfCounters};
 use cache_sim::replacement::PolicyKind;
 use exec_sim::machine::Machine;
 use exec_sim::measure::LatencyProbe;
-use exec_sim::sched::{HyperThreaded, ThreadHandle};
+use exec_sim::sched::{Engine, HyperThreaded, ThreadHandle};
 use exec_sim::speculation::build_victim;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -79,12 +79,14 @@ impl SenderScenario {
 
 /// Measures the *sender process's* miss rates in one Table VI
 /// scenario: the sender transmits random bits for `bits` periods of
-/// `Ts = 6000` cycles while the scenario's co-runner does its thing.
+/// `Ts = 6000` cycles while the scenario's co-runner does its thing,
+/// hyper-threaded on `engine`.
 pub fn sender_miss_rates(
     platform: Platform,
     scenario: SenderScenario,
     bits: usize,
     seed: u64,
+    engine: Engine,
 ) -> MissRateRow {
     let mut machine = Machine::new(platform.arch, PolicyKind::TreePlru, seed);
     let sender_pid = machine.create_process();
@@ -105,6 +107,7 @@ pub fn sender_miss_rates(
     // sender: don't let the one cold compulsory miss dominate.
     machine.reset_counters();
     let limit = (bits as u64 + 1) * params.ts;
+    let sched = HyperThreaded::new(seed).with_engine(engine);
 
     // Build the co-runner and run. Each arm keeps its program alive
     // on the stack for the scheduler borrow.
@@ -118,7 +121,7 @@ pub fn sender_miss_rates(
             let mut recv =
                 FlushReloadReceiver::new(endpoints.receiver_lines[0], eviction, params.tr);
             let probe = LatencyProbe::new(&mut machine, receiver_pid, platform.tsc, 63);
-            HyperThreaded::new(seed).run(
+            sched.run(
                 &mut machine,
                 &mut [
                     ThreadHandle::new(sender_pid, &mut sender),
@@ -130,7 +133,7 @@ pub fn sender_miss_rates(
         SenderScenario::LruAlg1 | SenderScenario::LruAlg2 => {
             let mut recv = LruReceiver::new(endpoints.receiver_lines.clone(), params.d, params.tr);
             let probe = LatencyProbe::new(&mut machine, receiver_pid, platform.tsc, 63);
-            HyperThreaded::new(seed).run(
+            sched.run(
                 &mut machine,
                 &mut [
                     ThreadHandle::new(sender_pid, &mut sender),
@@ -141,7 +144,7 @@ pub fn sender_miss_rates(
         }
         SenderScenario::SenderAndGcc => {
             let mut gcc = BenignCoRunner::gcc(&mut machine, receiver_pid, seed ^ 0x6cc);
-            HyperThreaded::new(seed).run(
+            sched.run(
                 &mut machine,
                 &mut [
                     ThreadHandle::new(sender_pid, &mut sender),
@@ -151,7 +154,7 @@ pub fn sender_miss_rates(
             );
         }
         SenderScenario::SenderOnly => {
-            HyperThreaded::new(seed).run(
+            sched.run(
                 &mut machine,
                 &mut [ThreadHandle::new(sender_pid, &mut sender)],
                 limit,
@@ -168,10 +171,10 @@ pub fn sender_miss_rates(
 }
 
 /// The full Table VI for one platform.
-pub fn table6(platform: Platform, bits: usize, seed: u64) -> Vec<MissRateRow> {
+pub fn table6(platform: Platform, bits: usize, seed: u64, engine: Engine) -> Vec<MissRateRow> {
     SenderScenario::ALL
         .iter()
-        .map(|&s| sender_miss_rates(platform, s, bits, seed))
+        .map(|&s| sender_miss_rates(platform, s, bits, seed, engine))
         .collect()
 }
 
@@ -262,9 +265,20 @@ mod tests {
 
     const BITS: usize = 200;
 
+    /// One Table VI row on the paper's Xeon, on the default engine.
+    fn sender_row(scenario: SenderScenario, seed: u64) -> MissRateRow {
+        sender_miss_rates(
+            Platform::e5_2690(),
+            scenario,
+            BITS,
+            seed,
+            Engine::FastForward,
+        )
+    }
+
     #[test]
     fn lru_sender_l1_miss_rate_is_tiny() {
-        let row = sender_miss_rates(Platform::e5_2690(), SenderScenario::LruAlg1, BITS, 1);
+        let row = sender_row(SenderScenario::LruAlg1, 1);
         assert!(
             row.rates.l1d < 0.02,
             "LRU Alg.1 sender must mostly hit L1, got {:.4}",
@@ -274,8 +288,8 @@ mod tests {
 
     #[test]
     fn fr_mem_sender_misses_much_more_beyond_l2() {
-        let fr = sender_miss_rates(Platform::e5_2690(), SenderScenario::FlushReloadMem, BITS, 2);
-        let lru = sender_miss_rates(Platform::e5_2690(), SenderScenario::LruAlg1, BITS, 2);
+        let fr = sender_row(SenderScenario::FlushReloadMem, 2);
+        let lru = sender_row(SenderScenario::LruAlg1, 2);
         // Table VI shape: F+R(mem) has order-of-magnitude worse L2
         // and LLC rates than the LRU sender.
         assert!(
@@ -296,8 +310,8 @@ mod tests {
     fn lru_sender_resembles_benign_cosched() {
         // The stealth claim: the LRU sender's L1D profile is within
         // the range spanned by benign co-scheduling.
-        let lru = sender_miss_rates(Platform::e5_2690(), SenderScenario::LruAlg1, BITS, 3);
-        let gcc = sender_miss_rates(Platform::e5_2690(), SenderScenario::SenderAndGcc, BITS, 3);
+        let lru = sender_row(SenderScenario::LruAlg1, 3);
+        let gcc = sender_row(SenderScenario::SenderAndGcc, 3);
         assert!(
             lru.rates.l1d <= gcc.rates.l1d + 0.02,
             "LRU sender L1D {:.4} should not exceed benign-cosched {:.4} meaningfully",
@@ -308,13 +322,13 @@ mod tests {
 
     #[test]
     fn sender_only_has_lowest_l1_missrate() {
-        let only = sender_miss_rates(Platform::e5_2690(), SenderScenario::SenderOnly, BITS, 4);
+        let only = sender_row(SenderScenario::SenderOnly, 4);
         for s in [
             SenderScenario::FlushReloadMem,
             SenderScenario::LruAlg1,
             SenderScenario::SenderAndGcc,
         ] {
-            let row = sender_miss_rates(Platform::e5_2690(), s, BITS, 4);
+            let row = sender_row(s, 4);
             assert!(
                 only.rates.l1d <= row.rates.l1d + 1e-9,
                 "sender-only should be the floor ({:?}: {:.4} vs {:.4})",
@@ -345,7 +359,7 @@ mod tests {
 
     #[test]
     fn table6_has_all_rows() {
-        let rows = table6(Platform::e5_2690(), 50, 6);
+        let rows = table6(Platform::e5_2690(), 50, 6, Engine::FastForward);
         assert_eq!(rows.len(), 6);
         assert_eq!(rows[0].label, "F+R (mem)");
         assert_eq!(rows[5].label, "sender only");

@@ -24,8 +24,8 @@
 use std::time::Instant;
 
 use bench_harness::{header, BENCH_SEED};
-use exec_sim::sched::{self, Engine};
-use lru_channel::covert::{percent_ones, percent_ones_noisy, Variant};
+use exec_sim::sched::Engine;
+use lru_channel::covert::{percent_ones, CoRunner, PercentOnesOpts, Variant};
 use lru_channel::noise::NoiseModel;
 use lru_channel::params::{ChannelParams, Platform};
 use scenario::registry::{self, RunOpts};
@@ -43,15 +43,14 @@ fn timed<T>(f: impl FnOnce() -> T) -> (f64, T) {
 /// are deterministic, so the spread is host noise, not workload).
 const REPS: usize = 5;
 
-/// Runs `f` under both engines, asserts identical results, returns
+/// Runs `f` on both engines, asserts identical results, returns
 /// `(fast_secs, reference_secs, value)` as best-of-[`REPS`].
-fn race<T: PartialEq + std::fmt::Debug>(f: impl Fn() -> T) -> (f64, f64, T) {
+fn race<T: PartialEq + std::fmt::Debug>(f: impl Fn(Engine) -> T) -> (f64, f64, T) {
     let best = |engine: Engine| {
-        sched::set_engine(engine);
         let mut best_secs = f64::INFINITY;
         let mut out = None;
         for _ in 0..REPS {
-            let (secs, value) = timed(&f);
+            let (secs, value) = timed(|| f(engine));
             best_secs = best_secs.min(secs);
             out = Some(value);
         }
@@ -59,7 +58,6 @@ fn race<T: PartialEq + std::fmt::Debug>(f: impl Fn() -> T) -> (f64, f64, T) {
     };
     let (fast_secs, fast) = best(Engine::FastForward);
     let (ref_secs, refr) = best(Engine::Reference);
-    sched::set_engine(Engine::FastForward);
     assert_eq!(fast, refr, "engines must be observationally identical");
     (fast_secs, ref_secs, fast)
 }
@@ -83,7 +81,11 @@ fn main() {
     let mut ts_fast = 0.0;
     let mut ts_ref = 0.0;
     for bit in [false, true] {
-        let (f, r, frac) = race(|| {
+        let (f, r, frac) = race(|engine| {
+            let opts = PercentOnesOpts {
+                engine,
+                ..PercentOnesOpts::default()
+            };
             percent_ones(
                 platform,
                 params,
@@ -91,6 +93,7 @@ fn main() {
                 bit,
                 SAMPLES,
                 BENCH_SEED,
+                opts,
             )
             .unwrap()
         });
@@ -117,15 +120,20 @@ fn main() {
         lines: 16,
         gap_cycles: 60_000,
     };
-    let (ff_fast, ff_ref, frac) = race(|| {
-        percent_ones_noisy(
+    let (ff_fast, ff_ref, frac) = race(|engine| {
+        let opts = PercentOnesOpts {
+            co_runner: CoRunner::Model(noise),
+            engine,
+            ..PercentOnesOpts::default()
+        };
+        percent_ones(
             platform,
             params,
             Variant::SharedMemory,
             true,
             SAMPLES,
-            noise,
             BENCH_SEED,
+            opts,
         )
         .unwrap()
     });

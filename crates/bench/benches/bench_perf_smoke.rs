@@ -31,7 +31,7 @@ use cache_sim::geometry::CacheGeometry;
 use cache_sim::hierarchy::{CacheHierarchy, Latencies};
 use cache_sim::reference::RefCache;
 use cache_sim::replacement::{Domain, PolicyKind};
-use lru_channel::covert::{percent_ones, GridPoint, Variant};
+use lru_channel::covert::{percent_ones, PercentOnesOpts, Variant};
 use lru_channel::params::{ChannelParams, Platform};
 use lru_channel::trials::{derive_seed, run_trials_fold_ctrl, RunCtrl};
 use rand::rngs::SmallRng;
@@ -142,42 +142,43 @@ fn measure_soa(stream: &[PhysAddr], kind: PolicyKind) -> LayoutResult {
 
 /// A Fig. 6-sized workload for the parallel-scaling measurement:
 /// the full `d` sweep at the largest `Tr` of the paper's grid, both
-/// bits, at the same sample count the fig6/fig8 benches use.
-fn scaling_grid() -> Vec<GridPoint> {
+/// bits, at the same sample count the fig6/fig8 benches use. Each
+/// point is `(params, bit, seed)`.
+fn scaling_grid() -> Vec<(ChannelParams, bool, u64)> {
     let mut points = Vec::new();
     for bit in [false, true] {
         for (i, &d) in [1usize, 2, 4, 7, 8].iter().enumerate() {
             let tr = 400_000_000u64;
-            points.push(GridPoint {
-                params: ChannelParams {
-                    d,
-                    target_set: 0,
-                    ts: tr,
-                    tr,
-                },
-                bit,
-                seed: derive_seed(0x57a6e, (i as u64) << 1 | u64::from(bit)),
-            });
+            let params = ChannelParams {
+                d,
+                target_set: 0,
+                ts: tr,
+                tr,
+            };
+            let seed = derive_seed(0x57a6e, (i as u64) << 1 | u64::from(bit));
+            points.push((params, bit, seed));
         }
     }
     points
 }
 
-fn run_grid_on(workers: usize, points: &[GridPoint]) -> (f64, Vec<f64>) {
+fn run_grid_on(workers: usize, points: &[(ChannelParams, bool, u64)]) -> (f64, Vec<f64>) {
     let platform = Platform::e5_2690();
     let start = Instant::now();
     let fractions: Vec<f64> = run_trials_fold_ctrl(
         &RunCtrl::new().with_workers(workers),
         points.len(),
         |i| {
-            let p = points[i];
+            let (params, bit, seed) = points[i];
+            let opts = PercentOnesOpts::default();
             percent_ones(
                 platform,
-                p.params,
+                params,
                 Variant::SharedMemory,
-                p.bit,
+                bit,
                 GRID_SAMPLES,
-                p.seed,
+                seed,
+                opts,
             )
             .expect("valid parameters")
         },

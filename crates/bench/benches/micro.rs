@@ -78,6 +78,7 @@ fn bench_edit_distance(c: &mut Criterion) {
 }
 
 fn bench_covert_bit(c: &mut Criterion) {
+    use exec_sim::sched::Engine;
     use lru_channel::covert::{CovertConfig, Sharing, Variant};
     use lru_channel::params::ChannelParams;
     c.bench_function("covert_channel_8bits_ht", |b| {
@@ -89,6 +90,7 @@ fn bench_covert_bit(c: &mut Criterion) {
                 sharing: Sharing::HyperThreaded,
                 message: vec![true, false, true, true, false, false, true, false],
                 seed: 6,
+                engine: Engine::FastForward,
             },
             |cfg| black_box(cfg.run().unwrap()),
             BatchSize::SmallInput,

@@ -16,10 +16,10 @@
 //! lru-leak status [--addr A]        lru-leak shutdown [--addr A]
 //! ```
 //!
-//! Everything is a thin veneer over [`scenario::registry`]: `run`
-//! executes the same grid the matching `cargo bench` target runs, so
-//! for a fixed seed the CLI's numbers *are* the bench numbers, and
-//! `run-all` executes the entire registry as one batch job. `show`
+//! Everything is a thin veneer over [`scenario::registry`]: `run <id>`
+//! executes the artifact's registered grid, so for a fixed seed the
+//! CLI's numbers *are* the registry's numbers, and `run-all` executes
+//! the entire registry as one batch job. `show`
 //! prints an artifact's grid with every axis spelled out — including
 //! the noise axis and per-cell trial counts that default-omitting
 //! serialization would hide. With `--json` the report's metrics tree
@@ -79,10 +79,13 @@
 #![warn(missing_docs)]
 
 use std::fmt::Write;
+use std::io::Read;
 use std::time::{Duration, Instant};
 
 use lru_channel::trials::RunCtrl;
-use lru_leak_server::{client as service_client, Server, ServerConfig, DEFAULT_ADDR};
+use lru_leak_server::{
+    client as service_client, Server, ServerConfig, DEFAULT_ADDR, MAX_FRAME_BYTES,
+};
 use scenario::registry::{self, RunOpts};
 use scenario::spec::Scenario;
 use scenario::{
@@ -521,13 +524,25 @@ fn artifact(id: &str) -> Result<&'static registry::Artifact, CliError> {
     })
 }
 
+/// Parses a scenario given inline or as `@file`. A file is read
+/// through a [`MAX_FRAME_BYTES`] cap: a scenario too big to submit
+/// over the wire does not load either.
 fn load_scenario(text: &str) -> Result<Scenario, CliError> {
-    let body = if let Some(path) = text.strip_prefix('@') {
-        std::fs::read_to_string(path)
-            .map_err(|e| CliError::run(format!("cannot read {path:?}: {e}")))?
-    } else {
-        text.to_string()
+    let Some(path) = text.strip_prefix('@') else {
+        return Scenario::from_json_str(text).map_err(|e| CliError::run(e.to_string()));
     };
+    let cannot_read =
+        |e: &dyn std::fmt::Display| CliError::run(format!("cannot read {path:?}: {e}"));
+    let mut bytes = Vec::new();
+    std::fs::File::open(path)
+        .and_then(|f| f.take(MAX_FRAME_BYTES as u64 + 1).read_to_end(&mut bytes))
+        .map_err(|e| cannot_read(&e))?;
+    if bytes.len() > MAX_FRAME_BYTES {
+        return Err(CliError::run(format!(
+            "{path:?} is larger than the {MAX_FRAME_BYTES}-byte scenario cap"
+        )));
+    }
+    let body = String::from_utf8(bytes).map_err(|e| cannot_read(&e))?;
     Scenario::from_json_str(&body).map_err(|e| CliError::run(e.to_string()))
 }
 

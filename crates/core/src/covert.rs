@@ -4,9 +4,11 @@ use cache_sim::hierarchy::Inclusion;
 use cache_sim::replacement::PolicyKind;
 use exec_sim::machine::{Machine, Pid};
 use exec_sim::measure::LatencyProbe;
+use exec_sim::noise::RandomTouches;
 use exec_sim::program::Program;
-use exec_sim::sched::{HyperThreaded, SchedulerReport, ThreadHandle, TimeSliced};
+use exec_sim::sched::{Engine, HyperThreaded, SchedulerReport, ThreadHandle, TimeSliced};
 
+use crate::decode::{self, BitConvention};
 use crate::noise::NoiseModel;
 use crate::params::{ChannelParams, ParamError, Platform};
 use crate::protocol::{LruReceiver, LruSender, Sample};
@@ -53,6 +55,8 @@ pub struct CovertConfig {
     pub message: Vec<bool>,
     /// Seed for every randomized component of the run.
     pub seed: u64,
+    /// The scheduler's execution engine.
+    pub engine: Engine,
 }
 
 /// The observable outcome of a covert-channel run.
@@ -105,11 +109,36 @@ impl CovertConfig {
         machine: &mut Machine,
         noise: NoiseModel,
     ) -> Result<CovertRun, ParamError> {
+        let (samples, report) = self.run_parties(machine, CoRunner::Model(noise), None)?;
+        Ok(CovertRun {
+            samples,
+            hit_threshold: self.platform.hit_threshold(),
+            rate_bps: self.platform.rate_bps(self.params.ts),
+            report,
+        })
+    }
+
+    /// The body every channel run shares: validate, wire the
+    /// endpoints, attach `co_runner` right after them (so a run
+    /// without one performs exactly the two-party allocation and
+    /// access sequence), warm the channel lines and schedule the
+    /// parties under `self.sharing` on `self.engine`.
+    ///
+    /// `sample_cap: None` sends the message once (scheduler seed
+    /// `seed ^ 0x5eed`); `Some(n)` stops the receiver after `n`
+    /// samples, with enough cycles for them plus scheduling slack
+    /// per party sharing the quanta (scheduler seed `seed ^ 0x711c`).
+    fn run_parties(
+        &self,
+        machine: &mut Machine,
+        co_runner: CoRunner,
+        sample_cap: Option<usize>,
+    ) -> Result<(Vec<Sample>, SchedulerReport), ParamError> {
         let geom = machine.hierarchy().l1().geometry();
         self.params
             .validate(geom.ways(), geom.num_sets() as usize)?;
 
-        let (endpoints, receiver) = self.wire(machine);
+        let (endpoints, mut receiver_prog) = self.wire(machine);
         let mut sender_prog =
             LruSender::new(endpoints.sender_line, self.message.clone(), self.params.ts);
         if self.sharing == Sharing::TimeSliced {
@@ -119,11 +148,13 @@ impl CovertConfig {
             // the channel semantics are unchanged.
             sender_prog = sender_prog.repeating().with_encode_calc(50_000);
         }
-        let mut receiver_prog = receiver;
+        if let Some(n) = sample_cap {
+            receiver_prog = receiver_prog.with_max_samples(n);
+        }
 
         // The interference party, if any: its own process, its own
         // buffer, its op stream derived only from the run seed.
-        let mut noise_prog = noise.spawn(machine, self.params.tr.max(1), self.seed);
+        let mut co_runner = co_runner.spawn(machine, self.params.tr, self.seed);
 
         let probe_set = setup::reserved_probe_set(machine, self.params.target_set);
         let probe = LatencyProbe::new(
@@ -141,29 +172,35 @@ impl CovertConfig {
         }
         machine.access(endpoints.sender_pid, endpoints.sender_line);
 
-        let limit = (self.message.len() as u64 + 1) * self.params.ts;
+        let parties = 2 + u64::from(co_runner.is_some());
+        let (limit, sched_seed) = match sample_cap {
+            None => (
+                (self.message.len() as u64 + 1) * self.params.ts,
+                self.seed ^ 0x5eed,
+            ),
+            Some(n) => (
+                (n as u64 + 8) * (self.params.tr + 100_000) + parties * 400_000_000,
+                self.seed ^ 0x711c,
+            ),
+        };
         let mut threads = vec![
             ThreadHandle::new(endpoints.sender_pid, &mut sender_prog),
             ThreadHandle::with_probe(endpoints.receiver_pid, &mut receiver_prog, probe),
         ];
-        if let Some((noise_pid, prog)) = noise_prog.as_mut() {
-            threads.push(ThreadHandle::new(*noise_pid, prog));
+        if let Some((pid, prog)) = co_runner.as_mut() {
+            threads.push(ThreadHandle::new(*pid, &mut **prog));
         }
         let report = match self.sharing {
             Sharing::HyperThreaded => {
-                HyperThreaded::new(self.seed ^ 0x5eed).run(machine, &mut threads, limit)
+                let sched = HyperThreaded::new(sched_seed).with_engine(self.engine);
+                sched.run(machine, &mut threads, limit)
             }
             Sharing::TimeSliced => {
-                TimeSliced::new(self.seed ^ 0x5eed).run(machine, &mut threads, limit)
+                let sched = TimeSliced::new(sched_seed).with_engine(self.engine);
+                sched.run(machine, &mut threads, limit)
             }
         };
-
-        Ok(CovertRun {
-            samples: receiver_prog.into_samples(),
-            hit_threshold: self.platform.hit_threshold(),
-            rate_bps: self.platform.rate_bps(self.params.ts),
-            report,
-        })
+        Ok((receiver_prog.into_samples(), report))
     }
 
     fn wire(&self, machine: &mut Machine) -> (Endpoints, LruReceiver) {
@@ -191,91 +228,58 @@ impl CovertConfig {
     }
 }
 
-/// Shared body of the `percent_ones*` family: wire the time-sliced
-/// constant-bit channel, optionally attach one interfering third
-/// party (built by `third_party` right after the channel endpoints,
-/// so the clean path performs *exactly* the pre-noise allocation and
-/// access sequence), run, and tally the fraction of observations
-/// read as `1`.
-#[allow(clippy::too_many_arguments)]
-fn percent_ones_run(
-    platform: Platform,
-    params: ChannelParams,
-    variant: Variant,
-    bit: bool,
-    n_samples: usize,
-    inclusion: Inclusion,
-    seed: u64,
-    third_party: impl FnOnce(&mut Machine) -> Option<(Pid, Box<dyn Program>)>,
-) -> Result<f64, ParamError> {
-    let cfg = CovertConfig {
-        platform,
-        params,
-        variant,
-        sharing: Sharing::TimeSliced,
-        message: vec![bit],
-        seed,
-    };
-    let mut machine = Machine::new(platform.arch, PolicyKind::TreePlru, seed);
-    // Swap the inclusion model only when asked, so the default path
-    // stays byte-identical to the pre-hierarchy-axis behaviour.
-    if inclusion != Inclusion::Inclusive {
-        let swapped = machine.hierarchy().clone().with_inclusion(inclusion);
-        *machine.hierarchy_mut() = swapped;
-    }
-    let geom = machine.hierarchy().l1().geometry();
-    params.validate(geom.ways(), geom.num_sets() as usize)?;
+/// The third party sharing the core with a percent-ones channel.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub enum CoRunner {
+    /// Sender and receiver alone.
+    #[default]
+    None,
+    /// A parametric interference process ([`NoiseModel::spawn`]);
+    /// `Model(NoiseModel::None)` spawns nothing, exactly like
+    /// [`CoRunner::None`].
+    Model(NoiseModel),
+    /// A benign process touching random lines of a 256-line buffer,
+    /// polluting every L1 set including the target (§V-B: "any other
+    /// processes running during Tr could pollute the target set and
+    /// introduce much noise" — the reason the paper could not
+    /// observe time-sliced Algorithm 2 at all).
+    Benign,
+}
 
-    let (endpoints, receiver) = cfg.wire(&mut machine);
-    let mut sender_prog = LruSender::new(endpoints.sender_line, vec![bit], params.ts)
-        .repeating()
-        .with_encode_calc(50_000);
-    let mut receiver_prog = receiver.with_max_samples(n_samples);
-
-    let noise = third_party(&mut machine);
-
-    let probe_set = setup::reserved_probe_set(&machine, params.target_set);
-    let probe = LatencyProbe::new(
-        &mut machine,
-        endpoints.receiver_pid,
-        platform.tsc,
-        probe_set,
-    );
-    for &va in &endpoints.receiver_lines {
-        machine.access(endpoints.receiver_pid, va);
-    }
-    machine.access(endpoints.sender_pid, endpoints.sender_line);
-
-    // Enough wall-clock for n_samples periods plus scheduling slack
-    // per party sharing the quanta.
-    let parties = 2 + u64::from(noise.is_some());
-    let limit = (n_samples as u64 + 8) * (params.tr + 100_000) + parties * 400_000_000;
-    let mut threads = vec![
-        ThreadHandle::new(endpoints.sender_pid, &mut sender_prog),
-        ThreadHandle::with_probe(endpoints.receiver_pid, &mut receiver_prog, probe),
-    ];
-    let mut noise = noise;
-    if let Some((noise_pid, prog)) = noise.as_mut() {
-        threads.push(ThreadHandle::new(*noise_pid, &mut **prog));
-    }
-    TimeSliced::new(seed ^ 0x711c).run(&mut machine, &mut threads, limit);
-
-    let threshold = platform.hit_threshold();
-    let samples = receiver_prog.samples();
-    if samples.is_empty() {
-        return Ok(0.0);
-    }
-    let ones = samples
-        .iter()
-        .filter(|s| {
-            let hit = s.measured <= threshold;
-            match variant {
-                Variant::SharedMemory | Variant::SharedMemoryThreads => hit,
-                Variant::NoSharedMemory => !hit,
+impl CoRunner {
+    /// Creates the co-runner's process and program on `machine`,
+    /// cadenced at the receiver period `tr`.
+    fn spawn(self, machine: &mut Machine, tr: u64, seed: u64) -> Option<(Pid, Box<dyn Program>)> {
+        match self {
+            CoRunner::None => None,
+            CoRunner::Model(noise) => noise
+                .spawn(machine, tr.max(1), seed)
+                .map(|(pid, prog)| (pid, Box::new(prog) as Box<dyn Program>)),
+            CoRunner::Benign => {
+                let pid = machine.create_process();
+                let buffer = machine.alloc_pages(pid, 4);
+                let touches = RandomTouches::new(buffer, 4 * 64, 64, 60_000, seed ^ 0x0153);
+                Some((pid, Box::new(touches)))
             }
-        })
-        .count();
-    Ok(ones as f64 / samples.len() as f64)
+        }
+    }
+}
+
+/// How a [`percent_ones`] run departs from the quiet default
+/// machine. `PercentOnesOpts::default()` is the inclusive hierarchy,
+/// no co-runner and the fast-forwarding engine.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct PercentOnesOpts {
+    /// The L1↔L2 inclusion model, swapped in before the run (the
+    /// scenario layer's hierarchy axis). A back-invalidating
+    /// hierarchy additionally demotes every thread to block
+    /// execution because the quantum fast-forward soundness
+    /// condition no longer holds.
+    pub inclusion: Inclusion,
+    /// The third party time-slicing the core, if any.
+    pub co_runner: CoRunner,
+    /// The scheduler's execution engine.
+    pub engine: Engine,
 }
 
 /// The time-sliced constant-bit experiment behind Figs. 6, 8, 15:
@@ -294,171 +298,34 @@ pub fn percent_ones(
     bit: bool,
     n_samples: usize,
     seed: u64,
+    opts: PercentOnesOpts,
 ) -> Result<f64, ParamError> {
-    percent_ones_run(
+    let cfg = CovertConfig {
         platform,
         params,
         variant,
-        bit,
-        n_samples,
-        Inclusion::Inclusive,
+        sharing: Sharing::TimeSliced,
+        message: vec![bit],
         seed,
-        |_| None,
-    )
-}
-
-/// [`percent_ones`] with the L1↔L2 inclusion model swapped before
-/// the run (the scenario layer's hierarchy axis). Passing
-/// [`Inclusion::Inclusive`] is byte-identical to [`percent_ones`];
-/// a back-invalidating hierarchy additionally demotes every thread
-/// to block execution because the quantum fast-forward soundness
-/// condition no longer holds.
-///
-/// # Errors
-///
-/// Returns [`ParamError`] if the parameters do not fit the
-/// platform's L1 geometry.
-pub fn percent_ones_with_hierarchy(
-    platform: Platform,
-    params: ChannelParams,
-    variant: Variant,
-    bit: bool,
-    n_samples: usize,
-    inclusion: Inclusion,
-    seed: u64,
-) -> Result<f64, ParamError> {
-    percent_ones_run(
-        platform,
-        params,
-        variant,
-        bit,
-        n_samples,
-        inclusion,
-        seed,
-        |_| None,
-    )
-}
-
-/// One point of a time-sliced percent-of-ones grid (Figs. 6, 8, 15).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GridPoint {
-    /// Channel parameters of the point (`d`, target set, `Ts`, `Tr`).
-    pub params: ChannelParams,
-    /// The constant bit the sender holds.
-    pub bit: bool,
-    /// Seed of this point's run.
-    pub seed: u64,
-}
-
-/// Evaluates a whole percent-of-ones grid, one independent
-/// [`percent_ones`] run per point, fanned out over the host's cores
-/// by [`crate::trials::run_trials_fold_ctrl`].
-///
-/// Each point's run is seeded only by its own [`GridPoint::seed`],
-/// so the returned fractions (in `points` order) are bit-identical
-/// to evaluating the points sequentially — the property the
-/// `trial_driver_determinism` suite pins down.
-///
-/// # Errors
-///
-/// Returns the first [`ParamError`] in `points` order, if any point
-/// has parameters that do not fit the platform's L1 geometry.
-///
-/// # Panics
-///
-/// Panics if a point's run panics on both its first run and its
-/// retry.
-pub fn percent_ones_grid(
-    platform: Platform,
-    variant: Variant,
-    points: &[GridPoint],
-    n_samples: usize,
-) -> Result<Vec<f64>, ParamError> {
-    crate::trials::run_trials_fold_ctrl(
-        &crate::trials::RunCtrl::new(),
-        points.len(),
-        |i| {
-            let p = points[i];
-            percent_ones(platform, p.params, variant, p.bit, n_samples, p.seed)
-        },
-        Vec::new,
-        |acc, _i, v| acc.push(v),
-        |acc, mut part| acc.append(&mut part),
-    )
-    .unwrap_or_else(|e| panic!("{e}"))
-    .into_iter()
-    .collect()
-}
-
-/// [`percent_ones`] under a parametric [`NoiseModel`]: the
-/// interference process time-slices the core as a third party.
-/// `NoiseModel::None` delegates to [`percent_ones`] unchanged.
-///
-/// # Errors
-///
-/// Returns [`ParamError`] if the parameters do not fit the
-/// platform's L1 geometry.
-pub fn percent_ones_noisy(
-    platform: Platform,
-    params: ChannelParams,
-    variant: Variant,
-    bit: bool,
-    n_samples: usize,
-    noise: NoiseModel,
-    seed: u64,
-) -> Result<f64, ParamError> {
-    if noise.is_none() {
-        return percent_ones(platform, params, variant, bit, n_samples, seed);
+        engine: opts.engine,
+    };
+    let mut machine = Machine::new(platform.arch, PolicyKind::TreePlru, seed);
+    // Swap the inclusion model only when asked, so the default path
+    // stays byte-identical to the pre-hierarchy-axis behaviour.
+    if opts.inclusion != Inclusion::Inclusive {
+        let swapped = machine.hierarchy().clone().with_inclusion(opts.inclusion);
+        *machine.hierarchy_mut() = swapped;
     }
-    percent_ones_run(
-        platform,
-        params,
-        variant,
-        bit,
-        n_samples,
-        Inclusion::Inclusive,
-        seed,
-        |machine| {
-            let (noise_pid, prog) = noise
-                .spawn(machine, params.tr.max(1), seed)
-                .expect("non-none noise model spawns");
-            Some((noise_pid, Box::new(prog) as Box<dyn Program>))
-        },
-    )
-}
-
-/// [`percent_ones`] with a third, benign process time-slicing the
-/// same core (§V-B: "any other processes running during Tr could
-/// pollute the target set and introduce much noise" — the reason the
-/// paper could not observe time-sliced Algorithm 2 at all).
-///
-/// The noise program touches random lines of a 256-line buffer,
-/// polluting every L1 set including the target.
-pub fn percent_ones_with_noise(
-    platform: Platform,
-    params: ChannelParams,
-    variant: Variant,
-    bit: bool,
-    n_samples: usize,
-    seed: u64,
-) -> Result<f64, ParamError> {
-    use exec_sim::noise::RandomTouches;
-
-    percent_ones_run(
-        platform,
-        params,
-        variant,
-        bit,
-        n_samples,
-        Inclusion::Inclusive,
-        seed,
-        |machine| {
-            let noise_pid = machine.create_process();
-            let noise_buf = machine.alloc_pages(noise_pid, 4);
-            let touches = RandomTouches::new(noise_buf, 4 * 64, 64, 60_000, seed ^ 0x0153);
-            Some((noise_pid, Box::new(touches) as Box<dyn Program>))
-        },
-    )
+    let (samples, _) = cfg.run_parties(&mut machine, opts.co_runner, Some(n_samples))?;
+    let convention = match variant {
+        Variant::SharedMemory | Variant::SharedMemoryThreads => BitConvention::HitIsOne,
+        Variant::NoSharedMemory => BitConvention::MissIsOne,
+    };
+    Ok(decode::percent_ones(
+        &samples,
+        platform.hit_threshold(),
+        convention,
+    ))
 }
 
 #[cfg(test)]
@@ -481,6 +348,7 @@ mod tests {
             sharing: Sharing::HyperThreaded,
             message: msg.clone(),
             seed: 1,
+            engine: Engine::FastForward,
         }
         .run()
         .unwrap();
@@ -505,6 +373,7 @@ mod tests {
             sharing: Sharing::HyperThreaded,
             message: msg.clone(),
             seed: 2,
+            engine: Engine::FastForward,
         }
         .run()
         .unwrap();
@@ -528,6 +397,7 @@ mod tests {
             sharing: Sharing::HyperThreaded,
             message: vec![false; 8],
             seed: 3,
+            engine: Engine::FastForward,
         }
         .run()
         .unwrap();
@@ -554,6 +424,7 @@ mod tests {
             sharing: Sharing::HyperThreaded,
             message: vec![true; 8],
             seed: 4,
+            engine: Engine::FastForward,
         }
         .run()
         .unwrap();
@@ -580,6 +451,7 @@ mod tests {
             sharing: Sharing::HyperThreaded,
             message: vec![true],
             seed: 0,
+            engine: Engine::FastForward,
         }
         .run();
         assert!(res.is_err());
@@ -595,8 +467,9 @@ mod tests {
             ts: 100_000_000,
             tr: 100_000_000,
         };
-        let p0 = percent_ones(platform, params, Variant::SharedMemory, false, 60, 5).unwrap();
-        let p1 = percent_ones(platform, params, Variant::SharedMemory, true, 60, 5).unwrap();
+        let opts = PercentOnesOpts::default();
+        let p0 = percent_ones(platform, params, Variant::SharedMemory, false, 60, 5, opts).unwrap();
+        let p1 = percent_ones(platform, params, Variant::SharedMemory, true, 60, 5, opts).unwrap();
         assert!(
             p1 > p0 + 0.1,
             "sending 1 must yield more observed 1s (got p0={p0:.2}, p1={p1:.2})"
@@ -626,6 +499,7 @@ mod diagnostics_alg2 {
             sharing: Sharing::HyperThreaded,
             message: msg.clone(),
             seed: 2,
+            engine: Engine::FastForward,
         }
         .run()
         .unwrap();
@@ -691,6 +565,7 @@ mod diagnostics_alg2_by_d {
                     sharing: Sharing::HyperThreaded,
                     message: vec![bit; 30],
                     seed: 7,
+                    engine: Engine::FastForward,
                 }
                 .run()
                 .unwrap();
@@ -735,6 +610,7 @@ mod diagnostics_bitplru {
                     sharing: Sharing::HyperThreaded,
                     message: vec![bit; 30],
                     seed: 7,
+                    engine: Engine::FastForward,
                 };
                 let mut machine =
                     exec_sim::machine::Machine::new(cfg.platform.arch, PolicyKind::BitPlru, 7);

@@ -50,6 +50,7 @@
 //! use lru_channel::covert::{CovertConfig, Sharing, Variant};
 //! use lru_channel::params::{ChannelParams, Platform};
 //! use lru_channel::decode;
+//! use exec_sim::sched::Engine;
 //!
 //! // Send 0-1-0-1... over the shared-memory LRU channel on the
 //! // simulated Xeon E5-2690, hyper-threaded (paper Fig. 5 top).
@@ -63,6 +64,7 @@
 //!     sharing: Sharing::HyperThreaded,
 //!     message: message.clone(),
 //!     seed: 42,
+//!     engine: Engine::FastForward,
 //! }
 //! .run()?;
 //! let bits = decode::bits_by_window(

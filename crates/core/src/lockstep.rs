@@ -643,6 +643,7 @@ mod tests {
             sharing: Sharing::HyperThreaded,
             message: message.to_vec(),
             seed,
+            engine: exec_sim::sched::Engine::FastForward,
         };
         let mut machine = Machine::new(spec.platform.arch, spec.policy, seed);
         cfg.run_on(&mut machine).unwrap()

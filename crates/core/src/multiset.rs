@@ -13,7 +13,7 @@ use cache_sim::replacement::PolicyKind;
 use exec_sim::machine::Machine;
 use exec_sim::measure::LatencyProbe;
 use exec_sim::program::{Op, OpResult, Program};
-use exec_sim::sched::{HyperThreaded, ThreadHandle};
+use exec_sim::sched::{Engine, HyperThreaded, ThreadHandle};
 
 use crate::params::{ParamError, Platform};
 use crate::protocol::DEFAULT_ENCODE_CALC;
@@ -260,12 +260,14 @@ impl MultiSetRun {
 }
 
 /// Runs an Algorithm-1 channel over `target_sets` in parallel,
-/// hyper-threaded, transmitting `frames` (one per `ts` period).
+/// hyper-threaded on `engine`, transmitting `frames` (one per `ts`
+/// period).
 ///
 /// # Errors
 ///
 /// Returns [`ParamError`] if `d`/`tr` are invalid or a target set is
 /// out of range (the reserved probe set may not be used).
+#[allow(clippy::too_many_arguments)]
 pub fn run_parallel_alg1(
     platform: Platform,
     target_sets: &[usize],
@@ -274,6 +276,7 @@ pub fn run_parallel_alg1(
     tr: u64,
     frames: Vec<Vec<bool>>,
     seed: u64,
+    engine: Engine,
 ) -> Result<MultiSetRun, ParamError> {
     let mut machine = Machine::new(platform.arch, PolicyKind::TreePlru, seed);
     let geom = machine.hierarchy().l1().geometry();
@@ -318,7 +321,7 @@ pub fn run_parallel_alg1(
     let mut receiver = MultiSetReceiver::new(groups, d, tr);
     let probe = LatencyProbe::new(&mut machine, receiver_pid, platform.tsc, probe_set);
     let limit = (n_frames as u64 + 1) * ts;
-    HyperThreaded::new(seed ^ 0x9a11e1).run(
+    HyperThreaded::new(seed ^ 0x9a11e1).with_engine(engine).run(
         &mut machine,
         &mut [
             ThreadHandle::new(sender_pid, &mut sender),
@@ -358,6 +361,7 @@ mod tests {
             1_200,
             frames.clone(),
             2,
+            Engine::FastForward,
         )
         .unwrap();
         let decoded = run.decode_frames(sets.len(), 8_000, frames.len());
@@ -383,6 +387,7 @@ mod tests {
             600,
             random_frames(4, 1, 3),
             4,
+            Engine::FastForward,
         )
         .unwrap();
         let eight = run_parallel_alg1(
@@ -393,6 +398,7 @@ mod tests {
             600,
             random_frames(4, 8, 3),
             4,
+            Engine::FastForward,
         )
         .unwrap();
         assert!((eight.rate_bps / one.rate_bps - 8.0).abs() < 1e-9);
@@ -408,6 +414,7 @@ mod tests {
             600,
             random_frames(2, 1, 5),
             6,
+            Engine::FastForward,
         )
         .unwrap_err();
         assert!(matches!(err, ParamError::BadTargetSet { .. }));
@@ -423,6 +430,7 @@ mod tests {
             600,
             random_frames(2, 1, 5),
             6,
+            Engine::FastForward,
         )
         .unwrap_err();
         assert!(matches!(err, ParamError::BadTiming { .. }));
@@ -445,8 +453,17 @@ mod tests {
     fn receiver_tags_samples_with_their_set() {
         let sets = [2usize, 9];
         let frames = vec![vec![true, false]; 6];
-        let run =
-            run_parallel_alg1(Platform::e5_2690(), &sets, 8, 8_000, 1_500, frames, 7).unwrap();
+        let run = run_parallel_alg1(
+            Platform::e5_2690(),
+            &sets,
+            8,
+            8_000,
+            1_500,
+            frames,
+            7,
+            Engine::FastForward,
+        )
+        .unwrap();
         let channels: std::collections::HashSet<usize> =
             run.samples.iter().map(|s| s.channel).collect();
         assert_eq!(channels, [0usize, 1].into_iter().collect());

@@ -7,6 +7,7 @@
 //! from benign co-scheduling.
 
 use attacks::miss_rates::{sender_miss_rates, MissRateRow, SenderScenario};
+use exec_sim::sched::Engine;
 use lru_channel::params::Platform;
 
 /// A miss-rate-threshold detector over the sender's counters.
@@ -58,12 +59,12 @@ impl MissRateDetector {
 }
 
 /// Runs the §VII detection study: every Table VI sender scenario
-/// through the detector.
-pub fn detection_study(platform: Platform, bits: usize, seed: u64) -> Vec<Verdict> {
+/// through the detector, each scheduled on `engine`.
+pub fn detection_study(platform: Platform, bits: usize, seed: u64, engine: Engine) -> Vec<Verdict> {
     let detector = MissRateDetector::default();
     SenderScenario::ALL
         .iter()
-        .map(|&s| detector.judge(sender_miss_rates(platform, s, bits, seed)))
+        .map(|&s| detector.judge(sender_miss_rates(platform, s, bits, seed, engine)))
         .collect()
 }
 
@@ -71,10 +72,21 @@ pub fn detection_study(platform: Platform, bits: usize, seed: u64) -> Vec<Verdic
 mod tests {
     use super::*;
 
+    /// One Table VI row on the paper's Xeon, on the default engine.
+    fn sender_row(scenario: SenderScenario, seed: u64) -> MissRateRow {
+        sender_miss_rates(
+            Platform::e5_2690(),
+            scenario,
+            300,
+            seed,
+            Engine::FastForward,
+        )
+    }
+
     #[test]
     fn detector_flags_flush_reload_mem() {
         let detector = MissRateDetector::default();
-        let row = sender_miss_rates(Platform::e5_2690(), SenderScenario::FlushReloadMem, 300, 1);
+        let row = sender_row(SenderScenario::FlushReloadMem, 1);
         assert!(
             detector.judge(row).flagged,
             "F+R(mem)'s memory hammering must be visible"
@@ -85,7 +97,7 @@ mod tests {
     fn detector_does_not_flag_lru_sender() {
         let detector = MissRateDetector::default();
         for scenario in [SenderScenario::LruAlg1, SenderScenario::LruAlg2] {
-            let row = sender_miss_rates(Platform::e5_2690(), scenario, 300, 2);
+            let row = sender_row(scenario, 2);
             assert!(
                 !detector.judge(row).flagged,
                 "{scenario:?}: the hit-based LRU sender must evade the detector"
@@ -100,13 +112,13 @@ mod tests {
         // indistinguishability argument. Here: at default settings
         // both stay unflagged.
         let detector = MissRateDetector::default();
-        let row = sender_miss_rates(Platform::e5_2690(), SenderScenario::SenderAndGcc, 300, 3);
+        let row = sender_row(SenderScenario::SenderAndGcc, 3);
         assert!(!detector.judge(row).flagged);
     }
 
     #[test]
     fn study_covers_all_scenarios() {
-        let verdicts = detection_study(Platform::e5_2690(), 60, 4);
+        let verdicts = detection_study(Platform::e5_2690(), 60, 4, Engine::FastForward);
         assert_eq!(verdicts.len(), 6);
     }
 }

@@ -26,7 +26,8 @@
 //!   [`sched::HyperThreaded`] (fine-grained SMT interleaving, §V-A)
 //!   and [`sched::TimeSliced`] (quantum scheduling, §V-B), each
 //!   executable by the fast-forwarding engine or the retained
-//!   [`sched::reference`] interpreter.
+//!   [`sched::reference`] interpreter, picked per scheduler value by
+//!   its [`sched::Engine`] field.
 //! * [`speculation`] — a Spectre-v1 transient-execution model with a
 //!   trainable branch predictor and a bounded speculative window
 //!   (§VIII), plus the InvisiSpec-style invisible-speculation mode

@@ -16,11 +16,12 @@
 //!   observationally identical (scheduler reports, probe latencies,
 //!   decoded bits, performance counters).
 //!
-//! [`set_engine`] switches the process between them.
+//! Each scheduler value carries its [`Engine`] (`FastForward` unless
+//! set with `with_engine`), so the choice is per run and two runs in
+//! one process never share it.
 
 use std::error::Error;
 use std::fmt;
-use std::sync::atomic::{AtomicU8, Ordering};
 
 use cache_sim::addr::PhysAddr;
 use rand::rngs::SmallRng;
@@ -40,37 +41,16 @@ const FLUSH_COST: u64 = 40;
 const MAX_FF_LINES: u64 = 4096;
 
 /// Which execution engine [`HyperThreaded::run`] and
-/// [`TimeSliced::run`] use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// [`TimeSliced::run`] use. Both engines are pinned observationally
+/// identical, so production code keeps the default; the reference
+/// exists for differential testing and benchmarking.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum Engine {
     /// The batched, fast-forwarding engine (default).
+    #[default]
     FastForward,
     /// The op-at-a-time interpreter in [`mod@reference`].
     Reference,
-}
-
-static ENGINE: AtomicU8 = AtomicU8::new(0);
-
-/// Selects the process-global execution engine. The setting exists
-/// for differential testing and benchmarking (`sched_equivalence`,
-/// `bench_execsim_smoke`); both engines are pinned observationally
-/// identical, so production code never needs to switch.
-pub fn set_engine(engine: Engine) {
-    ENGINE.store(
-        match engine {
-            Engine::FastForward => 0,
-            Engine::Reference => 1,
-        },
-        Ordering::Relaxed,
-    );
-}
-
-/// The currently selected execution engine.
-pub fn engine() -> Engine {
-    match ENGINE.load(Ordering::Relaxed) {
-        0 => Engine::FastForward,
-        _ => Engine::Reference,
-    }
 }
 
 /// Invalid scheduler timing parameters.
@@ -379,13 +359,24 @@ pub struct HyperThreaded {
     pub jitter: u32,
     /// RNG seed for the jitter stream.
     pub seed: u64,
+    /// The engine [`HyperThreaded::run`] executes on.
+    pub engine: Engine,
 }
 
 impl HyperThreaded {
     /// Jitter of 2 cycles — enough to randomize interleaving without
-    /// distorting latencies.
+    /// distorting latencies — on the fast-forwarding engine.
     pub fn new(seed: u64) -> Self {
-        Self { jitter: 2, seed }
+        Self {
+            jitter: 2,
+            seed,
+            engine: Engine::FastForward,
+        }
+    }
+
+    /// The same scheduler on `engine`.
+    pub fn with_engine(self, engine: Engine) -> Self {
+        Self { engine, ..self }
     }
 
     /// Runs the threads until all finish or `limit` global cycles
@@ -396,7 +387,7 @@ impl HyperThreaded {
         threads: &mut [ThreadHandle<'_>],
         limit: u64,
     ) -> SchedulerReport {
-        if engine() == Engine::Reference {
+        if self.engine == Engine::Reference {
             return reference::run_hyper_threaded(self, machine, threads, limit);
         }
         let mut rng = SmallRng::seed_from_u64(self.seed);
@@ -503,18 +494,27 @@ pub struct TimeSliced {
     pub switch_cost: u64,
     /// RNG seed.
     pub seed: u64,
+    /// The engine [`TimeSliced::run`] executes on.
+    pub engine: Engine,
 }
 
 impl TimeSliced {
     /// A CFS-like default: ~3×10⁸-cycle slices (two cpu-bound tasks),
-    /// ±20% jitter, 20k-cycle switch cost.
+    /// ±20% jitter, 20k-cycle switch cost, on the fast-forwarding
+    /// engine.
     pub fn new(seed: u64) -> Self {
         Self {
             quantum: 300_000_000,
             quantum_jitter: 120_000_000,
             switch_cost: 20_000,
             seed,
+            engine: Engine::FastForward,
         }
+    }
+
+    /// The same scheduler on `engine`.
+    pub fn with_engine(self, engine: Engine) -> Self {
+        Self { engine, ..self }
     }
 
     /// A fully parameterized scheduler, with the timing validated:
@@ -537,6 +537,7 @@ impl TimeSliced {
             quantum_jitter,
             switch_cost,
             seed,
+            engine: Engine::FastForward,
         };
         sched.validate()?;
         Ok(sched)
@@ -569,7 +570,7 @@ impl TimeSliced {
         threads: &mut [ThreadHandle<'_>],
         limit: u64,
     ) -> SchedulerReport {
-        if engine() == Engine::Reference {
+        if self.engine == Engine::Reference {
             return reference::run_time_sliced(self, machine, threads, limit);
         }
         let mut rng = SmallRng::seed_from_u64(self.seed);
@@ -883,6 +884,7 @@ mod tests {
             quantum_jitter: 0,
             switch_cost: 100,
             seed: 3,
+            engine: Engine::FastForward,
         };
         let report = sched.run(
             &mut m,
@@ -906,6 +908,7 @@ mod tests {
             quantum_jitter: 0,
             switch_cost: 10,
             seed: 3,
+            engine: Engine::FastForward,
         };
         let report = sched.run(
             &mut m,
@@ -926,11 +929,11 @@ mod tests {
         let a = m.create_process();
         let va = m.alloc_pages(a, 1);
         let mut p = Script::new(vec![Op::Access(va), Op::Compute(100)]);
-        HyperThreaded { jitter: 0, seed: 1 }.run(
-            &mut m,
-            &mut [ThreadHandle::new(a, &mut p)],
-            1_000_000,
-        );
+        HyperThreaded {
+            jitter: 0,
+            ..HyperThreaded::new(1)
+        }
+        .run(&mut m, &mut [ThreadHandle::new(a, &mut p)], 1_000_000);
         assert_eq!(m.counters(a).instructions, 2);
         // Access to memory (200) + issue 1 + compute 100.
         assert_eq!(m.counters(a).cycles, 301);
@@ -1004,6 +1007,7 @@ mod tests {
             quantum_jitter: 0,
             switch_cost: 10,
             seed: 9,
+            engine: Engine::FastForward,
         };
         let report = sched.run(
             &mut m,
@@ -1042,21 +1046,13 @@ mod tests {
             quantum_jitter: 1_000,
             switch_cost: 1,
             seed: 5,
+            engine: Engine::FastForward,
         };
         let mut rng = SmallRng::seed_from_u64(5);
         for _ in 0..32 {
             let q = sched.next_quantum(&mut rng);
             assert!(q <= 1_000, "draw stays in the jitter envelope, got {q}");
         }
-    }
-
-    #[test]
-    fn engine_toggle_round_trips() {
-        assert_eq!(engine(), Engine::FastForward);
-        set_engine(Engine::Reference);
-        assert_eq!(engine(), Engine::Reference);
-        set_engine(Engine::FastForward);
-        assert_eq!(engine(), Engine::FastForward);
     }
 
     #[test]
@@ -1084,6 +1080,7 @@ mod tests {
             quantum_jitter: 800,
             switch_cost: 50,
             seed: 21,
+            engine: Engine::FastForward,
         };
         let (mut m1, a1, b1, mut pa1, mut pb1) = build();
         let r1 = sched.run(
@@ -1095,8 +1092,7 @@ mod tests {
             40_000,
         );
         let (mut m2, a2, b2, mut pa2, mut pb2) = build();
-        let r2 = reference::run_time_sliced(
-            &sched,
+        let r2 = sched.with_engine(Engine::Reference).run(
             &mut m2,
             &mut [
                 ThreadHandle::new(a2, &mut pa2),

@@ -331,13 +331,7 @@ impl ResultCache {
     /// key-mismatched entry reads as absent, exactly like
     /// [`ResultCache::lookup`].
     pub fn contains(&self, scenario: &Scenario) -> bool {
-        let Ok(text) = fs::read_to_string(self.entry_path(scenario)) else {
-            return false;
-        };
-        Value::parse(&text).ok().is_some_and(|entry| {
-            entry.get("version").and_then(Value::as_u64) == Some(CACHE_FORMAT_VERSION)
-                && entry.get("key").and_then(Value::as_str) == Some(Self::key(scenario).as_str())
-        })
+        matches!(self.read_verified(scenario), Ok(Some(_)))
     }
 
     fn entry_path(&self, scenario: &Scenario) -> PathBuf {
@@ -352,24 +346,30 @@ impl ResultCache {
     /// `corrupt_recovered` when an entry was present but failed
     /// verification (the caller recomputes and overwrites it).
     pub fn lookup(&self, scenario: &Scenario) -> Option<Value> {
-        let Ok(text) = fs::read_to_string(self.entry_path(scenario)) else {
-            self.counters.misses.fetch_add(1, Ordering::Relaxed);
-            return None;
+        let (counter, outcome) = match self.read_verified(scenario) {
+            Ok(Some(outcome)) => (&self.counters.hits, Some(outcome)),
+            Ok(None) => (&self.counters.corrupt, None),
+            Err(_) => (&self.counters.misses, None),
         };
-        let verified = Value::parse(&text).ok().and_then(|entry| {
-            if entry.get("version").and_then(Value::as_u64) != Some(CACHE_FORMAT_VERSION) {
-                return None;
-            }
-            if entry.get("key").and_then(Value::as_str) != Some(Self::key(scenario).as_str()) {
-                return None;
-            }
-            entry.get("outcome").cloned()
-        });
-        match &verified {
-            Some(_) => self.counters.hits.fetch_add(1, Ordering::Relaxed),
-            None => self.counters.corrupt.fetch_add(1, Ordering::Relaxed),
-        };
-        verified
+        counter.fetch_add(1, Ordering::Relaxed);
+        outcome
+    }
+
+    /// Reads `scenario`'s entry: `Err` when no entry could be read,
+    /// `Ok(None)` when one was present but failed verification
+    /// (non-UTF-8 or unparsable bytes, version or key mismatch, no
+    /// outcome), and the outcome when it verified.
+    fn read_verified(&self, scenario: &Scenario) -> io::Result<Option<Value>> {
+        let bytes = fs::read(self.entry_path(scenario))?;
+        let entry = std::str::from_utf8(&bytes)
+            .ok()
+            .and_then(|text| Value::parse(text).ok());
+        Ok(entry.and_then(|entry| {
+            let verified = entry.get("version").and_then(Value::as_u64)
+                == Some(CACHE_FORMAT_VERSION)
+                && entry.get("key").and_then(Value::as_str) == Some(Self::key(scenario).as_str());
+            verified.then(|| entry.get("outcome").cloned()).flatten()
+        }))
     }
 
     /// Stores a cell outcome: serialize to a unique temp file in the

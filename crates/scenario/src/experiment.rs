@@ -30,12 +30,11 @@ use defense::policy_eval::fig9_row;
 use defense::randomization::{index_randomization_defeats_eviction, random_fill_leak};
 use exec_sim::machine::Machine;
 use exec_sim::measure::{rdtscp_single, LatencyProbe};
-use exec_sim::sched::{HyperThreaded, ThreadHandle};
+use exec_sim::sched::{Engine, HyperThreaded, ThreadHandle};
 use exec_sim::speculation::{build_victim, SpecMode};
 use lru_channel::analysis::Histogram;
 use lru_channel::covert::{
-    percent_ones, percent_ones_noisy, percent_ones_with_hierarchy, percent_ones_with_noise,
-    CovertConfig, Sharing, Variant,
+    percent_ones, CoRunner, CovertConfig, PercentOnesOpts, Sharing, Variant,
 };
 use lru_channel::decode::{self, BitConvention};
 use lru_channel::edit_distance::error_rate;
@@ -68,8 +67,11 @@ pub struct Outcome {
 /// One runnable experiment. Implementations must derive everything
 /// from `seed`, so a run is reproducible and safely parallel.
 pub trait Experiment {
-    /// Runs the experiment once.
-    fn run(&self, seed: u64) -> Outcome;
+    /// Runs the experiment once, scheduling every simulated thread on
+    /// `engine`. Both engines produce identical outcomes; the scenario
+    /// run paths use [`Engine::FastForward`], and differential tests
+    /// call this directly with each engine.
+    fn run(&self, seed: u64, engine: Engine) -> Outcome;
 }
 
 impl Scenario {
@@ -108,7 +110,7 @@ impl Scenario {
 
     /// Runs the experiment once with an explicit seed.
     pub fn run_once(&self, seed: u64) -> Outcome {
-        self.experiment().run(seed)
+        self.experiment().run(seed, Engine::FastForward)
     }
 
     /// Runs the scenario's `trials` independent repetitions (seeded
@@ -168,7 +170,7 @@ impl Scenario {
         let acc = run_trials_fold_ctrl(
             ctrl,
             self.trials.max(1),
-            |i| experiment.run(self.trial_seed(i)),
+            |i| experiment.run(self.trial_seed(i), Engine::FastForward),
             || reducer.init(),
             |acc, i, outcome| reducer.fold(acc, i, outcome),
             |acc, other| reducer.merge(acc, other),
@@ -363,7 +365,7 @@ fn convention_for(variant: Variant) -> (BitConvention, f64) {
 pub struct CovertExperiment(pub Scenario);
 
 impl Experiment for CovertExperiment {
-    fn run(&self, seed: u64) -> Outcome {
+    fn run(&self, seed: u64, engine: Engine) -> Outcome {
         let s = &self.0;
         let platform = s.platform.platform();
         let message = s.message.bits(seed);
@@ -374,6 +376,7 @@ impl Experiment for CovertExperiment {
             sharing: s.sharing,
             message,
             seed,
+            engine,
         };
         let mut machine = Machine::new(platform.arch, s.policy, seed);
         // Swap the inclusion model only when the hierarchy axis is
@@ -470,7 +473,7 @@ fn covert_outcome(
 pub struct PercentOnesExperiment(pub Scenario);
 
 impl Experiment for PercentOnesExperiment {
-    fn run(&self, seed: u64) -> Outcome {
+    fn run(&self, seed: u64, engine: Engine) -> Outcome {
         let s = &self.0;
         let ExperimentKind::PercentOnes { samples } = s.kind else {
             unreachable!("kind checked at build");
@@ -478,26 +481,28 @@ impl Experiment for PercentOnesExperiment {
         let MessageSource::Constant { bit, .. } = s.message else {
             unreachable!("message checked at build");
         };
-        let platform = s.platform.platform();
-        let fraction = if s.workload == WorkloadId::BenignNoise {
-            percent_ones_with_noise(platform, s.params, s.variant, bit, samples, seed)
-        } else if !s.noise.is_none() {
-            percent_ones_noisy(platform, s.params, s.variant, bit, samples, s.noise, seed)
-        } else if s.hierarchy != HierarchyId::Inclusive {
-            // Mutually exclusive with the two arms above by the
-            // quiet-machine validation in `Scenario::build`.
-            percent_ones_with_hierarchy(
-                platform,
-                s.params,
-                s.variant,
-                bit,
-                samples,
-                s.hierarchy.inclusion(),
-                seed,
-            )
+        // The benign co-runner, a noise model and a non-default
+        // hierarchy are mutually exclusive by the quiet-machine
+        // validation in `Scenario::build`.
+        let co_runner = if s.workload == WorkloadId::BenignNoise {
+            CoRunner::Benign
         } else {
-            percent_ones(platform, s.params, s.variant, bit, samples, seed)
-        }
+            CoRunner::Model(s.noise)
+        };
+        let opts = PercentOnesOpts {
+            inclusion: s.hierarchy.inclusion(),
+            co_runner,
+            engine,
+        };
+        let fraction = percent_ones(
+            s.platform.platform(),
+            s.params,
+            s.variant,
+            bit,
+            samples,
+            seed,
+            opts,
+        )
         .expect("validated at build");
         Outcome {
             metrics: Value::obj()
@@ -532,7 +537,7 @@ fn cross_core_l2() -> CacheGeometry {
 pub struct L2ChannelExperiment(pub Scenario);
 
 impl Experiment for L2ChannelExperiment {
-    fn run(&self, seed: u64) -> Outcome {
+    fn run(&self, seed: u64, _engine: Engine) -> Outcome {
         let s = &self.0;
         let ExperimentKind::L2Channel { samples } = s.kind else {
             unreachable!("kind checked at build");
@@ -596,7 +601,7 @@ impl Experiment for L2ChannelExperiment {
 pub struct InclusionVictimExperiment(pub Scenario);
 
 impl Experiment for InclusionVictimExperiment {
-    fn run(&self, seed: u64) -> Outcome {
+    fn run(&self, seed: u64, _engine: Engine) -> Outcome {
         let s = &self.0;
         let ExperimentKind::InclusionVictim { trials } = s.kind else {
             unreachable!("kind checked at build");
@@ -646,7 +651,7 @@ impl Experiment for InclusionVictimExperiment {
 pub struct PrimeProbeExperiment(pub Scenario);
 
 impl Experiment for PrimeProbeExperiment {
-    fn run(&self, seed: u64) -> Outcome {
+    fn run(&self, seed: u64, engine: Engine) -> Outcome {
         let s = &self.0;
         let ExperimentKind::PrimeProbe { samples } = s.kind else {
             unreachable!("kind checked at build");
@@ -669,7 +674,7 @@ impl Experiment for PrimeProbeExperiment {
             PrimeProbeReceiver::new(prime_lines, s.params.tr).with_max_samples(samples);
         let probe = LatencyProbe::new(&mut machine, receiver_pid, platform.tsc, 63);
         let limit = (message.len() as u64 + 1) * s.params.ts;
-        HyperThreaded::new(seed ^ 0x5eed).run(
+        HyperThreaded::new(seed ^ 0x5eed).with_engine(engine).run(
             &mut machine,
             &mut [
                 ThreadHandle::new(sender_pid, &mut sender),
@@ -717,7 +722,7 @@ impl Experiment for PrimeProbeExperiment {
 pub struct FlushReloadExperiment(pub Scenario);
 
 impl Experiment for FlushReloadExperiment {
-    fn run(&self, seed: u64) -> Outcome {
+    fn run(&self, seed: u64, engine: Engine) -> Outcome {
         let s = &self.0;
         let ExperimentKind::FlushReload { samples, to_mem } = s.kind else {
             unreachable!("kind checked at build");
@@ -740,7 +745,7 @@ impl Experiment for FlushReloadExperiment {
                 .with_max_samples(samples);
         let probe = LatencyProbe::new(&mut machine, receiver_pid, platform.tsc, 63);
         let limit = (message.len() as u64 + 1) * s.params.ts;
-        HyperThreaded::new(seed ^ 0x5eed).run(
+        HyperThreaded::new(seed ^ 0x5eed).with_engine(engine).run(
             &mut machine,
             &mut [
                 ThreadHandle::new(sender_pid, &mut sender),
@@ -818,7 +823,7 @@ fn spectre_recover(
 pub struct SpectreExperiment(pub Scenario);
 
 impl Experiment for SpectreExperiment {
-    fn run(&self, seed: u64) -> Outcome {
+    fn run(&self, seed: u64, _engine: Engine) -> Outcome {
         let s = &self.0;
         let ExperimentKind::Spectre {
             channel,
@@ -865,7 +870,7 @@ fn leak_metrics(label: &str, flip: f64) -> Value {
 pub struct DefenseEvalExperiment(pub Scenario);
 
 impl Experiment for DefenseEvalExperiment {
-    fn run(&self, seed: u64) -> Outcome {
+    fn run(&self, seed: u64, engine: Engine) -> Outcome {
         let s = &self.0;
         let ExperimentKind::DefenseEval { trials } = s.kind else {
             unreachable!("kind checked at build");
@@ -943,7 +948,7 @@ impl Experiment for DefenseEvalExperiment {
                     .with("rows", Value::Arr(rows_json))
             }
             DefenseId::MissRateDetector => {
-                let verdicts = detection_study(s.platform.platform(), trials, seed);
+                let verdicts = detection_study(s.platform.platform(), trials, seed, engine);
                 let rows: Vec<Value> = verdicts
                     .iter()
                     .map(|v| {
@@ -968,7 +973,7 @@ impl Experiment for DefenseEvalExperiment {
 pub struct PlruEvictionExperiment(pub Scenario);
 
 impl Experiment for PlruEvictionExperiment {
-    fn run(&self, seed: u64) -> Outcome {
+    fn run(&self, seed: u64, _engine: Engine) -> Outcome {
         let s = &self.0;
         let ExperimentKind::PlruEviction {
             sequence,
@@ -1006,7 +1011,7 @@ impl Experiment for PlruEvictionExperiment {
 pub struct LatencyCheckExperiment(pub Scenario);
 
 impl Experiment for LatencyCheckExperiment {
-    fn run(&self, seed: u64) -> Outcome {
+    fn run(&self, seed: u64, _engine: Engine) -> Outcome {
         let s = &self.0;
         let platform = s.platform.platform();
         let mut m = Machine::new(platform.arch, s.policy, seed);
@@ -1036,7 +1041,7 @@ impl Experiment for LatencyCheckExperiment {
 pub struct PlatformSpecExperiment(pub Scenario);
 
 impl Experiment for PlatformSpecExperiment {
-    fn run(&self, _seed: u64) -> Outcome {
+    fn run(&self, _seed: u64, _engine: Engine) -> Outcome {
         let a = self.0.platform.platform().arch;
         let tsc = self.0.platform.platform().tsc;
         Outcome {
@@ -1057,7 +1062,7 @@ impl Experiment for PlatformSpecExperiment {
 pub struct EncodingLatencyExperiment(pub Scenario);
 
 impl Experiment for EncodingLatencyExperiment {
-    fn run(&self, _seed: u64) -> Outcome {
+    fn run(&self, _seed: u64, _engine: Engine) -> Outcome {
         let s = &self.0;
         let ExperimentKind::EncodingLatency { channel } = s.kind else {
             unreachable!("kind checked at build");
@@ -1090,7 +1095,7 @@ fn miss_rate_row_metrics(row: &MissRateRow) -> Value {
 pub struct SenderMissRatesExperiment(pub Scenario);
 
 impl Experiment for SenderMissRatesExperiment {
-    fn run(&self, seed: u64) -> Outcome {
+    fn run(&self, seed: u64, engine: Engine) -> Outcome {
         let s = &self.0;
         let ExperimentKind::SenderMissRates { sender, bits } = s.kind else {
             unreachable!("kind checked at build");
@@ -1100,6 +1105,7 @@ impl Experiment for SenderMissRatesExperiment {
             SenderScenario::ALL[sender],
             bits,
             seed,
+            engine,
         );
         Outcome {
             metrics: miss_rate_row_metrics(&row),
@@ -1111,7 +1117,7 @@ impl Experiment for SenderMissRatesExperiment {
 pub struct SpectreMissRatesExperiment(pub Scenario);
 
 impl Experiment for SpectreMissRatesExperiment {
-    fn run(&self, seed: u64) -> Outcome {
+    fn run(&self, seed: u64, _engine: Engine) -> Outcome {
         let s = &self.0;
         let ExperimentKind::SpectreMissRates { channel } = s.kind else {
             unreachable!("kind checked at build");
@@ -1146,7 +1152,7 @@ fn histogram_rows(h: &Histogram) -> Value {
 pub struct ProbeHistogramExperiment(pub Scenario);
 
 impl Experiment for ProbeHistogramExperiment {
-    fn run(&self, seed: u64) -> Outcome {
+    fn run(&self, seed: u64, _engine: Engine) -> Outcome {
         let s = &self.0;
         let ExperimentKind::ProbeHistogram {
             samples,
@@ -1211,7 +1217,7 @@ impl Experiment for ProbeHistogramExperiment {
 pub struct PolicyPerfExperiment(pub Scenario);
 
 impl Experiment for PolicyPerfExperiment {
-    fn run(&self, seed: u64) -> Outcome {
+    fn run(&self, seed: u64, _engine: Engine) -> Outcome {
         let s = &self.0;
         let ExperimentKind::PolicyPerf { accesses } = s.kind else {
             unreachable!("kind checked at build");
@@ -1257,7 +1263,7 @@ impl Experiment for PolicyPerfExperiment {
 pub struct MultiSetExperiment(pub Scenario);
 
 impl Experiment for MultiSetExperiment {
-    fn run(&self, seed: u64) -> Outcome {
+    fn run(&self, seed: u64, engine: Engine) -> Outcome {
         let s = &self.0;
         let ExperimentKind::MultiSet { sets, frames } = s.kind else {
             unreachable!("kind checked at build");
@@ -1288,6 +1294,7 @@ impl Experiment for MultiSetExperiment {
             s.params.tr,
             frame_bits.clone(),
             seed,
+            engine,
         )
         .expect("validated at build");
         let decoded = run.decode_frames(sets, s.params.ts, frame_bits.len());

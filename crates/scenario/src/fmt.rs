@@ -1,16 +1,16 @@
-//! Table/figure text formatting shared by the registry renderers,
-//! the bench targets and the CLI.
+//! Table/figure text formatting shared by the registry renderers and
+//! the CLI.
 //!
 //! All writers append to a `String` buffer so a whole report can be
-//! built, compared and reprinted deterministically (the bench
-//! targets print it; the CLI returns it).
+//! built, compared and reprinted deterministically (`lru-leak run
+//! <id>` and `run-all` print it).
 
 use std::fmt::{Display, Write};
 
 use crate::json::Value;
 
-/// A fixed seed so `cargo bench` / CLI output is reproducible run to
-/// run.
+/// A fixed seed so `lru-leak run <id>` / `run-all` output is
+/// reproducible run to run.
 pub const BENCH_SEED: u64 = 0x11ca_c4e5;
 
 /// Appends the standard experiment header.

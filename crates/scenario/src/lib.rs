@@ -14,7 +14,7 @@
 //!   validating builder (geometry violations reuse
 //!   [`lru_channel::params::ParamError`]) and lossless JSON
 //!   round-trip.
-//! * [`experiment`] — `run(seed) -> Outcome` implementations for
+//! * [`experiment`] — `run(seed, engine) -> Outcome` implementations for
 //!   covert runs, the time-sliced percent-of-ones study, the
 //!   Prime+Probe and Flush+Reload baselines, the Spectre attack,
 //!   the §IX defense evaluations, and the table/figure substrate

@@ -1446,9 +1446,8 @@ impl ScenarioBuilder {
             )));
         }
         // The hierarchy axis studies the inclusion model in
-        // isolation; the noise plumbing builds its machine before
-        // the swap point, so combining them would silently run the
-        // default hierarchy. Reject instead.
+        // isolation, on a quiet machine: reject the combination with
+        // interference rather than define it.
         if s.hierarchy != HierarchyId::Inclusive
             && (!s.noise.is_none() || s.workload == WorkloadId::BenignNoise)
         {

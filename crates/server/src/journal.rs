@@ -141,17 +141,17 @@ impl Journal {
     fn load(dir: &Path, verify: Option<&ResultCache>) -> io::Result<(Journal, RecoveryReport)> {
         fs::create_dir_all(dir)?;
         let path = dir.join(JOURNAL_FILE);
-        let text = match fs::read_to_string(&path) {
-            Ok(text) => text,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => String::new(),
+        let bytes = match fs::read(&path) {
+            Ok(bytes) => bytes,
+            Err(e) if e.kind() == io::ErrorKind::NotFound => Vec::new(),
             Err(e) => return Err(e),
         };
         let mut report = RecoveryReport::default();
 
         // Fold the record stream. A crash mid-append leaves a torn
         // final line (no trailing newline) — drop it.
-        let mut lines: Vec<&str> = text.split('\n').collect();
-        let torn = !text.is_empty() && !text.ends_with('\n');
+        let mut lines: Vec<&[u8]> = bytes.split(|&b| b == b'\n').collect();
+        let torn = !bytes.is_empty() && !bytes.ends_with(b"\n");
         lines.pop(); // the empty tail after the final '\n', or the torn record
         if torn {
             report.skipped += 1;
@@ -162,7 +162,11 @@ impl Journal {
             if line.is_empty() {
                 continue;
             }
-            let Ok(rec) = Value::parse(line) else {
+            // A non-UTF-8 line is as unparsable as malformed JSON.
+            let Some(rec) = std::str::from_utf8(line)
+                .ok()
+                .and_then(|line| Value::parse(line).ok())
+            else {
                 report.skipped += 1;
                 continue;
             };
@@ -459,6 +463,23 @@ mod tests {
         drop(file);
         let (_journal, report) = Journal::recover(&dir, None).unwrap();
         assert_eq!(report.skipped, 1, "the torn record is skipped");
+        assert_eq!(report.pending.len(), 1, "the intact record survives");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_non_utf8_line_is_skipped_not_fatal() {
+        let dir = tmpdir("utf8");
+        {
+            let journal = Journal::open(&dir).unwrap();
+            journal.accepted(1, &run_request("fig5")).unwrap();
+        }
+        let path = dir.join(JOURNAL_FILE);
+        let mut file = fs::OpenOptions::new().append(true).open(&path).unwrap();
+        file.write_all(b"\xff\xfe garbage\n").unwrap();
+        drop(file);
+        let (_journal, report) = Journal::recover(&dir, None).unwrap();
+        assert_eq!(report.skipped, 1, "the invalid line is skipped");
         assert_eq!(report.pending.len(), 1, "the intact record survives");
         let _ = fs::remove_dir_all(&dir);
     }

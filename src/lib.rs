@@ -14,10 +14,9 @@
 //! declarative, serializable [`scenario::spec::Scenario`] value and
 //! executed through the [`scenario::experiment::Experiment`] trait.
 //! Paper artifacts are registered by ID in [`scenario::registry`]
-//! (`fig3`…`fig15`, `table1`…`table7`, ablations); the bench targets
-//! and the `lru-leak` CLI are both thin wrappers over that registry,
-//! so for a fixed seed `cargo bench --bench fig6_timesliced` and
-//! `lru-leak run fig6 --json` report the same numbers.
+//! (`fig3`…`fig15`, `table1`…`table7`, ablations); the `lru-leak`
+//! CLI is a thin wrapper over that registry, so for a fixed seed
+//! `lru-leak run fig6 --json` reports exactly the registry's numbers.
 //!
 //! ```
 //! use lru_leak::scenario::spec::{MessageSource, Scenario};
@@ -52,9 +51,9 @@
 //! scenarios so they serialize, register and run from the CLI.
 //!
 //! See `examples/` for runnable demonstrations (all driven through
-//! the scenario API), `cargo bench --workspace` to regenerate every
-//! table and figure of the paper, and
-//! `cargo run --release -p lru-leak-cli -- list` for the registry.
+//! the scenario API), `lru-leak run <id>` to regenerate one table or
+//! figure of the paper and `lru-leak run-all` for every one of them,
+//! and `cargo run --release -p lru-leak-cli -- list` for the registry.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

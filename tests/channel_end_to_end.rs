@@ -1,6 +1,7 @@
 //! End-to-end covert-channel integration: both algorithms, all three
 //! simulated platforms, text payloads.
 
+use lru_leak::exec_sim::sched::Engine;
 use lru_leak::lru_channel::covert::{CovertConfig, Sharing, Variant};
 use lru_leak::lru_channel::decode::{self, BitConvention};
 use lru_leak::lru_channel::edit_distance::error_rate;
@@ -31,6 +32,7 @@ fn alg1_transfers_ascii_text_on_intel() {
         sharing: Sharing::HyperThreaded,
         message: message.clone(),
         seed: 1,
+        engine: Engine::FastForward,
     }
     .run()
     .unwrap();
@@ -55,6 +57,7 @@ fn alg2_transfers_bits_with_low_error_on_both_intel_parts() {
             sharing: Sharing::HyperThreaded,
             message: message.clone(),
             seed: 2,
+            engine: Engine::FastForward,
         }
         .run()
         .unwrap();
@@ -87,6 +90,7 @@ fn amd_channel_works_through_moving_average() {
         sharing: Sharing::HyperThreaded,
         message: message.clone(),
         seed: 3,
+        engine: Engine::FastForward,
     }
     .run()
     .unwrap();
@@ -117,6 +121,7 @@ fn amd_cross_process_alg1_is_degraded_by_way_predictor() {
             sharing: Sharing::HyperThreaded,
             message: message.clone(),
             seed: 4,
+            engine: Engine::FastForward,
         }
         .run()
         .unwrap();
@@ -135,7 +140,7 @@ fn amd_cross_process_alg1_is_degraded_by_way_predictor() {
 
 #[test]
 fn time_sliced_channel_distinguishes_constant_bits() {
-    use lru_leak::lru_channel::covert::percent_ones;
+    use lru_leak::lru_channel::covert::{percent_ones, PercentOnesOpts};
     let platform = Platform::e5_2690();
     let tr = 100_000_000;
     let params = ChannelParams {
@@ -144,8 +149,9 @@ fn time_sliced_channel_distinguishes_constant_bits() {
         ts: tr,
         tr,
     };
-    let p0 = percent_ones(platform, params, Variant::SharedMemory, false, 80, 5).unwrap();
-    let p1 = percent_ones(platform, params, Variant::SharedMemory, true, 80, 5).unwrap();
+    let opts = PercentOnesOpts::default();
+    let p0 = percent_ones(platform, params, Variant::SharedMemory, false, 80, 5, opts).unwrap();
+    let p1 = percent_ones(platform, params, Variant::SharedMemory, true, 80, 5, opts).unwrap();
     assert!(p0 < 0.1, "sending 0 should read ~all zeros, got {p0:.2}");
     assert!(p1 > 0.15, "sending 1 must show up, got {p1:.2}");
 }
@@ -159,6 +165,7 @@ fn channel_runs_are_deterministic_given_seed() {
         sharing: Sharing::HyperThreaded,
         message: vec![true, false, true],
         seed: 99,
+        engine: Engine::FastForward,
     };
     let a = cfg.run().unwrap();
     let b = cfg.run().unwrap();
@@ -180,6 +187,7 @@ fn different_target_sets_work_equally() {
             sharing: Sharing::HyperThreaded,
             message: message.clone(),
             seed: 6,
+            engine: Engine::FastForward,
         }
         .run()
         .unwrap();
@@ -203,7 +211,7 @@ fn benign_noise_kills_time_sliced_alg2() {
     // any other process running during the large Tr pollutes the
     // target set. With a benign co-runner in the slice rotation, the
     // receiver's percent-of-ones stops depending on the sender's bit.
-    use lru_leak::lru_channel::covert::percent_ones_with_noise;
+    use lru_leak::lru_channel::covert::{percent_ones, CoRunner, PercentOnesOpts};
     let platform = Platform::e5_2690();
     let tr = 100_000_000;
     let params = ChannelParams {
@@ -212,10 +220,21 @@ fn benign_noise_kills_time_sliced_alg2() {
         ts: tr,
         tr,
     };
-    let p0 =
-        percent_ones_with_noise(platform, params, Variant::NoSharedMemory, false, 60, 8).unwrap();
-    let p1 =
-        percent_ones_with_noise(platform, params, Variant::NoSharedMemory, true, 60, 8).unwrap();
+    let opts = PercentOnesOpts {
+        co_runner: CoRunner::Benign,
+        ..PercentOnesOpts::default()
+    };
+    let p0 = percent_ones(
+        platform,
+        params,
+        Variant::NoSharedMemory,
+        false,
+        60,
+        8,
+        opts,
+    )
+    .unwrap();
+    let p1 = percent_ones(platform, params, Variant::NoSharedMemory, true, 60, 8, opts).unwrap();
     // Both polluted toward "miss": the gap collapses.
     assert!(
         (p1 - p0).abs() < 0.15,
@@ -241,6 +260,7 @@ fn alg1_is_robust_across_seeds() {
             sharing: Sharing::HyperThreaded,
             message: message.clone(),
             seed,
+            engine: Engine::FastForward,
         }
         .run()
         .unwrap();

@@ -9,6 +9,7 @@ use lru_leak::defense::partition_eval::{dawg_partitioned_leak, shared_plru_leak}
 use lru_leak::defense::pl_cache_eval::fig11;
 use lru_leak::defense::policy_eval::{fig9_row, geomean_normalized_cpi};
 use lru_leak::exec_sim::machine::Machine;
+use lru_leak::exec_sim::sched::Engine;
 use lru_leak::exec_sim::speculation::SpecMode;
 use lru_leak::lru_channel::covert::{CovertConfig, Sharing, Variant};
 use lru_leak::lru_channel::decode::{self, BitConvention};
@@ -26,6 +27,7 @@ fn alg1_error_under_policy(policy: PolicyKind) -> f64 {
         sharing: Sharing::HyperThreaded,
         message: message.clone(),
         seed: 40,
+        engine: Engine::FastForward,
     };
     let mut machine = Machine::new(platform.arch, policy, 40);
     let run = cfg.run_on(&mut machine).unwrap();
@@ -103,7 +105,7 @@ fn invisible_speculation_stops_spectre_but_baseline_leaks() {
 
 #[test]
 fn detector_separates_fr_from_lru_and_benign() {
-    let verdicts = detection_study(Platform::e5_2690(), 250, 45);
+    let verdicts = detection_study(Platform::e5_2690(), 250, 45, Engine::FastForward);
     let flagged: Vec<&str> = verdicts
         .iter()
         .filter(|v| v.flagged)

@@ -11,14 +11,12 @@
 //!
 //! This suite pins that demotion:
 //!
-//! * fixed covert-channel cells (`percent_ones_with_hierarchy`) are
+//! * fixed covert-channel cells (`percent_ones` with an `inclusion`) are
 //!   engine-invariant under all three inclusion models;
 //! * property tests run random short programs with a `RandomTouches`
 //!   co-runner on the back-invalidating machine and require identical
 //!   `SchedulerReport`s, per-process counters and per-op results
 //!   under both engines and both sharing models.
-
-use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use lru_leak::cache_sim::hierarchy::Inclusion;
 use lru_leak::cache_sim::profiles::MicroArch;
@@ -26,42 +24,12 @@ use lru_leak::cache_sim::replacement::PolicyKind;
 use lru_leak::exec_sim::machine::Machine;
 use lru_leak::exec_sim::noise::RandomTouches;
 use lru_leak::exec_sim::program::{Op, Script};
-use lru_leak::exec_sim::sched::{
-    self, reference, Engine, HyperThreaded, SchedulerReport, ThreadHandle, TimeSliced,
-};
+use lru_leak::exec_sim::sched::{Engine, HyperThreaded, SchedulerReport, ThreadHandle, TimeSliced};
 use lru_leak::exec_sim::LatencyProbe;
 use lru_leak::exec_sim::TscModel;
-use lru_leak::lru_channel::covert::{percent_ones_with_hierarchy, Variant};
+use lru_leak::lru_channel::covert::{percent_ones, PercentOnesOpts, Variant};
 use lru_leak::lru_channel::params::{ChannelParams, Platform};
 use proptest::prelude::*;
-
-/// The engine selector is process-global; tests that flip it
-/// serialize on this lock and restore the default when done.
-static ENGINE_LOCK: Mutex<()> = Mutex::new(());
-
-struct EngineGuard<'a>(#[allow(dead_code)] MutexGuard<'a, ()>);
-
-impl EngineGuard<'_> {
-    fn lock() -> EngineGuard<'static> {
-        EngineGuard(ENGINE_LOCK.lock().unwrap_or_else(PoisonError::into_inner))
-    }
-}
-
-impl Drop for EngineGuard<'_> {
-    fn drop(&mut self) {
-        sched::set_engine(Engine::FastForward);
-    }
-}
-
-/// Runs `f` under each engine and returns (fast, reference) results.
-fn under_both_engines<T>(mut f: impl FnMut() -> T) -> (T, T) {
-    sched::set_engine(Engine::FastForward);
-    let fast = f();
-    sched::set_engine(Engine::Reference);
-    let refr = f();
-    sched::set_engine(Engine::FastForward);
-    (fast, refr)
-}
 
 /// A machine whose hierarchy has been swapped to `inclusion`.
 fn machine_with(inclusion: Inclusion, seed: u64) -> Machine {
@@ -79,7 +47,6 @@ fn machine_with(inclusion: Inclusion, seed: u64) -> Machine {
 
 #[test]
 fn covert_cells_are_engine_invariant_under_every_inclusion() {
-    let _guard = EngineGuard::lock();
     let platform = Platform::e5_2690();
     let params = ChannelParams {
         d: 8,
@@ -93,18 +60,15 @@ fn covert_cells_are_engine_invariant_under_every_inclusion() {
         Inclusion::BackInvalidate,
     ] {
         for bit in [false, true] {
-            let (fast, refr) = under_both_engines(|| {
-                percent_ones_with_hierarchy(
-                    platform,
-                    params,
-                    Variant::SharedMemory,
-                    bit,
-                    20,
+            let run = |engine| {
+                let opts = PercentOnesOpts {
                     inclusion,
-                    13,
-                )
-                .unwrap()
-            });
+                    engine,
+                    ..PercentOnesOpts::default()
+                };
+                percent_ones(platform, params, Variant::SharedMemory, bit, 20, 13, opts).unwrap()
+            };
+            let (fast, refr) = (run(Engine::FastForward), run(Engine::Reference));
             assert_eq!(
                 fast, refr,
                 "percent_ones({inclusion:?}, bit={bit}) diverged between engines"
@@ -130,18 +94,17 @@ enum SchedCfg {
     Ht(HyperThreaded),
 }
 
+/// Runs `cfg` on `engine`.
 fn run_cfg(
     cfg: &SchedCfg,
     machine: &mut Machine,
     handles: &mut [ThreadHandle<'_>],
     limit: u64,
-    use_reference: bool,
+    engine: Engine,
 ) -> SchedulerReport {
-    match (cfg, use_reference) {
-        (SchedCfg::Ts(cfg), true) => reference::run_time_sliced(cfg, machine, handles, limit),
-        (SchedCfg::Ts(cfg), false) => cfg.run(machine, handles, limit),
-        (SchedCfg::Ht(cfg), true) => reference::run_hyper_threaded(cfg, machine, handles, limit),
-        (SchedCfg::Ht(cfg), false) => cfg.run(machine, handles, limit),
+    match cfg.clone() {
+        SchedCfg::Ts(cfg) => cfg.with_engine(engine).run(machine, handles, limit),
+        SchedCfg::Ht(cfg) => cfg.with_engine(engine).run(machine, handles, limit),
     }
 }
 
@@ -155,7 +118,7 @@ fn observe_mixed(
     inclusion: Inclusion,
     sched_cfg: &SchedCfg,
     limit: u64,
-    use_reference: bool,
+    engine: Engine,
 ) -> Observed {
     let mut machine = machine_with(inclusion, 77);
     let script_pid = machine.create_process();
@@ -186,7 +149,7 @@ fn observe_mixed(
             ThreadHandle::with_probe(script_pid, &mut script, probe),
             ThreadHandle::new(touch_pid, &mut co_runner),
         ];
-        run_cfg(sched_cfg, &mut machine, &mut handles, limit, use_reference)
+        run_cfg(sched_cfg, &mut machine, &mut handles, limit, engine)
     };
     Observed {
         report,
@@ -228,8 +191,8 @@ proptest! {
                 .expect("valid timing"),
         );
         let limit = 200_000;
-        let fast = observe_mixed(&bp, clamp(shape), Inclusion::BackInvalidate, &cfg, limit, false);
-        let refr = observe_mixed(&bp, clamp(shape), Inclusion::BackInvalidate, &cfg, limit, true);
+        let fast = observe_mixed(&bp, clamp(shape), Inclusion::BackInvalidate, &cfg, limit, Engine::FastForward);
+        let refr = observe_mixed(&bp, clamp(shape), Inclusion::BackInvalidate, &cfg, limit, Engine::Reference);
         prop_assert_eq!(fast, refr);
     }
 
@@ -241,10 +204,13 @@ proptest! {
         jitter in 0u32..4,
         seed in 0u64..=u64::MAX,
     ) {
-        let cfg = SchedCfg::Ht(HyperThreaded { jitter, seed });
+        let cfg = SchedCfg::Ht(HyperThreaded {
+            jitter,
+            ..HyperThreaded::new(seed)
+        });
         let limit = 60_000;
-        let fast = observe_mixed(&bp, clamp(shape), Inclusion::BackInvalidate, &cfg, limit, false);
-        let refr = observe_mixed(&bp, clamp(shape), Inclusion::BackInvalidate, &cfg, limit, true);
+        let fast = observe_mixed(&bp, clamp(shape), Inclusion::BackInvalidate, &cfg, limit, Engine::FastForward);
+        let refr = observe_mixed(&bp, clamp(shape), Inclusion::BackInvalidate, &cfg, limit, Engine::Reference);
         prop_assert_eq!(fast, refr);
     }
 
@@ -262,8 +228,8 @@ proptest! {
             TimeSliced::with_timing(quantum, quantum / 2, 50, seed).expect("valid timing"),
         );
         let limit = 200_000;
-        let fast = observe_mixed(&bp, clamp(shape), Inclusion::NonInclusive, &cfg, limit, false);
-        let refr = observe_mixed(&bp, clamp(shape), Inclusion::NonInclusive, &cfg, limit, true);
+        let fast = observe_mixed(&bp, clamp(shape), Inclusion::NonInclusive, &cfg, limit, Engine::FastForward);
+        let refr = observe_mixed(&bp, clamp(shape), Inclusion::NonInclusive, &cfg, limit, Engine::Reference);
         prop_assert_eq!(fast, refr);
     }
 }

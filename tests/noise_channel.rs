@@ -2,7 +2,10 @@
 //! must actually disturb the channel, stay fully deterministic, and
 //! surface through the scenario/registry/CLI layers.
 
-use lru_leak::lru_channel::covert::{percent_ones_noisy, CovertConfig, Sharing, Variant};
+use lru_leak::exec_sim::sched::Engine;
+use lru_leak::lru_channel::covert::{
+    percent_ones, CoRunner, CovertConfig, PercentOnesOpts, Sharing, Variant,
+};
 use lru_leak::lru_channel::decode::{self, BitConvention};
 use lru_leak::lru_channel::edit_distance::error_rate;
 use lru_leak::lru_channel::noise::NoiseModel;
@@ -25,6 +28,7 @@ fn alg2_error(noise: NoiseModel, seed: u64) -> f64 {
         sharing: Sharing::HyperThreaded,
         message: msg.clone(),
         seed,
+        engine: Engine::FastForward,
     };
     let mut machine = Machine::new(cfg.platform.arch, PolicyKind::TreePlru, seed);
     let run = cfg.run_on_with_noise(&mut machine, noise).unwrap();
@@ -64,6 +68,7 @@ fn noise_none_is_byte_identical_to_the_two_thread_path() {
         sharing: Sharing::HyperThreaded,
         message: msg,
         seed: 7,
+        engine: Engine::FastForward,
     };
     let mut m1 = Machine::new(cfg.platform.arch, PolicyKind::TreePlru, 7);
     let mut m2 = Machine::new(cfg.platform.arch, PolicyKind::TreePlru, 7);
@@ -91,6 +96,7 @@ fn noisy_runs_are_deterministic_per_seed() {
             sharing: Sharing::HyperThreaded,
             message: vec![true; 12],
             seed,
+            engine: Engine::FastForward,
         };
         let mut m = Machine::new(cfg.platform.arch, PolicyKind::TreePlru, seed);
         cfg.run_on_with_noise(&mut m, noise)
@@ -105,7 +111,6 @@ fn noisy_runs_are_deterministic_per_seed() {
 
 #[test]
 fn percent_ones_noisy_none_delegates_and_noise_perturbs() {
-    use lru_leak::lru_channel::covert::percent_ones;
     let platform = Platform::e5_2690();
     let params = ChannelParams {
         d: 8,
@@ -113,46 +118,23 @@ fn percent_ones_noisy_none_delegates_and_noise_perturbs() {
         ts: 100_000_000,
         tr: 100_000_000,
     };
-    let clean = percent_ones(platform, params, Variant::SharedMemory, true, 12, 5).unwrap();
-    let delegated = percent_ones_noisy(
-        platform,
-        params,
-        Variant::SharedMemory,
-        true,
-        12,
-        NoiseModel::None,
-        5,
-    )
-    .unwrap();
+    let run = |co_runner| {
+        let opts = PercentOnesOpts {
+            co_runner,
+            ..PercentOnesOpts::default()
+        };
+        percent_ones(platform, params, Variant::SharedMemory, true, 12, 5, opts).unwrap()
+    };
+    let clean = run(CoRunner::None);
+    let delegated = run(CoRunner::Model(NoiseModel::None));
     assert_eq!(clean, delegated, "None must take the exact clean path");
-    let noisy = percent_ones_noisy(
-        platform,
-        params,
-        Variant::SharedMemory,
-        true,
-        12,
-        NoiseModel::RandomEviction {
-            lines: 512,
-            gap_cycles: 40,
-        },
-        5,
-    )
-    .unwrap();
+    let noise = CoRunner::Model(NoiseModel::RandomEviction {
+        lines: 512,
+        gap_cycles: 40,
+    });
     assert_eq!(
-        noisy,
-        percent_ones_noisy(
-            platform,
-            params,
-            Variant::SharedMemory,
-            true,
-            12,
-            NoiseModel::RandomEviction {
-                lines: 512,
-                gap_cycles: 40,
-            },
-            5,
-        )
-        .unwrap(),
+        run(noise),
+        run(noise),
         "noisy percent-ones must be deterministic"
     );
 }

@@ -115,7 +115,7 @@ proptest! {
                 quantum: 500,
                 quantum_jitter: 100,
                 switch_cost: 20,
-                seed,
+                ..TimeSliced::new(seed)
             }
             .run(&mut m, &mut threads, u64::MAX / 4)
         } else {

@@ -305,6 +305,25 @@ fn corrupt_cache_entries_are_recomputed_not_trusted() {
     let _ = std::fs::remove_dir_all(&dir2);
 }
 
+#[test]
+fn a_non_utf8_cache_entry_counts_as_corrupt_not_a_miss() {
+    let dir = tmp_dir("non-utf8");
+    let cache = ResultCache::open(&dir).unwrap();
+    let sc = &Job::from_artifact(registry::get("fig5").unwrap(), &opts()).grid[0];
+    cache.store(sc, &Value::from(1u64)).unwrap();
+    assert!(cache.contains(sc));
+    std::fs::write(dir.join(ResultCache::entry_name(sc)), [0xff; 64]).unwrap();
+    assert!(!cache.contains(sc), "garbage bytes must not verify");
+    assert_eq!(cache.lookup(sc), None);
+    let stats = cache.stats();
+    assert_eq!(
+        (stats.hits, stats.misses, stats.corrupt_recovered),
+        (0, 0, 1),
+        "an unreadable entry that exists is corrupt, not absent"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 // ---- satellite: exit codes through the CLI ----
 
 #[test]

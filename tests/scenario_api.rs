@@ -311,13 +311,18 @@ fn unknown_artifact_ids_exit_nonzero_with_a_message() {
 #[test]
 fn malformed_adhoc_json_exits_nonzero_with_a_message() {
     // Truncated JSON, valid JSON of the wrong shape, an unknown
-    // enum value, a geometry violation, and a missing @file: every
-    // one is a clean error, not a panic.
+    // enum value, a geometry violation, a missing @file and a 2 MiB
+    // @file (over the wire's frame cap): every one is a clean error,
+    // not a panic.
+    let big = std::env::temp_dir().join(format!("lru-leak-big-{}.json", std::process::id()));
+    std::fs::write(&big, vec![b' '; 2 << 20]).unwrap();
+    let big_arg = format!("@{}", big.display());
     for (bad, needle) in [
         (r#"{"platform":"#, "cannot parse"),
         ("[1,2,3]", "platform"),
         (r#"{"platform":"z80"}"#, "platform"),
         ("@/no/such/file.json", "cannot read"),
+        (big_arg.as_str(), "byte scenario cap"),
     ] {
         let err = cli(&["adhoc", bad, "--json"]).unwrap_err();
         assert_eq!(err.code, 1, "adhoc {bad:?} must exit 1");
@@ -327,6 +332,7 @@ fn malformed_adhoc_json_exits_nonzero_with_a_message() {
             err.message
         );
     }
+    let _ = std::fs::remove_file(&big);
     // A structurally valid scenario that violates cache geometry.
     let mut sc = Scenario::builder()
         .message(MessageSource::Alternating { bits: 4 })

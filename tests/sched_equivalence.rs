@@ -19,58 +19,33 @@
 //!   counters and per-op results under `reference` and the fast
 //!   engine, for both sharing models, including fast-forward-eligible
 //!   paced co-runners.
+//!
+//! Every run names its engine, which travels with the scheduler
+//! value, so these tests share no state and run in parallel.
 
 mod oracle;
-
-use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use lru_leak::cache_sim::profiles::MicroArch;
 use lru_leak::cache_sim::replacement::PolicyKind;
 use lru_leak::exec_sim::machine::Machine;
 use lru_leak::exec_sim::noise::RandomTouches;
 use lru_leak::exec_sim::program::{Op, Script};
-use lru_leak::exec_sim::sched::{
-    self, reference, Engine, HyperThreaded, SchedulerReport, ThreadHandle, TimeSliced,
-};
+use lru_leak::exec_sim::sched::{Engine, HyperThreaded, SchedulerReport, ThreadHandle, TimeSliced};
 use lru_leak::exec_sim::LatencyProbe;
 use lru_leak::exec_sim::TscModel;
-use lru_leak::lru_channel::covert::{percent_ones, percent_ones_noisy, Variant};
+use lru_leak::lru_channel::covert::{percent_ones, CoRunner, PercentOnesOpts, Variant};
 use lru_leak::lru_channel::noise::NoiseModel;
 use lru_leak::lru_channel::params::{ChannelParams, Platform};
 use lru_leak::scenario::registry::{self, RunOpts};
 use proptest::prelude::*;
 
-/// The engine selector is process-global; tests that flip it
-/// serialize on this lock and restore the default when done.
-static ENGINE_LOCK: Mutex<()> = Mutex::new(());
-
-struct EngineGuard<'a>(#[allow(dead_code)] MutexGuard<'a, ()>);
-
-impl EngineGuard<'_> {
-    fn lock() -> EngineGuard<'static> {
-        EngineGuard(ENGINE_LOCK.lock().unwrap_or_else(PoisonError::into_inner))
-    }
-}
-
-impl Drop for EngineGuard<'_> {
-    fn drop(&mut self) {
-        sched::set_engine(Engine::FastForward);
-    }
-}
-
-/// Runs `f` under each engine and returns (fast, reference) results.
-fn under_both_engines<T>(mut f: impl FnMut() -> T) -> (T, T) {
-    sched::set_engine(Engine::FastForward);
-    let fast = f();
-    sched::set_engine(Engine::Reference);
-    let refr = f();
-    sched::set_engine(Engine::FastForward);
-    (fast, refr)
+/// Runs `f` on each engine and returns (fast, reference) results.
+fn on_both_engines<T>(f: impl Fn(Engine) -> T) -> (T, T) {
+    (f(Engine::FastForward), f(Engine::Reference))
 }
 
 #[test]
 fn every_registry_artifact_is_engine_invariant() {
-    let _guard = EngineGuard::lock();
     let opts = RunOpts {
         trials: Some(1),
         seed: 0xe4e4_5eed,
@@ -79,7 +54,7 @@ fn every_registry_artifact_is_engine_invariant() {
         let artifact = registry::get(id).unwrap();
         // The buffered oracle is sequential, so the comparison is
         // pure engine behaviour, independent of the worker pool.
-        let (fast, refr) = under_both_engines(|| oracle::run_artifact(artifact, &opts));
+        let (fast, refr) = on_both_engines(|engine| oracle::run_artifact(artifact, &opts, engine));
         assert_eq!(
             fast.text, refr.text,
             "{id}: fast-forward text differs from the reference interpreter"
@@ -96,7 +71,6 @@ fn every_registry_artifact_is_engine_invariant() {
 /// workload the fast-forward engine was built for.
 #[test]
 fn timesliced_percent_ones_is_engine_invariant_at_natural_periods() {
-    let _guard = EngineGuard::lock();
     let platform = Platform::e5_2690();
     for (target_set, bit, seed) in [(0usize, false, 5u64), (0, true, 5), (32, true, 9)] {
         let params = ChannelParams {
@@ -105,8 +79,12 @@ fn timesliced_percent_ones_is_engine_invariant_at_natural_periods() {
             ts: 100_000_000,
             tr: 100_000_000,
         };
-        let (fast, refr) = under_both_engines(|| {
-            percent_ones(platform, params, Variant::SharedMemory, bit, 25, seed).unwrap()
+        let (fast, refr) = on_both_engines(|engine| {
+            let opts = PercentOnesOpts {
+                engine,
+                ..PercentOnesOpts::default()
+            };
+            percent_ones(platform, params, Variant::SharedMemory, bit, 25, seed, opts).unwrap()
         });
         assert_eq!(
             fast, refr,
@@ -120,7 +98,6 @@ fn timesliced_percent_ones_is_engine_invariant_at_natural_periods() {
 /// tight loop — both must reproduce the interpreter exactly.
 #[test]
 fn noisy_percent_ones_is_engine_invariant() {
-    let _guard = EngineGuard::lock();
     let platform = Platform::e5_2690();
     let params = ChannelParams {
         d: 8,
@@ -148,9 +125,13 @@ fn noisy_percent_ones_is_engine_invariant() {
         NoiseModel::Bernoulli { p: 0.6, lines: 4 },
     ] {
         for bit in [false, true] {
-            let (fast, refr) = under_both_engines(|| {
-                percent_ones_noisy(platform, params, Variant::SharedMemory, bit, 20, noise, 11)
-                    .unwrap()
+            let (fast, refr) = on_both_engines(|engine| {
+                let opts = PercentOnesOpts {
+                    co_runner: CoRunner::Model(noise),
+                    engine,
+                    ..PercentOnesOpts::default()
+                };
+                percent_ones(platform, params, Variant::SharedMemory, bit, 20, 11, opts).unwrap()
             });
             assert_eq!(
                 fast,
@@ -179,6 +160,22 @@ enum SchedCfg {
     Ht(HyperThreaded),
 }
 
+impl SchedCfg {
+    /// Runs the configured scheduler on `engine`.
+    fn run(
+        &self,
+        engine: Engine,
+        machine: &mut Machine,
+        handles: &mut [ThreadHandle<'_>],
+        limit: u64,
+    ) -> SchedulerReport {
+        match self.clone() {
+            SchedCfg::Ts(cfg) => cfg.with_engine(engine).run(machine, handles, limit),
+            SchedCfg::Ht(cfg) => cfg.with_engine(engine).run(machine, handles, limit),
+        }
+    }
+}
+
 /// Builds a machine plus per-thread scripts from op blueprints, runs
 /// one engine over them and returns the observables. Processes are
 /// created deterministically, thread 0 carries a probe (so
@@ -188,7 +185,7 @@ fn observe_scripts(
     blueprints: &[Vec<(u8, u32)>],
     sched_cfg: &SchedCfg,
     limit: u64,
-    use_reference: bool,
+    engine: Engine,
 ) -> Observed {
     let mut machine = Machine::new(MicroArch::sandy_bridge_e5_2690(), PolicyKind::TreePlru, 77);
     let mut pids = Vec::new();
@@ -234,16 +231,7 @@ fn observe_scripts(
                 }
             })
             .collect();
-        match (sched_cfg, use_reference) {
-            (SchedCfg::Ts(cfg), true) => {
-                reference::run_time_sliced(cfg, &mut machine, &mut handles, limit)
-            }
-            (SchedCfg::Ts(cfg), false) => cfg.run(&mut machine, &mut handles, limit),
-            (SchedCfg::Ht(cfg), true) => {
-                reference::run_hyper_threaded(cfg, &mut machine, &mut handles, limit)
-            }
-            (SchedCfg::Ht(cfg), false) => cfg.run(&mut machine, &mut handles, limit),
-        }
+        sched_cfg.run(engine, &mut machine, &mut handles, limit)
     };
     Observed {
         report,
@@ -258,7 +246,7 @@ fn observe_paced(
     threads: &[(u64, u64, u32)], // (first_line, lines, gap)
     sched_cfg: &SchedCfg,
     limit: u64,
-    use_reference: bool,
+    engine: Engine,
 ) -> (
     SchedulerReport,
     Vec<lru_leak::cache_sim::counters::PerfCounters>,
@@ -284,16 +272,7 @@ fn observe_paced(
             .enumerate()
             .map(|(t, p)| ThreadHandle::new(pids[t], p))
             .collect();
-        match (sched_cfg, use_reference) {
-            (SchedCfg::Ts(cfg), true) => {
-                reference::run_time_sliced(cfg, &mut machine, &mut handles, limit)
-            }
-            (SchedCfg::Ts(cfg), false) => cfg.run(&mut machine, &mut handles, limit),
-            (SchedCfg::Ht(cfg), true) => {
-                reference::run_hyper_threaded(cfg, &mut machine, &mut handles, limit)
-            }
-            (SchedCfg::Ht(cfg), false) => cfg.run(&mut machine, &mut handles, limit),
-        }
+        sched_cfg.run(engine, &mut machine, &mut handles, limit)
     };
     (report, pids.iter().map(|&p| *machine.counters(p)).collect())
 }
@@ -323,8 +302,8 @@ proptest! {
             seed,
         ).expect("valid timing"));
         let limit = 60_000;
-        let fast = observe_scripts(&blueprints, &cfg, limit, false);
-        let refr = observe_scripts(&blueprints, &cfg, limit, true);
+        let fast = observe_scripts(&blueprints, &cfg, limit, Engine::FastForward);
+        let refr = observe_scripts(&blueprints, &cfg, limit, Engine::Reference);
         prop_assert_eq!(fast, refr);
     }
 
@@ -336,10 +315,13 @@ proptest! {
         jitter in 0u32..4,
         seed in 0u64..=u64::MAX,
     ) {
-        let cfg = SchedCfg::Ht(HyperThreaded { jitter, seed });
+        let cfg = SchedCfg::Ht(HyperThreaded {
+            jitter,
+            ..HyperThreaded::new(seed)
+        });
         let limit = 60_000;
-        let fast = observe_scripts(&blueprints, &cfg, limit, false);
-        let refr = observe_scripts(&blueprints, &cfg, limit, true);
+        let fast = observe_scripts(&blueprints, &cfg, limit, Engine::FastForward);
+        let refr = observe_scripts(&blueprints, &cfg, limit, Engine::Reference);
         prop_assert_eq!(fast, refr);
     }
 
@@ -364,8 +346,8 @@ proptest! {
             .map(|(first, lines, gap)| (first.min(63), lines.min(64 - first.min(63)), gap))
             .collect();
         let limit = 400_000;
-        let fast = observe_paced(&shapes, &cfg, limit, false);
-        let refr = observe_paced(&shapes, &cfg, limit, true);
+        let fast = observe_paced(&shapes, &cfg, limit, Engine::FastForward);
+        let refr = observe_paced(&shapes, &cfg, limit, Engine::Reference);
         prop_assert_eq!(fast, refr);
     }
 }

@@ -11,6 +11,7 @@
 
 mod oracle;
 
+use lru_leak::exec_sim::sched;
 use lru_leak::lru_channel::trials::RunCtrl;
 use lru_leak::scenario::aggregate::{KeyHistogram, ScalarStats};
 use lru_leak::scenario::registry::{self, RunOpts};
@@ -34,7 +35,7 @@ fn every_artifact_streams_bit_identical_to_the_buffered_path() {
     };
     for id in registry::ids() {
         let artifact = registry::get(id).unwrap();
-        let reference = oracle::run_artifact(artifact, &opts);
+        let reference = oracle::run_artifact(artifact, &opts, sched::Engine::FastForward);
         for workers in [1usize, 4, 8] {
             let (streamed, _) = Engine::new()
                 .with_workers(workers)
@@ -72,7 +73,7 @@ fn plru_scenario(trials: usize) -> Scenario {
 #[test]
 fn scenario_run_matches_the_buffered_oracle_per_worker_count() {
     let sc = plru_scenario(97); // not a multiple of any chunk size
-    let reference = oracle::run_scenario(&sc);
+    let reference = oracle::run_scenario(&sc, sched::Engine::FastForward);
     for workers in [1usize, 4, 8] {
         assert_eq!(
             sc.run_ctrl(&on(workers)).unwrap().to_string(),
@@ -109,7 +110,7 @@ fn streaming_reducers_are_worker_count_invariant() {
 #[test]
 fn summary_aggregate_agrees_with_the_buffered_trials() {
     let sc = plru_scenario(64);
-    let buffered = oracle::run_scenario(&sc);
+    let buffered = oracle::run_scenario(&sc, sched::Engine::FastForward);
     let trials = buffered.as_arr().expect("trials array");
     let count = trials
         .iter()

@@ -202,6 +202,7 @@ fn channel_generalizes_to_a_16_way_cache() {
     // hard-coded to the paper's 8-way parts: build a hypothetical
     // 16-way/32-set L1D and run Algorithm 1 end to end.
     use lru_leak::cache_sim::geometry::CacheGeometry;
+    use lru_leak::exec_sim::sched::Engine;
     use lru_leak::lru_channel::covert::{CovertConfig, Sharing, Variant};
     use lru_leak::lru_channel::decode::{self, BitConvention};
     use lru_leak::lru_channel::params::ChannelParams;
@@ -227,6 +228,7 @@ fn channel_generalizes_to_a_16_way_cache() {
         sharing: Sharing::HyperThreaded,
         message: message.clone(),
         seed: 80,
+        engine: Engine::FastForward,
     }
     .run_on(&mut machine)
     .unwrap();

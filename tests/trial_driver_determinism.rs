@@ -3,7 +3,7 @@
 //! seed derived from it), never on scheduling, worker count or
 //! completion order.
 
-use lru_leak::lru_channel::covert::{percent_ones_grid, GridPoint, Variant};
+use lru_leak::lru_channel::covert::{percent_ones, PercentOnesOpts, Variant};
 use lru_leak::lru_channel::params::{ChannelParams, Platform};
 use lru_leak::lru_channel::trials::{derive_seed, fold_chunk_size, run_trials_fold_ctrl, RunCtrl};
 
@@ -24,23 +24,22 @@ fn on(workers: usize) -> RunCtrl<'static> {
     RunCtrl::new().with_workers(workers)
 }
 
-/// A small but real grid: every point runs the full time-sliced
-/// channel simulation (machine, scheduler, probe).
-fn small_grid() -> Vec<GridPoint> {
+/// A small but real grid of `(params, bit, seed)` points: every
+/// point runs the full time-sliced channel simulation (machine,
+/// scheduler, probe).
+fn small_grid() -> Vec<(ChannelParams, bool, u64)> {
     let mut points = Vec::new();
     for bit in [false, true] {
         for d in [4usize, 8] {
             let tr = 2_000_000u64;
-            points.push(GridPoint {
-                params: ChannelParams {
-                    d,
-                    target_set: 0,
-                    ts: tr,
-                    tr,
-                },
-                bit,
-                seed: derive_seed(0xf1e6, (d as u64) << 1 | u64::from(bit)),
-            });
+            let params = ChannelParams {
+                d,
+                target_set: 0,
+                ts: tr,
+                tr,
+            };
+            let seed = derive_seed(0xf1e6, (d as u64) << 1 | u64::from(bit));
+            points.push((params, bit, seed));
         }
     }
     points
@@ -50,23 +49,15 @@ fn small_grid() -> Vec<GridPoint> {
 fn parallel_grid_matches_sequential_grid() {
     let platform = Platform::e5_2690();
     let points = small_grid();
+    let point = |i: usize| {
+        let (params, bit, seed) = points[i];
+        let opts = PercentOnesOpts::default();
+        percent_ones(platform, params, Variant::SharedMemory, bit, 12, seed, opts).unwrap()
+    };
     // Sequential oracle: map the same closure in index order on one
     // thread.
-    let seq: Vec<f64> = points
-        .iter()
-        .map(|p| {
-            lru_leak::lru_channel::covert::percent_ones(
-                platform,
-                p.params,
-                Variant::SharedMemory,
-                p.bit,
-                12,
-                p.seed,
-            )
-            .unwrap()
-        })
-        .collect();
-    let par = percent_ones_grid(platform, Variant::SharedMemory, &points, 12).unwrap();
+    let seq: Vec<f64> = (0..points.len()).map(point).collect();
+    let par = collect(&on(4), points.len(), point);
     assert_eq!(
         seq, par,
         "parallel grid must be bit-identical to sequential"
