@@ -37,8 +37,10 @@
 use crate::addr::PhysAddr;
 use crate::cache::{AccessOutcome, CacheStats};
 use crate::geometry::CacheGeometry;
-use crate::replacement::packed::ReplPolicy;
-use crate::replacement::{Domain, PolicyKind, WayMask};
+use crate::replacement::packed::{random_streams, ReplPolicy};
+use crate::replacement::{Domain, PolicyKind};
+use crate::storage::{find_in_row, row_access};
+use rand::rngs::SmallRng;
 
 /// `K` independent caches of one level in lane-major SoA form.
 ///
@@ -65,13 +67,15 @@ pub struct BatchCache {
     /// Words per `(lane, set)` record: `ways` tags + 1 valid word +
     /// the policy's replacement-state words.
     rec: usize,
-    full_mask: u64,
     /// Lane-major records: `data[(lane * sets + set) * rec ..][..rec]`
     /// is `[tags 0..ways | valid | repl row]`.
     data: Vec<u64>,
-    /// Per-lane policy logic (Random keeps per-set generator streams
-    /// seeded exactly like a scalar cache with the lane's seed).
-    policies: Vec<ReplPolicy>,
+    /// Policy logic, shared by every lane.
+    policy: ReplPolicy,
+    /// Random's per-`(lane, set)` generators, lane-major and seeded
+    /// exactly like a scalar cache with the lane's seed (empty for
+    /// every other policy).
+    rngs: Vec<SmallRng>,
     stats: Vec<CacheStats>,
 }
 
@@ -97,11 +101,11 @@ impl BatchCache {
             ways,
             sets,
             rec,
-            full_mask: WayMask::all(ways).bits(),
             data: vec![0; lanes * sets * rec],
-            policies: lane_seeds
+            policy: ReplPolicy::new(kind, ways),
+            rngs: lane_seeds
                 .iter()
-                .map(|&seed| ReplPolicy::new(kind, sets, ways, seed))
+                .flat_map(|&seed| random_streams(kind, sets, seed))
                 .collect(),
             stats: vec![CacheStats::default(); lanes],
         }
@@ -141,53 +145,36 @@ impl BatchCache {
     ) -> AccessOutcome {
         debug_assert!(lane < self.lanes, "lane {lane} out of range");
         let (set, tag) = self.locate(pa);
-        self.stats[lane].accesses += 1;
-        let ways = self.ways;
         // One record read covers the whole access: tags, valid mask
         // and replacement row travel together.
-        let base = (lane * self.sets + set) * self.rec;
-        let rec = &mut self.data[base..base + self.rec];
-        let (row, rest) = rec.split_at_mut(ways);
-        let (valid_word, repl) = rest.split_at_mut(1);
-        let valid = valid_word[0];
-        let mut m = 0u64;
-        for (w, &t) in row.iter().enumerate() {
-            m |= u64::from(t == tag) << w;
-        }
-        m &= valid;
-        if m != 0 {
-            let w = m.trailing_zeros() as usize;
-            self.policies[lane].on_access(repl, ways, self.full_mask, w, domain);
-            return AccessOutcome {
-                hit: true,
-                set,
-                way: w,
-                evicted: None,
-            };
-        }
-        // Miss: lowest invalid way, else the policy's victim —
-        // exactly `SoaStore::demand_access`.
-        let free = !valid & self.full_mask;
-        let (way, evicted_tag) = if free != 0 {
-            (free.trailing_zeros() as usize, None)
-        } else {
-            let w = self.policies[lane].victim_full(set, repl, ways, domain);
-            (w, Some(row[w]))
-        };
-        row[way] = tag;
-        valid_word[0] = valid | (1 << way);
-        self.policies[lane].on_fill(repl, ways, self.full_mask, way, domain);
+        let idx = lane * self.sets + set;
+        let rec = &mut self.data[idx * self.rec..(idx + 1) * self.rec];
+        let found = find_in_row(&rec[..self.ways], rec[self.ways], tag);
+        let out = row_access(
+            &self.policy,
+            self.rngs.get_mut(idx),
+            rec,
+            self.ways,
+            tag,
+            found,
+            domain,
+        );
         let st = &mut self.stats[lane];
-        st.misses += 1;
-        st.fills += 1;
-        if evicted_tag.is_some() {
-            st.evictions += 1;
+        st.accesses += 1;
+        if !out.hit {
+            st.misses += 1;
+            st.fills += 1;
+            if out.evicted_tag.is_some() {
+                st.evictions += 1;
+            }
         }
         AccessOutcome {
-            hit: false,
+            hit: out.hit,
             set,
-            way,
-            evicted: evicted_tag.map(|t| PhysAddr::new(self.geom.line_addr(t, set))),
+            way: out.way,
+            evicted: out
+                .evicted_tag
+                .map(|t| PhysAddr::new(self.geom.line_addr(t, set))),
         }
     }
 
@@ -219,17 +206,11 @@ impl BatchCache {
     pub fn way_of_lane(&self, lane: usize, pa: PhysAddr) -> Option<usize> {
         let (set, tag) = self.locate(pa);
         let base = (lane * self.sets + set) * self.rec;
-        let row = &self.data[base..base + self.ways];
-        let mut m = 0u64;
-        for (w, &t) in row.iter().enumerate() {
-            m |= u64::from(t == tag) << w;
-        }
-        m &= self.data[base + self.ways];
-        if m != 0 {
-            Some(m.trailing_zeros() as usize)
-        } else {
-            None
-        }
+        find_in_row(
+            &self.data[base..base + self.ways],
+            self.data[base + self.ways],
+            tag,
+        )
     }
 
     /// Invalidates `pa`'s line in `lane` (a `clflush` at this level).

@@ -17,6 +17,9 @@
 //! * [`batch`] — the same level replicated K times in lane-major
 //!   SoA form ([`batch::BatchCache`]) so lockstep trial drivers can
 //!   step a whole batch of independent trials per cache operation.
+//! * [`one_set`] — one set of that cache as an allocation-free value
+//!   ([`one_set::OneSet`]), for studies that replay short sequences
+//!   against a single set (the Table I study).
 //! * [`reference`](mod@reference) — the original array-of-structs layout
 //!   ([`reference::RefCache`]), retained as the equivalence oracle
 //!   and performance baseline for the flat layout.
@@ -79,6 +82,7 @@ pub mod counters;
 pub mod geometry;
 pub mod hierarchy;
 pub mod line;
+pub mod one_set;
 pub mod plcache;
 pub mod prefetcher;
 pub mod profiles;

@@ -15,15 +15,17 @@
 //!   geometry up to 64 ways representable);
 //! * true LRU and FIFO — one clock word followed by `ways` stamp
 //!   words;
-//! * Random — no words at all (one generator per set lives in
-//!   [`ReplPolicy`], seeded exactly like the per-set
-//!   [`super::RandomRepl`] so victim streams are bit-identical to
-//!   the reference layout).
+//! * Random — no words at all (the owner keeps one generator per
+//!   set, built by [`random_streams`] and seeded exactly like the
+//!   per-set [`super::RandomRepl`] so victim streams are
+//!   bit-identical to the reference layout, and lends it to the
+//!   victim search).
 //!
-//! [`ReplPolicy`] holds the policy *logic* plus whatever is shared
-//! across sets (Tree-PLRU touch masks and victim table, the Random
-//! generators); every update and victim search mirrors the
-//! corresponding [`super::SetReplacement`] implementation exactly.
+//! [`ReplPolicy`] holds the policy *logic* plus the read-only tables
+//! shared by every cache of a width (Tree-PLRU touch masks and victim
+//! table, computed at compile time); it allocates nothing and is
+//! `Copy`. Every update and victim search mirrors the corresponding
+//! [`super::SetReplacement`] implementation exactly.
 //! The `layout_equivalence` suite replays long random traces through
 //! both layouts and asserts identical outcomes.
 
@@ -41,38 +43,94 @@ pub(crate) fn set_seed(seed: u64, set: u64) -> u64 {
     seed ^ set.wrapping_mul(0x9e37_79b9)
 }
 
-/// Precomputed Tree-PLRU root-path update masks: touching way `w`
+/// Tree-PLRU root-path update masks for `W` ways: touching way `w`
 /// becomes `tree = (tree & !masks[w][0]) | masks[w][1]`. The pair is
 /// stored adjacently so one touch reads one cache line.
-#[derive(Debug, Clone)]
+const fn tree_touch_masks<const W: usize>() -> [[u64; 2]; W] {
+    let mut masks = [[0u64; 2]; W];
+    let mut w = 0;
+    while w < W {
+        let mut node = 0usize;
+        let mut lo = 0usize;
+        let mut size = W;
+        while size > 1 {
+            let half = size / 2;
+            masks[w][0] |= 1 << node;
+            if w < lo + half {
+                // Accessed way in the left subtree: point the node
+                // right.
+                masks[w][1] |= 1 << node;
+                node = 2 * node + 1;
+            } else {
+                node = 2 * node + 2;
+                lo += half;
+            }
+            size = half;
+        }
+        w += 1;
+    }
+    masks
+}
+
+/// Victim of every possible tree state of a `W`-way tree (`N` =
+/// `2^(W-1)` states).
+const fn tree_victim_table<const W: usize, const N: usize>() -> [u8; N] {
+    let mut tbl = [0u8; N];
+    let mut tree = 0;
+    while tree < N {
+        tbl[tree] = tree_walk(tree as u64, W) as u8;
+        tree += 1;
+    }
+    tbl
+}
+
+/// The touch masks of a power-of-two way count, computed at compile
+/// time for every supported width.
+fn touch_masks(ways: usize) -> &'static [[u64; 2]] {
+    macro_rules! by_ways {
+        ($($w:literal)*) => {
+            match ways {
+                $($w => {
+                    static MASKS: [[u64; 2]; $w] = tree_touch_masks::<$w>();
+                    &MASKS
+                })*
+                _ => unreachable!("Tree-PLRU way count {ways} is not a power of two <= 64"),
+            }
+        };
+    }
+    by_ways!(1 2 4 8 16 32 64)
+}
+
+/// The victim table of a power-of-two way count: one entry per tree
+/// state for `ways <= 8` (at most 128), empty above — the walk is
+/// used instead.
+fn victim_table(ways: usize) -> &'static [u8] {
+    static V1: [u8; 1] = tree_victim_table::<1, 1>();
+    static V2: [u8; 2] = tree_victim_table::<2, 2>();
+    static V4: [u8; 8] = tree_victim_table::<4, 8>();
+    static V8: [u8; 128] = tree_victim_table::<8, 128>();
+    match ways {
+        1 => &V1,
+        2 => &V2,
+        4 => &V4,
+        8 => &V8,
+        _ => &[],
+    }
+}
+
+/// Precomputed Tree-PLRU root-path update masks (a compile-time
+/// table shared by every cache of the same width).
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct TreeTouch {
     /// `[clear, set]` word pair per way.
-    masks: Vec<[u64; 2]>,
+    masks: &'static [[u64; 2]],
 }
 
 impl TreeTouch {
     fn new(ways: usize) -> Self {
-        let mut masks = vec![[0u64; 2]; ways];
-        for (w, m) in masks.iter_mut().enumerate() {
-            let mut node = 0usize;
-            let mut lo = 0usize;
-            let mut size = ways;
-            while size > 1 {
-                let half = size / 2;
-                m[0] |= 1 << node;
-                if w < lo + half {
-                    // Accessed way in the left subtree: point the
-                    // node right.
-                    m[1] |= 1 << node;
-                    node = 2 * node + 1;
-                } else {
-                    node = 2 * node + 2;
-                    lo += half;
-                }
-                size = half;
-            }
+        Self {
+            masks: touch_masks(ways),
         }
-        Self { masks }
     }
 
     /// Applies the touch of `way` to a tree word.
@@ -83,21 +141,9 @@ impl TreeTouch {
     }
 }
 
-/// Victim of every possible tree state, for small way counts
-/// (`ways <= 8` ⇒ at most 128 entries).
-fn build_victim_tbl(ways: usize) -> Vec<u8> {
-    if ways > 8 {
-        return Vec::new();
-    }
-    let states = 1usize << (ways - 1);
-    (0..states as u64)
-        .map(|tree| tree_walk(tree, ways) as u8)
-        .collect()
-}
-
 /// The read-only Tree-PLRU victim walk with every way allowed.
 #[inline]
-fn tree_walk(tree: u64, ways: usize) -> usize {
+const fn tree_walk(tree: u64, ways: usize) -> usize {
     let mut node = 0usize;
     let mut lo = 0usize;
     let mut size = ways;
@@ -114,12 +160,24 @@ fn tree_walk(tree: u64, ways: usize) -> usize {
     lo
 }
 
+/// The per-set Random generators of `sets` sets (empty for every
+/// other policy): set `s` draws from `set_seed(seed, s)`.
+pub(crate) fn random_streams(kind: PolicyKind, sets: usize, seed: u64) -> Vec<SmallRng> {
+    if kind != PolicyKind::Random {
+        return Vec::new();
+    }
+    (0..sets)
+        .map(|s| SmallRng::seed_from_u64(set_seed(seed, s as u64)))
+        .collect()
+}
+
 /// Replacement-policy logic over per-set state words.
 ///
-/// The state words themselves live in the owning
-/// [`crate::storage::SoaStore`] rows and are passed in as `repl`
-/// slices; see the module docs for the per-policy word layout.
-#[derive(Debug, Clone)]
+/// The state words themselves live in the owner's set rows and are
+/// passed in as `repl` slices; see the module docs for the per-policy
+/// word layout. Random's victim searches draw from the set's
+/// generator, which the owner passes in as `rng`.
+#[derive(Debug, Clone, Copy)]
 pub(crate) enum ReplPolicy {
     /// True LRU: `repl = [clock, age(way 0), .., age(way N-1)]`.
     Lru,
@@ -129,17 +187,14 @@ pub(crate) enum ReplPolicy {
         touch: TreeTouch,
         /// `victim_tbl[tree]` = victim way, for `ways <= 8`
         /// (empty otherwise — the walk is used instead).
-        victim_tbl: Vec<u8>,
+        victim_tbl: &'static [u8],
     },
     /// Bit-PLRU: `repl = [MRU bits]`.
     BitPlru,
     /// FIFO: `repl = [clock, stamp(way 0), .., stamp(way N-1)]`.
     Fifo,
-    /// Random: no state words; one generator per set.
-    Random {
-        /// Per-set generators.
-        rngs: Vec<SmallRng>,
-    },
+    /// Random: no state words; the owner lends the set's generator.
+    Random,
     /// DAWG-style partitioned Tree-PLRU: `repl = [packed half
     /// trees]` (primary half in the low 32 bits, secondary in the
     /// high 32).
@@ -150,7 +205,7 @@ pub(crate) enum ReplPolicy {
 }
 
 impl ReplPolicy {
-    /// Builds the policy logic for `sets` sets of `ways` ways.
+    /// Builds the policy logic for sets of `ways` ways.
     ///
     /// # Panics
     ///
@@ -158,7 +213,7 @@ impl ReplPolicy {
     /// `ways` must be in `1..=64`, and the Tree-PLRU variants need a
     /// power of two (the partitioned variant additionally needs
     /// `ways >= 2`).
-    pub(crate) fn new(kind: PolicyKind, sets: usize, ways: usize, seed: u64) -> Self {
+    pub(crate) fn new(kind: PolicyKind, ways: usize) -> Self {
         assert!(ways > 0 && ways <= 64, "ways must be in 1..=64");
         match kind {
             PolicyKind::Lru => ReplPolicy::Lru,
@@ -169,16 +224,12 @@ impl ReplPolicy {
                 );
                 ReplPolicy::TreePlru {
                     touch: TreeTouch::new(ways),
-                    victim_tbl: build_victim_tbl(ways),
+                    victim_tbl: victim_table(ways),
                 }
             }
             PolicyKind::BitPlru => ReplPolicy::BitPlru,
             PolicyKind::Fifo => ReplPolicy::Fifo,
-            PolicyKind::Random => ReplPolicy::Random {
-                rngs: (0..sets)
-                    .map(|s| SmallRng::seed_from_u64(set_seed(seed, s as u64)))
-                    .collect(),
-            },
+            PolicyKind::Random => ReplPolicy::Random,
             PolicyKind::PartitionedTreePlru => {
                 assert!(
                     ways >= 2 && ways.is_power_of_two(),
@@ -202,7 +253,7 @@ impl ReplPolicy {
     }
 
     /// Records a hit on `way` (`repl` = this set's state words).
-    #[inline]
+    #[inline(always)]
     pub(crate) fn on_access(
         &self,
         repl: &mut [u64],
@@ -230,7 +281,7 @@ impl ReplPolicy {
                 repl[0] = mru;
             }
             // FIFO state only changes on fills; Random has no state.
-            ReplPolicy::Fifo | ReplPolicy::Random { .. } => {}
+            ReplPolicy::Fifo | ReplPolicy::Random => {}
             ReplPolicy::PartitionedTreePlru { touch } => {
                 let half = ways / 2;
                 let (shift, local) = if way < half {
@@ -246,7 +297,7 @@ impl ReplPolicy {
     }
 
     /// Records that a new line was installed in `way`.
-    #[inline]
+    #[inline(always)]
     pub(crate) fn on_fill(
         &self,
         repl: &mut [u64],
@@ -261,7 +312,7 @@ impl ReplPolicy {
                 repl[0] += 1;
                 repl[1 + way] = repl[0];
             }
-            ReplPolicy::Random { .. } => {}
+            ReplPolicy::Random => {}
             _ => self.on_access(repl, ways, full_mask, way, domain),
         }
     }
@@ -271,10 +322,14 @@ impl ReplPolicy {
     ///
     /// Equivalent to `victim_among` with a full mask; partitioned
     /// policies still confine the victim to `domain`'s half.
-    #[inline]
+    ///
+    /// # Panics
+    ///
+    /// Panics if the policy is Random and `rng` is `None`.
+    #[inline(always)]
     pub(crate) fn victim_full(
-        &mut self,
-        set: usize,
+        &self,
+        rng: Option<&mut SmallRng>,
         repl: &[u64],
         ways: usize,
         domain: Domain,
@@ -293,9 +348,9 @@ impl ReplPolicy {
                 // The rollover invariant guarantees a clear bit.
                 (!repl[0] & WayMask::all(ways).bits()).trailing_zeros() as usize
             }
-            ReplPolicy::Random { rngs } => rngs[set].gen_range(0..ways),
+            ReplPolicy::Random => random_stream(rng).gen_range(0..ways),
             ReplPolicy::PartitionedTreePlru { .. } => {
-                self.victim_among(set, repl, ways, WayMask::all(ways), domain)
+                self.victim_among(rng, repl, ways, WayMask::all(ways), domain)
             }
         }
     }
@@ -305,11 +360,12 @@ impl ReplPolicy {
     /// # Panics
     ///
     /// Panics if `allowed` contains no way below `ways` — mirroring
-    /// [`super::assert_valid_victim_request`].
+    /// [`super::assert_valid_victim_request`] — or if the policy is
+    /// Random and `rng` is `None`.
     #[inline]
     pub(crate) fn victim_among(
-        &mut self,
-        set: usize,
+        &self,
+        rng: Option<&mut SmallRng>,
         repl: &[u64],
         ways: usize,
         allowed: WayMask,
@@ -331,8 +387,8 @@ impl ReplPolicy {
                     usable.first().expect("mask checked non-empty")
                 }
             }
-            ReplPolicy::Random { rngs } => {
-                let k = rngs[set].gen_range(0..usable.count());
+            ReplPolicy::Random => {
+                let k = random_stream(rng).gen_range(0..usable.count());
                 nth_way(usable, k)
             }
             ReplPolicy::PartitionedTreePlru { .. } => {
@@ -359,6 +415,12 @@ impl ReplPolicy {
             }
         }
     }
+}
+
+/// The set generator a Random victim search draws from.
+#[inline]
+fn random_stream(rng: Option<&mut SmallRng>) -> &mut SmallRng {
+    rng.expect("the Random policy draws from its set's generator")
 }
 
 /// Follows the LRU pointers from the root, detouring around subtrees
@@ -446,6 +508,7 @@ mod tests {
     /// storage rows do.
     struct Harness {
         policy: ReplPolicy,
+        rngs: Vec<SmallRng>,
         words: Vec<Vec<u64>>,
         ways: usize,
         full_mask: u64,
@@ -454,7 +517,8 @@ mod tests {
     impl Harness {
         fn new(kind: PolicyKind, sets: usize, ways: usize, seed: u64) -> Self {
             Self {
-                policy: ReplPolicy::new(kind, sets, ways, seed),
+                policy: ReplPolicy::new(kind, ways),
+                rngs: random_streams(kind, sets, seed),
                 words: vec![vec![0; ReplPolicy::words_per_set(kind, ways)]; sets],
                 ways,
                 full_mask: WayMask::all(ways).bits(),
@@ -472,9 +536,18 @@ mod tests {
         }
 
         fn victim(&mut self, set: usize, mask: WayMask, domain: Domain) -> usize {
-            let words = &self.words[set];
+            self.policy.victim_among(
+                self.rngs.get_mut(set),
+                &self.words[set],
+                self.ways,
+                mask,
+                domain,
+            )
+        }
+
+        fn victim_full(&mut self, set: usize, domain: Domain) -> usize {
             self.policy
-                .victim_among(set, words, self.ways, mask, domain)
+                .victim_full(self.rngs.get_mut(set), &self.words[set], self.ways, domain)
         }
     }
 
@@ -541,15 +614,8 @@ mod tests {
                 x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
                 h.touch(0, (x >> 40) as usize % ways, Domain::PRIMARY);
                 h.fill(0, (x >> 20) as usize % ways, Domain::PRIMARY);
-                let via_mask = {
-                    let words = &h.words[0];
-                    let mut p = h.policy.clone();
-                    p.victim_among(0, words, ways, WayMask::all(ways), Domain::PRIMARY)
-                };
-                let fast = {
-                    let words = &h.words[0];
-                    h.policy.victim_full(0, words, ways, Domain::PRIMARY)
-                };
+                let via_mask = h.victim(0, WayMask::all(ways), Domain::PRIMARY);
+                let fast = h.victim_full(0, Domain::PRIMARY);
                 assert_eq!(fast, via_mask, "{kind}: fast path diverged");
             }
         }
@@ -566,10 +632,7 @@ mod tests {
             .collect();
         for i in 0..200 {
             let set = i % 2;
-            let fast = {
-                let words = &h.words[set];
-                h.policy.victim_full(set, words, ways, Domain::PRIMARY)
-            };
+            let fast = h.victim_full(set, Domain::PRIMARY);
             let refv = reference[set].victim_among(WayMask::all(ways), Domain::PRIMARY);
             assert_eq!(fast, refv, "draw {i} diverged");
         }
@@ -592,6 +655,33 @@ mod tests {
         // 64th access rolls the generation over.
         h.touch(0, 63, Domain::PRIMARY);
         assert_eq!(h.victim(0, WayMask::all(64), Domain::PRIMARY), 0);
+    }
+
+    #[test]
+    fn compile_time_tree_tables_cover_every_width() {
+        for ways in [1usize, 2, 4, 8, 16, 32, 64] {
+            let masks = touch_masks(ways);
+            assert_eq!(masks.len(), ways);
+            let tbl = victim_table(ways);
+            if ways <= 8 {
+                assert_eq!(tbl.len(), 1 << (ways - 1));
+                for (tree, &v) in tbl.iter().enumerate() {
+                    assert_eq!(usize::from(v), tree_walk(tree as u64, ways));
+                }
+            } else {
+                assert!(tbl.is_empty(), "{ways} ways walk the tree instead");
+            }
+            // A touched way is never the next victim (the defining
+            // Tree-PLRU property), from any starting tree.
+            if ways > 1 {
+                let touch = TreeTouch::new(ways);
+                for start in [0u64, u64::MAX >> (65 - ways), 0x5555_5555_5555_5555] {
+                    for w in 0..ways {
+                        assert_ne!(tree_walk(touch.apply(start, w), ways), w, "{ways}-way");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -22,8 +22,9 @@
 //! `layout_equivalence` suite replays against this one.
 
 use crate::line::LineMeta;
-use crate::replacement::packed::ReplPolicy;
+use crate::replacement::packed::{random_streams, ReplPolicy};
 use crate::replacement::{Domain, PolicyKind, WayMask};
+use rand::rngs::SmallRng;
 
 /// Bitmask of ways whose stored tag equals `tag` (validity not yet
 /// applied). The 8-way shape — every cache in the paper — compiles
@@ -45,7 +46,74 @@ fn match_mask(tags: &[u64], tag: u64) -> u64 {
     }
 }
 
-/// Result of one fused [`SoaStore::demand_access`].
+/// The way of a set row's `tags` holding `tag` among the `valid`
+/// ways, if any.
+#[inline]
+pub(crate) fn find_in_row(tags: &[u64], valid: u64, tag: u64) -> Option<usize> {
+    let m = match_mask(tags, tag) & valid;
+    if m != 0 {
+        Some(m.trailing_zeros() as usize)
+    } else {
+        None
+    }
+}
+
+/// One fused demand access on a single set row
+/// `[tag(way 0) .. tag(way N-1) | valid mask | repl words]`, given
+/// `found`, the way already holding `tag` (if any): the replacement
+/// update on a hit, and on a miss the lowest invalid way (else the
+/// policy's full-mask victim) + install + `on_fill`.
+///
+/// Every row-based store — [`SoaStore`], [`crate::batch::BatchCache`]
+/// and [`crate::one_set::OneSet`] — runs its demand accesses through
+/// this one function; the first two find `found` with
+/// [`find_in_row`], the one-set kernel with its tag index. `rng` is
+/// the set's Random generator (`None` for every other policy).
+///
+/// Always inlined, so a caller with a constant way count (the
+/// one-set kernel) gets the victim search unrolled.
+#[inline(always)]
+pub(crate) fn row_access(
+    policy: &ReplPolicy,
+    rng: Option<&mut SmallRng>,
+    row: &mut [u64],
+    ways: usize,
+    tag: u64,
+    found: Option<usize>,
+    domain: Domain,
+) -> DemandOutcome {
+    // `ways` is in 1..=64, so the shift never overflows.
+    let full = u64::MAX >> (64 - ways);
+    let (tags, rest) = row.split_at_mut(ways);
+    let (valid_word, repl) = rest.split_first_mut().expect("row has a valid word");
+    let valid = *valid_word;
+    if let Some(w) = found {
+        policy.on_access(repl, ways, full, w, domain);
+        return DemandOutcome {
+            hit: true,
+            way: w,
+            evicted_tag: None,
+        };
+    }
+    // Miss: lowest invalid way, else the policy's victim.
+    let free = !valid & full;
+    let (way, evicted_tag) = if free != 0 {
+        (free.trailing_zeros() as usize, None)
+    } else {
+        let w = policy.victim_full(rng, repl, ways, domain);
+        (w, Some(tags[w]))
+    };
+    tags[way] = tag;
+    *valid_word = valid | (1 << way);
+    policy.on_fill(repl, ways, full, way, domain);
+    DemandOutcome {
+        hit: false,
+        way,
+        evicted_tag,
+    }
+}
+
+/// Result of one fused [`row_access`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct DemandOutcome {
     /// Whether the tag was already present.
@@ -77,6 +145,8 @@ pub(crate) struct SoaStore {
     /// Same, for µtags (only way-predictor hierarchies train them).
     uses_utags: bool,
     repl: ReplPolicy,
+    /// Per-set Random generators (empty for every other policy).
+    rngs: Vec<SmallRng>,
 }
 
 impl SoaStore {
@@ -94,7 +164,8 @@ impl SoaStore {
             utags: vec![0; sets * ways],
             uses_locks: false,
             uses_utags: false,
-            repl: ReplPolicy::new(kind, sets, ways, seed),
+            repl: ReplPolicy::new(kind, ways),
+            rngs: random_streams(kind, sets, seed),
         }
     }
 
@@ -116,68 +187,43 @@ impl SoaStore {
         self.words[set * self.stride + self.ways]
     }
 
-    /// One fused demand access: tag search, replacement update, and
-    /// (on a miss) victim selection + install, in a single pass over
-    /// the set's row.
-    ///
-    /// Exactly equivalent to `find_way` + `touch` /
+    /// One fused demand access ([`row_access`] on the set's row):
+    /// exactly equivalent to `find_way` + `touch` /
     /// `choose_fill_way(WayMask::all(ways))` + `install` +
     /// `record_fill`, but the whole lookup+update works inside one
     /// contiguous row — this is the path the covert-channel
     /// experiments hammer millions of times per trial.
     #[inline]
     pub(crate) fn demand_access(&mut self, set: usize, tag: u64, domain: Domain) -> DemandOutcome {
-        let ways = self.ways;
-        let full = self.full_mask;
+        let found = self.find_way(set, tag);
         let row = &mut self.words[set * self.stride..(set + 1) * self.stride];
-        let (tags, rest) = row.split_at_mut(ways);
-        let (valid_word, repl) = rest.split_first_mut().expect("row has a valid word");
-        let valid = *valid_word;
-        let m = match_mask(tags, tag) & valid;
-        if m != 0 {
-            let w = m.trailing_zeros() as usize;
-            self.repl.on_access(repl, ways, full, w, domain);
-            return DemandOutcome {
-                hit: true,
-                way: w,
-                evicted_tag: None,
-            };
+        let out = row_access(
+            &self.repl,
+            self.rngs.get_mut(set),
+            row,
+            self.ways,
+            tag,
+            found,
+            domain,
+        );
+        if !out.hit {
+            // The fill replaced the way's line: drop its lock and µtag.
+            let bit = 1u64 << out.way;
+            if self.uses_locks {
+                self.locked[set] &= !bit;
+            }
+            if self.uses_utags {
+                self.utagged[set] &= !bit;
+            }
         }
-        // Miss: lowest invalid way, else the policy's victim.
-        let free = !valid & full;
-        let (way, evicted_tag) = if free != 0 {
-            (free.trailing_zeros() as usize, None)
-        } else {
-            let w = self.repl.victim_full(set, repl, ways, domain);
-            (w, Some(tags[w]))
-        };
-        let bit = 1u64 << way;
-        tags[way] = tag;
-        *valid_word = valid | bit;
-        if self.uses_locks {
-            self.locked[set] &= !bit;
-        }
-        if self.uses_utags {
-            self.utagged[set] &= !bit;
-        }
-        self.repl.on_fill(repl, ways, full, way, domain);
-        DemandOutcome {
-            hit: false,
-            way,
-            evicted_tag,
-        }
+        out
     }
 
     /// The way of `set` holding `tag`, if present.
     #[inline]
     pub(crate) fn find_way(&self, set: usize, tag: u64) -> Option<usize> {
         let row = self.row(set);
-        let m = match_mask(&row[..self.ways], tag) & row[self.ways];
-        if m != 0 {
-            Some(m.trailing_zeros() as usize)
-        } else {
-            None
-        }
+        find_in_row(&row[..self.ways], row[self.ways], tag)
     }
 
     /// Lowest invalid way of `set`, if any.
@@ -335,7 +381,8 @@ impl SoaStore {
             _ => {
                 let ways = self.ways;
                 let repl = &self.words[set * self.stride + ways + 1..(set + 1) * self.stride];
-                self.repl.victim_among(set, repl, ways, allowed, domain)
+                self.repl
+                    .victim_among(self.rngs.get_mut(set), repl, ways, allowed, domain)
             }
         }
     }

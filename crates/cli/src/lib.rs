@@ -599,7 +599,8 @@ fn check_force_eligibility(
     if flags.lockstep != Some(LockstepMode::Force) {
         return Ok(());
     }
-    for (i, sc) in a.scenarios(opts).iter().enumerate() {
+    let grid = a.try_scenarios(opts).map_err(EngineError::Invalid)?;
+    for (i, sc) in grid.iter().enumerate() {
         if let Err(reason) = sc.lockstep_spec() {
             return Err(EngineError::LockstepIneligible { cell: i, reason });
         }
@@ -909,7 +910,9 @@ fn run_cli_inner(
                 ));
             }
             let a = artifact(id)?;
-            let grid = a.scenarios(&opts_from(&flags));
+            let grid = a
+                .try_scenarios(&opts_from(&flags))
+                .map_err(|e| CliError::run(format!("{}: {e}", a.id)))?;
             // Axes whose default would otherwise be invisible are
             // spelled out: every scenario serializes via
             // to_json_full (explicit noise), and the header lists

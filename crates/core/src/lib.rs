@@ -33,7 +33,8 @@
 //!   [`exec_sim::program::Program`] face for covert runs and an
 //!   access-stream face for [`cache_sim::stream`].
 //! * [`plru_study`] — the Table I eviction-probability study of
-//!   Tree-PLRU / Bit-PLRU vs true LRU.
+//!   Tree-PLRU / Bit-PLRU vs true LRU, one allocation-free
+//!   [`cache_sim::one_set::OneSet`] per trial.
 //! * [`analysis`] — histograms and trace summaries (Figs. 3, 5, 13).
 //! * [`trials`] — deterministic parallel trial driver: independent
 //!   simulator runs fan out over all host cores with per-trial seeds,

@@ -7,10 +7,18 @@
 //! `line 0` is actually evicted — i.e. how reliable the channels'
 //! decode step is — as a function of policy, access sequence, initial
 //! condition, and how many times the loop has already run.
+//!
+//! Every trial runs on a [`OneSet`]: one 8-way set held inline as a
+//! fixed-size value, built once per trial, stepped through the same
+//! packed replacement logic as `cache_sim::Cache` (which it matches
+//! access for access), with lines named by their tags `0..=9`. A
+//! trial allocates nothing. The generator draws — the warm-up's line
+//! picks and shuffle, Sequence 2's insertion coin flips — happen in
+//! the same order as they always have, and Random's per-trial seed is
+//! still `seed ^ t·0x9e3779b9`, so the curves are bit-for-bit those
+//! of a `Cache`-backed run.
 
-use cache_sim::addr::PhysAddr;
-use cache_sim::cache::Cache;
-use cache_sim::geometry::CacheGeometry;
+use cache_sim::one_set::OneSet;
 use cache_sim::replacement::PolicyKind;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -68,66 +76,60 @@ impl EvictionCurve {
 /// Number of trials the paper uses per configuration.
 pub const PAPER_TRIALS: usize = 10_000;
 
-fn one_set_cache(policy: PolicyKind, seed: u64) -> Cache {
-    // A single 8-way set; addresses i*64 give tags 0,1,2,…
-    let geom = CacheGeometry::new(64, 1, 8).expect("valid single-set geometry");
-    Cache::new(geom, policy, seed)
-}
-
-fn line(i: u64) -> PhysAddr {
-    PhysAddr::new(i * 64)
-}
-
 /// Line "x" of Sequence 2: maps to the set, distinct from lines 0–7.
 const LINE_X: u64 = 8;
 
-fn run_sequence(cache: &mut Cache, seq: SequenceKind, rng: &mut SmallRng) {
+fn run_sequence(set: &mut OneSet, seq: SequenceKind, rng: &mut SmallRng) {
     match seq {
         SequenceKind::Seq1 => {
             for i in 0..=8u64 {
-                cache.access(line(i));
+                set.access(i);
             }
         }
         SequenceKind::Seq2 => {
             // Insert x after each of lines 0..=6 with p=0.5; force at
             // least one insertion (the paper assumes x is accessed at
             // least once).
-            let mut inserts: Vec<bool> = (0..7).map(|_| rng.gen_bool(0.5)).collect();
+            let mut inserts = [false; 7];
+            for b in &mut inserts {
+                *b = rng.gen_bool(0.5);
+            }
             if inserts.iter().all(|&b| !b) {
                 let k = rng.gen_range(0..inserts.len());
                 inserts[k] = true;
             }
-            for i in 0..=7u64 {
-                cache.access(line(i));
-                if i < 7 && inserts[i as usize] {
-                    cache.access(line(LINE_X));
+            for (i, insert) in inserts.into_iter().enumerate() {
+                set.access(i as u64);
+                if insert {
+                    set.access(LINE_X);
                 }
             }
+            set.access(7);
         }
     }
 }
 
-fn warm_up(cache: &mut Cache, init: InitCond, rng: &mut SmallRng) {
+fn warm_up(set: &mut OneSet, init: InitCond, rng: &mut SmallRng) {
     match init {
         InitCond::Random => {
             // Lines 0–7 and possibly other lines, random order.
             for _ in 0..64 {
                 let i = rng.gen_range(0..10u64); // 0..=7, x, and one stranger
-                cache.access(line(i));
+                set.access(i);
             }
             // Make sure every line 0–7 was touched at least once.
-            let mut order: Vec<u64> = (0..8).collect();
+            let mut order: [u64; 8] = [0, 1, 2, 3, 4, 5, 6, 7];
             for i in (1..order.len()).rev() {
                 order.swap(i, rng.gen_range(0..=i));
             }
             for i in order {
-                cache.access(line(i));
+                set.access(i);
             }
         }
         InitCond::Sequential => {
             // The paper warms up with Sequence 2 runs.
             for _ in 0..3 {
-                run_sequence(cache, SequenceKind::Seq2, rng);
+                run_sequence(set, SequenceKind::Seq2, rng);
             }
         }
     }
@@ -150,11 +152,11 @@ pub fn eviction_curve(
     let mut rng = SmallRng::seed_from_u64(seed);
     let mut evicted_counts = vec![0u64; iterations];
     for t in 0..trials {
-        let mut cache = one_set_cache(policy, seed ^ (t as u64).wrapping_mul(0x9e37_79b9));
-        warm_up(&mut cache, init, &mut rng);
+        let mut set = OneSet::new(policy, seed ^ (t as u64).wrapping_mul(0x9e37_79b9));
+        warm_up(&mut set, init, &mut rng);
         for count in evicted_counts.iter_mut() {
-            run_sequence(&mut cache, sequence, &mut rng);
-            if !cache.probe(line(0)) {
+            run_sequence(&mut set, sequence, &mut rng);
+            if !set.probe(0) {
                 *count += 1;
             }
         }

@@ -155,17 +155,21 @@ pub enum EngineError {
         /// Why that cell cannot run in lockstep.
         reason: crate::LockstepIneligible,
     },
+    /// The artifact's grid does not validate at the requested
+    /// options ([`Artifact::try_scenarios`]); nothing ran.
+    Invalid(crate::ScenarioError),
 }
 
 impl EngineError {
     /// Short machine-readable status tag (`"cancelled"`, `"timeout"`,
-    /// `"panicked"`, `"ineligible"`) for batch summaries.
+    /// `"panicked"`, `"ineligible"`, `"invalid"`) for batch summaries.
     pub fn status(&self) -> &'static str {
         match self {
             EngineError::Cancelled => "cancelled",
             EngineError::DeadlineExceeded { .. } => "timeout",
             EngineError::ChunkPanicked { .. } => "panicked",
             EngineError::LockstepIneligible { .. } => "ineligible",
+            EngineError::Invalid(_) => "invalid",
         }
     }
 }
@@ -188,6 +192,7 @@ impl fmt::Display for EngineError {
             EngineError::LockstepIneligible { cell, reason } => {
                 write!(f, "--lockstep=force: cell {cell}: {reason}")
             }
+            EngineError::Invalid(e) => write!(f, "{e}"),
         }
     }
 }
@@ -707,7 +712,8 @@ impl Engine {
     ///
     /// # Errors
     ///
-    /// See [`Engine::run_job`].
+    /// [`EngineError::Invalid`] if the artifact's grid does not
+    /// validate at `opts`; otherwise see [`Engine::run_job`].
     pub fn run_artifact(
         &self,
         artifact: &Artifact,
@@ -715,7 +721,10 @@ impl Engine {
         progress: Option<ProgressFn>,
         cancel: &CancelToken,
     ) -> Result<(Report, JobStatus), EngineError> {
-        let job = Job::from_artifact(artifact, opts);
+        let job = Job {
+            label: artifact.id.to_string(),
+            grid: artifact.try_scenarios(opts).map_err(EngineError::Invalid)?,
+        };
         let (outcomes, status) = self.run_job(&job, progress, cancel)?;
         Ok((artifact.render_report(opts, &job.grid, &outcomes), status))
     }

@@ -106,4 +106,5 @@ pub use lru_channel::lockstep::LockstepMode;
 pub use registry::{Artifact, Report, RunOpts};
 pub use spec::{
     ExperimentKind, HierarchyId, MessageSource, NoiseModel, PlatformId, Scenario, ScenarioError,
+    MAX_COUNT,
 };

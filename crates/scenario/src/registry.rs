@@ -18,7 +18,7 @@ use crate::fmt::{geomean, header, kbps, pct, pct1, row, sparkline, BENCH_SEED};
 use crate::json::Value;
 use crate::spec::{
     ChannelId, DefenseId, ExperimentKind, HierarchyId, InitId, MessageSource, NoiseModel,
-    PlatformId, Scenario, SequenceId, WorkloadId,
+    PlatformId, Scenario, ScenarioError, SequenceId, WorkloadId,
 };
 
 /// Knobs the CLI and the service pass down to a grid.
@@ -74,14 +74,32 @@ pub struct Artifact {
     pub paper_ref: &'static str,
     /// One-line description, printed in the header.
     pub what: &'static str,
-    grid: fn(&RunOpts) -> Vec<Scenario>,
+    grid: fn(&RunOpts) -> Result<Vec<Scenario>, ScenarioError>,
     render: RenderFn,
 }
 
 impl Artifact {
-    /// The scenario grid this artifact runs (already validated).
-    pub fn scenarios(&self, opts: &RunOpts) -> Vec<Scenario> {
+    /// The scenario grid this artifact runs at `opts`, every cell
+    /// validated.
+    ///
+    /// # Errors
+    ///
+    /// [`ScenarioError::Incompatible`] when `opts.trials` scales one
+    /// of the grid's counts past a validation bound, such as a
+    /// message longer than [`crate::spec::MAX_COUNT`] bits. Every
+    /// artifact validates at default trials.
+    pub fn try_scenarios(&self, opts: &RunOpts) -> Result<Vec<Scenario>, ScenarioError> {
         (self.grid)(opts)
+    }
+
+    /// [`Artifact::try_scenarios`] for options known to validate.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the grid does not validate at `opts`.
+    pub fn scenarios(&self, opts: &RunOpts) -> Vec<Scenario> {
+        self.try_scenarios(opts)
+            .unwrap_or_else(|e| panic!("{} at {opts:?}: {e}", self.id))
     }
 
     /// Runs the whole grid (fanned out over the host's cores through
@@ -384,35 +402,29 @@ fn floats(v: &Value, key: &str) -> Vec<f64> {
         .unwrap_or_else(|| panic!("outcome missing array {key:?}: {v}"))
 }
 
-fn must(build: Result<Scenario, crate::spec::ScenarioError>) -> Scenario {
-    build.unwrap_or_else(|e| panic!("registry scenario must validate: {e}"))
-}
-
 // ---- Figs. 3 / 13: readout histograms ----
 
-fn histogram_grid(opts: &RunOpts, single_load: bool) -> Vec<Scenario> {
+fn histogram_grid(opts: &RunOpts, single_load: bool) -> Result<Vec<Scenario>, ScenarioError> {
     [PlatformId::E5_2690, PlatformId::Epyc7571]
         .into_iter()
         .map(|p| {
-            must(
-                Scenario::builder()
-                    .platform(p)
-                    .kind(ExperimentKind::ProbeHistogram {
-                        samples: opts.count(10_000),
-                        single_load,
-                    })
-                    .seed(opts.seed)
-                    .build(),
-            )
+            Scenario::builder()
+                .platform(p)
+                .kind(ExperimentKind::ProbeHistogram {
+                    samples: opts.count(10_000),
+                    single_load,
+                })
+                .seed(opts.seed)
+                .build()
         })
         .collect()
 }
 
-fn fig3_grid(opts: &RunOpts) -> Vec<Scenario> {
+fn fig3_grid(opts: &RunOpts) -> Result<Vec<Scenario>, ScenarioError> {
     histogram_grid(opts, false)
 }
 
-fn fig13_grid(opts: &RunOpts) -> Vec<Scenario> {
+fn fig13_grid(opts: &RunOpts) -> Result<Vec<Scenario>, ScenarioError> {
     histogram_grid(opts, true)
 }
 
@@ -463,14 +475,14 @@ fn render_histograms(_o: &RunOpts, grid: &[Scenario], outs: &[Value]) -> (String
 const FIG4_TRS: [u64; 3] = [600, 1000, 3000];
 const FIG4_TSS: [u64; 4] = [30000, 12000, 6000, 4500];
 
-fn fig4_grid(opts: &RunOpts) -> Vec<Scenario> {
+fn fig4_grid(opts: &RunOpts) -> Result<Vec<Scenario>, ScenarioError> {
     let repeats = opts.count(4);
     let mut grid = Vec::new();
     for variant in [Variant::SharedMemory, Variant::NoSharedMemory] {
         for tr in FIG4_TRS {
             for d in 1..=8usize {
                 for ts in FIG4_TSS {
-                    grid.push(must(
+                    grid.push(
                         Scenario::builder()
                             .variant(variant)
                             .params(ChannelParams {
@@ -481,13 +493,13 @@ fn fig4_grid(opts: &RunOpts) -> Vec<Scenario> {
                             })
                             .message(MessageSource::Random { bits: 128, repeats })
                             .seed(opts.seed ^ d as u64 ^ ts ^ tr)
-                            .build(),
-                    ));
+                            .build()?,
+                    );
                 }
             }
         }
     }
-    grid
+    Ok(grid)
 }
 
 fn fig4_render(_o: &RunOpts, grid: &[Scenario], outs: &[Value]) -> (String, Value) {
@@ -533,55 +545,47 @@ fn fig4_render(_o: &RunOpts, grid: &[Scenario], outs: &[Value]) -> (String, Valu
 
 // ---- Figs. 5 / 7 / 14: receiver traces ----
 
-fn fig5_grid(opts: &RunOpts) -> Vec<Scenario> {
-    vec![
-        must(
-            Scenario::builder()
-                .params(ChannelParams::paper_alg1_default())
-                .seed(opts.seed)
-                .build(),
-        ),
-        must(
-            Scenario::builder()
-                .variant(Variant::NoSharedMemory)
-                .params(ChannelParams::paper_alg2_default())
-                .seed(opts.seed)
-                .build(),
-        ),
-    ]
+fn fig5_grid(opts: &RunOpts) -> Result<Vec<Scenario>, ScenarioError> {
+    Ok(vec![
+        Scenario::builder()
+            .params(ChannelParams::paper_alg1_default())
+            .seed(opts.seed)
+            .build()?,
+        Scenario::builder()
+            .variant(Variant::NoSharedMemory)
+            .params(ChannelParams::paper_alg2_default())
+            .seed(opts.seed)
+            .build()?,
+    ])
 }
 
-fn fig7_grid(opts: &RunOpts) -> Vec<Scenario> {
+fn fig7_grid(opts: &RunOpts) -> Result<Vec<Scenario>, ScenarioError> {
     let params = ChannelParams {
         d: 8,
         target_set: 0,
         ts: 100_000,
         tr: 1_000,
     };
-    vec![
-        must(
-            Scenario::builder()
-                .platform(PlatformId::Epyc7571)
-                .variant(Variant::SharedMemoryThreads)
-                .params(params)
-                .message(MessageSource::Alternating { bits: 14 })
-                .seed(opts.seed)
-                .build(),
-        ),
-        must(
-            Scenario::builder()
-                .platform(PlatformId::Epyc7571)
-                .variant(Variant::NoSharedMemory)
-                .params(ChannelParams { d: 4, ..params })
-                .message(MessageSource::Alternating { bits: 14 })
-                .seed(opts.seed)
-                .build(),
-        ),
-    ]
+    Ok(vec![
+        Scenario::builder()
+            .platform(PlatformId::Epyc7571)
+            .variant(Variant::SharedMemoryThreads)
+            .params(params)
+            .message(MessageSource::Alternating { bits: 14 })
+            .seed(opts.seed)
+            .build()?,
+        Scenario::builder()
+            .platform(PlatformId::Epyc7571)
+            .variant(Variant::NoSharedMemory)
+            .params(ChannelParams { d: 4, ..params })
+            .message(MessageSource::Alternating { bits: 14 })
+            .seed(opts.seed)
+            .build()?,
+    ])
 }
 
-fn fig14_grid(opts: &RunOpts) -> Vec<Scenario> {
-    fig5_grid(opts)
+fn fig14_grid(opts: &RunOpts) -> Result<Vec<Scenario>, ScenarioError> {
+    fig5_grid(opts)?
         .into_iter()
         .map(|sc| {
             let mut b = Scenario::builder()
@@ -590,7 +594,7 @@ fn fig14_grid(opts: &RunOpts) -> Vec<Scenario> {
                 .params(sc.params)
                 .seed(opts.seed ^ 0xe3);
             b = b.message(sc.message);
-            must(b.build())
+            b.build()
         })
         .collect()
 }
@@ -656,13 +660,13 @@ fn timesliced_grid(
     platform: PlatformId,
     variant: Variant,
     ds: &[usize],
-) -> Vec<Scenario> {
+) -> Result<Vec<Scenario>, ScenarioError> {
     let samples = opts.count(TS_SAMPLES);
     let mut grid = Vec::new();
     for bit in [false, true] {
         for &d in ds {
             for tr in TS_TRS {
-                grid.push(must(
+                grid.push(
                     Scenario::builder()
                         .platform(platform)
                         .variant(variant)
@@ -676,15 +680,15 @@ fn timesliced_grid(
                         .message(MessageSource::Constant { bit, bits: 1 })
                         .kind(ExperimentKind::PercentOnes { samples })
                         .seed(opts.seed ^ tr ^ d as u64 ^ u64::from(bit))
-                        .build(),
-                ));
+                        .build()?,
+                );
             }
         }
     }
-    grid
+    Ok(grid)
 }
 
-fn fig6_grid(opts: &RunOpts) -> Vec<Scenario> {
+fn fig6_grid(opts: &RunOpts) -> Result<Vec<Scenario>, ScenarioError> {
     timesliced_grid(
         opts,
         PlatformId::E5_2690,
@@ -693,7 +697,7 @@ fn fig6_grid(opts: &RunOpts) -> Vec<Scenario> {
     )
 }
 
-fn fig8_grid(opts: &RunOpts) -> Vec<Scenario> {
+fn fig8_grid(opts: &RunOpts) -> Result<Vec<Scenario>, ScenarioError> {
     timesliced_grid(
         opts,
         PlatformId::Epyc7571,
@@ -702,7 +706,7 @@ fn fig8_grid(opts: &RunOpts) -> Vec<Scenario> {
     )
 }
 
-fn fig15_grid(opts: &RunOpts) -> Vec<Scenario> {
+fn fig15_grid(opts: &RunOpts) -> Result<Vec<Scenario>, ScenarioError> {
     timesliced_grid(
         opts,
         PlatformId::E3_1245V5,
@@ -763,19 +767,17 @@ fn timesliced_render(_o: &RunOpts, grid: &[Scenario], outs: &[Value]) -> (String
 
 // ---- Fig. 9: replacement-policy performance ----
 
-fn fig9_grid(opts: &RunOpts) -> Vec<Scenario> {
+fn fig9_grid(opts: &RunOpts) -> Result<Vec<Scenario>, ScenarioError> {
     SUITE
         .iter()
         .map(|b| {
-            must(
-                Scenario::builder()
-                    .workload(WorkloadId::Benchmark(b.name.to_string()))
-                    .kind(ExperimentKind::PolicyPerf {
-                        accesses: opts.count(120_000) as u64,
-                    })
-                    .seed(opts.seed)
-                    .build(),
-            )
+            Scenario::builder()
+                .workload(WorkloadId::Benchmark(b.name.to_string()))
+                .kind(ExperimentKind::PolicyPerf {
+                    accesses: opts.count(120_000) as u64,
+                })
+                .seed(opts.seed)
+                .build()
         })
         .collect()
 }
@@ -836,20 +838,18 @@ fn fig9_render(_o: &RunOpts, _grid: &[Scenario], outs: &[Value]) -> (String, Val
 
 // ---- Fig. 11: PL cache ----
 
-fn fig11_grid(opts: &RunOpts) -> Vec<Scenario> {
+fn fig11_grid(opts: &RunOpts) -> Result<Vec<Scenario>, ScenarioError> {
     [DefenseId::PlCacheOriginal, DefenseId::PlCacheFixed]
         .into_iter()
         .map(|defense| {
-            must(
-                Scenario::builder()
-                    .defense(defense)
-                    .d(1)
-                    .kind(ExperimentKind::DefenseEval {
-                        trials: opts.count(240),
-                    })
-                    .seed(opts.seed)
-                    .build(),
-            )
+            Scenario::builder()
+                .defense(defense)
+                .d(1)
+                .kind(ExperimentKind::DefenseEval {
+                    trials: opts.count(240),
+                })
+                .seed(opts.seed)
+                .build()
         })
         .collect()
 }
@@ -885,13 +885,13 @@ fn fig11_render(_o: &RunOpts, grid: &[Scenario], outs: &[Value]) -> (String, Val
 
 // ---- Table I: PLRU eviction probabilities ----
 
-fn table1_grid(opts: &RunOpts) -> Vec<Scenario> {
+fn table1_grid(opts: &RunOpts) -> Result<Vec<Scenario>, ScenarioError> {
     let trials = opts.count(lru_channel::plru_study::PAPER_TRIALS);
     let mut grid = Vec::new();
     for init in [InitId::Random, InitId::Sequential] {
         for policy in PolicyKind::TABLE1 {
             for sequence in [SequenceId::Seq1, SequenceId::Seq2] {
-                grid.push(must(
+                grid.push(
                     Scenario::builder()
                         .policy(policy)
                         .kind(ExperimentKind::PlruEviction {
@@ -901,12 +901,12 @@ fn table1_grid(opts: &RunOpts) -> Vec<Scenario> {
                             trials,
                         })
                         .seed(opts.seed)
-                        .build(),
-                ));
+                        .build()?,
+                );
             }
         }
     }
-    grid
+    Ok(grid)
 }
 
 fn table1_render(_o: &RunOpts, grid: &[Scenario], outs: &[Value]) -> (String, Value) {
@@ -955,17 +955,15 @@ fn table1_render(_o: &RunOpts, grid: &[Scenario], outs: &[Value]) -> (String, Va
 
 // ---- Tables II / III: substrate checks ----
 
-fn table2_grid(opts: &RunOpts) -> Vec<Scenario> {
+fn table2_grid(opts: &RunOpts) -> Result<Vec<Scenario>, ScenarioError> {
     PlatformId::ALL
         .into_iter()
         .map(|p| {
-            must(
-                Scenario::builder()
-                    .platform(p)
-                    .kind(ExperimentKind::LatencyCheck)
-                    .seed(opts.seed)
-                    .build(),
-            )
+            Scenario::builder()
+                .platform(p)
+                .kind(ExperimentKind::LatencyCheck)
+                .seed(opts.seed)
+                .build()
         })
         .collect()
 }
@@ -994,17 +992,15 @@ fn table2_render(_o: &RunOpts, _grid: &[Scenario], outs: &[Value]) -> (String, V
     (buf, Value::Arr(summary))
 }
 
-fn table3_grid(opts: &RunOpts) -> Vec<Scenario> {
+fn table3_grid(opts: &RunOpts) -> Result<Vec<Scenario>, ScenarioError> {
     PlatformId::ALL
         .into_iter()
         .map(|p| {
-            must(
-                Scenario::builder()
-                    .platform(p)
-                    .kind(ExperimentKind::PlatformSpec)
-                    .seed(opts.seed)
-                    .build(),
-            )
+            Scenario::builder()
+                .platform(p)
+                .kind(ExperimentKind::PlatformSpec)
+                .seed(opts.seed)
+                .build()
         })
         .collect()
 }
@@ -1048,7 +1044,7 @@ fn table3_render(_o: &RunOpts, _grid: &[Scenario], outs: &[Value]) -> (String, V
 
 // ---- Table IV: transmission rates ----
 
-fn table4_grid(opts: &RunOpts) -> Vec<Scenario> {
+fn table4_grid(opts: &RunOpts) -> Result<Vec<Scenario>, ScenarioError> {
     let intel = PlatformId::E5_2690;
     let amd = PlatformId::Epyc7571;
     let fast1 = ChannelParams::paper_alg1_default();
@@ -1069,15 +1065,15 @@ fn table4_grid(opts: &RunOpts) -> Vec<Scenario> {
         (intel, Variant::NoSharedMemory, fast2),
         (amd, Variant::NoSharedMemory, amd2),
     ] {
-        grid.push(must(
+        grid.push(
             Scenario::builder()
                 .platform(platform)
                 .variant(variant)
                 .params(params)
                 .message(MessageSource::Alternating { bits: 64 })
                 .seed(opts.seed)
-                .build(),
-        ));
+                .build()?,
+        );
     }
     // Time-sliced rows: a constant-bit pair per cell, then the
     // noisy Algorithm-2 pair (§V-B).
@@ -1121,11 +1117,11 @@ fn table4_grid(opts: &RunOpts) -> Vec<Scenario> {
                 if noise {
                     b = b.workload(WorkloadId::BenignNoise);
                 }
-                grid.push(must(b.build()));
+                grid.push(b.build()?);
             }
         }
     }
-    grid
+    Ok(grid)
 }
 
 /// Converts a constant-bit fraction pair to the paper's effective
@@ -1189,7 +1185,7 @@ fn table4_render(_o: &RunOpts, grid: &[Scenario], outs: &[Value]) -> (String, Va
 
 // ---- Table V: encode latencies ----
 
-fn table5_grid(opts: &RunOpts) -> Vec<Scenario> {
+fn table5_grid(opts: &RunOpts) -> Result<Vec<Scenario>, ScenarioError> {
     let mut grid = Vec::new();
     for channel in [
         ChannelId::FlushReloadMem,
@@ -1197,16 +1193,16 @@ fn table5_grid(opts: &RunOpts) -> Vec<Scenario> {
         ChannelId::LruAlg1,
     ] {
         for platform in PlatformId::ALL {
-            grid.push(must(
+            grid.push(
                 Scenario::builder()
                     .platform(platform)
                     .kind(ExperimentKind::EncodingLatency { channel })
                     .seed(opts.seed)
-                    .build(),
-            ));
+                    .build()?,
+            );
         }
     }
-    grid
+    Ok(grid)
 }
 
 fn table5_render(_o: &RunOpts, grid: &[Scenario], outs: &[Value]) -> (String, Value) {
@@ -1232,21 +1228,21 @@ fn table5_render(_o: &RunOpts, grid: &[Scenario], outs: &[Value]) -> (String, Va
 
 // ---- Tables VI / VII: miss-rate footprints ----
 
-fn table6_grid(opts: &RunOpts) -> Vec<Scenario> {
+fn table6_grid(opts: &RunOpts) -> Result<Vec<Scenario>, ScenarioError> {
     let bits = opts.count(400);
     let mut grid = Vec::new();
     for platform in [PlatformId::E5_2690, PlatformId::E3_1245V5] {
         for sender in 0..attacks::miss_rates::SenderScenario::ALL.len() {
-            grid.push(must(
+            grid.push(
                 Scenario::builder()
                     .platform(platform)
                     .kind(ExperimentKind::SenderMissRates { sender, bits })
                     .seed(opts.seed)
-                    .build(),
-            ));
+                    .build()?,
+            );
         }
     }
-    grid
+    Ok(grid)
 }
 
 fn table6_render(_o: &RunOpts, grid: &[Scenario], outs: &[Value]) -> (String, Value) {
@@ -1278,7 +1274,7 @@ fn table6_render(_o: &RunOpts, grid: &[Scenario], outs: &[Value]) -> (String, Va
 
 const TABLE7_SECRET: &str = "The Magic Words are Squeamish Ossifrage";
 
-fn table7_grid(opts: &RunOpts) -> Vec<Scenario> {
+fn table7_grid(opts: &RunOpts) -> Result<Vec<Scenario>, ScenarioError> {
     let mut grid = Vec::new();
     for platform in [PlatformId::E5_2690, PlatformId::E3_1245V5] {
         for channel in [
@@ -1286,14 +1282,14 @@ fn table7_grid(opts: &RunOpts) -> Vec<Scenario> {
             ChannelId::LruAlg1,
             ChannelId::LruAlg2,
         ] {
-            grid.push(must(
+            grid.push(
                 Scenario::builder()
                     .platform(platform)
                     .message(MessageSource::Text("secret".into()))
                     .kind(ExperimentKind::SpectreMissRates { channel })
                     .seed(opts.seed)
-                    .build(),
-            ));
+                    .build()?,
+            );
         }
     }
     // The recovery demo rows (§VIII) on the E5-2690.
@@ -1302,7 +1298,7 @@ fn table7_grid(opts: &RunOpts) -> Vec<Scenario> {
         ChannelId::LruAlg1,
         ChannelId::LruAlg2,
     ] {
-        grid.push(must(
+        grid.push(
             Scenario::builder()
                 .message(MessageSource::Text(TABLE7_SECRET.into()))
                 .kind(ExperimentKind::Spectre {
@@ -1311,10 +1307,10 @@ fn table7_grid(opts: &RunOpts) -> Vec<Scenario> {
                     prefetcher: false,
                 })
                 .seed(opts.seed)
-                .build(),
-        ));
+                .build()?,
+        );
     }
-    grid
+    Ok(grid)
 }
 
 fn table7_render(_o: &RunOpts, grid: &[Scenario], outs: &[Value]) -> (String, Value) {
@@ -1363,7 +1359,7 @@ fn table7_render(_o: &RunOpts, grid: &[Scenario], outs: &[Value]) -> (String, Va
 
 // ---- Ablations ----
 
-fn ablation_defenses_grid(opts: &RunOpts) -> Vec<Scenario> {
+fn ablation_defenses_grid(opts: &RunOpts) -> Result<Vec<Scenario>, ScenarioError> {
     let mut grid = Vec::new();
     // §IX-A: the channel under substituted replacement policies.
     for policy in [
@@ -1372,13 +1368,13 @@ fn ablation_defenses_grid(opts: &RunOpts) -> Vec<Scenario> {
         PolicyKind::Fifo,
         PolicyKind::Random,
     ] {
-        grid.push(must(
+        grid.push(
             Scenario::builder()
                 .policy(policy)
                 .message(MessageSource::Alternating { bits: 40 })
                 .seed(opts.seed)
-                .build(),
-        ));
+                .build()?,
+        );
     }
     // §IX-B: partitioning, invisible speculation, randomization,
     // detection — one DefenseEval scenario each.
@@ -1397,9 +1393,9 @@ fn ablation_defenses_grid(opts: &RunOpts) -> Vec<Scenario> {
         if let Some(secret) = message {
             b = b.message(MessageSource::Text(secret.into()));
         }
-        grid.push(must(b.build()));
+        grid.push(b.build()?);
     }
-    grid
+    Ok(grid)
 }
 
 fn ablation_defenses_render(_o: &RunOpts, grid: &[Scenario], outs: &[Value]) -> (String, Value) {
@@ -1498,27 +1494,25 @@ fn ablation_defenses_render(_o: &RunOpts, grid: &[Scenario], outs: &[Value]) -> 
     (buf, Value::Arr(outs.to_vec()))
 }
 
-fn ablation_multiset_grid(opts: &RunOpts) -> Vec<Scenario> {
+fn ablation_multiset_grid(opts: &RunOpts) -> Result<Vec<Scenario>, ScenarioError> {
     [1usize, 2, 4, 8, 16]
         .into_iter()
         .map(|k| {
-            must(
-                Scenario::builder()
-                    .params(ChannelParams {
-                        d: 8,
-                        target_set: 0,
-                        // The receiver sweep grows with K: give it
-                        // room in Ts/Tr.
-                        ts: 4_000 + 2_000 * k as u64,
-                        tr: 600 + 200 * k as u64,
-                    })
-                    .kind(ExperimentKind::MultiSet {
-                        sets: k,
-                        frames: opts.count(24),
-                    })
-                    .seed(opts.seed ^ k as u64)
-                    .build(),
-            )
+            Scenario::builder()
+                .params(ChannelParams {
+                    d: 8,
+                    target_set: 0,
+                    // The receiver sweep grows with K: give it
+                    // room in Ts/Tr.
+                    ts: 4_000 + 2_000 * k as u64,
+                    tr: 600 + 200 * k as u64,
+                })
+                .kind(ExperimentKind::MultiSet {
+                    sets: k,
+                    frames: opts.count(24),
+                })
+                .seed(opts.seed ^ k as u64)
+                .build()
         })
         .collect()
 }
@@ -1542,21 +1536,19 @@ fn ablation_multiset_render(_o: &RunOpts, grid: &[Scenario], outs: &[Value]) -> 
     (buf, Value::Arr(outs.to_vec()))
 }
 
-fn ablation_prefetcher_grid(opts: &RunOpts) -> Vec<Scenario> {
+fn ablation_prefetcher_grid(opts: &RunOpts) -> Result<Vec<Scenario>, ScenarioError> {
     [(1usize, false), (7, false), (1, true), (11, true)]
         .into_iter()
         .map(|(rounds, prefetcher)| {
-            must(
-                Scenario::builder()
-                    .message(MessageSource::Text("prefetchers are noisy".into()))
-                    .kind(ExperimentKind::Spectre {
-                        channel: ChannelId::LruAlg2,
-                        rounds,
-                        prefetcher,
-                    })
-                    .seed(opts.seed)
-                    .build(),
-            )
+            Scenario::builder()
+                .message(MessageSource::Text("prefetchers are noisy".into()))
+                .kind(ExperimentKind::Spectre {
+                    channel: ChannelId::LruAlg2,
+                    rounds,
+                    prefetcher,
+                })
+                .seed(opts.seed)
+                .build()
         })
         .collect()
 }
@@ -1574,20 +1566,19 @@ fn noisy_covert_cell(
     variant: Variant,
     noise: NoiseModel,
     repeats: usize,
-) -> Scenario {
+) -> Result<Scenario, ScenarioError> {
     let params = match variant {
         Variant::NoSharedMemory => ChannelParams::paper_alg2_default(),
         _ => ChannelParams::paper_alg1_default(),
     };
-    must(
-        Scenario::builder()
-            .variant(variant)
-            .params(params)
-            .noise(noise)
-            .message(MessageSource::Random { bits: 96, repeats })
-            .seed(opts.seed)
-            .build(),
-    )
+
+    Scenario::builder()
+        .variant(variant)
+        .params(params)
+        .noise(noise)
+        .message(MessageSource::Random { bits: 96, repeats })
+        .seed(opts.seed)
+        .build()
 }
 
 /// The interference ladder of `ablation_noise_ber`: each model at
@@ -1622,15 +1613,15 @@ fn noise_ladder() -> Vec<NoiseModel> {
 /// Each ladder entry runs twice: Algorithm 1 (shared memory, the
 /// robust single-line hit/miss readout) next to Algorithm 2 (whole-
 /// set eviction readout, the noise-sensitive one).
-fn ablation_noise_ber_grid(opts: &RunOpts) -> Vec<Scenario> {
+fn ablation_noise_ber_grid(opts: &RunOpts) -> Result<Vec<Scenario>, ScenarioError> {
     let repeats = opts.count(4);
     let mut grid = Vec::new();
     for noise in noise_ladder() {
         for variant in [Variant::SharedMemory, Variant::NoSharedMemory] {
-            grid.push(noisy_covert_cell(opts, variant, noise, repeats));
+            grid.push(noisy_covert_cell(opts, variant, noise, repeats)?);
         }
     }
-    grid
+    Ok(grid)
 }
 
 fn ablation_noise_ber_render(_o: &RunOpts, grid: &[Scenario], outs: &[Value]) -> (String, Value) {
@@ -1697,12 +1688,12 @@ fn noise_sweep_model(p: f64) -> NoiseModel {
 /// the capacity operating-point table. The seed depends only on the
 /// column (`ts`), so every noise level of a column replays the same
 /// clean run under heavier interference.
-fn ablation_noise_capacity_grid(opts: &RunOpts) -> Vec<Scenario> {
+fn ablation_noise_capacity_grid(opts: &RunOpts) -> Result<Vec<Scenario>, ScenarioError> {
     let repeats = opts.count(4);
     let mut grid = Vec::new();
     for p in NOISE_SWEEP_PS {
         for ts in FIG4_TSS {
-            grid.push(must(
+            grid.push(
                 Scenario::builder()
                     .variant(Variant::NoSharedMemory)
                     .params(ChannelParams {
@@ -1712,11 +1703,11 @@ fn ablation_noise_capacity_grid(opts: &RunOpts) -> Vec<Scenario> {
                     .noise(noise_sweep_model(p))
                     .message(MessageSource::Random { bits: 96, repeats })
                     .seed(opts.seed ^ ts)
-                    .build(),
-            ));
+                    .build()?,
+            );
         }
     }
-    grid
+    Ok(grid)
 }
 
 fn ablation_noise_capacity_render(
@@ -1838,12 +1829,12 @@ fn noise_grid_axis() -> Vec<NoiseModel> {
     axis
 }
 
-fn ablation_noise_grid_grid(opts: &RunOpts) -> Vec<Scenario> {
+fn ablation_noise_grid_grid(opts: &RunOpts) -> Result<Vec<Scenario>, ScenarioError> {
     let samples = opts.count(NOISE_GRID_SAMPLES);
     let mut grid = Vec::new();
     for (idx, noise) in noise_grid_axis().into_iter().enumerate() {
         for bit in [false, true] {
-            grid.push(must(
+            grid.push(
                 Scenario::builder()
                     .sharing(Sharing::TimeSliced)
                     .params(ChannelParams {
@@ -1856,11 +1847,11 @@ fn ablation_noise_grid_grid(opts: &RunOpts) -> Vec<Scenario> {
                     .message(MessageSource::Constant { bit, bits: 1 })
                     .kind(ExperimentKind::PercentOnes { samples })
                     .seed(opts.seed ^ ((idx as u64 + 1).wrapping_mul(0x9e37)) ^ u64::from(bit))
-                    .build(),
-            ));
+                    .build()?,
+            );
         }
     }
-    grid
+    Ok(grid)
 }
 
 fn ablation_noise_grid_render(_o: &RunOpts, grid: &[Scenario], outs: &[Value]) -> (String, Value) {
@@ -1937,20 +1928,18 @@ fn ablation_prefetcher_render(_o: &RunOpts, grid: &[Scenario], outs: &[Value]) -
 
 // ---- Cross-core L2 artifacts: the hierarchy-backend contrasts ----
 
-fn l2_lru_channel_grid(opts: &RunOpts) -> Vec<Scenario> {
+fn l2_lru_channel_grid(opts: &RunOpts) -> Result<Vec<Scenario>, ScenarioError> {
     HierarchyId::ALL
         .into_iter()
         .map(|h| {
-            must(
-                Scenario::builder()
-                    .kind(ExperimentKind::L2Channel {
-                        samples: opts.count(64),
-                    })
-                    .message(MessageSource::Alternating { bits: 16 })
-                    .hierarchy(h)
-                    .seed(opts.seed)
-                    .build(),
-            )
+            Scenario::builder()
+                .kind(ExperimentKind::L2Channel {
+                    samples: opts.count(64),
+                })
+                .message(MessageSource::Alternating { bits: 16 })
+                .hierarchy(h)
+                .seed(opts.seed)
+                .build()
         })
         .collect()
 }
@@ -1977,19 +1966,17 @@ fn l2_lru_channel_render(_o: &RunOpts, grid: &[Scenario], outs: &[Value]) -> (St
     (buf, Value::Arr(summary))
 }
 
-fn l2_inclusion_victim_grid(opts: &RunOpts) -> Vec<Scenario> {
+fn l2_inclusion_victim_grid(opts: &RunOpts) -> Result<Vec<Scenario>, ScenarioError> {
     HierarchyId::ALL
         .into_iter()
         .map(|h| {
-            must(
-                Scenario::builder()
-                    .kind(ExperimentKind::InclusionVictim {
-                        trials: opts.count(64),
-                    })
-                    .hierarchy(h)
-                    .seed(opts.seed)
-                    .build(),
-            )
+            Scenario::builder()
+                .kind(ExperimentKind::InclusionVictim {
+                    trials: opts.count(64),
+                })
+                .hierarchy(h)
+                .seed(opts.seed)
+                .build()
         })
         .collect()
 }

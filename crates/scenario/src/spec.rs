@@ -215,6 +215,20 @@ impl WorkloadId {
     }
 }
 
+/// Largest value a scenario's element counts may take: the message's
+/// realized length (`bits`, or `bits × repeats` for a random message),
+/// plru-eviction `iterations` and l2-channel `samples`.
+///
+/// Each of these sizes a buffer before the run starts, and a failed
+/// allocation aborts the process — past the fold driver's
+/// `catch_unwind`, and in `serve` for every connection at once — so
+/// validation rejects a larger value with
+/// [`ScenarioError::Incompatible`]. 2^22 (4,194,304) is 8,192× the
+/// largest registry default (fig4's 128-bit × 4-repeat message), so
+/// every artifact validates at default trials and far beyond, while
+/// the largest buffer stays tens of MiB.
+pub const MAX_COUNT: usize = 1 << 22;
+
 /// Where the transmitted bits (or the attacked secret) come from.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum MessageSource {
@@ -254,6 +268,15 @@ impl MessageSource {
             MessageSource::Random { bits, repeats } => bits * repeats,
             MessageSource::Text(t) => t.len() * 8,
             MessageSource::Bits(bits) => bits.len(),
+        }
+    }
+
+    /// Bits the longest buffer realizing the message holds (see
+    /// [`MessageSource::bits`]), or `None` if that overflows.
+    fn realized_len(&self) -> Option<usize> {
+        match self {
+            MessageSource::Random { bits, repeats } => bits.checked_mul((*repeats).max(1)),
+            _ => Some(self.len()),
         }
     }
 
@@ -913,6 +936,13 @@ impl ScenarioError {
     pub(crate) fn incompatible(msg: impl Into<String>) -> ScenarioError {
         ScenarioError::Incompatible(msg.into())
     }
+
+    /// `what` exceeds [`MAX_COUNT`]. Kept out of line: validation
+    /// runs for every grid cell, and this is never its common path.
+    #[cold]
+    fn over_cap(what: &str) -> ScenarioError {
+        ScenarioError::incompatible(format!("{what} must be <= {MAX_COUNT}"))
+    }
 }
 
 impl fmt::Display for ScenarioError {
@@ -1310,6 +1340,9 @@ impl ScenarioBuilder {
         if s.trials == 0 {
             return Err(ScenarioError::incompatible("trials must be >= 1"));
         }
+        if s.message.realized_len().is_none_or(|n| n > MAX_COUNT) {
+            return Err(ScenarioError::over_cap("the message's realized bits"));
+        }
         match &s.kind {
             ExperimentKind::PercentOnes { samples } => {
                 if *samples == 0 {
@@ -1410,6 +1443,9 @@ impl ScenarioBuilder {
                     "plru-eviction needs iterations >= 1 and trials >= 1",
                 ));
             }
+            ExperimentKind::PlruEviction { iterations, .. } if *iterations > MAX_COUNT => {
+                return Err(ScenarioError::over_cap("plru-eviction iterations"));
+            }
             ExperimentKind::ProbeHistogram { samples, .. } if *samples == 0 => {
                 return Err(ScenarioError::incompatible(
                     "probe-histogram needs samples >= 1",
@@ -1422,6 +1458,9 @@ impl ScenarioBuilder {
             }
             ExperimentKind::L2Channel { samples } if *samples == 0 => {
                 return Err(ScenarioError::incompatible("l2-channel needs samples >= 1"));
+            }
+            ExperimentKind::L2Channel { samples } if *samples > MAX_COUNT => {
+                return Err(ScenarioError::over_cap("l2-channel samples"));
             }
             ExperimentKind::InclusionVictim { trials } if *trials == 0 => {
                 return Err(ScenarioError::incompatible(

@@ -208,7 +208,12 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
                     .ok_or("\"run\" needs an \"artifact\" field")?;
                 let artifact = registry::get(id)
                     .ok_or_else(|| format!("unknown artifact {id:?} — see `lru-leak list`"))?;
-                let job = Job::from_artifact(artifact, &opts);
+                let job = Job {
+                    label: artifact.id.to_string(),
+                    grid: artifact
+                        .try_scenarios(&opts)
+                        .map_err(|e| format!("{id}: {e}"))?,
+                };
                 (Some(artifact), None, job)
             } else {
                 let spec = v

@@ -516,3 +516,110 @@ fn adhoc_threads_does_not_latch_the_default_worker_count() {
     cli(&["adhoc", &sc.to_json().to_string(), "--threads", &k]).unwrap();
     assert_eq!(RunCtrl::new().workers(), before);
 }
+
+// ---- Oversized element counts: a typed rejection, never an abort ----
+
+/// `valid` re-serialized with `field` (which must appear in it) set
+/// to 10^12, then run through `lru-leak adhoc`: it must exit 1 with
+/// the typed error. Before the cap each of these asked for a
+/// terabyte-scale buffer and aborted the process.
+fn oversized_adhoc_is_incompatible(valid: &Scenario, field: &str, value: &str) {
+    let json = valid.to_json().to_string();
+    let huge = json.replace(&format!("{field}{value}"), &format!("{field}1000000000000"));
+    assert_ne!(huge, json, "{field}{value} must appear in {json}");
+    let err = cli(&["adhoc", &huge, "--json"]).unwrap_err();
+    assert_eq!(err.code, 1, "{huge}");
+    assert!(
+        err.message.contains("incompatible scenario"),
+        "{huge}: got {:?}",
+        err.message
+    );
+}
+
+fn plru_eviction(iterations: usize) -> Result<Scenario, ScenarioError> {
+    Scenario::builder()
+        .kind(ExperimentKind::PlruEviction {
+            sequence: lru_leak::scenario::spec::SequenceId::Seq1,
+            init: lru_leak::scenario::spec::InitId::Random,
+            iterations,
+            trials: 1,
+        })
+        .build()
+}
+
+#[test]
+fn plru_eviction_iterations_are_capped() {
+    use lru_leak::scenario::MAX_COUNT;
+    plru_eviction(MAX_COUNT).expect("the cap itself validates");
+    let err = plru_eviction(MAX_COUNT + 1).unwrap_err();
+    assert!(matches!(err, ScenarioError::Incompatible(_)), "{err}");
+    oversized_adhoc_is_incompatible(&plru_eviction(12).unwrap(), "\"iterations\":", "12");
+}
+
+#[test]
+fn l2_channel_samples_are_capped() {
+    use lru_leak::scenario::MAX_COUNT;
+    let l2 = |samples| {
+        Scenario::builder()
+            .kind(ExperimentKind::L2Channel { samples })
+            .message(MessageSource::Alternating { bits: 16 })
+            .build()
+    };
+    l2(MAX_COUNT).expect("the cap itself validates");
+    let err = l2(MAX_COUNT + 1).unwrap_err();
+    assert!(matches!(err, ScenarioError::Incompatible(_)), "{err}");
+    oversized_adhoc_is_incompatible(&l2(64).unwrap(), "\"samples\":", "64");
+}
+
+#[test]
+fn covert_message_length_is_capped() {
+    use lru_leak::scenario::MAX_COUNT;
+    let covert = |bits, repeats| {
+        Scenario::builder()
+            .message(MessageSource::Random { bits, repeats })
+            .build()
+    };
+    covert(MAX_COUNT, 1).expect("the cap itself validates");
+    covert(MAX_COUNT / 4, 4).expect("so does a repeated message at the cap");
+    for (bits, repeats) in [
+        (MAX_COUNT + 1, 1),
+        (MAX_COUNT, 2),
+        // `bits` realizes one base string even with zero repeats.
+        (MAX_COUNT + 1, 0),
+        // bits × repeats overflows usize.
+        (usize::MAX / 2, 3),
+    ] {
+        let err = covert(bits, repeats).unwrap_err();
+        assert!(
+            matches!(err, ScenarioError::Incompatible(_)),
+            "{bits}×{repeats}: {err}"
+        );
+    }
+    oversized_adhoc_is_incompatible(&covert(128, 1).unwrap(), "\"bits\":", "128");
+}
+
+#[test]
+fn trials_that_push_a_grid_past_a_count_cap_are_a_typed_error() {
+    // l2_lru_channel sends one bit per trial; past the cap its grid
+    // does not validate. `run` and `show` report that instead of
+    // panicking in the grid builder.
+    let over = (lru_leak::scenario::MAX_COUNT + 1).to_string();
+    for cmd in ["run", "show"] {
+        let err = cli(&[cmd, "l2_lru_channel", "--trials", &over]).unwrap_err();
+        assert_eq!(err.code, 1, "{cmd}");
+        assert!(
+            err.message.contains("incompatible scenario"),
+            "{cmd}: got {:?}",
+            err.message
+        );
+    }
+    let opts = RunOpts {
+        trials: Some(lru_leak::scenario::MAX_COUNT + 1),
+        ..RunOpts::default()
+    };
+    let err = registry::get("l2_lru_channel")
+        .unwrap()
+        .try_scenarios(&opts)
+        .unwrap_err();
+    assert!(matches!(err, ScenarioError::Incompatible(_)), "{err}");
+}

@@ -273,6 +273,41 @@ fn a_hostile_nesting_depth_is_a_bad_request_and_the_server_survives() {
 }
 
 #[test]
+fn trials_past_a_count_cap_are_a_bad_request_and_the_server_survives() {
+    let (addr, handle, join) = spawn_server(ServerConfig::default());
+
+    // l2_lru_channel sends one bit per trial: past MAX_COUNT the grid
+    // does not validate, and the request is rejected before admission.
+    {
+        let mut stream = TcpStream::connect(&addr).expect("connect");
+        let request = Value::obj()
+            .with("cmd", "run")
+            .with("artifact", "l2_lru_channel")
+            .with("trials", (lru_leak::scenario::MAX_COUNT + 1) as u64);
+        stream
+            .write_all(format!("{request}\n").as_bytes())
+            .expect("send");
+        let mut reply = String::new();
+        BufReader::new(&stream).read_line(&mut reply).expect("recv");
+        let event = Value::parse(reply.trim()).expect("error event");
+        assert_eq!(
+            event.get("status").and_then(Value::as_str),
+            Some("bad_request"),
+            "{event}"
+        );
+        let message = event.get("message").and_then(Value::as_str).unwrap();
+        assert!(message.contains("incompatible scenario"), "{message}");
+    }
+
+    let event = client::request(&addr, &fig5_request(), |_| {}).expect("request");
+    assert_eq!(body_of(&event), fig5_cli_body());
+
+    handle.begin_shutdown();
+    let summary = join.join().unwrap().expect("server run");
+    assert_eq!((summary.failed, summary.completed), (1, 1));
+}
+
+#[test]
 fn an_oversized_frame_is_a_bad_request_and_the_server_survives() {
     let (addr, handle, join) = spawn_server(ServerConfig::default());
 
