@@ -4,7 +4,7 @@
 //! random message, E5-2690, Tree-PLRU, shared-memory,
 //! hyper-threaded) through the scenario layer twice — `--lockstep
 //! off` (scalar path, one `Machine` per trial) and `--lockstep
-//! force` (N trials per step over the SoA `BatchCache`) — on a
+//! force` (N trials as lanes on one-set kernels) — on a
 //! single worker, so the measured ratio is the batching itself, not
 //! parallelism. Both paths are asserted byte-identical before
 //! anything is timed, the reps are interleaved scalar/lockstep so
@@ -147,7 +147,7 @@ fn main() {
     let block = Value::obj()
         .with(
             "what",
-            "lockstep trial batching (lru_channel::lockstep over cache_sim::BatchCache) vs the scalar path, byte-identity asserted, interleaved min-of-reps on 1 worker",
+            "lockstep trial batching (lru_channel::lockstep) vs the scalar path, byte-identity asserted, interleaved min-of-reps on 1 worker",
         )
         .with(
             "cell",

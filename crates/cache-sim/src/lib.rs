@@ -14,12 +14,9 @@
 //!   per-access outcomes (hit/miss, filled way, evicted line). Its
 //!   storage is a flat structure-of-arrays hot path: one contiguous
 //!   row of tags + valid word + packed replacement state per set.
-//! * [`batch`] — the same level replicated K times in lane-major
-//!   SoA form ([`batch::BatchCache`]) so lockstep trial drivers can
-//!   step a whole batch of independent trials per cache operation.
 //! * [`one_set`] — one set of that cache as an allocation-free value
-//!   ([`one_set::OneSet`]), for studies that replay short sequences
-//!   against a single set (the Table I study).
+//!   ([`one_set::OneSet`]), for runs that hammer a single set: the
+//!   Table I study and the lockstep covert lanes.
 //! * [`reference`](mod@reference) — the original array-of-structs layout
 //!   ([`reference::RefCache`]), retained as the equivalence oracle
 //!   and performance baseline for the flat layout.
@@ -76,7 +73,6 @@
 
 pub mod addr;
 pub mod backend;
-pub mod batch;
 pub mod cache;
 pub mod counters;
 pub mod geometry;
@@ -95,7 +91,6 @@ pub mod way_predictor;
 
 pub use addr::{PhysAddr, VirtAddr};
 pub use backend::{Backend, HierarchyBackend};
-pub use batch::BatchCache;
 pub use cache::{AccessOutcome, Cache, SetView};
 pub use counters::{MissRates, PerfCounters};
 pub use geometry::CacheGeometry;

@@ -12,9 +12,10 @@
 //! that `Cache::access` runs — so there is no second copy of any
 //! policy's semantics to keep in step.
 //!
-//! The Table I study (`lru_channel::plru_study`) builds one per trial;
-//! the workspace `plru_kernel` suite pins it against a one-set
-//! `Cache` for every policy.
+//! The Table I study (`lru_channel::plru_study`) builds one per
+//! trial, and each lockstep covert lane (`lru_channel::lockstep`)
+//! runs its channel's L1 target set on one; the workspace
+//! `plru_kernel` suite pins it against a `Cache` for every policy.
 
 use crate::replacement::packed::{set_seed, ReplPolicy};
 use crate::replacement::{Domain, PolicyKind};
@@ -38,7 +39,7 @@ const ABSENT: u8 = u8::MAX;
 /// One 8-way cache set held inline: tags, validity and replacement
 /// state.
 ///
-/// Behaves exactly like set 0 of a one-set 8-way
+/// Behaves exactly like set `set` of an 8-way
 /// [`Cache`](crate::cache::Cache) built with the same policy and
 /// seed, with line tags standing in for addresses and every access in
 /// the primary domain. The way count is a constant so the compiler
@@ -47,7 +48,7 @@ const ABSENT: u8 = u8::MAX;
 /// ```
 /// use cache_sim::one_set::OneSet;
 /// use cache_sim::PolicyKind;
-/// let mut set = OneSet::new(PolicyKind::Lru, 0);
+/// let mut set = OneSet::new(PolicyKind::Lru, 0, 0);
 /// for tag in 0..8 {
 ///     assert!(!set.access(tag));
 /// }
@@ -67,20 +68,22 @@ pub struct OneSet {
     /// an index over the row's valid tags, updated on every fill.
     way_of: [u8; MAX_TAG as usize],
     policy: ReplPolicy,
-    /// Random's generator, seeded like set 0 of a `Cache` (`None`
-    /// for every other policy).
+    /// Random's generator, seeded like the same set of a `Cache`
+    /// (`None` for every other policy).
     rng: Option<SmallRng>,
 }
 
 impl OneSet {
-    /// An empty set under `kind`; `seed` seeds Random exactly as
-    /// [`Cache::new`](crate::cache::Cache::new) seeds its set 0.
-    pub fn new(kind: PolicyKind, seed: u64) -> Self {
+    /// An empty set under `kind`, standing for set index `set` of a
+    /// cache built with `seed`: Random's generator is seeded exactly
+    /// as [`Cache::new`](crate::cache::Cache::new) seeds that set.
+    /// Every other policy ignores both.
+    pub fn new(kind: PolicyKind, seed: u64, set: u64) -> Self {
         Self {
             row: [0; ROW],
             way_of: [ABSENT; MAX_TAG as usize],
             policy: ReplPolicy::new(kind, WAYS),
-            rng: (kind == PolicyKind::Random).then(|| SmallRng::seed_from_u64(set_seed(seed, 0))),
+            rng: (kind == PolicyKind::Random).then(|| SmallRng::seed_from_u64(set_seed(seed, set))),
         }
     }
 

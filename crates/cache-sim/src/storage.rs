@@ -49,7 +49,7 @@ fn match_mask(tags: &[u64], tag: u64) -> u64 {
 /// The way of a set row's `tags` holding `tag` among the `valid`
 /// ways, if any.
 #[inline]
-pub(crate) fn find_in_row(tags: &[u64], valid: u64, tag: u64) -> Option<usize> {
+fn find_in_row(tags: &[u64], valid: u64, tag: u64) -> Option<usize> {
     let m = match_mask(tags, tag) & valid;
     if m != 0 {
         Some(m.trailing_zeros() as usize)
@@ -64,11 +64,11 @@ pub(crate) fn find_in_row(tags: &[u64], valid: u64, tag: u64) -> Option<usize> {
 /// update on a hit, and on a miss the lowest invalid way (else the
 /// policy's full-mask victim) + install + `on_fill`.
 ///
-/// Every row-based store — [`SoaStore`], [`crate::batch::BatchCache`]
-/// and [`crate::one_set::OneSet`] — runs its demand accesses through
-/// this one function; the first two find `found` with
-/// [`find_in_row`], the one-set kernel with its tag index. `rng` is
-/// the set's Random generator (`None` for every other policy).
+/// Both row-based stores — [`SoaStore`] and
+/// [`crate::one_set::OneSet`] — run their demand accesses through
+/// this one function; the first finds `found` with [`find_in_row`],
+/// the one-set kernel with its tag index. `rng` is the set's Random
+/// generator (`None` for every other policy).
 ///
 /// Always inlined, so a caller with a constant way count (the
 /// one-set kernel) gets the victim search unrolled.

@@ -36,8 +36,8 @@
 //! run-dependent bytes in the output.
 //!
 //! `--lockstep off|auto|force` selects how eligible covert trials are
-//! executed: `auto` (the default) batches them through the lane-major
-//! lockstep interpreter, `off` pins the scalar path, and `force`
+//! executed: `auto` (the default) batches them through the lockstep
+//! interpreter (one-set lanes), `off` pins the scalar path, and `force`
 //! fails up front — with the structured ineligibility reason — when
 //! any grid cell cannot batch. The report bytes are identical in
 //! every mode.
@@ -189,7 +189,7 @@ OPTIONS:
     --lockstep MODE
                   run/run-all/adhoc: off | auto | force (also spelled
                   --lockstep=MODE). auto (the default) batches eligible
-                  covert trials through the lane-major lockstep
+                  covert trials through the one-set lockstep
                   interpreter and falls back to the scalar path
                   otherwise; off forces the scalar path; force demands
                   batching and fails up front with the structured

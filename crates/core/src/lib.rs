@@ -40,10 +40,10 @@
 //!   simulator runs fan out over all host cores with per-trial seeds,
 //!   bit-identical to sequential execution.
 //! * [`lockstep`] — batched execution of eligible covert trials: K
-//!   seeds of one scenario shape step together over the lane-major
-//!   [`cache_sim::batch::BatchCache`], bit-identical to the scalar
-//!   path but without per-trial machine construction or dynamic
-//!   dispatch.
+//!   seeds of one scenario shape share one address layout, and each
+//!   lane runs on one [`cache_sim::one_set::OneSet`] (the channel's
+//!   L1 target set), bit-identical to the scalar path but without
+//!   per-trial machine construction or dynamic dispatch.
 //!
 //! ## Quickstart
 //!

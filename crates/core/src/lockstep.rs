@@ -1,16 +1,17 @@
 //! Lockstep batched execution of covert-channel trials.
 //!
 //! The scalar path ([`crate::covert::CovertConfig::run`]) builds a
-//! full [`Machine`] per trial — page tables, performance counters,
-//! dynamic `Program` dispatch — although the *observable* output of a
-//! covert trial is only the receiver's sample trace (threshold and
-//! nominal rate are pure functions of the platform). This module runs
-//! **K trials of one scenario shape together** over the lane-major
-//! [`BatchCache`] of `cache-sim`: one address layout (the allocator
-//! is seed-independent, so every trial of a shape shares its physical
-//! addresses), one warmed batch hierarchy, and a monomorphic
-//! replication of the reference hyper-threaded interpreter per lane —
-//! no virtual dispatch, no page-table walks, no counter bookkeeping.
+//! full [`Machine`] per trial — page tables, performance counters, a
+//! three-level cache hierarchy, dynamic `Program` dispatch — although
+//! the *observable* output of a covert trial is only the receiver's
+//! sample trace (threshold and nominal rate are pure functions of the
+//! platform). This module runs **K trials of one scenario shape** as
+//! lanes that share one address layout (the allocator is
+//! seed-independent, so every trial of a shape shares its physical
+//! addresses) and step a monomorphic replication of the reference
+//! hyper-threaded interpreter — no virtual dispatch, no page-table
+//! walks, no counter bookkeeping. Each lane's whole cache world is
+//! one [`OneSet`]: the channel's L1 target set.
 //!
 //! ## Exactness
 //!
@@ -19,14 +20,17 @@
 //! same shared `SmallRng` stream (TSC readout draw inside a timed
 //! access, then the scheduler jitter draw), same `SpinUntil`
 //! clamping, same per-op cycle accounting (`ACCESS_ISSUE_COST`, chain
-//! cost + `rdtscp` overhead). The cache side replicates
-//! `CacheHierarchy::access` level by level (each level fills on
-//! miss; inclusive, no back-invalidation). Lanes never interact, so
-//! stepping a lane to completion over the shared [`BatchCache`] is
-//! bit-identical to any interleaving. The in-module equivalence
-//! tests and `tests/lockstep_equivalence.rs` pin the samples — and
-//! the reports derived from them — byte-for-byte against the scalar
-//! path.
+//! cost + `rdtscp` overhead). The target set's [`OneSet`] runs the
+//! same row access and packed replacement logic as the scalar L1
+//! (`storage::row_access`), and its Random generator is seeded like
+//! set `target_set` of the lane's L1 (`set_seed(seed, target_set)`).
+//! It is warmed the way the scalar wiring warms the L1: the receiver's
+//! lines, then the sender's line (the probe chain warms its own set,
+//! which the target set never sees). Lanes never interact, so
+//! stepping each lane to completion is bit-identical to any
+//! interleaving. The in-module equivalence tests and
+//! `tests/lockstep_equivalence.rs` pin the samples — and the reports
+//! derived from them — byte-for-byte against the scalar path.
 //!
 //! ## Why it is fast
 //!
@@ -35,10 +39,30 @@
 //! the scheduler decision runs once per turn instead of once per op,
 //! and the sender's encode loop is monomorphized to a straight-line
 //! pace/access alternation (no per-op `next_op` dispatch or bit-index
-//! division). Two replays then remove almost every cache step while
-//! leaving each lane's RNG draw sequence — which fixes the
+//! division). Then every cache access that is not to the target set
+//! drops out, leaving each lane's RNG draw sequence — which fixes the
 //! interleaving — untouched:
 //!
+//! * **One-set lanes.** After warm-up a covert run touches a fixed,
+//!   tiny line population: the channel lines, all in the L1 target
+//!   set, and the probe chain. Two facts make every other level and
+//!   set unobservable. (1) The latency probe's [`CHAIN_LEN`] lines
+//!   share one reserved L1 set that no channel line maps to, and they
+//!   fit its associativity, so no fill ever occurs there: every chain
+//!   access is an L1 hit, and the whole chain walk is one constant.
+//!   (2) Every line was loaded through the L2 during warm-up, and no
+//!   L2 set holds more of them than it has ways, so no L2 fill can
+//!   ever evict: every L1 miss is an L2 hit, and neither the L2's nor
+//!   the LLC's replacement state is ever read. What remains is one
+//!   8-way set per lane, a fixed-size value with a tag→way index and
+//!   no heap: no lane builds an L2 or LLC model or runs a tag
+//!   compare, and the scratch machine that yields the address layout
+//!   is built without its LLC (the E5-2690's is 16 MiB; the layout
+//!   reads only the L1 geometry). [`run_batch`] asserts both
+//!   facts, plus what the kernel needs (an 8-way L1, every channel
+//!   line in the target set, at most [`MAX_TAG`] lines); they hold on
+//!   every eligible platform, target set and variant, which a unit
+//!   test checks exhaustively, so there is no fallback path.
 //! * **Sender repeated-hit replay.** Within a turn nobody else runs,
 //!   and between sender turns only the receiver can have touched the
 //!   target set. The first sender access of a turn executes for real;
@@ -47,12 +71,6 @@
 //!   accesses provably cannot change cache state and are replayed as
 //!   accounting — the exact soundness argument of the scalar block
 //!   engine's memo, keyed to turn boundaries instead of blocks.
-//! * **Probe-chain replay.** The latency probe's [`CHAIN_LEN`] lines
-//!   all live in one reserved L1 set that no channel line maps to.
-//!   When they fit the associativity, no fill can ever occur there:
-//!   every chain access is an L1 hit forever, and the set's
-//!   replacement state is unobservable (no victim choice ever reads
-//!   it). The whole chain walk is then one precomputed constant.
 //!
 //! ## Eligibility
 //!
@@ -66,9 +84,11 @@
 //! path unchanged.
 
 use cache_sim::addr::PhysAddr;
-use cache_sim::batch::BatchCache;
-use cache_sim::hierarchy::{HitLevel, Latencies};
-use cache_sim::replacement::{Domain, PolicyKind};
+use cache_sim::geometry::CacheGeometry;
+use cache_sim::hierarchy::HitLevel;
+use cache_sim::one_set::{OneSet, MAX_TAG, WAYS};
+use cache_sim::profiles::MicroArch;
+use cache_sim::replacement::PolicyKind;
 use exec_sim::block::ACCESS_ISSUE_COST;
 use exec_sim::machine::Machine;
 use exec_sim::measure::CHAIN_LEN;
@@ -180,6 +200,7 @@ impl std::str::FromStr for LockstepMode {
 /// allocator is deterministic and seed-independent, so one scratch
 /// [`Machine`] replaying the scalar wiring sequence yields the
 /// layout every lane of the batch shares.
+#[derive(Debug, PartialEq, Eq)]
 struct Layout {
     sender_pa: PhysAddr,
     receiver_pas: Vec<PhysAddr>,
@@ -188,9 +209,12 @@ struct Layout {
 
 /// Replays the scalar path's machine mutations — process creation,
 /// Algorithm 1/2 wiring, probe-chain allocation — on a scratch
-/// machine and harvests the physical addresses.
-fn channel_layout(spec: &BatchSpec) -> Result<Layout, ParamError> {
-    let mut machine = Machine::new(spec.platform.arch, spec.policy, 0);
+/// machine of `arch` and harvests the physical addresses. Only the
+/// allocator and the L1 geometry are read, so [`run_batch`] passes
+/// `arch` without its LLC (whose model is the costly part of a
+/// machine build).
+fn channel_layout(spec: &BatchSpec, arch: MicroArch) -> Result<Layout, ParamError> {
+    let mut machine = Machine::new(arch, spec.policy, 0);
     let geom = machine.hierarchy().l1().geometry();
     spec.params
         .validate(geom.ways(), geom.num_sets() as usize)?;
@@ -246,115 +270,120 @@ fn channel_layout(spec: &BatchSpec) -> Result<Layout, ParamError> {
     })
 }
 
-/// K lanes of L1/L2/LLC, stepped with the exact level-by-level
-/// semantics of `CacheHierarchy::access` (each level fills on miss;
-/// an LLC without a configured latency is never consulted).
-struct BatchHierarchy {
-    l1: BatchCache,
-    l2: BatchCache,
-    llc: Option<BatchCache>,
-    lat: Latencies,
-    /// Outer-level replay (see [`BatchHierarchy::enable_l2_replay`]):
-    /// after warmup every L1 miss is an L2 hit by construction, so
-    /// the L2/LLC walk is a constant.
-    l2_replay: bool,
+/// Whether no set of `geom` holds more of the distinct lines `pas`
+/// than it has ways — then, once they are all loaded, no fill there
+/// can ever evict.
+fn fits(geom: CacheGeometry, pas: &[PhysAddr]) -> bool {
+    let mut lines: Vec<(usize, u64)> = pas
+        .iter()
+        .map(|&pa| (geom.set_index(pa.raw()), geom.tag(pa.raw())))
+        .collect();
+    lines.sort_unstable();
+    lines.dedup();
+    lines
+        .chunk_by(|a, b| a.0 == b.0)
+        .all(|set| set.len() <= geom.ways())
 }
 
-impl BatchHierarchy {
-    /// Builds the per-lane hierarchies with the same per-level seed
-    /// derivation as `MicroArch::build_hierarchy`.
-    fn new(spec: &BatchSpec, lane_seeds: &[u64]) -> Self {
-        let arch = spec.platform.arch;
-        let l2_seeds: Vec<u64> = lane_seeds.iter().map(|&s| s ^ 0xaaaa).collect();
-        let llc_seeds: Vec<u64> = lane_seeds.iter().map(|&s| s ^ 0x5555).collect();
-        BatchHierarchy {
-            l1: BatchCache::new(arch.l1d, spec.policy, lane_seeds),
-            l2: BatchCache::new(arch.l2, PolicyKind::Lru, &l2_seeds),
-            llc: arch
-                .llc
-                .map(|g| BatchCache::new(g, PolicyKind::Lru, &llc_seeds)),
-            lat: arch.latencies,
-            l2_replay: false,
-        }
-    }
+/// A channel shape reduced to its L1 target set (module docs,
+/// *One-set lanes*): the channel lines named by [`OneSet`] tags, and
+/// the constant costs of everything outside the set.
+struct Channel {
+    /// The sender's line.
+    sender: u64,
+    /// The receiver's lines, in Algorithm 3 order.
+    receiver: Vec<u64>,
+    /// L1 hit latency.
+    l1: u32,
+    /// L1 miss latency: every miss is an L2 hit.
+    l2: u32,
+    /// The probe-chain walk: [`CHAIN_LEN`] L1 hits.
+    chain_total: u32,
+}
 
-    /// Turns on the constant-L2 replay when the layout proves it
-    /// sound. A covert run touches a fixed, tiny line population —
-    /// the channel lines plus the probe chain — and every one of them
-    /// is warmed through the L2 before the trials start. If no L2 set
-    /// holds more of those lines than it has ways, no L2 fill can
-    /// ever evict after warmup: every post-warm L1 miss is an L2 hit,
-    /// and the L2's replacement state is unobservable (no victim
-    /// choice ever reads it). The L2/LLC walk of
-    /// [`BatchHierarchy::access`] then collapses to `(L2, lat.l2)` —
-    /// which matters, because the channel *deliberately* overflows
-    /// the L1 target set (`d + 1` lines), so roughly two-thirds of
-    /// all accesses in a run are L1 misses.
-    fn enable_l2_replay(&mut self, layout: &Layout) {
-        let geom = self.l2.geometry();
-        let mut lines: Vec<(usize, u64)> = layout
-            .chain_pas
+impl Channel {
+    /// Names the lines of `layout` and asserts the facts that make
+    /// the outer levels and every other set unobservable.
+    ///
+    /// # Panics
+    ///
+    /// Panics if one of the facts fails. None does on an eligible
+    /// platform (`replay_proofs_hold_on_every_eligible_shape`).
+    fn new(arch: &MicroArch, target_set: usize, layout: &Layout) -> Self {
+        let l1 = arch.l1d;
+        let channel_pas: Vec<PhysAddr> = layout
+            .receiver_pas
             .iter()
-            .chain(layout.receiver_pas.iter())
-            .chain(std::iter::once(&layout.sender_pa))
-            .map(|&pa| (geom.set_index(pa.raw()), geom.tag(pa.raw())))
+            .copied()
+            .chain([layout.sender_pa])
             .collect();
-        lines.sort_unstable();
-        lines.dedup();
-        let mut counts = std::collections::HashMap::new();
-        for &(set, _) in &lines {
-            *counts.entry(set).or_insert(0usize) += 1;
-        }
-        self.l2_replay = counts.values().all(|&n| n <= geom.ways());
-    }
-
-    /// One demand load by `lane`: level of service and its latency.
-    #[inline]
-    fn access(&mut self, lane: usize, pa: PhysAddr) -> (HitLevel, u32) {
-        if self.l1.access_lane(lane, pa).hit {
-            return (HitLevel::L1, self.lat.l1);
-        }
-        if self.l2_replay {
-            return (HitLevel::L2, self.lat.l2);
-        }
-        if self.l2.access_lane(lane, pa).hit {
-            return (HitLevel::L2, self.lat.l2);
-        }
-        match (self.llc.as_mut(), self.lat.llc) {
-            (Some(llc), Some(llc_lat)) => {
-                if llc.access_lane(lane, pa).hit {
-                    (HitLevel::Llc, llc_lat)
-                } else {
-                    (HitLevel::Mem, self.lat.mem)
+        assert_eq!(l1.ways(), WAYS, "lockstep lanes model an {WAYS}-way L1");
+        assert!(
+            channel_pas
+                .iter()
+                .all(|pa| l1.set_index(pa.raw()) == target_set),
+            "every channel line maps to the target set"
+        );
+        assert!(
+            layout
+                .chain_pas
+                .iter()
+                .all(|pa| l1.set_index(pa.raw()) != target_set)
+                && fits(l1, &layout.chain_pas),
+            "the probe chain fits its own L1 set"
+        );
+        assert!(
+            fits(arch.l2, &[channel_pas, layout.chain_pas.clone()].concat()),
+            "no L2 set overflows"
+        );
+        // Tags by first appearance: the receiver's lines, then the
+        // sender's (its own name unless Algorithm 1 shares line 0).
+        let mut names: Vec<u64> = Vec::new();
+        let mut name = |pa: PhysAddr| {
+            let line = l1.tag(pa.raw());
+            match names.iter().position(|&n| n == line) {
+                Some(i) => i as u64,
+                None => {
+                    names.push(line);
+                    names.len() as u64 - 1
                 }
             }
-            _ => (HitLevel::Mem, self.lat.mem),
+        };
+        let receiver: Vec<u64> = layout.receiver_pas.iter().map(|&pa| name(pa)).collect();
+        let sender = name(layout.sender_pa);
+        assert!(
+            names.len() as u64 <= MAX_TAG,
+            "the channel lines fit the kernel's tag space"
+        );
+        let lat = arch.latencies;
+        Channel {
+            sender,
+            receiver,
+            l1: lat.l1,
+            l2: lat.l2,
+            chain_total: CHAIN_LEN as u32 * lat.l1,
         }
     }
 
-    /// The uniform warmup prefix: every lane loads the same address,
-    /// so the L1 stage runs lane-innermost over one batched row
-    /// ([`BatchCache::access_all`]); lanes that miss walk the outer
-    /// levels individually (replacement divergence — e.g. the Random
-    /// policy — can make the same warm access hit in one lane and
-    /// miss in another).
-    fn warm_all(&mut self, pa: PhysAddr) {
-        let pas = vec![pa; self.l1.lanes()];
-        for (lane, out) in self
-            .l1
-            .access_all(&pas, Domain::PRIMARY)
-            .into_iter()
-            .enumerate()
-        {
-            if out.hit {
-                continue;
-            }
-            if self.l2.access_lane(lane, pa).hit {
-                continue;
-            }
-            if let (Some(llc), Some(_)) = (self.llc.as_mut(), self.lat.llc) {
-                llc.access_lane(lane, pa);
-            }
+    /// A lane's target set, seeded like set `target_set` of an L1
+    /// built with `seed`, after the scalar warm-up order: the
+    /// receiver's lines, then the sender's line.
+    fn warm(&self, spec: &BatchSpec, seed: u64) -> OneSet {
+        let mut set = OneSet::new(spec.policy, seed, spec.params.target_set as u64);
+        for &line in self.receiver.iter().chain([&self.sender]) {
+            set.access(line);
+        }
+        set
+    }
+
+    /// One demand load of channel line `line` on a lane's `set`:
+    /// level of service and its latency.
+    #[inline(always)]
+    fn access(&self, set: &mut OneSet, line: u64) -> (HitLevel, u32) {
+        if set.access(line) {
+            (HitLevel::L1, self.l1)
+        } else {
+            (HitLevel::L2, self.l2)
         }
     }
 }
@@ -372,31 +401,14 @@ impl BatchHierarchy {
 ///
 /// # Panics
 ///
-/// Panics if a lane's message is empty (as the scalar sender does).
+/// Panics if a lane's message is empty (as the scalar sender does),
+/// or if the layout breaks one of the facts the one-set lanes rest
+/// on (module docs); on an [`eligible`] platform none does.
 pub fn run_batch(spec: &BatchSpec, lanes: &[LaneSpec]) -> Result<Vec<LockstepRun>, ParamError> {
-    let layout = channel_layout(spec)?;
-    if lanes.is_empty() {
-        return Ok(Vec::new());
-    }
-    let lane_seeds: Vec<u64> = lanes.iter().map(|l| l.seed).collect();
-    let mut hier = BatchHierarchy::new(spec, &lane_seeds);
-
-    // Warmup, in the scalar order: probe chain (LatencyProbe::new),
-    // then the receiver's lines, then the sender's line.
-    for &pa in &layout.chain_pas {
-        hier.warm_all(pa);
-    }
-    for &pa in &layout.receiver_pas {
-        hier.warm_all(pa);
-    }
-    hier.warm_all(layout.sender_pa);
-    hier.enable_l2_replay(&layout);
-
-    Ok(lanes
-        .iter()
-        .enumerate()
-        .map(|(lane, l)| run_lane(spec, &layout, &mut hier, lane, l))
-        .collect())
+    let arch = spec.platform.arch;
+    let layout = channel_layout(spec, MicroArch { llc: None, ..arch })?;
+    let chan = Channel::new(&arch, spec.params.target_set, &layout);
+    Ok(lanes.iter().map(|l| run_lane(spec, &chan, l)).collect())
 }
 
 /// One per-op scheduler jitter draw, exactly as the reference
@@ -421,20 +433,14 @@ fn jitter_draw(rng: &mut SmallRng, max: u32) -> u64 {
 /// liveness can change during the other's turn, so hoisting the pick
 /// to turn boundaries is exact, and the inner loops only re-check
 /// their own clock against the opponent's frozen one.
-fn run_lane(
-    spec: &BatchSpec,
-    layout: &Layout,
-    hier: &mut BatchHierarchy,
-    lane: usize,
-    l: &LaneSpec,
-) -> LockstepRun {
+fn run_lane(spec: &BatchSpec, chan: &Channel, l: &LaneSpec) -> LockstepRun {
     // The receiver's op stream (`LruReceiver::next_op`) inlined —
     // init `d` lines → sleep to the `Tr` grid → decode the rest →
     // time line 0 — with its line list resolved straight to the
-    // shared physical layout (virtual addresses only matter to the
+    // target set's line names (virtual addresses only matter to the
     // way predictor, which eligibility excludes). Covert receivers
     // have no sample cap, so `Op::Done` cannot occur.
-    let r_lines = &layout.receiver_pas;
+    let r_lines = &chan.receiver;
     let d = spec.params.d;
     let tr = spec.params.tr;
     assert!(d >= 1 && d <= r_lines.len(), "d must be in 1..=lines.len()");
@@ -464,13 +470,8 @@ fn run_lane(
     let jmax = sched.jitter;
     let limit = (msg_len + 1) * ts;
 
-    let lat = hier.lat;
-    let l1_hit_cost = u64::from(lat.l1) + ACCESS_ISSUE_COST;
-    // Probe-chain replay (module docs): sound whenever the chain fits
-    // its reserved set's associativity, because then that set never
-    // sees a fill after warmup.
-    let chain_total: Option<u32> =
-        (hier.l1.geometry().ways() >= CHAIN_LEN).then(|| CHAIN_LEN as u32 * lat.l1);
+    let mut set = chan.warm(spec, l.seed);
+    let l1_hit_cost = u64::from(chan.l1) + ACCESS_ISSUE_COST;
     // Sender repeated-hit replay: valid while the last sender access
     // was a clean L1 hit, the touch is idempotent, and no receiver
     // turn has intervened (the receiver is the only other party that
@@ -507,7 +508,7 @@ fn run_lane(
                             if sender_line_hot {
                                 l1_hit_cost
                             } else {
-                                let (level, cyc) = hier.access(lane, layout.sender_pa);
+                                let (level, cyc) = chan.access(&mut set, chan.sender);
                                 sender_line_hot = touch_idem && level == HitLevel::L1;
                                 u64::from(cyc) + ACCESS_ISSUE_COST
                             }
@@ -541,7 +542,7 @@ fn run_lane(
                 match r_phase {
                     Phase::Init => {
                         if r_idx < d {
-                            let (_, cyc) = hier.access(lane, r_lines[r_idx]);
+                            let (_, cyc) = chan.access(&mut set, r_lines[r_idx]);
                             r_idx += 1;
                             local[1] = now
                                 + u64::from(cyc)
@@ -569,7 +570,7 @@ fn run_lane(
                     }
                     Phase::Decode => {
                         if r_idx < r_lines.len() {
-                            let (_, cyc) = hier.access(lane, r_lines[r_idx]);
+                            let (_, cyc) = chan.access(&mut set, r_lines[r_idx]);
                             r_idx += 1;
                             local[1] = now
                                 + u64::from(cyc)
@@ -580,21 +581,13 @@ fn run_lane(
                         }
                     }
                     Phase::Measure => {
-                        // The pointer chase: chain loads (replayed or
-                        // real), then the architectural target load;
+                        // The pointer chase: the chain's constant
+                        // walk, then the architectural target load;
                         // the TSC readout draws from the shared RNG
                         // *before* the scheduler's jitter draw, as in
                         // the scalar `execute_op`.
-                        let mut total = match chain_total {
-                            Some(t) => t,
-                            None => layout
-                                .chain_pas
-                                .iter()
-                                .map(|&cpa| hier.access(lane, cpa).1)
-                                .sum(),
-                        };
-                        let (level, cyc) = hier.access(lane, r_lines[0]);
-                        total += cyc;
+                        let (level, cyc) = chan.access(&mut set, r_lines[0]);
+                        let total = chan.chain_total + cyc;
                         let measured = tsc.measure_chain(total, &mut rng);
                         let cycles = u64::from(total) + u64::from(tsc.overhead);
                         samples.push(Sample {
@@ -707,17 +700,51 @@ mod tests {
 
     #[test]
     fn matches_scalar_for_every_policy() {
-        // Random included: its per-set victim streams are seeded per
-        // lane, exactly like the scalar per-machine seeding.
-        for policy in [
-            PolicyKind::Lru,
-            PolicyKind::TreePlru,
-            PolicyKind::BitPlru,
-            PolicyKind::Fifo,
-            PolicyKind::Random,
-        ] {
-            assert_batch_matches_scalar(&spec(Variant::SharedMemory, policy, 8), &lanes(23, 3, 10));
+        // A non-zero target set too: a lane's Random generator must be
+        // that of set `target_set` of the lane's L1, not set 0's.
+        for policy in PolicyKind::ALL {
+            for target_set in [0, 37] {
+                let mut s = spec(Variant::SharedMemory, policy, 8);
+                s.params.target_set = target_set;
+                assert_batch_matches_scalar(&s, &lanes(23, 3, 10));
+            }
         }
+    }
+
+    /// The facts [`Channel::new`] asserts — the chain fits its own L1
+    /// set, no L2 set overflows, every channel line maps to the target
+    /// set, the lines fit the kernel's tag space — for every shape
+    /// lockstep can be handed, and the LLC-free scratch machine lays
+    /// the channel out exactly as the full machine does.
+    #[test]
+    fn replay_proofs_hold_on_every_eligible_shape() {
+        let mut shapes = 0;
+        for platform in Platform::all() {
+            if !eligible(&platform, Sharing::HyperThreaded) {
+                continue;
+            }
+            let arch = platform.arch;
+            for variant in [
+                Variant::SharedMemory,
+                Variant::SharedMemoryThreads,
+                Variant::NoSharedMemory,
+            ] {
+                for target_set in 0..arch.l1d.num_sets() as usize {
+                    let mut s = spec(variant, PolicyKind::TreePlru, 8);
+                    s.platform = platform;
+                    s.params.target_set = target_set;
+                    let full = channel_layout(&s, arch).unwrap();
+                    let lean = channel_layout(&s, MicroArch { llc: None, ..arch }).unwrap();
+                    assert_eq!(lean, full, "{} {variant:?} set {target_set}", arch.model);
+                    let chan = Channel::new(&arch, target_set, &full);
+                    // At most 9 distinct lines: one more than the L1's ways.
+                    let lines = chan.receiver.iter().chain([&chan.sender]).max().unwrap() + 1;
+                    assert!(lines <= 9, "{lines} channel lines");
+                    shapes += 1;
+                }
+            }
+        }
+        assert_eq!(shapes, 2 * 3 * 64);
     }
 
     #[test]

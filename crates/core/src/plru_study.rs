@@ -152,7 +152,7 @@ pub fn eviction_curve(
     let mut rng = SmallRng::seed_from_u64(seed);
     let mut evicted_counts = vec![0u64; iterations];
     for t in 0..trials {
-        let mut set = OneSet::new(policy, seed ^ (t as u64).wrapping_mul(0x9e37_79b9));
+        let mut set = OneSet::new(policy, seed ^ (t as u64).wrapping_mul(0x9e37_79b9), 0);
         warm_up(&mut set, init, &mut rng);
         for count in evicted_counts.iter_mut() {
             run_sequence(&mut set, sequence, &mut rng);

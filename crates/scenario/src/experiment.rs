@@ -147,8 +147,8 @@ impl Scenario {
     /// every chunk boundary), the per-trial progress callback and
     /// the [`LockstepMode`]. Under `Auto` (the default) and `Force`,
     /// scenarios with a [`Scenario::lockstep_spec`] run their trials
-    /// in lockstep batches over the lane-major
-    /// [`cache_sim::batch::BatchCache`]; ineligible scenarios — and
+    /// in lockstep batches ([`lockstep::run_batch`]: one address
+    /// layout per batch, one-set lanes); ineligible scenarios — and
     /// every run under `Off` — take the scalar per-trial path. The
     /// produced bytes are identical either way (pinned by
     /// `tests/lockstep_equivalence.rs`); only the wall clock differs.

@@ -1,6 +1,6 @@
 //! The lockstep batching contract: routing eligible covert trials
-//! through [`cache_sim::batch::BatchCache`] must be invisible in the
-//! output.
+//! through `lru_channel::lockstep` (one-set lanes) must be invisible
+//! in the output.
 //!
 //! For every registry artifact, the report produced with lockstep
 //! batching enabled (`Auto` — the default everywhere — and `Force`)

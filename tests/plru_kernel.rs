@@ -5,7 +5,9 @@
 //!   0–9 drive a `OneSet` and a one-set 8-way `Cache` of the same
 //!   policy and seed, for all six policies; every step must agree
 //!   on hit/miss and probe results, and after every step both must
-//!   hold the same lines in the same ways.
+//!   hold the same lines in the same ways. Random is also pinned at
+//!   non-zero set indices of a 64-set `Cache`, since its generator
+//!   is seeded per set.
 //! * **Golden curves.** The `to_bits` of every probability of
 //!   `eviction_curve`, for 6 policies × 2 sequences × 2 initial
 //!   conditions at two seeds, folded into one fingerprint per curve.
@@ -25,32 +27,33 @@ use proptest::prelude::*;
 /// Lines the study touches: 0–7, x (8) and one stranger (9).
 const LINES: u64 = 10;
 
-/// Replays `ops` (`(line, probe?)`) on the kernel and on a one-set
-/// 8-way `Cache`, asserting they agree after every step.
-fn kernel_matches_cache(kind: PolicyKind, seed: u64, ops: &[(u64, bool)]) {
-    let geom = CacheGeometry::new(64, 1, WAYS).expect("one-set geometry");
+/// Replays `ops` (`(line, probe?)`) on a kernel for set `set` and on
+/// set `set` of a `sets`-set 8-way `Cache` of the same policy and
+/// seed (line `l` at tag `l`), asserting they agree after every step.
+fn kernel_matches_cache(kind: PolicyKind, seed: u64, sets: u64, set: u64, ops: &[(u64, bool)]) {
+    let geom = CacheGeometry::new(64, sets, WAYS).expect("8-way geometry");
     let mut cache = Cache::new(geom, kind, seed);
-    let mut set = OneSet::new(kind, seed);
-    let pa = |line: u64| PhysAddr::new(line * 64);
+    let mut one = OneSet::new(kind, seed, set);
+    let pa = |line: u64| PhysAddr::new((line * sets + set) * 64);
     for (step, &(line, probe)) in ops.iter().enumerate() {
         if probe {
             assert_eq!(
-                set.probe(line),
+                one.probe(line),
                 cache.probe(pa(line)),
-                "{kind} seed {seed}: probe of line {line} at step {step}"
+                "{kind} seed {seed} set {set}: probe of line {line} at step {step}"
             );
         } else {
             assert_eq!(
-                set.access(line),
+                one.access(line),
                 cache.access(pa(line)).hit,
-                "{kind} seed {seed}: access to line {line} at step {step}"
+                "{kind} seed {seed} set {set}: access to line {line} at step {step}"
             );
         }
         for l in 0..LINES {
             assert_eq!(
-                set.way_of(l),
+                one.way_of(l),
                 cache.way_of(pa(l)),
-                "{kind} seed {seed}: residency of line {l} after step {step}"
+                "{kind} seed {seed} set {set}: residency of line {l} after step {step}"
             );
         }
     }
@@ -66,7 +69,7 @@ proptest! {
         ops in collection::vec((0u64..LINES, any::<bool>()), 1..400),
     ) {
         let kind = PolicyKind::ALL[kind_idx];
-        kernel_matches_cache(kind, seed, &ops);
+        kernel_matches_cache(kind, seed, 1, 0, &ops);
     }
 }
 
@@ -85,7 +88,27 @@ fn every_policy_is_pinned_against_the_cache() {
         .collect();
     for kind in PolicyKind::ALL {
         for seed in [0, 7, u64::MAX] {
-            kernel_matches_cache(kind, seed, &ops);
+            kernel_matches_cache(kind, seed, 1, 0, &ops);
+        }
+    }
+}
+
+#[test]
+fn random_kernel_is_seeded_like_its_set_of_a_cache() {
+    // Random's victim stream is per set: the kernel for set k must
+    // draw what set k of a multi-set cache draws, not set 0's.
+    let mut x = 0x9e37_79b9u64;
+    let ops: Vec<(u64, bool)> = (0..500)
+        .map(|_| {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((x >> 33) % LINES, false)
+        })
+        .collect();
+    for set in [1, 37, 63] {
+        for seed in [0, 7, u64::MAX] {
+            kernel_matches_cache(PolicyKind::Random, seed, 64, set, &ops);
         }
     }
 }
