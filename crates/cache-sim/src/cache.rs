@@ -282,11 +282,6 @@ impl Cache {
         self.stats
     }
 
-    /// Zeroes the statistics (contents untouched).
-    pub fn reset_stats(&mut self) {
-        self.stats = CacheStats::default();
-    }
-
     /// Empties the cache and resets all replacement state and stats.
     pub fn clear(&mut self) {
         self.store.clear();

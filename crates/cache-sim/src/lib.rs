@@ -34,10 +34,6 @@
 //!   [`way_predictor`] (paper §VI-B).
 //! * [`counters`] — per-hardware-thread performance-counter model used
 //!   to regenerate the miss-rate tables (paper Tables VI, VII).
-//! * [`stream`] — composable access streams: any address source can
-//!   drive a cache, and [`stream::Interleave`] splices deterministic
-//!   interference (the noise models of `lru_channel::noise`) into a
-//!   base stream without the consumer knowing.
 //! * [`profiles`] — geometry/latency presets for the three evaluated
 //!   micro-architectures (Sandy Bridge, Skylake, Zen) and the GEM5
 //!   configuration of the defense study (paper Fig. 9).
@@ -86,7 +82,6 @@ pub mod reference;
 pub mod replacement;
 pub mod set;
 mod storage;
-pub mod stream;
 pub mod way_predictor;
 
 pub use addr::{PhysAddr, VirtAddr};
@@ -99,4 +94,3 @@ pub use plcache::{PlCache, PlDesign, PlRequest};
 pub use profiles::MicroArch;
 pub use reference::RefCache;
 pub use replacement::{Domain, Policy, PolicyKind, SetReplacement, WayMask};
-pub use stream::{AccessStream, Interleave, StreamStats};

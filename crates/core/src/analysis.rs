@@ -1,9 +1,7 @@
-//! Histograms and trace summaries used by the figure harnesses.
+//! Latency histograms used by the figure harnesses.
 
 use std::collections::BTreeMap;
 use std::fmt;
-
-use crate::protocol::Sample;
 
 /// A latency histogram over integer cycle readouts (Figs. 3 and 13).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -109,51 +107,9 @@ impl fmt::Display for Histogram {
     }
 }
 
-/// Summary statistics of a receiver trace (used by the Fig. 5/7/14
-/// harnesses and EXPERIMENTS.md).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TraceSummary {
-    /// Number of samples.
-    pub samples: usize,
-    /// Mean readout.
-    pub mean: f64,
-    /// Fraction of samples at or below the hit threshold.
-    pub hit_fraction: f64,
-    /// Smallest readout.
-    pub min: u32,
-    /// Largest readout.
-    pub max: u32,
-}
-
-/// Summarizes a trace against a hit threshold.
-pub fn summarize(samples: &[Sample], hit_threshold: u32) -> TraceSummary {
-    if samples.is_empty() {
-        return TraceSummary {
-            samples: 0,
-            mean: 0.0,
-            hit_fraction: 0.0,
-            min: 0,
-            max: 0,
-        };
-    }
-    let mean = samples.iter().map(|s| s.measured as f64).sum::<f64>() / samples.len() as f64;
-    let hits = samples
-        .iter()
-        .filter(|s| s.measured <= hit_threshold)
-        .count();
-    TraceSummary {
-        samples: samples.len(),
-        mean,
-        hit_fraction: hits as f64 / samples.len() as f64,
-        min: samples.iter().map(|s| s.measured).min().unwrap(),
-        max: samples.iter().map(|s| s.measured).max().unwrap(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cache_sim::hierarchy::HitLevel;
 
     #[test]
     fn histogram_counts_and_mean() {
@@ -183,29 +139,5 @@ mod tests {
         let h: Histogram = [5u32, 5].into_iter().collect();
         let text = h.to_string();
         assert!(text.contains("100.00%"));
-    }
-
-    #[test]
-    fn summary_of_mixed_trace() {
-        let samples: Vec<Sample> = [35u32, 36, 48, 49]
-            .iter()
-            .enumerate()
-            .map(|(i, &m)| Sample {
-                at: i as u64 * 100,
-                measured: m,
-                level: HitLevel::L1,
-            })
-            .collect();
-        let s = summarize(&samples, 40);
-        assert_eq!(s.samples, 4);
-        assert!((s.hit_fraction - 0.5).abs() < 1e-12);
-        assert_eq!((s.min, s.max), (35, 49));
-    }
-
-    #[test]
-    fn empty_summary_is_zeroed() {
-        let s = summarize(&[], 40);
-        assert_eq!(s.samples, 0);
-        assert_eq!(s.mean, 0.0);
     }
 }

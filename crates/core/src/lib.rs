@@ -29,13 +29,13 @@
 //!   transmission rate").
 //! * [`noise`] — deterministic environmental interference: the
 //!   [`noise::NoiseModel`] spec (random eviction, periodic co-runner
-//!   bursts, Bernoulli per-observation touches) with a scheduled
-//!   [`exec_sim::program::Program`] face for covert runs and an
-//!   access-stream face for [`cache_sim::stream`].
+//!   bursts, Bernoulli per-observation touches), run as a scheduled
+//!   [`exec_sim::program::Program`] next to a covert run's sender and
+//!   receiver.
 //! * [`plru_study`] — the Table I eviction-probability study of
 //!   Tree-PLRU / Bit-PLRU vs true LRU, one allocation-free
 //!   [`cache_sim::one_set::OneSet`] per trial.
-//! * [`analysis`] — histograms and trace summaries (Figs. 3, 5, 13).
+//! * [`analysis`] — latency histograms (Figs. 3, 13).
 //! * [`trials`] — deterministic parallel trial driver: independent
 //!   simulator runs fan out over all host cores with per-trial seeds,
 //!   bit-identical to sequential execution.

@@ -22,20 +22,14 @@
 //!
 //! Every model is a pure function of its parameters and a seed, so
 //! noisy experiments stay bit-identical across worker counts like
-//! everything else in the workspace. Each model has two faces:
-//!
-//! 1. **A scheduled program** ([`NoiseModel::program`]) — an
-//!    [`exec_sim::program::Program`] run as a third thread next to
-//!    the sender and receiver. This is how the covert-channel
-//!    experiments inject noise.
-//! 2. **An access-stream gate** ([`NoiseModel::injector`]) — the
-//!    deterministic decision process mapped into the access-index
-//!    domain, pluggable into
-//!    [`cache_sim::stream::Interleave`] to perturb *any* address
-//!    stream feeding a bare cache.
+//! everything else in the workspace. A model enters an experiment
+//! one way: as a scheduled program ([`NoiseModel::program`], or
+//! [`NoiseModel::spawn`] to allocate its buffer too) — an
+//! [`exec_sim::program::Program`] run as a third thread next to the
+//! sender and receiver, the "other processes running during Tr"
+//! of §V-B.
 
-use cache_sim::addr::{PhysAddr, VirtAddr};
-use cache_sim::stream::AccessStream;
+use cache_sim::addr::VirtAddr;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -48,12 +42,6 @@ use std::fmt;
 /// Cache-line stride the noise buffers assume (all simulated L1s use
 /// 64-byte lines).
 pub const LINE: u64 = 64;
-
-/// Nominal cost of one base-stream access, used to map the
-/// cycle-domain models ([`NoiseModel::RandomEviction`],
-/// [`NoiseModel::PeriodicBurst`]) into the access-index domain of
-/// [`NoiseModel::injector`]. Matches the simulated L1 hit latency.
-pub const STREAM_CYCLES_PER_ACCESS: u64 = 4;
 
 /// A parametric cache-interference process. `None` is the default
 /// everywhere; scenarios omit it when serializing, which keeps
@@ -261,23 +249,6 @@ impl NoiseModel {
         self.program(buffer, cadence_cycles, seed ^ 0x0153)
             .map(|prog| (pid, prog))
     }
-
-    /// The stream face: a gate + address source for
-    /// [`cache_sim::stream::Interleave`], with the cycle-domain
-    /// models mapped into the access-index domain at
-    /// [`STREAM_CYCLES_PER_ACCESS`] cycles per base access.
-    ///
-    /// Interference addresses start at physical address `base_pa`
-    /// and span [`NoiseModel::buffer_lines`] lines.
-    pub fn injector(&self, base_pa: u64, seed: u64) -> Injector {
-        Injector {
-            model: *self,
-            base_pa,
-            rng: SmallRng::seed_from_u64(seed ^ 0x6e01_5e5e),
-            carry_cycles: 0,
-            burst_cursor: 0,
-        }
-    }
 }
 
 /// Internal phase of a [`NoiseProgram`].
@@ -461,100 +432,10 @@ impl Program for NoiseProgram {
     }
 }
 
-/// The stream face of a [`NoiseModel`]: a deterministic gate
-/// (interference touches to inject after base access `i`) plus the
-/// seed-derived interference addresses themselves. Feed both sides
-/// to [`cache_sim::stream::Interleave`] via
-/// [`Injector::into_stream_parts`].
-#[derive(Debug, Clone)]
-pub struct Injector {
-    model: NoiseModel,
-    base_pa: u64,
-    rng: SmallRng,
-    carry_cycles: u64,
-    burst_cursor: u64,
-}
-
-impl Injector {
-    /// How many interference accesses to inject after base access
-    /// `index` (the [`cache_sim::stream::Interleave`] gate).
-    pub fn decide(&mut self, _index: u64) -> u32 {
-        match self.model {
-            NoiseModel::None => 0,
-            NoiseModel::RandomEviction { gap_cycles, .. } => {
-                self.carry_cycles += STREAM_CYCLES_PER_ACCESS;
-                let n = self.carry_cycles / u64::from(gap_cycles.max(1));
-                self.carry_cycles %= u64::from(gap_cycles.max(1));
-                n.min(u64::from(u32::MAX)) as u32
-            }
-            NoiseModel::PeriodicBurst {
-                period_cycles,
-                burst_lines,
-            } => {
-                let before = self.carry_cycles / period_cycles.max(1);
-                self.carry_cycles += STREAM_CYCLES_PER_ACCESS;
-                let after = self.carry_cycles / period_cycles.max(1);
-                ((after - before) as u32).saturating_mul(burst_lines)
-            }
-            NoiseModel::Bernoulli { p, .. } => u32::from(self.rng.gen_bool(p.clamp(0.0, 1.0))),
-        }
-    }
-
-    /// The next interference address.
-    pub fn next_line(&mut self) -> PhysAddr {
-        let lines = self.model.buffer_lines().max(1);
-        let line = match self.model {
-            // Bursts stream sequentially: a cursor advances on every
-            // injected access, so one burst touches `burst_lines`
-            // *distinct* consecutive lines like the program face.
-            NoiseModel::PeriodicBurst { .. } => {
-                let line = self.burst_cursor % lines;
-                self.burst_cursor += 1;
-                line
-            }
-            _ => self.rng.gen_range(0..lines),
-        };
-        PhysAddr::new(self.base_pa + line * LINE)
-    }
-
-    /// Splits the injector into the `(noise_stream, gate)` pair
-    /// [`cache_sim::stream::Interleave::new`] wants. Both halves
-    /// share the injector's RNG state through a single owner, so the
-    /// composition stays deterministic.
-    pub fn into_stream_parts(
-        self,
-    ) -> (
-        impl AccessStream + 'static,
-        impl FnMut(u64) -> u32 + 'static,
-    ) {
-        use std::cell::RefCell;
-        use std::rc::Rc;
-        let shared = Rc::new(RefCell::new(self));
-        let gate_half = Rc::clone(&shared);
-        let stream = InjectorStream { inner: shared };
-        let gate = move |i: u64| gate_half.borrow_mut().decide(i);
-        (stream, gate)
-    }
-}
-
-/// Infinite [`AccessStream`] of one injector's interference lines.
-struct InjectorStream {
-    inner: std::rc::Rc<std::cell::RefCell<Injector>>,
-}
-
-impl AccessStream for InjectorStream {
-    fn next_access(&mut self) -> Option<PhysAddr> {
-        Some(self.inner.borrow_mut().next_line())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cache_sim::cache::Cache;
-    use cache_sim::geometry::CacheGeometry;
     use cache_sim::replacement::PolicyKind;
-    use cache_sim::stream::{drain, Interleave};
     use exec_sim::machine::Machine;
     use exec_sim::sched::{HyperThreaded, ThreadHandle};
 
@@ -694,87 +575,6 @@ mod tests {
             m.counters(pid).l1d_accesses > 100,
             "noise must keep touching"
         );
-    }
-
-    #[test]
-    fn injector_gate_composes_with_interleave() {
-        let geom = CacheGeometry::new(64, 64, 8).unwrap();
-        let model = NoiseModel::Bernoulli { p: 1.0, lines: 512 };
-        let (noise, gate) = model.injector(1 << 20, 11).into_stream_parts();
-        let base: Vec<PhysAddr> = (0..200u64).map(|i| PhysAddr::new((i % 4) * 64)).collect();
-        let mut cache = Cache::new(geom, PolicyKind::TreePlru, 1);
-        let mut s = Interleave::new(base.into_iter(), noise, gate);
-        let stats = drain(&mut cache, &mut s);
-        // p = 1: one interference touch per base access.
-        assert_eq!(stats.accesses, 400);
-        // The injected lines come from a disjoint region, so the
-        // base working set still fits — but pressure is visible.
-        assert!(stats.misses > 4, "interference must add misses");
-    }
-
-    #[test]
-    fn injector_is_deterministic() {
-        let model = NoiseModel::Bernoulli { p: 0.4, lines: 64 };
-        let gates = |seed| {
-            let mut inj = model.injector(0, seed);
-            (0..512).map(|i| inj.decide(i)).collect::<Vec<_>>()
-        };
-        assert_eq!(gates(5), gates(5));
-        assert_ne!(gates(5), gates(6));
-    }
-
-    #[test]
-    fn cycle_domain_models_map_into_the_index_domain() {
-        // gap = 2 × STREAM_CYCLES_PER_ACCESS → one touch every two
-        // base accesses.
-        let model = NoiseModel::RandomEviction {
-            lines: 64,
-            gap_cycles: 2 * STREAM_CYCLES_PER_ACCESS as u32,
-        };
-        let mut inj = model.injector(0, 1);
-        let total: u32 = (0..1_000).map(|i| inj.decide(i)).sum();
-        assert_eq!(total, 500);
-        // One 4-line burst every 40 cycles → 4 lines per 10 accesses.
-        let model = NoiseModel::PeriodicBurst {
-            period_cycles: 40,
-            burst_lines: 4,
-        };
-        let mut inj = model.injector(0, 1);
-        let total: u32 = (0..1_000).map(|i| inj.decide(i)).sum();
-        assert_eq!(total, 400);
-    }
-
-    #[test]
-    fn burst_injector_streams_distinct_consecutive_lines() {
-        // period a multiple of burst_lines — the regression shape
-        // where a carry-derived line index would repeat line 0.
-        let model = NoiseModel::PeriodicBurst {
-            period_cycles: 40,
-            burst_lines: 4,
-        };
-        let mut inj = model.injector(1 << 20, 1);
-        let mut bursts = Vec::new();
-        for i in 0..64 {
-            let n = inj.decide(i);
-            if n > 0 {
-                let lines: Vec<u64> = (0..n)
-                    .map(|_| (inj.next_line().raw() - (1 << 20)) / LINE)
-                    .collect();
-                bursts.push(lines);
-            }
-        }
-        assert!(!bursts.is_empty(), "bursts must fire");
-        for burst in &bursts {
-            assert_eq!(burst.len(), 4);
-            let mut sorted = burst.clone();
-            sorted.sort_unstable();
-            sorted.dedup();
-            assert_eq!(
-                sorted.len(),
-                4,
-                "a burst must touch distinct lines, got {burst:?}"
-            );
-        }
     }
 
     #[test]

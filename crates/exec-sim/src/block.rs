@@ -85,7 +85,6 @@ pub(crate) struct BlockEffects {
 pub struct BlockCtx<'a> {
     machine: &'a mut Machine,
     pid: Pid,
-    domain: Domain,
     now: u64,
     /// Pre-op stop: no op may *start* at `now >= limit` (the
     /// scheduler's global cycle budget).
@@ -169,7 +168,6 @@ impl<'a> BlockCtx<'a> {
         analytic_cycles: Option<u64>,
         repeat_ok: bool,
     ) -> Self {
-        let domain = machine.domain_of(pid);
         // A zero-length slice (a validated `quantum_jitter ==
         // 2*quantum` config can draw one) starts the window already
         // closed; the scheduler then runs the boundary op through the
@@ -182,7 +180,6 @@ impl<'a> BlockCtx<'a> {
         Self {
             machine,
             pid,
-            domain,
             now,
             limit,
             until,
@@ -251,7 +248,7 @@ impl<'a> BlockCtx<'a> {
                 let out =
                     self.machine
                         .hierarchy_mut()
-                        .access(va, pa, &mut self.scratch, self.domain);
+                        .access(va, pa, &mut self.scratch, Domain::PRIMARY);
                 let cycles = u64::from(out.cycles) + ACCESS_ISSUE_COST;
                 // Only a hit that paid the fast-path latency settles
                 // the way predictor and leaves state a re-touch

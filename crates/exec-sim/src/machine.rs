@@ -19,8 +19,6 @@ struct AddressSpace {
     /// are handed out densely from the base, so a lookup is a bounds
     /// check and an index.
     frames: Vec<u64>,
-    /// Protection domain (partitioned-cache experiments).
-    domain: Domain,
 }
 
 impl AddressSpace {
@@ -119,17 +117,6 @@ impl Machine {
         Pid(pid as u32)
     }
 
-    /// Assigns `pid` to a protection domain (partitioned-cache
-    /// defense experiments; default is [`Domain::PRIMARY`]).
-    pub fn set_domain(&mut self, pid: Pid, domain: Domain) {
-        self.space_mut(pid).domain = domain;
-    }
-
-    /// The protection domain `pid` currently runs in.
-    pub fn domain_of(&self, pid: Pid) -> Domain {
-        self.space(pid).domain
-    }
-
     /// Allocates `n` fresh private pages and returns the base virtual
     /// address of the region.
     ///
@@ -174,9 +161,8 @@ impl Machine {
         let pa = self
             .translate(pid, va)
             .unwrap_or_else(|| panic!("access to unmapped page by {pid:?} at {va}"));
-        let domain = self.space(pid).domain;
         self.hierarchy
-            .access(va, pa, &mut self.counters[pid.0 as usize], domain)
+            .access(va, pa, &mut self.counters[pid.0 as usize], Domain::PRIMARY)
     }
 
     /// `clflush` of the line containing `va` (requires a mapping).

@@ -98,73 +98,6 @@ impl Program for RandomTouches {
     }
 }
 
-/// A program that streams sequentially through its buffer over and
-/// over (a memcpy-ish co-runner), pausing `gap_cycles` between
-/// touches.
-#[derive(Debug, Clone)]
-pub struct SequentialStream {
-    buffer: VirtAddr,
-    buffer_lines: u64,
-    line_size: u64,
-    gap_cycles: u32,
-    next_line: u64,
-    emit_access: bool,
-}
-
-impl SequentialStream {
-    /// Creates the streaming program.
-    pub fn new(buffer: VirtAddr, buffer_lines: u64, line_size: u64, gap_cycles: u32) -> Self {
-        Self {
-            buffer,
-            buffer_lines,
-            line_size,
-            gap_cycles,
-            next_line: 0,
-            emit_access: true,
-        }
-    }
-}
-
-impl Program for SequentialStream {
-    fn next_op(&mut self, _now: u64) -> Op {
-        if self.emit_access {
-            self.emit_access = false;
-            let line = self.next_line;
-            self.next_line = (self.next_line + 1) % self.buffer_lines;
-            Op::Access(self.buffer.add(line * self.line_size))
-        } else {
-            self.emit_access = true;
-            Op::Compute(self.gap_cycles)
-        }
-    }
-
-    fn run_block(&mut self, ctx: &mut BlockCtx<'_>) {
-        while ctx.can_issue() {
-            if self.emit_access {
-                self.emit_access = false;
-                let line = self.next_line;
-                self.next_line = (self.next_line + 1) % self.buffer_lines;
-                ctx.access(self.buffer.add(line * self.line_size));
-            } else {
-                self.emit_access = true;
-                ctx.compute(self.gap_cycles);
-            }
-        }
-    }
-
-    fn uses_blocks(&self) -> bool {
-        true
-    }
-
-    fn footprint(&self) -> Footprint {
-        if self.line_size == 64 && self.buffer_lines > 0 {
-            Footprint::Lines(vec![(self.buffer, self.buffer_lines)])
-        } else {
-            Footprint::Unknown
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -179,18 +112,6 @@ mod tests {
         assert!(matches!(p.next_op(0), Op::Access(_)));
         assert!(matches!(p.next_op(0), Op::Compute(50)));
         assert!(matches!(p.next_op(0), Op::Access(_)));
-    }
-
-    #[test]
-    fn sequential_stream_wraps() {
-        let mut p = SequentialStream::new(VirtAddr::new(0), 2, 64, 10);
-        let mut touched = Vec::new();
-        for _ in 0..6 {
-            if let Op::Access(va) = p.next_op(0) {
-                touched.push(va.raw());
-            }
-        }
-        assert_eq!(touched, vec![0, 64, 0]);
     }
 
     #[test]

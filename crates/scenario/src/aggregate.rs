@@ -1,26 +1,24 @@
-//! Streaming reduction of trial outcomes: the [`Reducer`] trait and
+//! Streaming reduction of trial metrics: the [`Reducer`] trait and
 //! the [`Aggregate`] selector.
 //!
-//! The buffered shape — "collect a `Vec<Outcome>`, then fold" — costs
-//! `O(trials)` memory per grid cell and caps how far a sweep can
-//! scale. A [`Reducer`] inverts that: each trial's [`Outcome`] is
-//! folded into an accumulator the moment it is produced, partial
-//! accumulators merge in fixed chunk order (see
-//! [`lru_channel::trials::run_trials_fold_ctrl`]), and only the finished
-//! summary survives. A million-trial sweep reduces to a handful of
-//! counters while staying bit-identical across worker counts.
+//! The buffered shape — "collect every trial's metrics, then fold" —
+//! costs `O(trials)` memory per grid cell and caps how far a sweep can
+//! scale. A [`Reducer`] inverts that: each metrics tree
+//! [`Scenario::run_trial`] returns is folded into an accumulator the
+//! moment it is produced, partial accumulators merge in fixed chunk
+//! order (see [`lru_channel::trials::run_trials_fold_ctrl`]), and only
+//! the finished summary survives. A million-trial sweep reduces to a
+//! handful of counters while staying bit-identical across worker
+//! counts.
 //!
-//! [`CollectMetrics`] is the compatibility reducer: it rebuilds
-//! exactly the `Value::Arr` of per-trial metrics the buffered path
-//! returned, so [`crate::spec::Scenario::run`] kept its output
-//! byte-for-byte through the refactor. [`ScalarStats`] and
+//! [`CollectMetrics`] keeps every trial's tree and finishes with the
+//! `Value::Arr` that [`Scenario::run`] returns. [`ScalarStats`] and
 //! [`KeyHistogram`] are the constant-memory reducers large sweeps
 //! want; [`Aggregate::for_kind`] picks a sensible one per
 //! [`ExperimentKind`].
 
 use lru_channel::trials::{FoldError, RunCtrl};
 
-use crate::experiment::Outcome;
 use crate::json::Value;
 use crate::spec::{ExperimentKind, Scenario};
 
@@ -36,8 +34,8 @@ pub trait Reducer: Sync {
     type Acc: Send;
     /// A fresh, empty accumulator.
     fn init(&self) -> Self::Acc;
-    /// Folds trial `index`'s outcome into `acc`.
-    fn fold(&self, acc: &mut Self::Acc, index: usize, outcome: Outcome);
+    /// Folds trial `index`'s metrics tree into `acc`.
+    fn fold(&self, acc: &mut Self::Acc, index: usize, metrics: Value);
     /// Merges a later chunk's accumulator into an earlier one.
     fn merge(&self, acc: &mut Self::Acc, other: Self::Acc);
     /// Renders the final accumulator as a metrics tree.
@@ -57,8 +55,8 @@ impl Reducer for CollectMetrics {
         Vec::new()
     }
 
-    fn fold(&self, acc: &mut Vec<Value>, _index: usize, outcome: Outcome) {
-        acc.push(outcome.metrics);
+    fn fold(&self, acc: &mut Vec<Value>, _index: usize, metrics: Value) {
+        acc.push(metrics);
     }
 
     fn merge(&self, acc: &mut Vec<Value>, mut other: Vec<Value>) {
@@ -142,9 +140,9 @@ impl Reducer for ScalarStats {
         self.keys.iter().map(|_| KeyStat::new()).collect()
     }
 
-    fn fold(&self, acc: &mut Vec<KeyStat>, _index: usize, outcome: Outcome) {
+    fn fold(&self, acc: &mut Vec<KeyStat>, _index: usize, metrics: Value) {
         for (stat, key) in acc.iter_mut().zip(self.keys) {
-            if let Some(x) = outcome.metrics.get(key).and_then(Value::as_f64) {
+            if let Some(x) = metrics.get(key).and_then(Value::as_f64) {
                 stat.add(x);
             }
         }
@@ -183,9 +181,9 @@ impl Reducer for CapacityStats {
         [KeyStat::new(), KeyStat::new()]
     }
 
-    fn fold(&self, acc: &mut [KeyStat; 2], _index: usize, outcome: Outcome) {
+    fn fold(&self, acc: &mut [KeyStat; 2], _index: usize, metrics: Value) {
         for (stat, key) in acc.iter_mut().zip(["error_rate", "rate_bps"]) {
-            if let Some(x) = outcome.metrics.get(key).and_then(Value::as_f64) {
+            if let Some(x) = metrics.get(key).and_then(Value::as_f64) {
                 stat.add(x);
             }
         }
@@ -246,8 +244,8 @@ impl Reducer for KeyHistogram {
         }
     }
 
-    fn fold(&self, acc: &mut HistogramAcc, _index: usize, outcome: Outcome) {
-        let Some(x) = outcome.metrics.get(self.key).and_then(Value::as_f64) else {
+    fn fold(&self, acc: &mut HistogramAcc, _index: usize, metrics: Value) {
+        let Some(x) = metrics.get(self.key).and_then(Value::as_f64) else {
             return;
         };
         acc.stat.add(x);
@@ -385,10 +383,8 @@ impl Aggregate {
 mod tests {
     use super::*;
 
-    fn outcome(err: f64) -> Outcome {
-        Outcome {
-            metrics: Value::obj().with("error_rate", err),
-        }
+    fn metrics(err: f64) -> Value {
+        Value::obj().with("error_rate", err)
     }
 
     #[test]
@@ -396,7 +392,7 @@ mod tests {
         let r = ScalarStats::new(&["error_rate", "absent"]);
         let mut acc = r.init();
         for (i, e) in [0.25, 0.75, 0.5].into_iter().enumerate() {
-            r.fold(&mut acc, i, outcome(e));
+            r.fold(&mut acc, i, metrics(e));
         }
         let v = r.finish(acc);
         let stats = v.get("keys").and_then(|k| k.get("error_rate")).unwrap();
@@ -418,9 +414,9 @@ mod tests {
         let mut a = r.init();
         let mut b = r.init();
         for (i, e) in [0.0, 0.1, 0.6].into_iter().enumerate() {
-            r.fold(&mut a, i, outcome(e));
+            r.fold(&mut a, i, metrics(e));
         }
-        r.fold(&mut b, 3, outcome(1.0)); // clamps into the last bin
+        r.fold(&mut b, 3, metrics(1.0)); // clamps into the last bin
         r.merge(&mut a, b);
         let v = r.finish(a);
         let bins: Vec<u64> = v
@@ -439,9 +435,9 @@ mod tests {
     fn collect_reducer_rebuilds_the_buffered_array() {
         let r = CollectMetrics;
         let mut acc = r.init();
-        r.fold(&mut acc, 0, outcome(0.1));
+        r.fold(&mut acc, 0, metrics(0.1));
         let mut tail = r.init();
-        r.fold(&mut tail, 1, outcome(0.2));
+        r.fold(&mut tail, 1, metrics(0.2));
         r.merge(&mut acc, tail);
         let v = r.finish(acc);
         assert_eq!(v.as_arr().map(<[Value]>::len), Some(2));

@@ -1,12 +1,13 @@
-//! Executing scenarios: the [`Experiment`] trait and one
-//! implementation per [`ExperimentKind`].
+//! Executing scenarios: [`Scenario::run_trial`] and the trial drivers
+//! built on it.
 //!
-//! An experiment is a pure function of its seed: `run(seed)` builds
-//! every simulator object it needs from scratch, so experiments fan
-//! out over host cores through [`lru_channel::trials`] with
-//! bit-identical results to a sequential sweep. The returned
-//! [`Outcome`] carries a deterministic JSON metrics tree — the same
-//! numbers whether they end up in a bench table or in
+//! A trial is a pure function of its seed: `run_trial(seed, engine)`
+//! matches the scenario's [`ExperimentKind`] to one private
+//! `run_<kind>` function, which builds every simulator object it needs
+//! from scratch and returns a deterministic JSON metrics tree. Trials
+//! therefore fan out over host cores through [`lru_channel::trials`]
+//! with bit-identical results to a sequential sweep, and the numbers
+//! are the same whether they end up in a bench table or in
 //! `lru-leak … --json` output.
 
 use attacks::encoding_time::{encoding_latency, EncodedChannel};
@@ -57,60 +58,36 @@ use crate::spec::{
     WorkloadId,
 };
 
-/// What running an experiment once produced.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Outcome {
-    /// Deterministic, machine-readable metrics.
-    pub metrics: Value,
-}
-
-/// One runnable experiment. Implementations must derive everything
-/// from `seed`, so a run is reproducible and safely parallel.
-pub trait Experiment {
-    /// Runs the experiment once, scheduling every simulated thread on
-    /// `engine`. Both engines produce identical outcomes; the scenario
-    /// run paths use [`Engine::FastForward`], and differential tests
-    /// call this directly with each engine.
-    fn run(&self, seed: u64, engine: Engine) -> Outcome;
-}
-
 impl Scenario {
-    /// The experiment this scenario describes.
-    pub fn experiment(&self) -> Box<dyn Experiment + Send + Sync> {
+    /// Runs one trial of this scenario on `seed`, scheduling every
+    /// simulated thread on `engine`, and returns its metrics tree.
+    ///
+    /// This is the one per-trial dispatch: it matches the scenario's
+    /// [`ExperimentKind`] to the function that runs that experiment.
+    /// A trial derives everything from `seed`, so it is reproducible
+    /// and safe to run on any worker. Both engines produce identical
+    /// bytes; the run paths use [`Engine::FastForward`], and
+    /// differential tests call this with each engine.
+    pub fn run_trial(&self, seed: u64, engine: Engine) -> Value {
         match self.kind {
-            ExperimentKind::Covert => Box::new(CovertExperiment(self.clone())),
-            ExperimentKind::PercentOnes { .. } => Box::new(PercentOnesExperiment(self.clone())),
-            ExperimentKind::PrimeProbe { .. } => Box::new(PrimeProbeExperiment(self.clone())),
-            ExperimentKind::FlushReload { .. } => Box::new(FlushReloadExperiment(self.clone())),
-            ExperimentKind::Spectre { .. } => Box::new(SpectreExperiment(self.clone())),
-            ExperimentKind::DefenseEval { .. } => Box::new(DefenseEvalExperiment(self.clone())),
-            ExperimentKind::PlruEviction { .. } => Box::new(PlruEvictionExperiment(self.clone())),
-            ExperimentKind::LatencyCheck => Box::new(LatencyCheckExperiment(self.clone())),
-            ExperimentKind::PlatformSpec => Box::new(PlatformSpecExperiment(self.clone())),
-            ExperimentKind::EncodingLatency { .. } => {
-                Box::new(EncodingLatencyExperiment(self.clone()))
-            }
-            ExperimentKind::SenderMissRates { .. } => {
-                Box::new(SenderMissRatesExperiment(self.clone()))
-            }
-            ExperimentKind::SpectreMissRates { .. } => {
-                Box::new(SpectreMissRatesExperiment(self.clone()))
-            }
-            ExperimentKind::ProbeHistogram { .. } => {
-                Box::new(ProbeHistogramExperiment(self.clone()))
-            }
-            ExperimentKind::PolicyPerf { .. } => Box::new(PolicyPerfExperiment(self.clone())),
-            ExperimentKind::MultiSet { .. } => Box::new(MultiSetExperiment(self.clone())),
-            ExperimentKind::L2Channel { .. } => Box::new(L2ChannelExperiment(self.clone())),
-            ExperimentKind::InclusionVictim { .. } => {
-                Box::new(InclusionVictimExperiment(self.clone()))
-            }
+            ExperimentKind::Covert => run_covert(self, seed, engine),
+            ExperimentKind::PercentOnes { .. } => run_percent_ones(self, seed, engine),
+            ExperimentKind::PrimeProbe { .. } => run_prime_probe(self, seed, engine),
+            ExperimentKind::FlushReload { .. } => run_flush_reload(self, seed, engine),
+            ExperimentKind::Spectre { .. } => run_spectre(self, seed, engine),
+            ExperimentKind::DefenseEval { .. } => run_defense_eval(self, seed, engine),
+            ExperimentKind::PlruEviction { .. } => run_plru_eviction(self, seed, engine),
+            ExperimentKind::LatencyCheck => run_latency_check(self, seed, engine),
+            ExperimentKind::PlatformSpec => run_platform_spec(self, seed, engine),
+            ExperimentKind::EncodingLatency { .. } => run_encoding_latency(self, seed, engine),
+            ExperimentKind::SenderMissRates { .. } => run_sender_miss_rates(self, seed, engine),
+            ExperimentKind::SpectreMissRates { .. } => run_spectre_miss_rates(self, seed, engine),
+            ExperimentKind::ProbeHistogram { .. } => run_probe_histogram(self, seed, engine),
+            ExperimentKind::PolicyPerf { .. } => run_policy_perf(self, seed, engine),
+            ExperimentKind::MultiSet { .. } => run_multi_set(self, seed, engine),
+            ExperimentKind::L2Channel { .. } => run_l2_channel(self, seed, engine),
+            ExperimentKind::InclusionVictim { .. } => run_inclusion_victim(self, seed, engine),
         }
-    }
-
-    /// Runs the experiment once with an explicit seed.
-    pub fn run_once(&self, seed: u64) -> Outcome {
-        self.experiment().run(seed, Engine::FastForward)
     }
 
     /// Runs the scenario's `trials` independent repetitions (seeded
@@ -166,13 +143,12 @@ impl Scenario {
                 return self.run_reduced_lockstep(reducer, ctrl, &spec);
             }
         }
-        let experiment = self.experiment();
         let acc = run_trials_fold_ctrl(
             ctrl,
             self.trials.max(1),
-            |i| experiment.run(self.trial_seed(i), Engine::FastForward),
+            |i| self.run_trial(self.trial_seed(i), Engine::FastForward),
             || reducer.init(),
-            |acc, i, outcome| reducer.fold(acc, i, outcome),
+            |acc, i, metrics| reducer.fold(acc, i, metrics),
             |acc, other| reducer.merge(acc, other),
         )?;
         Ok(reducer.finish(acc))
@@ -217,7 +193,7 @@ impl Scenario {
                 runs.into_iter()
                     .enumerate()
                     .map(|(k, r)| {
-                        covert_outcome(
+                        covert_metrics(
                             self,
                             self.trial_seed(lo + k),
                             &r.samples,
@@ -228,7 +204,7 @@ impl Scenario {
                     .collect()
             },
             || reducer.init(),
-            |acc, i, outcome| reducer.fold(acc, i, outcome),
+            |acc, i, metrics| reducer.fold(acc, i, metrics),
             |acc, other| reducer.merge(acc, other),
         )?;
         Ok(reducer.finish(acc))
@@ -362,51 +338,46 @@ fn convention_for(variant: Variant) -> (BitConvention, f64) {
 }
 
 /// An end-to-end covert run: transmit, decode, score.
-pub struct CovertExperiment(pub Scenario);
-
-impl Experiment for CovertExperiment {
-    fn run(&self, seed: u64, engine: Engine) -> Outcome {
-        let s = &self.0;
-        let platform = s.platform.platform();
-        let message = s.message.bits(seed);
-        let cfg = CovertConfig {
-            platform,
-            params: s.params,
-            variant: s.variant,
-            sharing: s.sharing,
-            message,
-            seed,
-            engine,
-        };
-        let mut machine = Machine::new(platform.arch, s.policy, seed);
-        // Swap the inclusion model only when the hierarchy axis is
-        // non-default, so the default path builds the machine exactly
-        // as before and stays byte-identical.
-        if s.hierarchy != HierarchyId::Inclusive {
-            let swapped = machine
-                .hierarchy()
-                .clone()
-                .with_inclusion(s.hierarchy.inclusion());
-            *machine.hierarchy_mut() = swapped;
-        }
-        let run = cfg
-            .run_on_with_noise(&mut machine, s.noise)
-            .expect("validated at build");
-        covert_outcome(s, seed, &run.samples, run.hit_threshold, run.rate_bps)
+fn run_covert(s: &Scenario, seed: u64, engine: Engine) -> Value {
+    let platform = s.platform.platform();
+    let message = s.message.bits(seed);
+    let cfg = CovertConfig {
+        platform,
+        params: s.params,
+        variant: s.variant,
+        sharing: s.sharing,
+        message,
+        seed,
+        engine,
+    };
+    let mut machine = Machine::new(platform.arch, s.policy, seed);
+    // Swap the inclusion model only when the hierarchy axis is
+    // non-default, so the default path builds the machine exactly
+    // as before and stays byte-identical.
+    if s.hierarchy != HierarchyId::Inclusive {
+        let swapped = machine
+            .hierarchy()
+            .clone()
+            .with_inclusion(s.hierarchy.inclusion());
+        *machine.hierarchy_mut() = swapped;
     }
+    let run = cfg
+        .run_on_with_noise(&mut machine, s.noise)
+        .expect("validated at build");
+    covert_metrics(s, seed, &run.samples, run.hit_threshold, run.rate_bps)
 }
 
 /// Decode + score + metrics of one covert trial, shared by the scalar
 /// and lockstep paths — both feed it the receiver's sample trace and
 /// the platform constants, so the produced metrics (and their JSON
 /// bytes) are identical whenever the traces are.
-fn covert_outcome(
+fn covert_metrics(
     s: &Scenario,
     seed: u64,
     samples: &[lru_channel::Sample],
     hit_threshold: u32,
     rate_bps: f64,
-) -> Outcome {
+) -> Value {
     let platform = s.platform.platform();
     let base = s.message.base_bits(seed);
     let message = s.message.bits(seed);
@@ -466,51 +437,44 @@ fn covert_outcome(
         let avg_trace: Vec<Value> = avg.iter().take(160).map(|&v| Value::from(v)).collect();
         metrics = metrics.with("avg_trace", Value::Arr(avg_trace));
     }
-    Outcome { metrics }
+    metrics
 }
 
 /// The time-sliced constant-bit fraction (Figs. 6/8/15).
-pub struct PercentOnesExperiment(pub Scenario);
-
-impl Experiment for PercentOnesExperiment {
-    fn run(&self, seed: u64, engine: Engine) -> Outcome {
-        let s = &self.0;
-        let ExperimentKind::PercentOnes { samples } = s.kind else {
-            unreachable!("kind checked at build");
-        };
-        let MessageSource::Constant { bit, .. } = s.message else {
-            unreachable!("message checked at build");
-        };
-        // The benign co-runner, a noise model and a non-default
-        // hierarchy are mutually exclusive by the quiet-machine
-        // validation in `Scenario::build`.
-        let co_runner = if s.workload == WorkloadId::BenignNoise {
-            CoRunner::Benign
-        } else {
-            CoRunner::Model(s.noise)
-        };
-        let opts = PercentOnesOpts {
-            inclusion: s.hierarchy.inclusion(),
-            co_runner,
-            engine,
-        };
-        let fraction = percent_ones(
-            s.platform.platform(),
-            s.params,
-            s.variant,
-            bit,
-            samples,
-            seed,
-            opts,
-        )
-        .expect("validated at build");
-        Outcome {
-            metrics: Value::obj()
-                .with("bit", bit)
-                .with("samples", samples)
-                .with("fraction", fraction),
-        }
-    }
+fn run_percent_ones(s: &Scenario, seed: u64, engine: Engine) -> Value {
+    let ExperimentKind::PercentOnes { samples } = s.kind else {
+        unreachable!("kind checked at build");
+    };
+    let MessageSource::Constant { bit, .. } = s.message else {
+        unreachable!("message checked at build");
+    };
+    // The benign co-runner, a noise model and a non-default
+    // hierarchy are mutually exclusive by the quiet-machine
+    // validation in `Scenario::build`.
+    let co_runner = if s.workload == WorkloadId::BenignNoise {
+        CoRunner::Benign
+    } else {
+        CoRunner::Model(s.noise)
+    };
+    let opts = PercentOnesOpts {
+        inclusion: s.hierarchy.inclusion(),
+        co_runner,
+        engine,
+    };
+    let fraction = percent_ones(
+        s.platform.platform(),
+        s.params,
+        s.variant,
+        bit,
+        samples,
+        seed,
+        opts,
+    )
+    .expect("validated at build");
+    Value::obj()
+        .with("bit", bit)
+        .with("samples", samples)
+        .with("fraction", fraction)
 }
 
 /// The shared L2 model the two cross-core experiments run on: a
@@ -534,61 +498,54 @@ fn cross_core_l2() -> CacheGeometry {
 /// under `back-invalidate`, and the sent fraction of ones under the
 /// silent `inclusive` / `non-inclusive` backends (the receiver then
 /// always reads 0).
-pub struct L2ChannelExperiment(pub Scenario);
-
-impl Experiment for L2ChannelExperiment {
-    fn run(&self, seed: u64, _engine: Engine) -> Outcome {
-        let s = &self.0;
-        let ExperimentKind::L2Channel { samples } = s.kind else {
-            unreachable!("kind checked at build");
-        };
-        let platform = s.platform.platform();
-        let l2_geom = cross_core_l2();
-        let mut cores = DualCore::new(
-            platform.arch.l1d,
-            s.policy,
-            l2_geom,
-            PolicyKind::Lru,
-            platform.arch.latencies,
-            s.hierarchy.inclusion(),
-            seed,
-        );
-        let message = s.message.bits(seed);
-        let sent: Vec<bool> = (0..samples).map(|i| message[i % message.len()]).collect();
-        // Lines k=0,1,2 of L2 set `t` sit `set_stride` apart: same L2
-        // set, distinct tags, and all in L1 set `t % 64` (the 8-way
-        // L1 holds the receiver's two without evictions).
-        let stride = l2_geom.set_stride();
-        let mut decoded = Vec::with_capacity(samples);
-        for (i, &bit) in sent.iter().enumerate() {
-            let set = (i as u64) % l2_geom.num_sets();
-            let sender_line = PhysAddr::new(set * 64);
-            let parked = PhysAddr::new(set * 64 + stride);
-            let filler = PhysAddr::new(set * 64 + 2 * stride);
-            cores.clear();
-            cores.access(1, sender_line); // sender installs its line
-            cores.access(0, parked); // L2 LRU order: sender_line, then parked
-            if bit {
-                // Encode 1: self-evict from the private L1, reload —
-                // the L2 hit promotes sender_line and demotes the
-                // receiver's parked line to LRU victim.
-                cores.l1_mut(1).flush_line(sender_line);
-                cores.access(1, sender_line);
-            }
-            cores.access(0, filler); // the fill evicts the set's LRU line
-            let reload = cores.access(0, parked);
-            decoded.push(reload.level != HitLevel::L1);
+fn run_l2_channel(s: &Scenario, seed: u64, _engine: Engine) -> Value {
+    let ExperimentKind::L2Channel { samples } = s.kind else {
+        unreachable!("kind checked at build");
+    };
+    let platform = s.platform.platform();
+    let l2_geom = cross_core_l2();
+    let mut cores = DualCore::new(
+        platform.arch.l1d,
+        s.policy,
+        l2_geom,
+        PolicyKind::Lru,
+        platform.arch.latencies,
+        s.hierarchy.inclusion(),
+        seed,
+    );
+    let message = s.message.bits(seed);
+    let sent: Vec<bool> = (0..samples).map(|i| message[i % message.len()]).collect();
+    // Lines k=0,1,2 of L2 set `t` sit `set_stride` apart: same L2
+    // set, distinct tags, and all in L1 set `t % 64` (the 8-way
+    // L1 holds the receiver's two without evictions).
+    let stride = l2_geom.set_stride();
+    let mut decoded = Vec::with_capacity(samples);
+    for (i, &bit) in sent.iter().enumerate() {
+        let set = (i as u64) % l2_geom.num_sets();
+        let sender_line = PhysAddr::new(set * 64);
+        let parked = PhysAddr::new(set * 64 + stride);
+        let filler = PhysAddr::new(set * 64 + 2 * stride);
+        cores.clear();
+        cores.access(1, sender_line); // sender installs its line
+        cores.access(0, parked); // L2 LRU order: sender_line, then parked
+        if bit {
+            // Encode 1: self-evict from the private L1, reload —
+            // the L2 hit promotes sender_line and demotes the
+            // receiver's parked line to LRU victim.
+            cores.l1_mut(1).flush_line(sender_line);
+            cores.access(1, sender_line);
         }
-        let errors = sent.iter().zip(&decoded).filter(|(a, b)| a != b).count();
-        Outcome {
-            metrics: Value::obj()
-                .with("samples", samples)
-                .with("hierarchy", s.hierarchy.name())
-                .with("error_rate", errors as f64 / samples.max(1) as f64)
-                .with("sent", bitstring(&sent, 512))
-                .with("decoded", bitstring(&decoded, 512)),
-        }
+        cores.access(0, filler); // the fill evicts the set's LRU line
+        let reload = cores.access(0, parked);
+        decoded.push(reload.level != HitLevel::L1);
     }
+    let errors = sent.iter().zip(&decoded).filter(|(a, b)| a != b).count();
+    Value::obj()
+        .with("samples", samples)
+        .with("hierarchy", s.hierarchy.name())
+        .with("error_rate", errors as f64 / samples.max(1) as f64)
+        .with("sent", bitstring(&sent, 512))
+        .with("decoded", bitstring(&decoded, 512))
 }
 
 /// The inclusion-victim probe (`inclusion-victim`): the receiver
@@ -598,179 +555,156 @@ impl Experiment for L2ChannelExperiment {
 /// private L1 copy — the classic inclusion-victim interference — so
 /// `signal_rate` (the fraction of trials whose reload missed L1) is
 /// 1 under `back-invalidate` and 0 under the silent backends.
-pub struct InclusionVictimExperiment(pub Scenario);
-
-impl Experiment for InclusionVictimExperiment {
-    fn run(&self, seed: u64, _engine: Engine) -> Outcome {
-        let s = &self.0;
-        let ExperimentKind::InclusionVictim { trials } = s.kind else {
-            unreachable!("kind checked at build");
-        };
-        let platform = s.platform.platform();
-        let l2_geom = cross_core_l2();
-        let mut cores = DualCore::new(
-            platform.arch.l1d,
-            s.policy,
-            l2_geom,
-            PolicyKind::Lru,
-            platform.arch.latencies,
-            s.hierarchy.inclusion(),
-            seed,
-        );
-        let stride = l2_geom.set_stride();
-        let mut signals = 0usize;
-        let mut reload_cycles = 0u64;
-        for t in 0..trials {
-            let set = (t as u64) % l2_geom.num_sets();
-            let victim = PhysAddr::new(set * 64);
-            cores.clear();
-            cores.access(0, victim); // receiver parks its line
-            cores.access(1, PhysAddr::new(set * 64 + stride));
-            cores.access(1, PhysAddr::new(set * 64 + 2 * stride));
-            let reload = cores.access(0, victim);
-            if reload.level != HitLevel::L1 {
-                signals += 1;
-            }
-            reload_cycles += u64::from(reload.cycles);
+fn run_inclusion_victim(s: &Scenario, seed: u64, _engine: Engine) -> Value {
+    let ExperimentKind::InclusionVictim { trials } = s.kind else {
+        unreachable!("kind checked at build");
+    };
+    let platform = s.platform.platform();
+    let l2_geom = cross_core_l2();
+    let mut cores = DualCore::new(
+        platform.arch.l1d,
+        s.policy,
+        l2_geom,
+        PolicyKind::Lru,
+        platform.arch.latencies,
+        s.hierarchy.inclusion(),
+        seed,
+    );
+    let stride = l2_geom.set_stride();
+    let mut signals = 0usize;
+    let mut reload_cycles = 0u64;
+    for t in 0..trials {
+        let set = (t as u64) % l2_geom.num_sets();
+        let victim = PhysAddr::new(set * 64);
+        cores.clear();
+        cores.access(0, victim); // receiver parks its line
+        cores.access(1, PhysAddr::new(set * 64 + stride));
+        cores.access(1, PhysAddr::new(set * 64 + 2 * stride));
+        let reload = cores.access(0, victim);
+        if reload.level != HitLevel::L1 {
+            signals += 1;
         }
-        Outcome {
-            metrics: Value::obj()
-                .with("trials", trials)
-                .with("hierarchy", s.hierarchy.name())
-                .with("signal_rate", signals as f64 / trials.max(1) as f64)
-                .with(
-                    "reload_cycles_mean",
-                    reload_cycles as f64 / trials.max(1) as f64,
-                ),
-        }
+        reload_cycles += u64::from(reload.cycles);
     }
+    Value::obj()
+        .with("trials", trials)
+        .with("hierarchy", s.hierarchy.name())
+        .with("signal_rate", signals as f64 / trials.max(1) as f64)
+        .with(
+            "reload_cycles_mean",
+            reload_cycles as f64 / trials.max(1) as f64,
+        )
 }
 
 /// The Prime+Probe baseline: receiver primes/probes the whole target
 /// set while the LRU-style sender transmits.
-pub struct PrimeProbeExperiment(pub Scenario);
+fn run_prime_probe(s: &Scenario, seed: u64, engine: Engine) -> Value {
+    let ExperimentKind::PrimeProbe { samples } = s.kind else {
+        unreachable!("kind checked at build");
+    };
+    let platform = s.platform.platform();
+    let message = s.message.bits(seed);
+    let mut machine = Machine::new(platform.arch, s.policy, seed);
+    let sender_pid = machine.create_process();
+    let receiver_pid = machine.create_process();
+    let endpoints = setup::alg2(&mut machine, sender_pid, receiver_pid, s.params.target_set);
+    let ways = machine.hierarchy().l1().geometry().ways();
+    let prime_lines: Vec<_> = endpoints
+        .receiver_lines
+        .iter()
+        .copied()
+        .take(ways)
+        .collect();
+    let mut sender = LruSender::new(endpoints.sender_line, message.clone(), s.params.ts);
+    let mut receiver = PrimeProbeReceiver::new(prime_lines, s.params.tr).with_max_samples(samples);
+    let probe = LatencyProbe::new(&mut machine, receiver_pid, platform.tsc, 63);
+    let limit = (message.len() as u64 + 1) * s.params.ts;
+    HyperThreaded::new(seed ^ 0x5eed).with_engine(engine).run(
+        &mut machine,
+        &mut [
+            ThreadHandle::new(sender_pid, &mut sender),
+            ThreadHandle::with_probe(receiver_pid, &mut receiver, probe),
+        ],
+        limit,
+    );
 
-impl Experiment for PrimeProbeExperiment {
-    fn run(&self, seed: u64, engine: Engine) -> Outcome {
-        let s = &self.0;
-        let ExperimentKind::PrimeProbe { samples } = s.kind else {
-            unreachable!("kind checked at build");
-        };
-        let platform = s.platform.platform();
-        let message = s.message.bits(seed);
-        let mut machine = Machine::new(platform.arch, s.policy, seed);
-        let sender_pid = machine.create_process();
-        let receiver_pid = machine.create_process();
-        let endpoints = setup::alg2(&mut machine, sender_pid, receiver_pid, s.params.target_set);
-        let ways = machine.hierarchy().l1().geometry().ways();
-        let prime_lines: Vec<_> = endpoints
-            .receiver_lines
-            .iter()
-            .copied()
-            .take(ways)
-            .collect();
-        let mut sender = LruSender::new(endpoints.sender_line, message.clone(), s.params.ts);
-        let mut receiver =
-            PrimeProbeReceiver::new(prime_lines, s.params.tr).with_max_samples(samples);
-        let probe = LatencyProbe::new(&mut machine, receiver_pid, platform.tsc, 63);
-        let limit = (message.len() as u64 + 1) * s.params.ts;
-        HyperThreaded::new(seed ^ 0x5eed).with_engine(engine).run(
-            &mut machine,
-            &mut [
-                ThreadHandle::new(sender_pid, &mut sender),
-                ThreadHandle::with_probe(receiver_pid, &mut receiver, probe),
-            ],
-            limit,
-        );
-
-        // A sweep that missed anywhere means someone displaced a
-        // primed line: windows where that keeps happening carry a 1.
-        let sweeps = receiver.into_samples();
-        let windows = message.len();
-        let mut hits = vec![0u32; windows];
-        let mut totals = vec![0u32; windows];
-        for sw in &sweeps {
-            let w = (sw.at / s.params.ts) as usize;
-            if w < windows {
-                totals[w] += 1;
-                if sw.misses > 0 {
-                    hits[w] += 1;
-                }
+    // A sweep that missed anywhere means someone displaced a
+    // primed line: windows where that keeps happening carry a 1.
+    let sweeps = receiver.into_samples();
+    let windows = message.len();
+    let mut hits = vec![0u32; windows];
+    let mut totals = vec![0u32; windows];
+    for sw in &sweeps {
+        let w = (sw.at / s.params.ts) as usize;
+        if w < windows {
+            totals[w] += 1;
+            if sw.misses > 0 {
+                hits[w] += 1;
             }
         }
-        let bits: Vec<bool> = (0..windows)
-            .map(|w| totals[w] > 0 && f64::from(hits[w]) / f64::from(totals[w]) >= 0.25)
-            .collect();
-        let err = error_rate(&message, &bits);
-        let missy = sweeps.iter().filter(|x| x.misses > 0).count();
-        Outcome {
-            metrics: Value::obj()
-                .with("sweeps", sweeps.len())
-                .with("timed_loads_per_observation", ways)
-                .with(
-                    "miss_sweep_fraction",
-                    missy as f64 / sweeps.len().max(1) as f64,
-                )
-                .with("error_rate", err)
-                .with("sent", bitstring(&message, 512))
-                .with("decoded", bitstring(&bits, 512)),
-        }
     }
+    let bits: Vec<bool> = (0..windows)
+        .map(|w| totals[w] > 0 && f64::from(hits[w]) / f64::from(totals[w]) >= 0.25)
+        .collect();
+    let err = error_rate(&message, &bits);
+    let missy = sweeps.iter().filter(|x| x.misses > 0).count();
+    Value::obj()
+        .with("sweeps", sweeps.len())
+        .with("timed_loads_per_observation", ways)
+        .with(
+            "miss_sweep_fraction",
+            missy as f64 / sweeps.len().max(1) as f64,
+        )
+        .with("error_rate", err)
+        .with("sent", bitstring(&message, 512))
+        .with("decoded", bitstring(&bits, 512))
 }
 
 /// The Flush+Reload baseline, `clflush` or L1-eviction-set flavor.
-pub struct FlushReloadExperiment(pub Scenario);
-
-impl Experiment for FlushReloadExperiment {
-    fn run(&self, seed: u64, engine: Engine) -> Outcome {
-        let s = &self.0;
-        let ExperimentKind::FlushReload { samples, to_mem } = s.kind else {
-            unreachable!("kind checked at build");
-        };
-        let platform = s.platform.platform();
-        let message = s.message.bits(seed);
-        let mut machine = Machine::new(platform.arch, s.policy, seed);
-        let sender_pid = machine.create_process();
-        let receiver_pid = machine.create_process();
-        // Flush+Reload needs the shared line of Algorithm 1's setup.
-        let endpoints = setup::alg1(&mut machine, sender_pid, receiver_pid, s.params.target_set);
-        let eviction = if to_mem {
-            EvictionMethod::Clflush
-        } else {
-            EvictionMethod::L1EvictionSet(endpoints.receiver_lines[1..9].to_vec())
-        };
-        let mut sender = LruSender::new(endpoints.sender_line, message.clone(), s.params.ts);
-        let mut receiver =
-            FlushReloadReceiver::new(endpoints.receiver_lines[0], eviction, s.params.tr)
-                .with_max_samples(samples);
-        let probe = LatencyProbe::new(&mut machine, receiver_pid, platform.tsc, 63);
-        let limit = (message.len() as u64 + 1) * s.params.ts;
-        HyperThreaded::new(seed ^ 0x5eed).with_engine(engine).run(
-            &mut machine,
-            &mut [
-                ThreadHandle::new(sender_pid, &mut sender),
-                ThreadHandle::with_probe(receiver_pid, &mut receiver, probe),
-            ],
-            limit,
-        );
-        let observations = receiver.into_samples();
-        let threshold = platform.hit_threshold();
-        let bits = decode::bits_by_window(
-            &observations,
-            s.params.ts,
-            threshold,
-            BitConvention::HitIsOne,
-        );
-        let err = error_rate(&message, &bits[..message.len().min(bits.len())]);
-        Outcome {
-            metrics: Value::obj()
-                .with("samples", observations.len())
-                .with("to_mem", to_mem)
-                .with("error_rate", err)
-                .with("sent", bitstring(&message, 512))
-                .with("decoded", bitstring(&bits, 512)),
-        }
-    }
+fn run_flush_reload(s: &Scenario, seed: u64, engine: Engine) -> Value {
+    let ExperimentKind::FlushReload { samples, to_mem } = s.kind else {
+        unreachable!("kind checked at build");
+    };
+    let platform = s.platform.platform();
+    let message = s.message.bits(seed);
+    let mut machine = Machine::new(platform.arch, s.policy, seed);
+    let sender_pid = machine.create_process();
+    let receiver_pid = machine.create_process();
+    // Flush+Reload needs the shared line of Algorithm 1's setup.
+    let endpoints = setup::alg1(&mut machine, sender_pid, receiver_pid, s.params.target_set);
+    let eviction = if to_mem {
+        EvictionMethod::Clflush
+    } else {
+        EvictionMethod::L1EvictionSet(endpoints.receiver_lines[1..9].to_vec())
+    };
+    let mut sender = LruSender::new(endpoints.sender_line, message.clone(), s.params.ts);
+    let mut receiver = FlushReloadReceiver::new(endpoints.receiver_lines[0], eviction, s.params.tr)
+        .with_max_samples(samples);
+    let probe = LatencyProbe::new(&mut machine, receiver_pid, platform.tsc, 63);
+    let limit = (message.len() as u64 + 1) * s.params.ts;
+    HyperThreaded::new(seed ^ 0x5eed).with_engine(engine).run(
+        &mut machine,
+        &mut [
+            ThreadHandle::new(sender_pid, &mut sender),
+            ThreadHandle::with_probe(receiver_pid, &mut receiver, probe),
+        ],
+        limit,
+    );
+    let observations = receiver.into_samples();
+    let threshold = platform.hit_threshold();
+    let bits = decode::bits_by_window(
+        &observations,
+        s.params.ts,
+        threshold,
+        BitConvention::HitIsOne,
+    );
+    let err = error_rate(&message, &bits[..message.len().min(bits.len())]);
+    Value::obj()
+        .with("samples", observations.len())
+        .with("to_mem", to_mem)
+        .with("error_rate", err)
+        .with("sent", bitstring(&message, 512))
+        .with("decoded", bitstring(&bits, 512))
 }
 
 fn spectre_recover(
@@ -820,44 +754,36 @@ fn spectre_recover(
 
 /// Spectre-v1 secret recovery through a disclosure channel (§VIII,
 /// Appendix C).
-pub struct SpectreExperiment(pub Scenario);
-
-impl Experiment for SpectreExperiment {
-    fn run(&self, seed: u64, _engine: Engine) -> Outcome {
-        let s = &self.0;
-        let ExperimentKind::Spectre {
-            channel,
-            rounds,
-            prefetcher,
-        } = s.kind
-        else {
-            unreachable!("kind checked at build");
-        };
-        let secret = s.message.text().expect("checked at build");
-        let platform = s.platform.platform();
-        let mut machine = Machine::new(platform.arch, s.policy, seed);
-        if prefetcher {
-            *machine.hierarchy_mut() = platform
-                .arch
-                .build_hierarchy(s.policy, seed)
-                .with_prefetcher(Prefetcher::next_line());
-        }
-        let attack = SpectreAttack {
-            rounds,
-            seed,
-            ..SpectreAttack::default()
-        };
-        let (text, accuracy) =
-            spectre_recover(&mut machine, platform, channel, &attack, secret, true);
-        Outcome {
-            metrics: Value::obj()
-                .with("channel", channel.name())
-                .with("rounds", rounds)
-                .with("prefetcher", prefetcher)
-                .with("recovered", text)
-                .with("accuracy", accuracy),
-        }
+fn run_spectre(s: &Scenario, seed: u64, _engine: Engine) -> Value {
+    let ExperimentKind::Spectre {
+        channel,
+        rounds,
+        prefetcher,
+    } = s.kind
+    else {
+        unreachable!("kind checked at build");
+    };
+    let secret = s.message.text().expect("checked at build");
+    let platform = s.platform.platform();
+    let mut machine = Machine::new(platform.arch, s.policy, seed);
+    if prefetcher {
+        *machine.hierarchy_mut() = platform
+            .arch
+            .build_hierarchy(s.policy, seed)
+            .with_prefetcher(Prefetcher::next_line());
     }
+    let attack = SpectreAttack {
+        rounds,
+        seed,
+        ..SpectreAttack::default()
+    };
+    let (text, accuracy) = spectre_recover(&mut machine, platform, channel, &attack, secret, true);
+    Value::obj()
+        .with("channel", channel.name())
+        .with("rounds", rounds)
+        .with("prefetcher", prefetcher)
+        .with("recovered", text)
+        .with("accuracy", accuracy)
 }
 
 fn leak_metrics(label: &str, flip: f64) -> Value {
@@ -867,217 +793,185 @@ fn leak_metrics(label: &str, flip: f64) -> Value {
 }
 
 /// Evaluates the scenario's `defense` axis (§IX).
-pub struct DefenseEvalExperiment(pub Scenario);
-
-impl Experiment for DefenseEvalExperiment {
-    fn run(&self, seed: u64, engine: Engine) -> Outcome {
-        let s = &self.0;
-        let ExperimentKind::DefenseEval { trials } = s.kind else {
-            unreachable!("kind checked at build");
-        };
-        let metrics = match s.defense {
-            DefenseId::PlCacheOriginal | DefenseId::PlCacheFixed => {
-                let design = if s.defense == DefenseId::PlCacheOriginal {
-                    PlDesign::Original
-                } else {
-                    PlDesign::Fixed
-                };
-                let bits: Vec<bool> = (0..trials).map(|i| i % 2 == 1).collect();
-                let run = pl_cache_alg2_trace(design, &bits, s.params.d, seed);
-                let p = |bit: bool| {
-                    let of: Vec<_> = run.trace.iter().filter(|t| t.bit == bit).collect();
-                    of.iter().filter(|t| t.hit).count() as f64 / of.len().max(1) as f64
-                };
-                let trace: Vec<Value> = run
-                    .trace
-                    .iter()
-                    .take(160)
-                    .map(|t| Value::from(t.latency))
-                    .collect();
-                Value::obj()
-                    .with("defense", s.defense.name())
-                    .with("iterations", trials)
-                    .with("trace", Value::Arr(trace))
-                    .with("p_hit_given_0", p(false))
-                    .with("p_hit_given_1", p(true))
-                    .with("distinguishability", run.distinguishability())
-            }
-            DefenseId::SharedPartition => leak_metrics(
-                s.defense.name(),
-                shared_plru_leak(trials, seed).victim_flip_rate,
-            ),
-            DefenseId::DawgPartition => leak_metrics(
-                s.defense.name(),
-                dawg_partitioned_leak(trials, seed).victim_flip_rate,
-            ),
-            DefenseId::RandomFill => {
-                let r = random_fill_leak(trials, seed);
-                Value::obj()
-                    .with("defense", s.defense.name())
-                    .with("hit_channel_flip_rate", r.hit_channel_flip_rate)
-                    .with("miss_channel_fill_rate", r.miss_channel_fill_rate)
-            }
-            DefenseId::IndexRandomization => {
-                let r = index_randomization_defeats_eviction(trials, seed);
-                Value::obj()
-                    .with("defense", s.defense.name())
-                    .with("baseline_eviction_rate", r.baseline_eviction_rate)
-                    .with("eviction_rate", r.eviction_rate)
-            }
-            DefenseId::InvisibleSpeculation => {
-                let secret = s.message.text().expect("checked at build");
-                let rows = delayed_update::ablation(secret, seed);
-                let rows_json: Vec<Value> = rows
-                    .iter()
-                    .map(|r| {
-                        Value::obj()
-                            .with("channel", format!("{:?}", r.channel))
-                            .with(
-                                "mode",
-                                if r.mode == SpecMode::Baseline {
-                                    "baseline"
-                                } else {
-                                    "invisible"
-                                },
-                            )
-                            .with("accuracy", r.accuracy)
-                    })
-                    .collect();
-                Value::obj()
-                    .with("defense", s.defense.name())
-                    .with("rows", Value::Arr(rows_json))
-            }
-            DefenseId::MissRateDetector => {
-                let verdicts = detection_study(s.platform.platform(), trials, seed, engine);
-                let rows: Vec<Value> = verdicts
-                    .iter()
-                    .map(|v| {
-                        Value::obj()
-                            .with("label", v.label)
-                            .with("flagged", v.flagged)
-                            .with("l2_miss_rate", v.row.rates.l2)
-                            .with("llc_miss_rate", v.row.rates.llc)
-                    })
-                    .collect();
-                Value::obj()
-                    .with("defense", s.defense.name())
-                    .with("rows", Value::Arr(rows))
-            }
-            DefenseId::None => unreachable!("checked at build"),
-        };
-        Outcome { metrics }
-    }
+fn run_defense_eval(s: &Scenario, seed: u64, engine: Engine) -> Value {
+    let ExperimentKind::DefenseEval { trials } = s.kind else {
+        unreachable!("kind checked at build");
+    };
+    let metrics = match s.defense {
+        DefenseId::PlCacheOriginal | DefenseId::PlCacheFixed => {
+            let design = if s.defense == DefenseId::PlCacheOriginal {
+                PlDesign::Original
+            } else {
+                PlDesign::Fixed
+            };
+            let bits: Vec<bool> = (0..trials).map(|i| i % 2 == 1).collect();
+            let run = pl_cache_alg2_trace(design, &bits, s.params.d, seed);
+            let p = |bit: bool| {
+                let of: Vec<_> = run.trace.iter().filter(|t| t.bit == bit).collect();
+                of.iter().filter(|t| t.hit).count() as f64 / of.len().max(1) as f64
+            };
+            let trace: Vec<Value> = run
+                .trace
+                .iter()
+                .take(160)
+                .map(|t| Value::from(t.latency))
+                .collect();
+            Value::obj()
+                .with("defense", s.defense.name())
+                .with("iterations", trials)
+                .with("trace", Value::Arr(trace))
+                .with("p_hit_given_0", p(false))
+                .with("p_hit_given_1", p(true))
+                .with("distinguishability", run.distinguishability())
+        }
+        DefenseId::SharedPartition => leak_metrics(
+            s.defense.name(),
+            shared_plru_leak(trials, seed).victim_flip_rate,
+        ),
+        DefenseId::DawgPartition => leak_metrics(
+            s.defense.name(),
+            dawg_partitioned_leak(trials, seed).victim_flip_rate,
+        ),
+        DefenseId::RandomFill => {
+            let r = random_fill_leak(trials, seed);
+            Value::obj()
+                .with("defense", s.defense.name())
+                .with("hit_channel_flip_rate", r.hit_channel_flip_rate)
+                .with("miss_channel_fill_rate", r.miss_channel_fill_rate)
+        }
+        DefenseId::IndexRandomization => {
+            let r = index_randomization_defeats_eviction(trials, seed);
+            Value::obj()
+                .with("defense", s.defense.name())
+                .with("baseline_eviction_rate", r.baseline_eviction_rate)
+                .with("eviction_rate", r.eviction_rate)
+        }
+        DefenseId::InvisibleSpeculation => {
+            let secret = s.message.text().expect("checked at build");
+            let rows = delayed_update::ablation(secret, seed);
+            let rows_json: Vec<Value> = rows
+                .iter()
+                .map(|r| {
+                    Value::obj()
+                        .with("channel", format!("{:?}", r.channel))
+                        .with(
+                            "mode",
+                            if r.mode == SpecMode::Baseline {
+                                "baseline"
+                            } else {
+                                "invisible"
+                            },
+                        )
+                        .with("accuracy", r.accuracy)
+                })
+                .collect();
+            Value::obj()
+                .with("defense", s.defense.name())
+                .with("rows", Value::Arr(rows_json))
+        }
+        DefenseId::MissRateDetector => {
+            let verdicts = detection_study(s.platform.platform(), trials, seed, engine);
+            let rows: Vec<Value> = verdicts
+                .iter()
+                .map(|v| {
+                    Value::obj()
+                        .with("label", v.label)
+                        .with("flagged", v.flagged)
+                        .with("l2_miss_rate", v.row.rates.l2)
+                        .with("llc_miss_rate", v.row.rates.llc)
+                })
+                .collect();
+            Value::obj()
+                .with("defense", s.defense.name())
+                .with("rows", Value::Arr(rows))
+        }
+        DefenseId::None => unreachable!("checked at build"),
+    };
+    metrics
 }
 
 /// The Table I eviction-probability study.
-pub struct PlruEvictionExperiment(pub Scenario);
-
-impl Experiment for PlruEvictionExperiment {
-    fn run(&self, seed: u64, _engine: Engine) -> Outcome {
-        let s = &self.0;
-        let ExperimentKind::PlruEviction {
-            sequence,
-            init,
-            iterations,
-            trials,
-        } = s.kind
-        else {
-            unreachable!("kind checked at build");
-        };
-        let sequence = match sequence {
-            SequenceId::Seq1 => SequenceKind::Seq1,
-            SequenceId::Seq2 => SequenceKind::Seq2,
-        };
-        let init = match init {
-            InitId::Random => InitCond::Random,
-            InitId::Sequential => InitCond::Sequential,
-        };
-        let curve = eviction_curve(s.policy, sequence, init, iterations, trials, seed);
-        let probs: Vec<Value> = curve
-            .probabilities
-            .iter()
-            .map(|&p| Value::from(p))
-            .collect();
-        Outcome {
-            metrics: Value::obj()
-                .with("policy", crate::spec::policy_name(s.policy))
-                .with("probabilities", Value::Arr(probs))
-                .with("steady_state", curve.steady_state()),
-        }
-    }
+fn run_plru_eviction(s: &Scenario, seed: u64, _engine: Engine) -> Value {
+    let ExperimentKind::PlruEviction {
+        sequence,
+        init,
+        iterations,
+        trials,
+    } = s.kind
+    else {
+        unreachable!("kind checked at build");
+    };
+    let sequence = match sequence {
+        SequenceId::Seq1 => SequenceKind::Seq1,
+        SequenceId::Seq2 => SequenceKind::Seq2,
+    };
+    let init = match init {
+        InitId::Random => InitCond::Random,
+        InitId::Sequential => InitCond::Sequential,
+    };
+    let curve = eviction_curve(s.policy, sequence, init, iterations, trials, seed);
+    let probs: Vec<Value> = curve
+        .probabilities
+        .iter()
+        .map(|&p| Value::from(p))
+        .collect();
+    Value::obj()
+        .with("policy", crate::spec::policy_name(s.policy))
+        .with("probabilities", Value::Arr(probs))
+        .with("steady_state", curve.steady_state())
 }
 
 /// Table II: model vs measured L1/L2 latencies.
-pub struct LatencyCheckExperiment(pub Scenario);
-
-impl Experiment for LatencyCheckExperiment {
-    fn run(&self, seed: u64, _engine: Engine) -> Outcome {
-        let s = &self.0;
-        let platform = s.platform.platform();
-        let mut m = Machine::new(platform.arch, s.policy, seed);
-        let pid = m.create_process();
-        let va = m.alloc_pages(pid, 1);
-        m.access(pid, va); // now in L1
-        let l1_meas = m.access(pid, va).cycles;
-        // Evict from L1 only: fill the set with fresh lines.
-        for _ in 0..m.hierarchy().l1().geometry().ways() {
-            let page = m.alloc_pages(pid, 1);
-            m.access(pid, page);
-        }
-        let out = m.access(pid, va);
-        assert_eq!(out.level, HitLevel::L2, "eviction must stop at L2");
-        Outcome {
-            metrics: Value::obj()
-                .with("model", platform.arch.model)
-                .with("l1_model", platform.arch.latencies.l1)
-                .with("l2_model", platform.arch.latencies.l2)
-                .with("l1_measured", l1_meas)
-                .with("l2_measured", out.cycles),
-        }
+fn run_latency_check(s: &Scenario, seed: u64, _engine: Engine) -> Value {
+    let platform = s.platform.platform();
+    let mut m = Machine::new(platform.arch, s.policy, seed);
+    let pid = m.create_process();
+    let va = m.alloc_pages(pid, 1);
+    m.access(pid, va); // now in L1
+    let l1_meas = m.access(pid, va).cycles;
+    // Evict from L1 only: fill the set with fresh lines.
+    for _ in 0..m.hierarchy().l1().geometry().ways() {
+        let page = m.alloc_pages(pid, 1);
+        m.access(pid, page);
     }
+    let out = m.access(pid, va);
+    assert_eq!(out.level, HitLevel::L2, "eviction must stop at L2");
+    Value::obj()
+        .with("model", platform.arch.model)
+        .with("l1_model", platform.arch.latencies.l1)
+        .with("l2_model", platform.arch.latencies.l2)
+        .with("l1_measured", l1_meas)
+        .with("l2_measured", out.cycles)
 }
 
 /// Table III: the simulated platform's configuration.
-pub struct PlatformSpecExperiment(pub Scenario);
-
-impl Experiment for PlatformSpecExperiment {
-    fn run(&self, _seed: u64, _engine: Engine) -> Outcome {
-        let a = self.0.platform.platform().arch;
-        let tsc = self.0.platform.platform().tsc;
-        Outcome {
-            metrics: Value::obj()
-                .with("model", a.model)
-                .with("uarch", a.name)
-                .with("freq_ghz", a.freq_ghz)
-                .with("l1d_kb", a.l1d.size_bytes() / 1024)
-                .with("ways", a.l1d.ways())
-                .with("sets", a.l1d.num_sets())
-                .with("way_predictor", a.has_way_predictor)
-                .with("tsc_granularity", tsc.granularity),
-        }
-    }
+fn run_platform_spec(s: &Scenario, _seed: u64, _engine: Engine) -> Value {
+    let a = s.platform.platform().arch;
+    let tsc = s.platform.platform().tsc;
+    Value::obj()
+        .with("model", a.model)
+        .with("uarch", a.name)
+        .with("freq_ghz", a.freq_ghz)
+        .with("l1d_kb", a.l1d.size_bytes() / 1024)
+        .with("ways", a.l1d.ways())
+        .with("sets", a.l1d.num_sets())
+        .with("way_predictor", a.has_way_predictor)
+        .with("tsc_granularity", tsc.granularity)
 }
 
 /// Table V: encode latency of one channel.
-pub struct EncodingLatencyExperiment(pub Scenario);
-
-impl Experiment for EncodingLatencyExperiment {
-    fn run(&self, _seed: u64, _engine: Engine) -> Outcome {
-        let s = &self.0;
-        let ExperimentKind::EncodingLatency { channel } = s.kind else {
-            unreachable!("kind checked at build");
-        };
-        let encoded = match channel {
-            ChannelId::FlushReloadMem => EncodedChannel::FlushReloadMem,
-            ChannelId::FlushReloadL1 => EncodedChannel::FlushReloadL1,
-            ChannelId::LruAlg1 | ChannelId::LruAlg2 => EncodedChannel::LruChannel,
-        };
-        Outcome {
-            metrics: Value::obj()
-                .with("label", encoded.label())
-                .with("cycles", encoding_latency(s.platform.platform(), encoded)),
-        }
-    }
+fn run_encoding_latency(s: &Scenario, _seed: u64, _engine: Engine) -> Value {
+    let ExperimentKind::EncodingLatency { channel } = s.kind else {
+        unreachable!("kind checked at build");
+    };
+    let encoded = match channel {
+        ChannelId::FlushReloadMem => EncodedChannel::FlushReloadMem,
+        ChannelId::FlushReloadL1 => EncodedChannel::FlushReloadL1,
+        ChannelId::LruAlg1 | ChannelId::LruAlg2 => EncodedChannel::LruChannel,
+    };
+    Value::obj()
+        .with("label", encoded.label())
+        .with("cycles", encoding_latency(s.platform.platform(), encoded))
 }
 
 fn miss_rate_row_metrics(row: &MissRateRow) -> Value {
@@ -1092,51 +986,37 @@ fn miss_rate_row_metrics(row: &MissRateRow) -> Value {
 }
 
 /// Table VI: sender-process miss rates in one co-run scenario.
-pub struct SenderMissRatesExperiment(pub Scenario);
-
-impl Experiment for SenderMissRatesExperiment {
-    fn run(&self, seed: u64, engine: Engine) -> Outcome {
-        let s = &self.0;
-        let ExperimentKind::SenderMissRates { sender, bits } = s.kind else {
-            unreachable!("kind checked at build");
-        };
-        let row = miss_rates::sender_miss_rates(
-            s.platform.platform(),
-            SenderScenario::ALL[sender],
-            bits,
-            seed,
-            engine,
-        );
-        Outcome {
-            metrics: miss_rate_row_metrics(&row),
-        }
-    }
+fn run_sender_miss_rates(s: &Scenario, seed: u64, engine: Engine) -> Value {
+    let ExperimentKind::SenderMissRates { sender, bits } = s.kind else {
+        unreachable!("kind checked at build");
+    };
+    let row = miss_rates::sender_miss_rates(
+        s.platform.platform(),
+        SenderScenario::ALL[sender],
+        bits,
+        seed,
+        engine,
+    );
+    miss_rate_row_metrics(&row)
 }
 
 /// Table VII: whole-attack miss rates through one channel.
-pub struct SpectreMissRatesExperiment(pub Scenario);
-
-impl Experiment for SpectreMissRatesExperiment {
-    fn run(&self, seed: u64, _engine: Engine) -> Outcome {
-        let s = &self.0;
-        let ExperimentKind::SpectreMissRates { channel } = s.kind else {
-            unreachable!("kind checked at build");
-        };
-        let spectre_channel = match channel {
-            ChannelId::FlushReloadMem | ChannelId::FlushReloadL1 => SpectreChannel::FlushReloadMem,
-            ChannelId::LruAlg1 => SpectreChannel::LruAlg1,
-            ChannelId::LruAlg2 => SpectreChannel::LruAlg2,
-        };
-        let row = miss_rates::spectre_miss_rates(
-            s.platform.platform(),
-            spectre_channel,
-            s.message.text().expect("checked at build"),
-            seed,
-        );
-        Outcome {
-            metrics: miss_rate_row_metrics(&row),
-        }
-    }
+fn run_spectre_miss_rates(s: &Scenario, seed: u64, _engine: Engine) -> Value {
+    let ExperimentKind::SpectreMissRates { channel } = s.kind else {
+        unreachable!("kind checked at build");
+    };
+    let spectre_channel = match channel {
+        ChannelId::FlushReloadMem | ChannelId::FlushReloadL1 => SpectreChannel::FlushReloadMem,
+        ChannelId::LruAlg1 => SpectreChannel::LruAlg1,
+        ChannelId::LruAlg2 => SpectreChannel::LruAlg2,
+    };
+    let row = miss_rates::spectre_miss_rates(
+        s.platform.platform(),
+        spectre_channel,
+        s.message.text().expect("checked at build"),
+        seed,
+    );
+    miss_rate_row_metrics(&row)
 }
 
 fn histogram_rows(h: &Histogram) -> Value {
@@ -1149,176 +1029,157 @@ fn histogram_rows(h: &Histogram) -> Value {
 }
 
 /// Figs. 3/13: L1-hit vs L1-miss readout histograms.
-pub struct ProbeHistogramExperiment(pub Scenario);
+fn run_probe_histogram(s: &Scenario, seed: u64, _engine: Engine) -> Value {
+    let ExperimentKind::ProbeHistogram {
+        samples,
+        single_load,
+    } = s.kind
+    else {
+        unreachable!("kind checked at build");
+    };
+    let platform = s.platform.platform();
+    let mut m = Machine::new(platform.arch, s.policy, seed);
+    let pid = m.create_process();
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let probe = if single_load {
+        None
+    } else {
+        Some(LatencyProbe::new(&mut m, pid, platform.tsc, 63))
+    };
 
-impl Experiment for ProbeHistogramExperiment {
-    fn run(&self, seed: u64, _engine: Engine) -> Outcome {
-        let s = &self.0;
-        let ExperimentKind::ProbeHistogram {
-            samples,
-            single_load,
-        } = s.kind
-        else {
-            unreachable!("kind checked at build");
-        };
-        let platform = s.platform.platform();
-        let mut m = Machine::new(platform.arch, s.policy, seed);
-        let pid = m.create_process();
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let probe = if single_load {
-            None
+    // L1-resident target in the target set; an eviction gang for
+    // the misses.
+    let target = m.alloc_pages(pid, 1);
+    let ways = m.hierarchy().l1().geometry().ways();
+    let gang: Vec<_> = (0..ways).map(|_| m.alloc_pages(pid, 1)).collect();
+    let mut hits = Histogram::new();
+    let mut misses = Histogram::new();
+    for i in 0..samples {
+        if i % 2 == 0 {
+            m.access(pid, target); // ensure L1 hit
+            let measured = match &probe {
+                Some(p) => p.measure(&mut m, pid, target, &mut rng).measured,
+                None => rdtscp_single(&mut m, pid, target, &platform.tsc, &mut rng).measured,
+            };
+            hits.add(measured);
         } else {
-            Some(LatencyProbe::new(&mut m, pid, platform.tsc, 63))
-        };
-
-        // L1-resident target in the target set; an eviction gang for
-        // the misses.
-        let target = m.alloc_pages(pid, 1);
-        let ways = m.hierarchy().l1().geometry().ways();
-        let gang: Vec<_> = (0..ways).map(|_| m.alloc_pages(pid, 1)).collect();
-        let mut hits = Histogram::new();
-        let mut misses = Histogram::new();
-        for i in 0..samples {
-            if i % 2 == 0 {
-                m.access(pid, target); // ensure L1 hit
-                let measured = match &probe {
-                    Some(p) => p.measure(&mut m, pid, target, &mut rng).measured,
-                    None => rdtscp_single(&mut m, pid, target, &platform.tsc, &mut rng).measured,
-                };
-                hits.add(measured);
-            } else {
-                for &g in &gang {
-                    m.access(pid, g); // evict target to L2
-                }
-                let measured = match &probe {
-                    Some(p) => {
-                        p.warm(&mut m, pid);
-                        p.measure(&mut m, pid, target, &mut rng).measured
-                    }
-                    None => rdtscp_single(&mut m, pid, target, &platform.tsc, &mut rng).measured,
-                };
-                misses.add(measured);
+            for &g in &gang {
+                m.access(pid, g); // evict target to L2
             }
-        }
-        Outcome {
-            metrics: Value::obj()
-                .with("single_load", single_load)
-                .with("hit_rows", histogram_rows(&hits))
-                .with("miss_rows", histogram_rows(&misses))
-                .with("hit_mean", hits.mean())
-                .with("miss_mean", misses.mean())
-                .with("overlap", hits.overlap(&misses))
-                .with("threshold", platform.hit_threshold()),
+            let measured = match &probe {
+                Some(p) => {
+                    p.warm(&mut m, pid);
+                    p.measure(&mut m, pid, target, &mut rng).measured
+                }
+                None => rdtscp_single(&mut m, pid, target, &platform.tsc, &mut rng).measured,
+            };
+            misses.add(measured);
         }
     }
+    Value::obj()
+        .with("single_load", single_load)
+        .with("hit_rows", histogram_rows(&hits))
+        .with("miss_rows", histogram_rows(&misses))
+        .with("hit_mean", hits.mean())
+        .with("miss_mean", misses.mean())
+        .with("overlap", hits.overlap(&misses))
+        .with("threshold", platform.hit_threshold())
 }
 
 /// Fig. 9: one benchmark under the Tree-PLRU / FIFO / Random family.
-pub struct PolicyPerfExperiment(pub Scenario);
-
-impl Experiment for PolicyPerfExperiment {
-    fn run(&self, seed: u64, _engine: Engine) -> Outcome {
-        let s = &self.0;
-        let ExperimentKind::PolicyPerf { accesses } = s.kind else {
-            unreachable!("kind checked at build");
-        };
-        let WorkloadId::Benchmark(name) = &s.workload else {
-            unreachable!("workload checked at build");
-        };
-        let bench = Benchmark::by_name(name).expect("checked at build");
-        let arch = MicroArch::gem5_fig9();
-        let row = fig9_row(bench, &arch, accesses, seed);
-        let floats = |xs: [f64; 3]| Value::Arr(xs.iter().map(|&x| Value::from(x)).collect());
-        Outcome {
-            metrics: Value::obj()
-                .with("benchmark", row.name)
-                .with(
-                    "policies",
-                    Value::Arr(
-                        PolicyKind::FIG9
-                            .iter()
-                            .map(|&p| Value::from(crate::spec::policy_name(p)))
-                            .collect(),
-                    ),
-                )
-                .with(
-                    "l1d_miss_rates",
-                    floats([
-                        row.results[0].l1d_miss_rate,
-                        row.results[1].l1d_miss_rate,
-                        row.results[2].l1d_miss_rate,
-                    ]),
-                )
-                .with(
-                    "cpi",
-                    floats([row.results[0].cpi, row.results[1].cpi, row.results[2].cpi]),
-                )
-                .with("normalized_miss_rates", floats(row.normalized_miss_rates()))
-                .with("normalized_cpi", floats(row.normalized_cpi())),
-        }
-    }
+fn run_policy_perf(s: &Scenario, seed: u64, _engine: Engine) -> Value {
+    let ExperimentKind::PolicyPerf { accesses } = s.kind else {
+        unreachable!("kind checked at build");
+    };
+    let WorkloadId::Benchmark(name) = &s.workload else {
+        unreachable!("workload checked at build");
+    };
+    let bench = Benchmark::by_name(name).expect("checked at build");
+    let arch = MicroArch::gem5_fig9();
+    let row = fig9_row(bench, &arch, accesses, seed);
+    let floats = |xs: [f64; 3]| Value::Arr(xs.iter().map(|&x| Value::from(x)).collect());
+    Value::obj()
+        .with("benchmark", row.name)
+        .with(
+            "policies",
+            Value::Arr(
+                PolicyKind::FIG9
+                    .iter()
+                    .map(|&p| Value::from(crate::spec::policy_name(p)))
+                    .collect(),
+            ),
+        )
+        .with(
+            "l1d_miss_rates",
+            floats([
+                row.results[0].l1d_miss_rate,
+                row.results[1].l1d_miss_rate,
+                row.results[2].l1d_miss_rate,
+            ]),
+        )
+        .with(
+            "cpi",
+            floats([row.results[0].cpi, row.results[1].cpi, row.results[2].cpi]),
+        )
+        .with("normalized_miss_rates", floats(row.normalized_miss_rates()))
+        .with("normalized_cpi", floats(row.normalized_cpi()))
 }
 
 /// The §IV multi-set parallel channel.
-pub struct MultiSetExperiment(pub Scenario);
-
-impl Experiment for MultiSetExperiment {
-    fn run(&self, seed: u64, engine: Engine) -> Outcome {
-        let s = &self.0;
-        let ExperimentKind::MultiSet { sets, frames } = s.kind else {
-            unreachable!("kind checked at build");
-        };
-        let platform = s.platform.platform();
-        let target_sets: Vec<usize> = (0..sets).map(|i| i * 3).collect();
-        // Text payloads ride one byte per frame, bit i on set i
-        // (build() guarantees sets == 8 for text); otherwise send
-        // seed-derived random frames.
-        let frame_bits: Vec<Vec<bool>> = match &s.message {
-            MessageSource::Text(payload) => payload
-                .bytes()
-                .map(|b| (0..8).map(|i| (b >> (7 - i)) & 1 == 1).collect())
-                .collect(),
-            _ => {
-                use rand::Rng;
-                let mut rng = SmallRng::seed_from_u64(seed);
-                (0..frames)
-                    .map(|_| (0..sets).map(|_| rng.gen_bool(0.5)).collect())
-                    .collect()
-            }
-        };
-        let run = run_parallel_alg1(
-            platform,
-            &target_sets,
-            s.params.d,
-            s.params.ts,
-            s.params.tr,
-            frame_bits.clone(),
-            seed,
-            engine,
-        )
-        .expect("validated at build");
-        let decoded = run.decode_frames(sets, s.params.ts, frame_bits.len());
-        let total = frame_bits.len() * sets;
-        let correct: usize = frame_bits
-            .iter()
-            .zip(&decoded)
-            .map(|(a, b)| a.iter().zip(b).filter(|(x, y)| x == y).count())
-            .sum();
-        let mut metrics = Value::obj()
-            .with("sets", sets)
-            .with("frames", frame_bits.len())
-            .with("samples", run.samples.len())
-            .with("rate_bps", run.rate_bps)
-            .with("accuracy", correct as f64 / total.max(1) as f64);
-        if s.message.text().is_some() {
-            let bytes: Vec<u8> = decoded
-                .iter()
-                .map(|f| f.iter().fold(0u8, |acc, &b| (acc << 1) | u8::from(b)))
-                .collect();
-            metrics = metrics.with("decoded_text", String::from_utf8_lossy(&bytes).into_owned());
+fn run_multi_set(s: &Scenario, seed: u64, engine: Engine) -> Value {
+    let ExperimentKind::MultiSet { sets, frames } = s.kind else {
+        unreachable!("kind checked at build");
+    };
+    let platform = s.platform.platform();
+    let target_sets: Vec<usize> = (0..sets).map(|i| i * 3).collect();
+    // Text payloads ride one byte per frame, bit i on set i
+    // (build() guarantees sets == 8 for text); otherwise send
+    // seed-derived random frames.
+    let frame_bits: Vec<Vec<bool>> = match &s.message {
+        MessageSource::Text(payload) => payload
+            .bytes()
+            .map(|b| (0..8).map(|i| (b >> (7 - i)) & 1 == 1).collect())
+            .collect(),
+        _ => {
+            use rand::Rng;
+            let mut rng = SmallRng::seed_from_u64(seed);
+            (0..frames)
+                .map(|_| (0..sets).map(|_| rng.gen_bool(0.5)).collect())
+                .collect()
         }
-        Outcome { metrics }
+    };
+    let run = run_parallel_alg1(
+        platform,
+        &target_sets,
+        s.params.d,
+        s.params.ts,
+        s.params.tr,
+        frame_bits.clone(),
+        seed,
+        engine,
+    )
+    .expect("validated at build");
+    let decoded = run.decode_frames(sets, s.params.ts, frame_bits.len());
+    let total = frame_bits.len() * sets;
+    let correct: usize = frame_bits
+        .iter()
+        .zip(&decoded)
+        .map(|(a, b)| a.iter().zip(b).filter(|(x, y)| x == y).count())
+        .sum();
+    let mut metrics = Value::obj()
+        .with("sets", sets)
+        .with("frames", frame_bits.len())
+        .with("samples", run.samples.len())
+        .with("rate_bps", run.rate_bps)
+        .with("accuracy", correct as f64 / total.max(1) as f64);
+    if s.message.text().is_some() {
+        let bytes: Vec<u8> = decoded
+            .iter()
+            .map(|f| f.iter().fold(0u8, |acc, &b| (acc << 1) | u8::from(b)))
+            .collect();
+        metrics = metrics.with("decoded_text", String::from_utf8_lossy(&bytes).into_owned());
     }
+    metrics
 }
 
 #[cfg(test)]
@@ -1333,7 +1194,7 @@ mod tests {
             .seed(1)
             .build()
             .unwrap();
-        let m = s.run_once(s.seed).metrics;
+        let m = s.run_trial(s.seed, Engine::FastForward);
         let err = m.get("error_rate").unwrap().as_f64().unwrap();
         assert!(err < 0.2, "headline channel should mostly work, got {err}");
         assert_eq!(m.get("sent").unwrap().as_str().unwrap().len(), 16);
@@ -1349,7 +1210,10 @@ mod tests {
             .seed(9)
             .build()
             .unwrap();
-        assert_eq!(s.run_once(9).metrics, s.run_once(9).metrics);
+        assert_eq!(
+            s.run_trial(9, Engine::FastForward),
+            s.run_trial(9, Engine::FastForward)
+        );
     }
 
     #[test]
@@ -1392,15 +1256,13 @@ mod tests {
                 .unwrap()
         };
         let p0 = mk(false)
-            .run_once(5)
-            .metrics
+            .run_trial(5, Engine::FastForward)
             .get("fraction")
             .unwrap()
             .as_f64()
             .unwrap();
         let p1 = mk(true)
-            .run_once(5)
-            .metrics
+            .run_trial(5, Engine::FastForward)
             .get("fraction")
             .unwrap()
             .as_f64()
@@ -1418,7 +1280,7 @@ mod tests {
                 .seed(7)
                 .build()
                 .unwrap();
-            let m = s.run_once(7).metrics;
+            let m = s.run_trial(7, Engine::FastForward);
             m.get("error_rate").unwrap().as_f64().unwrap()
         };
         // Back-invalidation propagates the L2 eviction into the
@@ -1439,7 +1301,7 @@ mod tests {
                 .seed(3)
                 .build()
                 .unwrap();
-            let m = s.run_once(3).metrics;
+            let m = s.run_trial(3, Engine::FastForward);
             m.get("signal_rate").unwrap().as_f64().unwrap()
         };
         assert_eq!(run(HierarchyId::BackInvalidate), 1.0);
@@ -1477,7 +1339,7 @@ mod tests {
                 .seed(1)
                 .build()
                 .unwrap();
-            let m = s.run_once(1).metrics;
+            let m = s.run_trial(1, Engine::FastForward);
             let err = m.get("error_rate").unwrap().as_f64().unwrap();
             assert!(err < 0.2, "{} hierarchy broke the channel: {err}", h.name());
         }
@@ -1494,7 +1356,7 @@ mod tests {
             .seed(3)
             .build()
             .unwrap();
-        let m = s.run_once(3).metrics;
+        let m = s.run_trial(3, Engine::FastForward);
         let err = m.get("error_rate").unwrap().as_f64().unwrap();
         assert!(err < 0.35, "F+R baseline should carry bits, got {err}");
     }
@@ -1514,7 +1376,7 @@ mod tests {
             .seed(4)
             .build()
             .unwrap();
-        let m = s.run_once(4).metrics;
+        let m = s.run_trial(4, Engine::FastForward);
         assert!(m.get("sweeps").unwrap().as_u64().unwrap() > 20);
         assert!(
             m.get("miss_sweep_fraction").unwrap().as_f64().unwrap() > 0.0,
@@ -1530,7 +1392,7 @@ mod tests {
                 .kind(ExperimentKind::PlatformSpec)
                 .build()
                 .unwrap();
-            let m = s.run_once(0).metrics;
+            let m = s.run_trial(0, Engine::FastForward);
             assert_eq!(m.get("ways").unwrap().as_u64(), Some(8));
             assert_eq!(m.get("sets").unwrap().as_u64(), Some(64));
         }

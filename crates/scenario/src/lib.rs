@@ -6,25 +6,25 @@
 //! experiment is **described** as a [`spec::Scenario`] value —
 //! platform × replacement policy × protocol variant × core sharing ×
 //! defense × workload × message source × trial count × master seed —
-//! and **executed** through the [`experiment::Experiment`] trait,
-//! with every repetition fanned out deterministically over the
-//! host's cores by [`lru_channel::trials`].
+//! and **executed** one trial at a time by
+//! [`spec::Scenario::run_trial`], with every repetition fanned out
+//! deterministically over the host's cores by [`lru_channel::trials`].
 //!
 //! * [`spec`] — the serializable [`spec::Scenario`] type, its
 //!   validating builder (geometry violations reuse
 //!   [`lru_channel::params::ParamError`]) and lossless JSON
 //!   round-trip.
-//! * [`experiment`] — `run(seed, engine) -> Outcome` implementations for
-//!   covert runs, the time-sliced percent-of-ones study, the
-//!   Prime+Probe and Flush+Reload baselines, the Spectre attack,
-//!   the §IX defense evaluations, and the table/figure substrate
-//!   checks.
-//! * [`aggregate`] — streaming reduction of trial outcomes: the
+//! * [`experiment`] — `Scenario::run_trial(seed, engine) -> Value`,
+//!   one `match` over the experiment kinds: covert runs, the
+//!   time-sliced percent-of-ones study, the Prime+Probe and
+//!   Flush+Reload baselines, the Spectre attack, the §IX defense
+//!   evaluations, and the table/figure substrate checks.
+//! * [`aggregate`] — streaming reduction of trial metrics: the
 //!   [`aggregate::Reducer`] trait, constant-memory
 //!   [`aggregate::ScalarStats`] / [`aggregate::KeyHistogram`]
-//!   reducers, the [`aggregate::CollectMetrics`] compatibility
-//!   reducer, and [`aggregate::Aggregate::for_kind`] defaults.
-//!   Trials stream through the chunked work-stealing scheduler of
+//!   reducers, the [`aggregate::CollectMetrics`] reducer behind
+//!   [`spec::Scenario::run`], and [`aggregate::Aggregate::for_kind`]
+//!   defaults. Trials stream through the chunked work-stealing scheduler of
 //!   [`lru_channel::trials`], so a million-trial sweep needs
 //!   `O(workers × chunk)` memory, not `O(trials)`, and stays
 //!   bit-identical across worker counts.
@@ -99,7 +99,7 @@ pub use engine::{
     content_hash64, CacheStats, CancelToken, Engine, EngineError, FaultPlan, Job, JobProgress,
     JobStatus, ProgressFn, ResultCache,
 };
-pub use experiment::{Experiment, LockstepIneligible, Outcome};
+pub use experiment::LockstepIneligible;
 pub use fmt::BENCH_SEED;
 pub use json::Value;
 pub use lru_channel::lockstep::LockstepMode;

@@ -12,7 +12,8 @@
 //! and Flush+Reload baselines, the Spectre attack, the §IX defense
 //! evaluations, every figure and table — is described by one
 //! declarative, serializable [`scenario::spec::Scenario`] value and
-//! executed through the [`scenario::experiment::Experiment`] trait.
+//! executed one trial at a time by
+//! [`scenario::spec::Scenario::run_trial`].
 //! Paper artifacts are registered by ID in [`scenario::registry`]
 //! (`fig3`…`fig15`, `table1`…`table7`, ablations); the `lru-leak`
 //! CLI is a thin wrapper over that registry, so for a fixed seed
@@ -37,7 +38,7 @@
 //!
 //! | crate | contents |
 //! |---|---|
-//! | [`scenario`] | **the public API**: declarative scenarios, the `Experiment` trait, the paper-artifact registry, deterministic JSON |
+//! | [`scenario`] | **the public API**: declarative scenarios, one `Scenario::run_trial` dispatch per trial, the paper-artifact registry, deterministic JSON |
 //! | [`cache_sim`] | set-associative caches with observable replacement state, PL cache, AMD µtag way predictor, prefetchers, perf counters |
 //! | [`exec_sim`] | processes/page tables, timestamp-counter models, pointer-chase measurement, SMT & time-sliced schedulers, Spectre-v1 speculation |
 //! | [`lru_channel`] | **the paper's contribution**: Algorithms 1–3, decoders, the Table I PLRU study, Wagner–Fischer error analysis, the parallel trial driver, seed-derived noise models |

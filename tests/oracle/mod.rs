@@ -16,16 +16,11 @@ use lru_leak::scenario::{Scenario, Value};
 /// bare metrics tree for one trial, an array of per-trial trees for
 /// several.
 pub fn run_scenario(sc: &Scenario, engine: Engine) -> Value {
-    let experiment = sc.experiment();
     if sc.trials <= 1 {
-        return experiment.run(sc.seed, engine).metrics;
+        return sc.run_trial(sc.seed, engine);
     }
     let outs = (0..sc.trials)
-        .map(|i| {
-            experiment
-                .run(derive_seed(sc.seed, i as u64), engine)
-                .metrics
-        })
+        .map(|i| sc.run_trial(derive_seed(sc.seed, i as u64), engine))
         .collect();
     Value::Arr(outs)
 }
