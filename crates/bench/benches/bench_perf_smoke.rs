@@ -30,7 +30,7 @@ use cache_sim::counters::PerfCounters;
 use cache_sim::geometry::CacheGeometry;
 use cache_sim::hierarchy::{CacheHierarchy, Latencies};
 use cache_sim::reference::RefCache;
-use cache_sim::replacement::{Domain, PolicyKind};
+use cache_sim::replacement::PolicyKind;
 use lru_channel::covert::{percent_ones, PercentOnesOpts, Variant};
 use lru_channel::params::{ChannelParams, Platform};
 use lru_channel::trials::{derive_seed, run_trials_fold_ctrl, RunCtrl};
@@ -78,12 +78,12 @@ fn aos_access(
     counters: &mut PerfCounters,
 ) -> u32 {
     counters.l1d_accesses += 1;
-    if l1.access_in_domain(pa, Domain::PRIMARY).hit {
+    if l1.access(pa).hit {
         return lat.l1;
     }
     counters.l1d_misses += 1;
     counters.l2_accesses += 1;
-    if l2.access_in_domain(pa, Domain::PRIMARY).hit {
+    if l2.access(pa).hit {
         lat.l2
     } else {
         counters.l2_misses += 1;
@@ -124,14 +124,12 @@ fn measure_soa(stream: &[PhysAddr], kind: PolicyKind) -> LayoutResult {
     let mut h = CacheHierarchy::new(l1, l2, None, lat);
     let mut counters = PerfCounters::new();
     for &pa in &stream[..stream.len() / 8] {
-        h.access(VirtAddr::new(pa.raw()), pa, &mut counters, Domain::PRIMARY);
+        h.access(VirtAddr::new(pa.raw()), pa, &mut counters);
     }
     let mut cycles = 0u64;
     let start = Instant::now();
     for &pa in stream {
-        cycles += h
-            .access(VirtAddr::new(pa.raw()), pa, &mut counters, Domain::PRIMARY)
-            .cycles as u64;
+        cycles += h.access(VirtAddr::new(pa.raw()), pa, &mut counters).cycles as u64;
     }
     let secs = start.elapsed().as_secs_f64();
     LayoutResult {

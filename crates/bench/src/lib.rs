@@ -7,8 +7,8 @@
 //! seed (`lru-leak run-all` runs them all). This crate keeps the perf
 //! gates (`cargo bench -p bench-harness --bench bench_perf_smoke`,
 //! `bench_batch_smoke`, `bench_execsim_smoke`, `bench_lockstep_smoke`)
-//! and the `micro` criterion benches, plus the helpers they share:
-//! the report header and the BENCH json read/upsert functions.
+//! plus the helpers they share: the report header and the BENCH json
+//! read/upsert functions.
 //!
 //! The absolute numbers come from a simulator, not the authors'
 //! testbed; EXPERIMENTS.md records, per experiment, which *shape*

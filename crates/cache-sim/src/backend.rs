@@ -24,9 +24,13 @@ use crate::geometry::CacheGeometry;
 use crate::hierarchy::{CacheHierarchy, Inclusion, Latencies};
 use crate::line::LineMeta;
 use crate::plcache::{PlCache, PlRequest};
-use crate::replacement::{Domain, PolicyKind};
+use crate::replacement::PolicyKind;
 
 /// A set-associative cache model observable through its first level.
+///
+/// Each model has one demand path, [`Backend::access`], which every
+/// implementation provides by forwarding to its own `access` (or, for
+/// the PL cache, to a plain [`PlRequest::Access`] request).
 ///
 /// Implementations must be deterministic: two instances constructed
 /// with the same parameters and fed the same operation stream must
@@ -43,15 +47,10 @@ pub trait Backend {
     /// Replacement policy of the observable level.
     fn policy_kind(&self) -> PolicyKind;
 
-    /// Demand access on behalf of `domain`; installs on miss. The
-    /// outcome describes the observable level (hit there, the way
-    /// the line now occupies, and the line it displaced).
-    fn access_in_domain(&mut self, pa: PhysAddr, domain: Domain) -> AccessOutcome;
-
-    /// Demand access in the primary domain.
-    fn access(&mut self, pa: PhysAddr) -> AccessOutcome {
-        self.access_in_domain(pa, Domain::PRIMARY)
-    }
+    /// Demand access; installs on miss. The outcome describes the
+    /// observable level (hit there, the way the line now occupies,
+    /// and the line it displaced).
+    fn access(&mut self, pa: PhysAddr) -> AccessOutcome;
 
     /// Installs `pa`'s line without demand accounting; returns the
     /// displaced line, if any. Present lines are left untouched.
@@ -111,8 +110,8 @@ impl Backend for Cache {
         Cache::policy_kind(self)
     }
 
-    fn access_in_domain(&mut self, pa: PhysAddr, domain: Domain) -> AccessOutcome {
-        Cache::access_in_domain(self, pa, domain)
+    fn access(&mut self, pa: PhysAddr) -> AccessOutcome {
+        Cache::access(self, pa)
     }
 
     fn prefetch_fill(&mut self, pa: PhysAddr) -> Option<PhysAddr> {
@@ -161,8 +160,8 @@ impl Backend for crate::reference::RefCache {
         crate::reference::RefCache::policy_kind(self)
     }
 
-    fn access_in_domain(&mut self, pa: PhysAddr, domain: Domain) -> AccessOutcome {
-        crate::reference::RefCache::access_in_domain(self, pa, domain)
+    fn access(&mut self, pa: PhysAddr) -> AccessOutcome {
+        crate::reference::RefCache::access(self, pa)
     }
 
     fn prefetch_fill(&mut self, pa: PhysAddr) -> Option<PhysAddr> {
@@ -207,9 +206,9 @@ impl Backend for PlCache {
         PlCache::policy_kind(self)
     }
 
-    fn access_in_domain(&mut self, pa: PhysAddr, domain: Domain) -> AccessOutcome {
+    fn access(&mut self, pa: PhysAddr) -> AccessOutcome {
         let set = self.geometry().set_index(pa.raw());
-        let out = self.request_in_domain(pa, PlRequest::Access, domain);
+        let out = self.request(pa, PlRequest::Access);
         // An uncached miss (locked victim) leaves the line absent;
         // report the victim way it would have used as way 0 to keep
         // the outcome shape total. Access-only streams never lock,
@@ -309,14 +308,11 @@ impl Backend for HierarchyBackend {
         self.h.l1().policy_kind()
     }
 
-    fn access_in_domain(&mut self, pa: PhysAddr, domain: Domain) -> AccessOutcome {
+    fn access(&mut self, pa: PhysAddr) -> AccessOutcome {
         let geom = self.h.l1().geometry();
-        let out = self.h.access(
-            crate::addr::VirtAddr::new(pa.raw()),
-            pa,
-            &mut self.counters,
-            domain,
-        );
+        let out = self
+            .h
+            .access(crate::addr::VirtAddr::new(pa.raw()), pa, &mut self.counters);
         let hit = out.level == crate::hierarchy::HitLevel::L1;
         // The L1 holds the line after any demand access — except
         // when a back-invalidation triggered by this very fill

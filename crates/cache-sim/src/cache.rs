@@ -11,7 +11,7 @@
 use crate::addr::PhysAddr;
 use crate::geometry::CacheGeometry;
 use crate::line::LineMeta;
-use crate::replacement::{Domain, PolicyKind, WayMask};
+use crate::replacement::{PolicyKind, WayMask};
 use crate::storage::SoaStore;
 
 use std::fmt;
@@ -40,17 +40,6 @@ pub struct CacheStats {
     pub fills: u64,
     /// Valid lines evicted by replacement.
     pub evictions: u64,
-}
-
-impl CacheStats {
-    /// Miss rate (`misses / accesses`), or 0 when idle.
-    pub fn miss_rate(&self) -> f64 {
-        if self.accesses == 0 {
-            0.0
-        } else {
-            self.misses as f64 / self.accesses as f64
-        }
-    }
 }
 
 /// A set-associative cache level.
@@ -103,19 +92,14 @@ impl Cache {
         self.kind
     }
 
-    /// Demand access in the primary domain.
+    /// Demand access: updates the replacement state on a hit, and on
+    /// a miss installs the line in the lowest invalid way, else in
+    /// the policy's victim.
     #[inline]
     pub fn access(&mut self, pa: PhysAddr) -> AccessOutcome {
-        self.access_in_domain(pa, Domain::PRIMARY)
-    }
-
-    /// Demand access on behalf of `domain` (partitioned policies
-    /// confine the victim to the domain's ways).
-    #[inline]
-    pub fn access_in_domain(&mut self, pa: PhysAddr, domain: Domain) -> AccessOutcome {
         let (set_idx, tag) = self.locate(pa);
         self.stats.accesses += 1;
-        let out = self.store.demand_access(set_idx, tag, domain);
+        let out = self.store.demand_access(set_idx, tag);
         if !out.hit {
             self.stats.misses += 1;
             self.stats.fills += 1;
@@ -156,14 +140,12 @@ impl Cache {
         }
         self.stats.fills += 1;
         let ways = self.store.ways();
-        let way = self
-            .store
-            .choose_fill_way(set_idx, WayMask::all(ways), Domain::PRIMARY);
+        let way = self.store.choose_fill_way(set_idx, WayMask::all(ways));
         let evicted = self.store.install(set_idx, way, LineMeta::new(tag));
         if evicted.is_some() {
             self.stats.evictions += 1;
         }
-        self.store.record_fill(set_idx, way, Domain::PRIMARY);
+        self.store.record_fill(set_idx, way);
         evicted.map(|m| PhysAddr::new(self.geom.line_addr(m.tag, set_idx)))
     }
 
@@ -201,16 +183,6 @@ impl Cache {
         self.store
             .find_way(set_idx, tag)
             .and_then(|w| self.store.line_meta(set_idx, w))
-    }
-
-    /// µtag of `pa`'s line, if present and trained (AMD way
-    /// predictor, paper §VI-B).
-    #[inline]
-    pub fn utag_of(&self, pa: PhysAddr) -> Option<u16> {
-        let (set_idx, tag) = self.locate(pa);
-        self.store
-            .find_way(set_idx, tag)
-            .and_then(|w| self.store.utag(set_idx, w))
     }
 
     /// µtag of the line in `way` of `set`, if trained — the
@@ -488,13 +460,12 @@ mod tests {
         let mut c = l1(PolicyKind::Lru);
         let a = PhysAddr::new(0x40);
         c.access(a);
-        assert_eq!(c.utag_of(a), None);
+        assert_eq!(c.line_meta(a).unwrap().utag, None);
         c.set_utag(a, Some(0x5a));
-        assert_eq!(c.utag_of(a), Some(0x5a));
         assert_eq!(c.line_meta(a).unwrap().utag, Some(0x5a));
         // Absent line: silently ignored.
         c.set_utag(PhysAddr::new(0x9_0000), Some(1));
-        assert_eq!(c.utag_of(PhysAddr::new(0x9_0000)), None);
+        assert_eq!(c.line_meta(PhysAddr::new(0x9_0000)), None);
     }
 
     #[test]

@@ -4,7 +4,6 @@ use crate::addr::{PhysAddr, VirtAddr};
 use crate::cache::Cache;
 use crate::counters::PerfCounters;
 use crate::prefetcher::Prefetcher;
-use crate::replacement::Domain;
 use crate::way_predictor::{UtagCheck, WayPredictor};
 
 /// Access latencies in CPU cycles (paper Table II).
@@ -60,16 +59,6 @@ impl Latencies {
             l2: 8,
             llc: None,
             mem: 100,
-        }
-    }
-
-    /// Latency of a hit at `level`.
-    pub fn of(&self, level: HitLevel) -> u32 {
-        match level {
-            HitLevel::L1 => self.l1,
-            HitLevel::L2 => self.l2,
-            HitLevel::Llc => self.llc.unwrap_or(self.mem),
-            HitLevel::Mem => self.mem,
         }
     }
 }
@@ -256,10 +245,9 @@ impl CacheHierarchy {
         va: VirtAddr,
         pa: PhysAddr,
         counters: &mut PerfCounters,
-        domain: Domain,
     ) -> HierarchyOutcome {
         counters.l1d_accesses += 1;
-        let l1_out = self.l1.access_in_domain(pa, domain);
+        let l1_out = self.l1.access(pa);
         if l1_out.hit {
             let mut cycles = self.lat.l1;
             let mut mispredict = false;
@@ -293,7 +281,7 @@ impl CacheHierarchy {
         counters.l2_accesses += 1;
         let l2_hit = match self.inclusion {
             Inclusion::Inclusive | Inclusion::BackInvalidate => {
-                let l2_out = self.l2.access_in_domain(pa, domain);
+                let l2_out = self.l2.access(pa);
                 if self.inclusion == Inclusion::BackInvalidate {
                     if let Some(victim) = l2_out.evicted {
                         // Inclusion enforcement: the L2 victim may
@@ -308,7 +296,7 @@ impl CacheHierarchy {
                 // victims do (below), so touch the L2 line when it
                 // is already resident and otherwise leave it alone.
                 if self.l2.probe(pa) {
-                    self.l2.access_in_domain(pa, domain).hit
+                    self.l2.access(pa).hit
                 } else {
                     false
                 }
@@ -321,7 +309,7 @@ impl CacheHierarchy {
             match (&mut self.llc, self.lat.llc) {
                 (Some(llc), Some(llc_lat)) => {
                     counters.llc_accesses += 1;
-                    if llc.access_in_domain(pa, domain).hit {
+                    if llc.access(pa).hit {
                         (HitLevel::Llc, llc_lat)
                     } else {
                         counters.llc_misses += 1;
@@ -335,7 +323,7 @@ impl CacheHierarchy {
             if let Some(victim) = l1_out.evicted {
                 // Victim allocation: the line the miss pushed out of
                 // the L1 moves to the L2.
-                self.l2.access_in_domain(victim, domain);
+                self.l2.access(victim);
             }
         }
 
@@ -384,20 +372,6 @@ impl CacheHierarchy {
             HitLevel::Llc
         } else {
             HitLevel::Mem
-        }
-    }
-
-    /// A *speculation-invisible* load (InvisiSpec-style defense,
-    /// paper §IX-B): returns the latency the transient load would
-    /// observe but leaves every cache and replacement state
-    /// untouched.
-    pub fn speculative_access_invisible(&self, pa: PhysAddr) -> HierarchyOutcome {
-        let level = self.probe_level(pa);
-        HierarchyOutcome {
-            level,
-            cycles: self.lat.of(level),
-            l1_evicted: None,
-            utag_mispredict: false,
         }
     }
 
@@ -588,7 +562,7 @@ mod tests {
         let mut h = small_hierarchy();
         let mut c = PerfCounters::new();
         let (va, pa) = a(0x4000);
-        let out = h.access(va, pa, &mut c, Domain::PRIMARY);
+        let out = h.access(va, pa, &mut c);
         assert_eq!(out.level, HitLevel::Mem);
         assert_eq!(out.cycles, 200);
         assert_eq!(c.l1d_misses, 1);
@@ -601,8 +575,8 @@ mod tests {
         let mut h = small_hierarchy();
         let mut c = PerfCounters::new();
         let (va, pa) = a(0x4000);
-        h.access(va, pa, &mut c, Domain::PRIMARY);
-        let out = h.access(va, pa, &mut c, Domain::PRIMARY);
+        h.access(va, pa, &mut c);
+        let out = h.access(va, pa, &mut c);
         assert_eq!(out.level, HitLevel::L1);
         assert_eq!(out.cycles, 4);
     }
@@ -615,10 +589,10 @@ mod tests {
         // Fill one L1 set with 9 lines: line 0 falls to L2.
         for i in 0..9u64 {
             let (va, pa) = a(i * stride);
-            h.access(va, pa, &mut c, Domain::PRIMARY);
+            h.access(va, pa, &mut c);
         }
         let (va, pa) = a(0);
-        let out = h.access(va, pa, &mut c, Domain::PRIMARY);
+        let out = h.access(va, pa, &mut c);
         assert_eq!(out.level, HitLevel::L2, "evicted L1 line must hit in L2");
         assert_eq!(out.cycles, 12);
     }
@@ -628,19 +602,10 @@ mod tests {
         let mut h = small_hierarchy();
         let mut c = PerfCounters::new();
         let (va, pa) = a(0x80);
-        h.access(va, pa, &mut c, Domain::PRIMARY);
+        h.access(va, pa, &mut c);
         let before = c;
         assert_eq!(h.probe_level(pa), HitLevel::L1);
         assert_eq!(c, before);
-    }
-
-    #[test]
-    fn invisible_speculation_changes_nothing() {
-        let h = small_hierarchy();
-        let out = h.speculative_access_invisible(PhysAddr::new(0x1234_0000));
-        assert_eq!(out.level, HitLevel::Mem);
-        // Still absent everywhere.
-        assert_eq!(h.probe_level(PhysAddr::new(0x1234_0000)), HitLevel::Mem);
     }
 
     #[test]
@@ -648,9 +613,9 @@ mod tests {
         let mut h = small_hierarchy();
         let mut c = PerfCounters::new();
         let (va, pa) = a(0xc0);
-        h.access(va, pa, &mut c, Domain::PRIMARY);
+        h.access(va, pa, &mut c);
         h.flush(pa);
-        let out = h.access(va, pa, &mut c, Domain::PRIMARY);
+        let out = h.access(va, pa, &mut c);
         assert_eq!(out.level, HitLevel::Mem);
     }
 
@@ -661,9 +626,9 @@ mod tests {
         let pa = PhysAddr::new(0x2040);
         let va_sender = VirtAddr::from_page(0x7001, 0x40);
         let va_receiver = VirtAddr::from_page(0x5009, 0x40);
-        h.access(va_sender, pa, &mut c, Domain::PRIMARY);
-        h.access(va_sender, pa, &mut c, Domain::PRIMARY); // trains sender utag
-        let out = h.access(va_receiver, pa, &mut c, Domain::PRIMARY);
+        h.access(va_sender, pa, &mut c);
+        h.access(va_sender, pa, &mut c); // trains sender utag
+        let out = h.access(va_receiver, pa, &mut c);
         assert_eq!(out.level, HitLevel::L1, "data is in L1");
         assert!(out.utag_mispredict);
         assert_eq!(
@@ -672,7 +637,7 @@ mod tests {
             "observes miss latency"
         );
         // And the receiver retrained it: sender now mispredicts.
-        let out = h.access(va_sender, pa, &mut c, Domain::PRIMARY);
+        let out = h.access(va_sender, pa, &mut c);
         assert!(out.utag_mispredict);
     }
 
@@ -681,9 +646,9 @@ mod tests {
         let mut h = small_hierarchy().with_way_predictor(WayPredictor::new());
         let mut c = PerfCounters::new();
         let (va, pa) = a(0x2040);
-        h.access(va, pa, &mut c, Domain::PRIMARY);
+        h.access(va, pa, &mut c);
         for _ in 0..5 {
-            let out = h.access(va, pa, &mut c, Domain::PRIMARY);
+            let out = h.access(va, pa, &mut c);
             assert!(!out.utag_mispredict);
             assert_eq!(out.cycles, 4);
         }
@@ -694,7 +659,7 @@ mod tests {
         let mut h = small_hierarchy().with_prefetcher(Prefetcher::next_line());
         let mut c = PerfCounters::new();
         let (va, pa) = a(0x4000);
-        h.access(va, pa, &mut c, Domain::PRIMARY);
+        h.access(va, pa, &mut c);
         assert_eq!(c.prefetch_fills, 1);
         assert_eq!(h.probe_level(PhysAddr::new(0x4040)), HitLevel::L1);
     }
@@ -703,7 +668,6 @@ mod tests {
     fn gem5_profile_has_two_levels() {
         let lat = Latencies::gem5_fig9();
         assert_eq!(lat.llc, None);
-        assert_eq!(lat.of(HitLevel::Llc), lat.mem);
     }
 
     /// A tiny L2 (one set, 2 ways) over the paper L1 so L2 pressure
@@ -721,20 +685,10 @@ mod tests {
         // Three distinct L1 sets, so the L1 never self-evicts; the
         // 2-way L2's second fill after `x` pushes `x` out.
         let x = PhysAddr::new(0);
-        h.access(VirtAddr::new(0), x, &mut c, Domain::PRIMARY);
+        h.access(VirtAddr::new(0), x, &mut c);
         assert_eq!(h.probe_level(x), HitLevel::L1);
-        h.access(
-            VirtAddr::new(0x40),
-            PhysAddr::new(0x40),
-            &mut c,
-            Domain::PRIMARY,
-        );
-        h.access(
-            VirtAddr::new(0x80),
-            PhysAddr::new(0x80),
-            &mut c,
-            Domain::PRIMARY,
-        );
+        h.access(VirtAddr::new(0x40), PhysAddr::new(0x40), &mut c);
+        h.access(VirtAddr::new(0x80), PhysAddr::new(0x80), &mut c);
         assert_eq!(
             h.probe_level(x),
             HitLevel::Mem,
@@ -742,19 +696,9 @@ mod tests {
         );
         // The silent-inclusive baseline keeps the stale L1 copy.
         let mut h = tiny_l2_hierarchy(Inclusion::Inclusive);
-        h.access(VirtAddr::new(0), x, &mut c, Domain::PRIMARY);
-        h.access(
-            VirtAddr::new(0x40),
-            PhysAddr::new(0x40),
-            &mut c,
-            Domain::PRIMARY,
-        );
-        h.access(
-            VirtAddr::new(0x80),
-            PhysAddr::new(0x80),
-            &mut c,
-            Domain::PRIMARY,
-        );
+        h.access(VirtAddr::new(0), x, &mut c);
+        h.access(VirtAddr::new(0x40), PhysAddr::new(0x40), &mut c);
+        h.access(VirtAddr::new(0x80), PhysAddr::new(0x80), &mut c);
         assert_eq!(h.probe_level(x), HitLevel::L1);
     }
 
@@ -765,17 +709,12 @@ mod tests {
         let stride = h.l1().geometry().set_stride();
         let first = PhysAddr::new(0);
         // A demand miss fills L1 but not L2.
-        h.access(VirtAddr::new(0), first, &mut c, Domain::PRIMARY);
+        h.access(VirtAddr::new(0), first, &mut c);
         assert!(h.l1().probe(first));
         assert!(!h.l2().probe(first));
         // Overflow the 8-way L1 set: the victim moves into the L2.
         for i in 1..9u64 {
-            h.access(
-                VirtAddr::new(i * stride),
-                PhysAddr::new(i * stride),
-                &mut c,
-                Domain::PRIMARY,
-            );
+            h.access(VirtAddr::new(i * stride), PhysAddr::new(i * stride), &mut c);
         }
         assert!(!h.l1().probe(first), "line 0 must be the Tree-PLRU victim");
         assert_eq!(h.probe_level(first), HitLevel::L2);

@@ -8,8 +8,10 @@
 //!
 //! * [`replacement`] — the five replacement policies discussed by the
 //!   paper (true LRU, Tree-PLRU, Bit-PLRU, FIFO, Random) plus a
-//!   DAWG-style partitioned Tree-PLRU, all behind the
-//!   [`replacement::SetReplacement`] trait.
+//!   DAWG-style partitioned Tree-PLRU (an independent tree per half
+//!   of the ways, victims from the lower half), all behind the
+//!   [`replacement::SetReplacement`] trait: `touch` on a hit, `fill`
+//!   on an install, `victim_among` a way mask.
 //! * [`cache`] — a single-level set-associative [`cache::Cache`] with
 //!   per-access outcomes (hit/miss, filled way, evicted line). Its
 //!   storage is a flat structure-of-arrays hot path: one contiguous
@@ -25,9 +27,10 @@
 //!   vulnerable) and *fixed* (LRU state frozen for locked lines) forms.
 //! * [`backend`] — the [`backend::Backend`] trait putting every cache
 //!   model (flat SoA, AoS oracle, PL cache, two-level hierarchies)
-//!   behind one lookup/touch/fill/evict surface, with a
-//!   `quantum_ff_safe` capability bit the execution engine consults;
-//!   the backend-conformance harness is generic over it.
+//!   behind one surface — a single demand `access`, prefetch fill,
+//!   probe, flush and line introspection — with a `quantum_ff_safe`
+//!   capability bit the execution engine consults; the
+//!   backend-conformance harness is generic over it.
 //! * [`hierarchy`] — an L1D/L2/(LLC) hierarchy with cycle latencies
 //!   (paper Table II), optional next-line [`prefetcher`] (Appendix C
 //!   noise source) and the AMD linear-address µtag
@@ -93,4 +96,4 @@ pub use hierarchy::{CacheHierarchy, DualCore, HierarchyOutcome, HitLevel, Inclus
 pub use plcache::{PlCache, PlDesign, PlRequest};
 pub use profiles::MicroArch;
 pub use reference::RefCache;
-pub use replacement::{Domain, Policy, PolicyKind, SetReplacement, WayMask};
+pub use replacement::{Policy, PolicyKind, SetReplacement, WayMask};

@@ -18,7 +18,7 @@
 //! `plru_kernel` suite pins it against a `Cache` for every policy.
 
 use crate::replacement::packed::{set_seed, ReplPolicy};
-use crate::replacement::{Domain, PolicyKind};
+use crate::replacement::PolicyKind;
 use crate::storage::row_access;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -41,9 +41,8 @@ const ABSENT: u8 = u8::MAX;
 ///
 /// Behaves exactly like set `set` of an 8-way
 /// [`Cache`](crate::cache::Cache) built with the same policy and
-/// seed, with line tags standing in for addresses and every access in
-/// the primary domain. The way count is a constant so the compiler
-/// unrolls the victim searches.
+/// seed, with line tags standing in for addresses. The way count is
+/// a constant so the compiler unrolls the victim searches.
 ///
 /// ```
 /// use cache_sim::one_set::OneSet;
@@ -104,7 +103,6 @@ impl OneSet {
             WAYS,
             tag,
             found,
-            Domain::PRIMARY,
         );
         if !out.hit {
             if let Some(old) = out.evicted_tag {

@@ -21,7 +21,7 @@ use crate::addr::PhysAddr;
 use crate::cache::{CacheStats, SetView};
 use crate::geometry::CacheGeometry;
 use crate::line::LineMeta;
-use crate::replacement::{Domain, PolicyKind, WayMask};
+use crate::replacement::{PolicyKind, WayMask};
 use crate::storage::SoaStore;
 
 /// Which PL-cache variant to simulate.
@@ -138,12 +138,6 @@ impl PlCache {
 
     /// Issues a request, implementing the Fig. 10 flow chart.
     pub fn request(&mut self, pa: PhysAddr, req: PlRequest) -> PlOutcome {
-        self.request_in_domain(pa, req, Domain::PRIMARY)
-    }
-
-    /// [`PlCache::request`] on behalf of a domain (for partitioned
-    /// policies).
-    pub fn request_in_domain(&mut self, pa: PhysAddr, req: PlRequest, domain: Domain) -> PlOutcome {
         let (set_idx, tag) = self.locate(pa);
         let design = self.design;
         let ways = self.store.ways();
@@ -162,7 +156,7 @@ impl PlCache {
                 (PlDesign::Fixed, false) => true,
             };
             if update_state {
-                self.store.touch(set_idx, way, domain);
+                self.store.touch(set_idx, way);
             }
             match req {
                 PlRequest::Lock => self.store.set_locked(set_idx, way, true),
@@ -179,9 +173,7 @@ impl PlCache {
         // Cache miss: choose victim based on replacement policy
         // (locks are checked *after* selection, per Fig. 10).
         self.stats.misses += 1;
-        let way = self
-            .store
-            .choose_fill_way(set_idx, WayMask::all(ways), domain);
+        let way = self.store.choose_fill_way(set_idx, WayMask::all(ways));
         if self.store.is_locked(set_idx, way) {
             // Locked victim: handle the incoming line uncached; no
             // replacement occurs. The replacement state of the
@@ -189,7 +181,7 @@ impl PlCache {
             // of victim" box of Fig. 10) so the pointer rotates off
             // the locked way instead of freezing every future miss
             // of this set into the uncached path.
-            self.store.touch(set_idx, way, domain);
+            self.store.touch(set_idx, way);
             return PlOutcome {
                 hit: false,
                 uncached: true,
@@ -205,7 +197,7 @@ impl PlCache {
         if evicted.is_some() {
             self.stats.evictions += 1;
         }
-        self.store.record_fill(set_idx, way, domain);
+        self.store.record_fill(set_idx, way);
         PlOutcome {
             hit: false,
             uncached: false,
@@ -229,9 +221,7 @@ impl PlCache {
             return None;
         }
         let ways = self.store.ways();
-        let way = self
-            .store
-            .choose_fill_way(set_idx, WayMask::all(ways), Domain::PRIMARY);
+        let way = self.store.choose_fill_way(set_idx, WayMask::all(ways));
         if self.store.is_locked(set_idx, way) {
             return None;
         }
@@ -240,7 +230,7 @@ impl PlCache {
         if evicted.is_some() {
             self.stats.evictions += 1;
         }
-        self.store.record_fill(set_idx, way, Domain::PRIMARY);
+        self.store.record_fill(set_idx, way);
         evicted.map(|m| PhysAddr::new(self.geom.line_addr(m.tag, set_idx)))
     }
 

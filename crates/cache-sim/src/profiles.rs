@@ -150,11 +150,6 @@ impl MicroArch {
     pub fn cycles_to_seconds(&self, cycles: u64) -> f64 {
         cycles as f64 / (self.freq_ghz * 1e9)
     }
-
-    /// Whether this models an Intel part (fine-grained timer).
-    pub fn is_intel(&self) -> bool {
-        self.model.starts_with("Intel")
-    }
 }
 
 fn geom(size: u64, ways: usize) -> CacheGeometry {
@@ -216,11 +211,5 @@ mod tests {
         let snb = MicroArch::sandy_bridge_e5_2690();
         let secs = snb.cycles_to_seconds(3_800_000_000);
         assert!((secs - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn intel_classification() {
-        assert!(MicroArch::sandy_bridge_e5_2690().is_intel());
-        assert!(!MicroArch::zen_epyc_7571().is_intel());
     }
 }

@@ -15,7 +15,7 @@ use crate::cache::{AccessOutcome, CacheStats};
 use crate::geometry::CacheGeometry;
 use crate::line::LineMeta;
 use crate::replacement::packed::set_seed;
-use crate::replacement::{Domain, Policy, PolicyKind, WayMask};
+use crate::replacement::{Policy, PolicyKind, WayMask};
 use crate::set::CacheSet;
 
 /// The original array-of-structs cache.
@@ -53,19 +53,14 @@ impl RefCache {
         self.kind
     }
 
-    /// Demand access in the primary domain.
+    /// Demand access, as in [`crate::cache::Cache::access`].
     pub fn access(&mut self, pa: PhysAddr) -> AccessOutcome {
-        self.access_in_domain(pa, Domain::PRIMARY)
-    }
-
-    /// Demand access on behalf of `domain`.
-    pub fn access_in_domain(&mut self, pa: PhysAddr, domain: Domain) -> AccessOutcome {
         let (set_idx, tag) = self.locate(pa);
         self.stats.accesses += 1;
         let ways = self.geom.ways();
         let set = &mut self.sets[set_idx];
         if let Some(way) = set.find_way(tag) {
-            set.record_access(way, domain);
+            set.record_access(way);
             return AccessOutcome {
                 hit: true,
                 set: set_idx,
@@ -75,12 +70,12 @@ impl RefCache {
         }
         self.stats.misses += 1;
         self.stats.fills += 1;
-        let way = set.choose_fill_way(WayMask::all(ways), domain);
+        let way = set.choose_fill_way(WayMask::all(ways));
         let evicted = set.install(way, LineMeta::new(tag));
         if evicted.is_some() {
             self.stats.evictions += 1;
         }
-        set.record_fill(way, domain);
+        set.record_fill(way);
         AccessOutcome {
             hit: false,
             set: set_idx,
@@ -99,12 +94,12 @@ impl RefCache {
             return None;
         }
         self.stats.fills += 1;
-        let way = set.choose_fill_way(WayMask::all(ways), Domain::PRIMARY);
+        let way = set.choose_fill_way(WayMask::all(ways));
         let evicted = set.install(way, LineMeta::new(tag));
         if evicted.is_some() {
             self.stats.evictions += 1;
         }
-        set.record_fill(way, Domain::PRIMARY);
+        set.record_fill(way);
         evicted.map(|m| PhysAddr::new(self.geom.line_addr(m.tag, set_idx)))
     }
 

@@ -1,7 +1,7 @@
 //! Bit-PLRU (MRU-bit) replacement, the second PLRU variant the paper
 //! analyses (§II-B, Table I).
 
-use super::{assert_valid_victim_request, Domain, SetReplacement, WayMask};
+use super::{assert_valid_victim_request, SetReplacement, WayMask};
 
 /// Bit-PLRU replacement state: one MRU-bit per way.
 ///
@@ -50,7 +50,7 @@ impl SetReplacement for BitPlru {
         self.mru.len()
     }
 
-    fn on_access(&mut self, way: usize, _domain: Domain) {
+    fn touch(&mut self, way: usize) {
         assert!(way < self.mru.len(), "way {way} out of range");
         self.mru[way] = true;
         if self.mru.iter().all(|&b| b) {
@@ -61,7 +61,7 @@ impl SetReplacement for BitPlru {
         }
     }
 
-    fn victim_among(&mut self, allowed: WayMask, _domain: Domain) -> usize {
+    fn victim_among(&mut self, allowed: WayMask) -> usize {
         assert_valid_victim_request(self.ways(), allowed);
         // Lowest-indexed allowed way with MRU-bit clear; if every
         // allowed way is marked (possible under restrictive masks),
@@ -112,7 +112,7 @@ mod tests {
         b.touch(1);
         b.touch(2);
         // Allowed = {1, 2}, both marked: falls back to lowest allowed.
-        let v = b.victim_among(WayMask::single(1).with(2), Domain::PRIMARY);
+        let v = b.victim_among(WayMask::single(1).with(2));
         assert_eq!(v, 1);
     }
 
@@ -160,7 +160,7 @@ mod tests {
                     mask = mask.with(w);
                 }
             }
-            prop_assert!(mask.contains(b.victim_among(mask, Domain::PRIMARY)));
+            prop_assert!(mask.contains(b.victim_among(mask)));
         }
     }
 }

@@ -2,12 +2,12 @@
 //! defenses (§IX-A): its state changes only on *fills*, so cache hits
 //! by a sender leave no trace in the replacement state.
 
-use super::{assert_valid_victim_request, Domain, SetReplacement, WayMask};
+use super::{assert_valid_victim_request, SetReplacement, WayMask};
 
 /// FIFO replacement state: per-way fill timestamps.
 ///
 /// The victim is the way whose line was *installed* earliest.
-/// Crucially, [`on_access`](SetReplacement::on_access) is a no-op:
+/// Crucially, [`touch`](SetReplacement::touch) is a no-op:
 /// this is what removes the LRU channel, because the sender's cache
 /// *hits* no longer modify any state the receiver can observe
 /// (paper §IX-A — "the FIFO states are only updated when a new cache
@@ -48,18 +48,18 @@ impl SetReplacement for Fifo {
         self.filled_at.len()
     }
 
-    fn on_access(&mut self, _way: usize, _domain: Domain) {
+    fn touch(&mut self, _way: usize) {
         // Hits do not update FIFO state — the whole point of the
         // defense.
     }
 
-    fn on_fill(&mut self, way: usize, _domain: Domain) {
+    fn fill(&mut self, way: usize) {
         assert!(way < self.filled_at.len(), "way {way} out of range");
         self.clock += 1;
         self.filled_at[way] = self.clock;
     }
 
-    fn victim_among(&mut self, allowed: WayMask, _domain: Domain) -> usize {
+    fn victim_among(&mut self, allowed: WayMask) -> usize {
         assert_valid_victim_request(self.ways(), allowed);
         (0..self.filled_at.len())
             .filter(|&w| allowed.contains(w))
@@ -116,10 +116,7 @@ mod tests {
         for w in 0..4 {
             f.fill(w);
         }
-        assert_eq!(
-            f.victim_among(WayMask::all(4).without(0), Domain::PRIMARY),
-            1
-        );
+        assert_eq!(f.victim_among(WayMask::all(4).without(0)), 1);
     }
 
     proptest! {

@@ -1,6 +1,6 @@
 //! True LRU: full recency ordering via per-way age counters.
 
-use super::{assert_valid_victim_request, Domain, SetReplacement, WayMask};
+use super::{assert_valid_victim_request, SetReplacement, WayMask};
 
 /// True LRU replacement state for one set.
 ///
@@ -57,12 +57,12 @@ impl SetReplacement for Lru {
         self.ages.len()
     }
 
-    fn on_access(&mut self, way: usize, _domain: Domain) {
+    fn touch(&mut self, way: usize) {
         self.clock += 1;
         self.ages[way] = self.clock;
     }
 
-    fn victim_among(&mut self, allowed: WayMask, _domain: Domain) -> usize {
+    fn victim_among(&mut self, allowed: WayMask) -> usize {
         assert_valid_victim_request(self.ways(), allowed);
         (0..self.ages.len())
             .filter(|&w| allowed.contains(w))
@@ -110,7 +110,7 @@ mod tests {
         for w in 0..4 {
             lru.touch(w);
         }
-        let v = lru.victim_among(WayMask::all(4).without(0), Domain::PRIMARY);
+        let v = lru.victim_among(WayMask::all(4).without(0));
         assert_eq!(v, 1);
     }
 
@@ -135,7 +135,7 @@ mod tests {
     #[should_panic(expected = "empty way mask")]
     fn empty_mask_panics() {
         let mut lru = Lru::new(4);
-        let _ = lru.victim_among(WayMask::EMPTY, Domain::PRIMARY);
+        let _ = lru.victim_among(WayMask::EMPTY);
     }
 
     proptest! {
@@ -174,7 +174,7 @@ mod tests {
                     mask = mask.with(w);
                 }
             }
-            let v = lru.victim_among(mask, Domain::PRIMARY);
+            let v = lru.victim_among(mask);
             prop_assert!(mask.contains(v));
         }
     }

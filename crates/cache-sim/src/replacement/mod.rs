@@ -14,7 +14,7 @@
 //! * [`RandomRepl`] — stateless random victim (the other §IX-A
 //!   defense),
 //! * [`PartitionedTreePlru`] — DAWG-style Tree-PLRU whose state is
-//!   statically partitioned between two protection domains
+//!   split into two independent half-trees, one per half of the ways
 //!   (paper §IX-B).
 //!
 //! All policies implement [`SetReplacement`], are deterministic given
@@ -37,31 +37,10 @@ pub use tree_plru::TreePlru;
 
 use std::fmt;
 
-/// Identifier of a protection domain for partitioned policies.
-///
-/// Non-partitioned policies ignore the domain. The PL-cache and DAWG
-/// experiments (paper §IX-B) use [`Domain::PRIMARY`] for the victim
-/// and [`Domain::SECONDARY`] for the attacker.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub struct Domain(pub u8);
-
-impl Domain {
-    /// The default domain used by all single-domain experiments.
-    pub const PRIMARY: Domain = Domain(0);
-    /// The second protection domain of partitioned experiments.
-    pub const SECONDARY: Domain = Domain(1);
-}
-
-impl fmt::Display for Domain {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "domain{}", self.0)
-    }
-}
-
 /// A subset of the ways in one cache set, as a bitmask.
 ///
 /// Victim selection is restricted to a mask so that locked lines
-/// (PL cache) and foreign-domain ways (DAWG) can be excluded.
+/// (PL cache) can be excluded.
 ///
 /// ```
 /// use cache_sim::replacement::WayMask;
@@ -282,51 +261,35 @@ pub trait SetReplacement {
     /// Associativity this state tracks.
     fn ways(&self) -> usize;
 
-    /// Records an access (hit) to `way` by `domain`.
-    fn on_access(&mut self, way: usize, domain: Domain);
+    /// Records an access (hit) to `way`.
+    fn touch(&mut self, way: usize);
 
-    /// Records that a new line was installed in `way` by `domain`.
+    /// Records that a new line was installed in `way`.
     ///
     /// Defaults to the same update as a hit, which is correct for the
     /// LRU family; FIFO overrides both so that only fills matter.
-    fn on_fill(&mut self, way: usize, domain: Domain) {
-        self.on_access(way, domain);
+    fn fill(&mut self, way: usize) {
+        self.touch(way);
     }
 
-    /// Chooses a victim way from `allowed` on behalf of `domain`.
+    /// Chooses a victim way from `allowed`.
     ///
     /// # Panics
     ///
     /// Implementations panic if `allowed` contains no way below
     /// [`ways`](SetReplacement::ways) (there is nothing to evict).
-    fn victim_among(&mut self, allowed: WayMask, domain: Domain) -> usize;
+    fn victim_among(&mut self, allowed: WayMask) -> usize;
 
     /// Resets the state to its power-on value.
     fn reset(&mut self);
 
-    /// Records an access in the primary domain.
-    fn touch(&mut self, way: usize)
-    where
-        Self: Sized,
-    {
-        self.on_access(way, Domain::PRIMARY);
-    }
-
-    /// Records a fill in the primary domain.
-    fn fill(&mut self, way: usize)
-    where
-        Self: Sized,
-    {
-        self.on_fill(way, Domain::PRIMARY);
-    }
-
-    /// Chooses a victim among all ways in the primary domain.
+    /// Chooses a victim among all ways.
     fn victim(&mut self) -> usize
     where
         Self: Sized,
     {
         let all = WayMask::all(self.ways());
-        self.victim_among(all, Domain::PRIMARY)
+        self.victim_among(all)
     }
 }
 
@@ -405,16 +368,16 @@ impl SetReplacement for Policy {
         dispatch!(self, p => p.ways())
     }
 
-    fn on_access(&mut self, way: usize, domain: Domain) {
-        dispatch!(self, p => p.on_access(way, domain));
+    fn touch(&mut self, way: usize) {
+        dispatch!(self, p => p.touch(way));
     }
 
-    fn on_fill(&mut self, way: usize, domain: Domain) {
-        dispatch!(self, p => p.on_fill(way, domain));
+    fn fill(&mut self, way: usize) {
+        dispatch!(self, p => p.fill(way));
     }
 
-    fn victim_among(&mut self, allowed: WayMask, domain: Domain) -> usize {
-        dispatch!(self, p => p.victim_among(allowed, domain))
+    fn victim_among(&mut self, allowed: WayMask) -> usize {
+        dispatch!(self, p => p.victim_among(allowed))
     }
 
     fn reset(&mut self) {
@@ -477,7 +440,7 @@ mod tests {
                 p.fill(w);
             }
             let allowed = WayMask::all(8).without(2).without(5);
-            let v = p.victim_among(allowed, Domain::PRIMARY);
+            let v = p.victim_among(allowed);
             assert!(allowed.contains(v), "{kind}: victim {v} not in mask");
         }
     }
@@ -485,7 +448,6 @@ mod tests {
     #[test]
     fn display_names() {
         assert_eq!(PolicyKind::TreePlru.to_string(), "Tree-PLRU");
-        assert_eq!(Domain::SECONDARY.to_string(), "domain1");
         assert_eq!(WayMask::all(3).to_string(), "111");
     }
 }

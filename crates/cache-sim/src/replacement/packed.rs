@@ -29,7 +29,7 @@
 //! The `layout_equivalence` suite replays long random traces through
 //! both layouts and asserts identical outcomes.
 
-use super::{Domain, PolicyKind, WayMask};
+use super::{PolicyKind, WayMask};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -196,8 +196,8 @@ pub(crate) enum ReplPolicy {
     /// Random: no state words; the owner lends the set's generator.
     Random,
     /// DAWG-style partitioned Tree-PLRU: `repl = [packed half
-    /// trees]` (primary half in the low 32 bits, secondary in the
-    /// high 32).
+    /// trees]` (the lower half's tree in the low 32 bits, the upper
+    /// half's in the high 32).
     PartitionedTreePlru {
         /// Touch masks for one half-tree (both halves share them).
         touch: TreeTouch,
@@ -254,14 +254,7 @@ impl ReplPolicy {
 
     /// Records a hit on `way` (`repl` = this set's state words).
     #[inline(always)]
-    pub(crate) fn on_access(
-        &self,
-        repl: &mut [u64],
-        ways: usize,
-        full_mask: u64,
-        way: usize,
-        _domain: Domain,
-    ) {
+    pub(crate) fn on_access(&self, repl: &mut [u64], ways: usize, full_mask: u64, way: usize) {
         debug_assert!(way < ways, "way {way} out of range");
         match self {
             ReplPolicy::Lru => {
@@ -298,14 +291,7 @@ impl ReplPolicy {
 
     /// Records that a new line was installed in `way`.
     #[inline(always)]
-    pub(crate) fn on_fill(
-        &self,
-        repl: &mut [u64],
-        ways: usize,
-        full_mask: u64,
-        way: usize,
-        domain: Domain,
-    ) {
+    pub(crate) fn on_fill(&self, repl: &mut [u64], ways: usize, full_mask: u64, way: usize) {
         match self {
             ReplPolicy::Fifo => {
                 debug_assert!(way < ways, "way {way} out of range");
@@ -313,15 +299,15 @@ impl ReplPolicy {
                 repl[1 + way] = repl[0];
             }
             ReplPolicy::Random => {}
-            _ => self.on_access(repl, ways, full_mask, way, domain),
+            _ => self.on_access(repl, ways, full_mask, way),
         }
     }
 
     /// Chooses a victim way with every way allowed — the demand-miss
     /// fast path, skipping all mask handling.
     ///
-    /// Equivalent to `victim_among` with a full mask; partitioned
-    /// policies still confine the victim to `domain`'s half.
+    /// Equivalent to `victim_among` with a full mask; the partitioned
+    /// policy still confines the victim to the lower half.
     ///
     /// # Panics
     ///
@@ -332,7 +318,6 @@ impl ReplPolicy {
         rng: Option<&mut SmallRng>,
         repl: &[u64],
         ways: usize,
-        domain: Domain,
     ) -> usize {
         match self {
             ReplPolicy::Lru | ReplPolicy::Fifo => min_stamp_full(&repl[1..1 + ways]),
@@ -350,7 +335,7 @@ impl ReplPolicy {
             }
             ReplPolicy::Random => random_stream(rng).gen_range(0..ways),
             ReplPolicy::PartitionedTreePlru { .. } => {
-                self.victim_among(rng, repl, ways, WayMask::all(ways), domain)
+                self.victim_among(rng, repl, ways, WayMask::all(ways))
             }
         }
     }
@@ -369,7 +354,6 @@ impl ReplPolicy {
         repl: &[u64],
         ways: usize,
         allowed: WayMask,
-        domain: Domain,
     ) -> usize {
         super::assert_valid_victim_request(ways, allowed);
         let usable = allowed.intersect(WayMask::all(ways));
@@ -393,25 +377,14 @@ impl ReplPolicy {
             }
             ReplPolicy::PartitionedTreePlru { .. } => {
                 let half = ways / 2;
-                let own_bits = if domain == Domain::SECONDARY {
-                    usable.bits() >> half << half
-                } else {
-                    usable.bits() & ((1u64 << half) - 1)
-                };
-                if own_bits == 0 {
-                    // Requesting domain has no allowed way: fall back
-                    // to the lowest allowed way without consulting
-                    // the other domain's tree.
+                let own = usable.intersect(WayMask::all(half));
+                if own.is_empty() {
+                    // No allowed way in the lower half: fall back to
+                    // the lowest allowed way without consulting the
+                    // upper half's tree.
                     return usable.first().expect("mask checked non-empty");
                 }
-                let (shift, base) = if domain == Domain::SECONDARY {
-                    (32, half)
-                } else {
-                    (0, 0)
-                };
-                let tree = (repl[0] >> shift) & 0xffff_ffff;
-                let local = WayMask::from_bits(own_bits >> base);
-                base + tree_victim(tree, half, local)
+                tree_victim(repl[0] & 0xffff_ffff, half, own)
             }
         }
     }
@@ -525,29 +498,24 @@ mod tests {
             }
         }
 
-        fn touch(&mut self, set: usize, way: usize, domain: Domain) {
+        fn touch(&mut self, set: usize, way: usize) {
             self.policy
-                .on_access(&mut self.words[set], self.ways, self.full_mask, way, domain);
+                .on_access(&mut self.words[set], self.ways, self.full_mask, way);
         }
 
-        fn fill(&mut self, set: usize, way: usize, domain: Domain) {
+        fn fill(&mut self, set: usize, way: usize) {
             self.policy
-                .on_fill(&mut self.words[set], self.ways, self.full_mask, way, domain);
+                .on_fill(&mut self.words[set], self.ways, self.full_mask, way);
         }
 
-        fn victim(&mut self, set: usize, mask: WayMask, domain: Domain) -> usize {
-            self.policy.victim_among(
-                self.rngs.get_mut(set),
-                &self.words[set],
-                self.ways,
-                mask,
-                domain,
-            )
+        fn victim(&mut self, set: usize, mask: WayMask) -> usize {
+            self.policy
+                .victim_among(self.rngs.get_mut(set), &self.words[set], self.ways, mask)
         }
 
-        fn victim_full(&mut self, set: usize, domain: Domain) -> usize {
+        fn victim_full(&mut self, set: usize) -> usize {
             self.policy
-                .victim_full(self.rngs.get_mut(set), &self.words[set], self.ways, domain)
+                .victim_full(self.rngs.get_mut(set), &self.words[set], self.ways)
         }
     }
 
@@ -573,24 +541,19 @@ mod tests {
                 let way = (x >> 21) as usize % ways;
                 match step % 3 {
                     0 => {
-                        packed.touch(set, way, Domain::PRIMARY);
-                        reference[set].on_access(way, Domain::PRIMARY);
+                        packed.touch(set, way);
+                        reference[set].touch(way);
                     }
                     1 => {
-                        packed.fill(set, way, Domain::PRIMARY);
-                        reference[set].on_fill(way, Domain::PRIMARY);
+                        packed.fill(set, way);
+                        reference[set].fill(way);
                     }
                     _ => {
                         let mask_bits = 1 | ((x >> 5) & WayMask::all(ways).bits());
                         let mask = WayMask::from_bits(mask_bits);
-                        let domain = if kind == PolicyKind::PartitionedTreePlru && x & 1 == 1 {
-                            Domain::SECONDARY
-                        } else {
-                            Domain::PRIMARY
-                        };
                         assert_eq!(
-                            packed.victim(set, mask, domain),
-                            reference[set].victim_among(mask, domain),
+                            packed.victim(set, mask),
+                            reference[set].victim_among(mask),
                             "{kind} diverged at step {step} (set {set}, mask {mask})"
                         );
                     }
@@ -612,10 +575,10 @@ mod tests {
             let mut x = 77u64;
             for _ in 0..500 {
                 x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
-                h.touch(0, (x >> 40) as usize % ways, Domain::PRIMARY);
-                h.fill(0, (x >> 20) as usize % ways, Domain::PRIMARY);
-                let via_mask = h.victim(0, WayMask::all(ways), Domain::PRIMARY);
-                let fast = h.victim_full(0, Domain::PRIMARY);
+                h.touch(0, (x >> 40) as usize % ways);
+                h.fill(0, (x >> 20) as usize % ways);
+                let via_mask = h.victim(0, WayMask::all(ways));
+                let fast = h.victim_full(0);
                 assert_eq!(fast, via_mask, "{kind}: fast path diverged");
             }
         }
@@ -632,8 +595,8 @@ mod tests {
             .collect();
         for i in 0..200 {
             let set = i % 2;
-            let fast = h.victim_full(set, Domain::PRIMARY);
-            let refv = reference[set].victim_among(WayMask::all(ways), Domain::PRIMARY);
+            let fast = h.victim_full(set);
+            let refv = reference[set].victim_among(WayMask::all(ways));
             assert_eq!(fast, refv, "draw {i} diverged");
         }
     }
@@ -642,19 +605,19 @@ mod tests {
     #[should_panic(expected = "empty way mask")]
     fn empty_mask_panics() {
         let mut h = Harness::new(PolicyKind::Lru, 1, 8, 0);
-        let _ = h.victim(0, WayMask::EMPTY, Domain::PRIMARY);
+        let _ = h.victim(0, WayMask::EMPTY);
     }
 
     #[test]
     fn sixty_four_way_masks_do_not_overflow() {
         let mut h = Harness::new(PolicyKind::BitPlru, 1, 64, 0);
         for w in 0..63 {
-            h.touch(0, w, Domain::PRIMARY);
+            h.touch(0, w);
         }
-        assert_eq!(h.victim(0, WayMask::all(64), Domain::PRIMARY), 63);
+        assert_eq!(h.victim(0, WayMask::all(64)), 63);
         // 64th access rolls the generation over.
-        h.touch(0, 63, Domain::PRIMARY);
-        assert_eq!(h.victim(0, WayMask::all(64), Domain::PRIMARY), 0);
+        h.touch(0, 63);
+        assert_eq!(h.victim(0, WayMask::all(64)), 0);
     }
 
     #[test]

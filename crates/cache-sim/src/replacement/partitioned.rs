@@ -7,31 +7,29 @@
 //! partitions the LRU state — which is exactly what stops both of the
 //! paper's channels.
 
-use super::{assert_valid_victim_request, Domain, SetReplacement, TreePlru, WayMask};
+use super::{assert_valid_victim_request, SetReplacement, TreePlru, WayMask};
 
-/// Tree-PLRU state statically split between two protection domains.
+/// Tree-PLRU state statically split between two halves of the ways.
 ///
-/// Ways `0 .. ways/2` belong to [`Domain::PRIMARY`], ways
-/// `ways/2 .. ways` to [`Domain::SECONDARY`]. Each half keeps an
-/// independent Tree-PLRU; an access only updates the half that owns
-/// the accessed way, and a victim request from a domain is confined
-/// to that domain's ways. There is **no shared bit** (no shared tree
-/// root), so one domain's accesses are invisible to the other's
-/// replacement decisions — the property the LRU channels violate in
-/// ordinary Tree-PLRU.
+/// Ways `0 .. ways/2` and `ways/2 .. ways` each keep an independent
+/// Tree-PLRU; an access only updates the half that owns the accessed
+/// way, and victims come from the lower half. There is **no shared
+/// bit** (no shared tree root), so accesses to the upper half — the
+/// other protection domain's ways — are invisible to the lower
+/// half's replacement decisions, the property the LRU channels
+/// violate in ordinary Tree-PLRU.
 ///
 /// ```
-/// use cache_sim::replacement::{
-///     Domain, PartitionedTreePlru, SetReplacement, WayMask,
-/// };
+/// use cache_sim::replacement::{PartitionedTreePlru, SetReplacement};
 /// let mut p = PartitionedTreePlru::new(8);
-/// // The attacker (secondary domain) hammers its own ways...
+/// let before = p.victim();
+/// // The attacker hammers the upper half of the ways...
 /// for w in 4..8 {
-///     p.on_access(w, Domain::SECONDARY);
+///     p.touch(w);
 /// }
-/// // ...but the victim's next replacement decision is unchanged.
-/// let v = p.victim_among(WayMask::all(8), Domain::PRIMARY);
-/// assert!(v < 4);
+/// // ...but the next replacement decision is unchanged.
+/// assert_eq!(p.victim(), before);
+/// assert!(before < 4);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PartitionedTreePlru {
@@ -40,7 +38,7 @@ pub struct PartitionedTreePlru {
 }
 
 impl PartitionedTreePlru {
-    /// Creates partitioned state for `ways` ways (half per domain).
+    /// Creates partitioned state for `ways` ways (one tree per half).
     ///
     /// # Panics
     ///
@@ -56,30 +54,6 @@ impl PartitionedTreePlru {
             ways,
         }
     }
-
-    /// The ways owned by `domain`, as a mask.
-    pub fn domain_ways(&self, domain: Domain) -> WayMask {
-        let half = self.ways / 2;
-        let mut mask = WayMask::EMPTY;
-        let (lo, hi) = if domain == Domain::SECONDARY {
-            (half, self.ways)
-        } else {
-            (0, half)
-        };
-        for w in lo..hi {
-            mask = mask.with(w);
-        }
-        mask
-    }
-
-    fn half_of_way(&self, way: usize) -> (usize, usize) {
-        let half = self.ways / 2;
-        if way < half {
-            (0, way)
-        } else {
-            (1, way - half)
-        }
-    }
 }
 
 impl SetReplacement for PartitionedTreePlru {
@@ -87,41 +61,31 @@ impl SetReplacement for PartitionedTreePlru {
         self.ways
     }
 
-    fn on_access(&mut self, way: usize, _domain: Domain) {
+    fn touch(&mut self, way: usize) {
         assert!(way < self.ways, "way {way} out of range");
-        // State ownership follows the way, which is statically
-        // assigned to a domain; cross-domain hits on the other
-        // half's ways cannot occur in a correctly partitioned cache,
-        // and if forced they still cannot touch the other tree's
-        // root path beyond that half.
-        let (h, local) = self.half_of_way(way);
-        self.halves[h].touch(local);
+        // State ownership follows the way: a touch rewrites only the
+        // root path of its own half's tree.
+        let half = self.ways / 2;
+        if way < half {
+            self.halves[0].touch(way);
+        } else {
+            self.halves[1].touch(way - half);
+        }
     }
 
-    fn victim_among(&mut self, allowed: WayMask, domain: Domain) -> usize {
+    fn victim_among(&mut self, allowed: WayMask) -> usize {
         assert_valid_victim_request(self.ways, allowed);
-        let half = self.ways / 2;
-        let own = self.domain_ways(domain).intersect(allowed);
+        let own = allowed.intersect(WayMask::all(self.ways / 2));
         if own.is_empty() {
-            // The requesting domain has no allowed way (e.g. all its
-            // ways are locked): fall back to any allowed way, lowest
-            // first, without consulting the other domain's state.
+            // No allowed way in the lower half (e.g. all of them are
+            // locked): fall back to the lowest allowed way, without
+            // consulting the upper half's state.
             return allowed
                 .intersect(WayMask::all(self.ways))
                 .first()
                 .expect("mask checked non-empty");
         }
-        let (h, base) = if domain == Domain::SECONDARY {
-            (1usize, half)
-        } else {
-            (0usize, 0)
-        };
-        // Project the allowed mask into half-local way indices.
-        let mut local_mask = WayMask::EMPTY;
-        for w in own.iter() {
-            local_mask = local_mask.with(w - base);
-        }
-        base + self.halves[h].peek_victim(local_mask)
+        self.halves[0].peek_victim(own)
     }
 
     fn reset(&mut self) {
@@ -138,68 +102,51 @@ mod tests {
     #[test]
     fn domains_are_isolated() {
         let mut p = PartitionedTreePlru::new(8);
-        // Establish a primary-domain state.
-        p.on_access(0, Domain::PRIMARY);
-        p.on_access(1, Domain::PRIMARY);
-        let before = p.victim_among(WayMask::all(8), Domain::PRIMARY);
-        // Secondary-domain activity...
+        // Establish a lower-half state.
+        p.touch(0);
+        p.touch(1);
+        let before = p.victim();
+        // Touches to the upper half...
         for w in 4..8 {
-            p.on_access(w, Domain::SECONDARY);
+            p.touch(w);
         }
-        // ...does not change the primary domain's decision.
-        assert_eq!(p.victim_among(WayMask::all(8), Domain::PRIMARY), before);
+        // ...do not change the lower half's decision.
+        assert_eq!(p.victim(), before);
     }
 
     #[test]
     fn victims_stay_in_own_half() {
         let mut p = PartitionedTreePlru::new(8);
-        assert!(p.victim_among(WayMask::all(8), Domain::PRIMARY) < 4);
-        assert!(p.victim_among(WayMask::all(8), Domain::SECONDARY) >= 4);
-    }
-
-    #[test]
-    fn domain_ways_masks() {
-        let p = PartitionedTreePlru::new(8);
-        assert_eq!(
-            p.domain_ways(Domain::PRIMARY).iter().collect::<Vec<_>>(),
-            vec![0, 1, 2, 3]
-        );
-        assert_eq!(
-            p.domain_ways(Domain::SECONDARY).iter().collect::<Vec<_>>(),
-            vec![4, 5, 6, 7]
-        );
+        assert!(p.victim() < 4);
     }
 
     #[test]
     fn fallback_when_own_half_fully_excluded() {
         let mut p = PartitionedTreePlru::new(4);
-        // Primary owns {0,1}; exclude both.
+        // The lower half is {0,1}; exclude both.
         let allowed = WayMask::single(2).with(3);
-        let v = p.victim_among(allowed, Domain::PRIMARY);
+        let v = p.victim_among(allowed);
         assert!(allowed.contains(v));
     }
 
     proptest! {
-        /// The secondary domain's access stream never changes the
-        /// primary domain's victim — the DAWG security property.
+        /// Touches to ways `4..8` never change the lower-half victim
+        /// — the DAWG security property.
         #[test]
         fn no_cross_domain_leak(
-            primary in proptest::collection::vec(0usize..4, 0..32),
-            secondary in proptest::collection::vec(4usize..8, 0..32),
+            lower in proptest::collection::vec(0usize..4, 0..32),
+            upper in proptest::collection::vec(4usize..8, 0..32),
         ) {
             let mut quiet = PartitionedTreePlru::new(8);
             let mut noisy = PartitionedTreePlru::new(8);
-            for &w in &primary {
-                quiet.on_access(w, Domain::PRIMARY);
-                noisy.on_access(w, Domain::PRIMARY);
+            for &w in &lower {
+                quiet.touch(w);
+                noisy.touch(w);
             }
-            for &w in &secondary {
-                noisy.on_access(w, Domain::SECONDARY);
+            for &w in &upper {
+                noisy.touch(w);
             }
-            prop_assert_eq!(
-                quiet.victim_among(WayMask::all(8), Domain::PRIMARY),
-                noisy.victim_among(WayMask::all(8), Domain::PRIMARY)
-            );
+            prop_assert_eq!(quiet.victim(), noisy.victim());
         }
     }
 }

@@ -1,6 +1,6 @@
 //! Random replacement — the stateless defense of paper §IX-A.
 
-use super::{assert_valid_victim_request, Domain, SetReplacement, WayMask};
+use super::{assert_valid_victim_request, SetReplacement, WayMask};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -40,15 +40,15 @@ impl SetReplacement for RandomRepl {
         self.ways
     }
 
-    fn on_access(&mut self, _way: usize, _domain: Domain) {
+    fn touch(&mut self, _way: usize) {
         // No state to update.
     }
 
-    fn on_fill(&mut self, _way: usize, _domain: Domain) {
+    fn fill(&mut self, _way: usize) {
         // No state to update.
     }
 
-    fn victim_among(&mut self, allowed: WayMask, _domain: Domain) -> usize {
+    fn victim_among(&mut self, allowed: WayMask) -> usize {
         assert_valid_victim_request(self.ways, allowed);
         let usable = allowed.intersect(WayMask::all(self.ways));
         let k = self.rng.gen_range(0..usable.count());
@@ -86,7 +86,7 @@ mod tests {
         let mut r = RandomRepl::new(8, 7);
         let mask = WayMask::single(1).with(5).with(6);
         for _ in 0..100 {
-            assert!(mask.contains(r.victim_among(mask, Domain::PRIMARY)));
+            assert!(mask.contains(r.victim_among(mask)));
         }
     }
 

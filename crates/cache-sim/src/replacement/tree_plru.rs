@@ -1,7 +1,7 @@
 //! Tree-PLRU: the binary-tree pseudo-LRU used by the paper's L1
 //! caches (§II-B).
 
-use super::{assert_valid_victim_request, Domain, SetReplacement, WayMask};
+use super::{assert_valid_victim_request, SetReplacement, WayMask};
 
 /// Tree-PLRU replacement state for one set.
 ///
@@ -107,7 +107,7 @@ impl SetReplacement for TreePlru {
         self.ways
     }
 
-    fn on_access(&mut self, way: usize, _domain: Domain) {
+    fn touch(&mut self, way: usize) {
         assert!(way < self.ways, "way {way} out of range");
         let mut node = 0usize;
         let mut lo = 0usize;
@@ -128,7 +128,7 @@ impl SetReplacement for TreePlru {
         }
     }
 
-    fn victim_among(&mut self, allowed: WayMask, _domain: Domain) -> usize {
+    fn victim_among(&mut self, allowed: WayMask) -> usize {
         self.peek_victim(allowed)
     }
 
@@ -186,7 +186,7 @@ mod tests {
         t.touch(3);
         // Victim would be on the left (ways 0-1); exclude both.
         let allowed = WayMask::all(4).without(0).without(1);
-        let v = t.victim_among(allowed, Domain::PRIMARY);
+        let v = t.victim_among(allowed);
         assert!(allowed.contains(v));
     }
 
@@ -234,7 +234,7 @@ mod tests {
                     mask = mask.with(w);
                 }
             }
-            let v = t.victim_among(mask, Domain::PRIMARY);
+            let v = t.victim_among(mask);
             prop_assert!(mask.contains(v));
         }
 

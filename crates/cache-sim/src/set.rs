@@ -1,7 +1,7 @@
 //! One cache set: ways plus replacement state.
 
 use crate::line::LineMeta;
-use crate::replacement::{Domain, Policy, SetReplacement, WayMask};
+use crate::replacement::{Policy, SetReplacement, WayMask};
 
 /// A single cache set: `ways` line slots and the replacement state
 /// that arbitrates between them.
@@ -85,21 +85,21 @@ impl CacheSet {
     }
 
     /// Records a hit on `way` in the replacement state.
-    pub fn record_access(&mut self, way: usize, domain: Domain) {
-        self.policy.on_access(way, domain);
+    pub fn record_access(&mut self, way: usize) {
+        self.policy.touch(way);
     }
 
     /// Records a fill of `way` in the replacement state.
-    pub fn record_fill(&mut self, way: usize, domain: Domain) {
-        self.policy.on_fill(way, domain);
+    pub fn record_fill(&mut self, way: usize) {
+        self.policy.fill(way);
     }
 
     /// Chooses the way a new line should go to: an invalid way if one
     /// exists, otherwise the policy's victim among `allowed`.
-    pub fn choose_fill_way(&mut self, allowed: WayMask, domain: Domain) -> usize {
+    pub fn choose_fill_way(&mut self, allowed: WayMask) -> usize {
         self.first_invalid()
             .filter(|&w| allowed.contains(w))
-            .unwrap_or_else(|| self.policy.victim_among(allowed, domain))
+            .unwrap_or_else(|| self.policy.victim_among(allowed))
     }
 
     /// Clears all lines and resets the replacement state.
@@ -122,10 +122,10 @@ mod tests {
     fn fills_invalid_ways_first_in_order() {
         let mut s = set8();
         for tag in 0..8u64 {
-            let w = s.choose_fill_way(WayMask::all(8), Domain::PRIMARY);
+            let w = s.choose_fill_way(WayMask::all(8));
             assert_eq!(w, tag as usize, "invalid ways fill lowest-first");
             assert_eq!(s.install(w, LineMeta::new(tag)), None);
-            s.record_fill(w, Domain::PRIMARY);
+            s.record_fill(w);
         }
         assert_eq!(s.valid_count(), 8);
         assert_eq!(s.first_invalid(), None);
@@ -143,12 +143,12 @@ mod tests {
     fn full_set_uses_policy_victim() {
         let mut s = set8();
         for tag in 0..8u64 {
-            let w = s.choose_fill_way(WayMask::all(8), Domain::PRIMARY);
+            let w = s.choose_fill_way(WayMask::all(8));
             s.install(w, LineMeta::new(tag));
-            s.record_fill(w, Domain::PRIMARY);
+            s.record_fill(w);
         }
         // LRU: way 0 was filled first, so it is the victim.
-        assert_eq!(s.choose_fill_way(WayMask::all(8), Domain::PRIMARY), 0);
+        assert_eq!(s.choose_fill_way(WayMask::all(8)), 0);
     }
 
     #[test]
@@ -173,7 +173,7 @@ mod tests {
     fn clear_resets_everything() {
         let mut s = set8();
         s.install(0, LineMeta::new(1));
-        s.record_access(0, Domain::PRIMARY);
+        s.record_access(0);
         s.clear();
         assert_eq!(s.valid_count(), 0);
     }

@@ -23,7 +23,7 @@
 
 use crate::line::LineMeta;
 use crate::replacement::packed::{random_streams, ReplPolicy};
-use crate::replacement::{Domain, PolicyKind, WayMask};
+use crate::replacement::{PolicyKind, WayMask};
 use rand::rngs::SmallRng;
 
 /// Bitmask of ways whose stored tag equals `tag` (validity not yet
@@ -80,7 +80,6 @@ pub(crate) fn row_access(
     ways: usize,
     tag: u64,
     found: Option<usize>,
-    domain: Domain,
 ) -> DemandOutcome {
     // `ways` is in 1..=64, so the shift never overflows.
     let full = u64::MAX >> (64 - ways);
@@ -88,7 +87,7 @@ pub(crate) fn row_access(
     let (valid_word, repl) = rest.split_first_mut().expect("row has a valid word");
     let valid = *valid_word;
     if let Some(w) = found {
-        policy.on_access(repl, ways, full, w, domain);
+        policy.on_access(repl, ways, full, w);
         return DemandOutcome {
             hit: true,
             way: w,
@@ -100,12 +99,12 @@ pub(crate) fn row_access(
     let (way, evicted_tag) = if free != 0 {
         (free.trailing_zeros() as usize, None)
     } else {
-        let w = policy.victim_full(rng, repl, ways, domain);
+        let w = policy.victim_full(rng, repl, ways);
         (w, Some(tags[w]))
     };
     tags[way] = tag;
     *valid_word = valid | (1 << way);
-    policy.on_fill(repl, ways, full, way, domain);
+    policy.on_fill(repl, ways, full, way);
     DemandOutcome {
         hit: false,
         way,
@@ -194,7 +193,7 @@ impl SoaStore {
     /// contiguous row — this is the path the covert-channel
     /// experiments hammer millions of times per trial.
     #[inline]
-    pub(crate) fn demand_access(&mut self, set: usize, tag: u64, domain: Domain) -> DemandOutcome {
+    pub(crate) fn demand_access(&mut self, set: usize, tag: u64) -> DemandOutcome {
         let found = self.find_way(set, tag);
         let row = &mut self.words[set * self.stride..(set + 1) * self.stride];
         let out = row_access(
@@ -204,7 +203,6 @@ impl SoaStore {
             self.ways,
             tag,
             found,
-            domain,
         );
         if !out.hit {
             // The fill replaced the way's line: drop its lock and µtag.
@@ -348,31 +346,26 @@ impl SoaStore {
 
     /// Records a hit on `way` of `set` in the replacement state.
     #[inline]
-    pub(crate) fn touch(&mut self, set: usize, way: usize, domain: Domain) {
+    pub(crate) fn touch(&mut self, set: usize, way: usize) {
         let ways = self.ways;
         let full = self.full_mask;
         let repl = &mut self.words[set * self.stride + ways + 1..(set + 1) * self.stride];
-        self.repl.on_access(repl, ways, full, way, domain);
+        self.repl.on_access(repl, ways, full, way);
     }
 
     /// Records a fill of `way` of `set` in the replacement state.
     #[inline]
-    pub(crate) fn record_fill(&mut self, set: usize, way: usize, domain: Domain) {
+    pub(crate) fn record_fill(&mut self, set: usize, way: usize) {
         let ways = self.ways;
         let full = self.full_mask;
         let repl = &mut self.words[set * self.stride + ways + 1..(set + 1) * self.stride];
-        self.repl.on_fill(repl, ways, full, way, domain);
+        self.repl.on_fill(repl, ways, full, way);
     }
 
     /// The way a new line of `set` should go to: the lowest allowed
     /// invalid way if one exists, otherwise the policy's victim.
     #[inline]
-    pub(crate) fn choose_fill_way(
-        &mut self,
-        set: usize,
-        allowed: WayMask,
-        domain: Domain,
-    ) -> usize {
+    pub(crate) fn choose_fill_way(&mut self, set: usize, allowed: WayMask) -> usize {
         match self.first_invalid(set) {
             // Mirror the reference semantics exactly: only the
             // *lowest* invalid way is considered, and only if the
@@ -382,7 +375,7 @@ impl SoaStore {
                 let ways = self.ways;
                 let repl = &self.words[set * self.stride + ways + 1..(set + 1) * self.stride];
                 self.repl
-                    .victim_among(self.rngs.get_mut(set), repl, ways, allowed, domain)
+                    .victim_among(self.rngs.get_mut(set), repl, ways, allowed)
             }
         }
     }
@@ -449,14 +442,14 @@ mod tests {
     fn fills_lowest_invalid_way_first() {
         let mut s = store8();
         for i in 0..8u64 {
-            let w = s.choose_fill_way(2, WayMask::all(8), Domain::PRIMARY);
+            let w = s.choose_fill_way(2, WayMask::all(8));
             assert_eq!(w, i as usize);
             s.install(2, w, LineMeta::new(i));
-            s.record_fill(2, w, Domain::PRIMARY);
+            s.record_fill(2, w);
         }
         assert_eq!(s.first_invalid(2), None);
         // Full set defers to the policy (LRU: way 0 was filled first).
-        assert_eq!(s.choose_fill_way(2, WayMask::all(8), Domain::PRIMARY), 0);
+        assert_eq!(s.choose_fill_way(2, WayMask::all(8)), 0);
     }
 
     #[test]
@@ -465,9 +458,9 @@ mod tests {
         // the mask excludes it, the policy victim is used instead.
         let mut s = store8();
         s.install(0, 1, LineMeta::new(5));
-        s.record_fill(0, 1, Domain::PRIMARY);
+        s.record_fill(0, 1);
         // Way 0 is the lowest invalid way but the mask excludes it.
-        let w = s.choose_fill_way(0, WayMask::all(8).without(0), Domain::PRIMARY);
+        let w = s.choose_fill_way(0, WayMask::all(8).without(0));
         // LRU victim among ways 1..8 with way 1 stamped: ways 2.. are
         // age 0, lowest wins — but way 0 excluded, so 2.
         assert_eq!(w, 2);
@@ -482,19 +475,19 @@ mod tests {
             x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
             let set = (x >> 50) as usize % 4;
             let tag = (x >> 20) % 32;
-            let fast = fused.demand_access(set, tag, Domain::PRIMARY);
+            let fast = fused.demand_access(set, tag);
             let slow = {
                 if let Some(w) = manual.find_way(set, tag) {
-                    manual.touch(set, w, Domain::PRIMARY);
+                    manual.touch(set, w);
                     DemandOutcome {
                         hit: true,
                         way: w,
                         evicted_tag: None,
                     }
                 } else {
-                    let w = manual.choose_fill_way(set, WayMask::all(8), Domain::PRIMARY);
+                    let w = manual.choose_fill_way(set, WayMask::all(8));
                     let old = manual.install(set, w, LineMeta::new(tag));
-                    manual.record_fill(set, w, Domain::PRIMARY);
+                    manual.record_fill(set, w);
                     DemandOutcome {
                         hit: false,
                         way: w,
@@ -512,7 +505,7 @@ mod tests {
         let mut s = store8();
         s.install(0, 0, LineMeta::new(1));
         s.set_locked(0, 0, true);
-        s.touch(0, 0, Domain::PRIMARY);
+        s.touch(0, 0);
         s.clear();
         assert_eq!(s.valid_count(0), 0);
         assert_eq!(s.locked_mask(0), WayMask::EMPTY);

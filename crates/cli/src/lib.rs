@@ -284,9 +284,13 @@ fn parse_flags(args: &[String]) -> Result<Flags, CliError> {
         match arg.as_str() {
             "--trials" => {
                 let v = value_of("--trials")?;
-                flags.trials = Some(v.parse().map_err(|_| {
+                let n: usize = v.parse().map_err(|_| {
                     CliError::usage(format!("--trials needs a positive integer, got {v:?}"))
-                })?);
+                })?;
+                if n == 0 {
+                    return Err(CliError::usage("--trials must be >= 1"));
+                }
+                flags.trials = Some(n);
             }
             "--threads" => {
                 let v = value_of("--threads")?;
@@ -958,7 +962,7 @@ fn run_cli_inner(
             }
             let mut sc = load_scenario(spec)?;
             if let Some(trials) = flags.trials {
-                sc.trials = trials.max(1);
+                sc.trials = trials;
             }
             if let Some(seed) = flags.seed {
                 sc.seed = seed;
@@ -1180,6 +1184,23 @@ mod tests {
         let out = run_cli(&args(&["list"])).unwrap();
         for id in registry::ids() {
             assert!(out.contains(id), "list output missing {id}");
+        }
+    }
+
+    #[test]
+    fn zero_trials_is_a_usage_error() {
+        for cmd in [
+            &["run", "fig5", "--trials", "0"][..],
+            &["run-all", "--trials", "0"][..],
+            &["adhoc", "{}", "--trials", "0"][..],
+            &["submit", "fig5", "--trials", "0"][..],
+        ] {
+            let err = run_cli(&args(cmd)).unwrap_err();
+            assert_eq!(err.code, 2, "{cmd:?}");
+            assert!(
+                err.message.contains("--trials must be >= 1"),
+                "{cmd:?}: {err:?}"
+            );
         }
     }
 

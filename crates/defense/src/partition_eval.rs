@@ -8,7 +8,7 @@
 //! observable exactly like the ordinary LRU channel. DAWG gives each
 //! domain its own tree half, removing the shared bits.
 
-use cache_sim::replacement::{Domain, PartitionedTreePlru, SetReplacement, TreePlru, WayMask};
+use cache_sim::replacement::{PartitionedTreePlru, SetReplacement, TreePlru, WayMask};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -28,7 +28,7 @@ pub struct PartitionLeak {
 /// still shares one Tree-PLRU (the vulnerable design): the receiver
 /// owns the even ways, the sender the odd ways (way partitions in
 /// real proposals follow allocation needs, not tree topology), and
-/// victims are mask-restricted — but `on_access` updates the shared
+/// victims are mask-restricted — but `touch` updates the shared
 /// tree, so the sender's accesses steer the receiver's victims.
 ///
 /// (A partition that happens to align with a whole subtree hides the
@@ -54,8 +54,8 @@ pub fn shared_plru_leak(trials: usize, seed: u64) -> PartitionLeak {
         }
         // Sender (its own way) touches once in one world only.
         with_sender.touch(sender_ways[rng.gen_range(0..4usize)]);
-        let v_quiet = tree.victim_among(receiver_ways, Domain::PRIMARY);
-        let v_noisy = with_sender.victim_among(receiver_ways, Domain::PRIMARY);
+        let v_quiet = tree.victim_among(receiver_ways);
+        let v_noisy = with_sender.victim_among(receiver_ways);
         if v_quiet != v_noisy {
             flips += 1;
         }
@@ -71,27 +71,22 @@ pub fn shared_plru_leak(trials: usize, seed: u64) -> PartitionLeak {
 /// victim can never depend on them.
 pub fn dawg_partitioned_leak(trials: usize, seed: u64) -> PartitionLeak {
     let mut rng = SmallRng::seed_from_u64(seed);
-    let all = WayMask::all(8);
     let mut flips = 0usize;
     for _ in 0..trials {
         let mut state = PartitionedTreePlru::new(8);
         for _ in 0..rng.gen_range(4..24) {
-            let w = rng.gen_range(0..8);
-            let domain = if w < 4 {
-                Domain::PRIMARY
-            } else {
-                Domain::SECONDARY
-            };
-            state.on_access(w, domain);
+            state.touch(rng.gen_range(0..8));
         }
         let mut with_sender = state.clone();
+        // Receiver (ways 0..4) touches its ways in order.
         for w in 0..4 {
-            state.on_access(w, Domain::PRIMARY);
-            with_sender.on_access(w, Domain::PRIMARY);
+            state.touch(w);
+            with_sender.touch(w);
         }
-        with_sender.on_access(rng.gen_range(4..8), Domain::SECONDARY);
-        let v_quiet = state.victim_among(all, Domain::PRIMARY);
-        let v_noisy = with_sender.victim_among(all, Domain::PRIMARY);
+        // Sender (ways 4..8) touches once in one world only.
+        with_sender.touch(rng.gen_range(4..8));
+        let v_quiet = state.victim();
+        let v_noisy = with_sender.victim();
         if v_quiet != v_noisy {
             flips += 1;
         }

@@ -32,7 +32,6 @@
 use cache_sim::addr::{PhysAddr, VirtAddr};
 use cache_sim::counters::PerfCounters;
 use cache_sim::hierarchy::HitLevel;
-use cache_sim::replacement::Domain;
 use rand::rngs::SmallRng;
 use rand::Rng;
 
@@ -245,10 +244,10 @@ impl<'a> BlockCtx<'a> {
             }
             _ => {
                 let pa = self.translate(va);
-                let out =
-                    self.machine
-                        .hierarchy_mut()
-                        .access(va, pa, &mut self.scratch, Domain::PRIMARY);
+                let out = self
+                    .machine
+                    .hierarchy_mut()
+                    .access(va, pa, &mut self.scratch);
                 let cycles = u64::from(out.cycles) + ACCESS_ISSUE_COST;
                 // Only a hit that paid the fast-path latency settles
                 // the way predictor and leaves state a re-touch

@@ -1,10 +1,10 @@
 //! One physical core: cache hierarchy + processes + memory contents.
 
-use cache_sim::addr::{PhysAddr, VirtAddr, PAGE_SIZE};
+use cache_sim::addr::{PhysAddr, VirtAddr};
 use cache_sim::counters::PerfCounters;
 use cache_sim::hierarchy::{CacheHierarchy, HierarchyOutcome};
 use cache_sim::profiles::MicroArch;
-use cache_sim::replacement::{Domain, PolicyKind};
+use cache_sim::replacement::PolicyKind;
 use std::collections::BTreeMap;
 
 /// Process identifier.
@@ -162,7 +162,7 @@ impl Machine {
             .translate(pid, va)
             .unwrap_or_else(|| panic!("access to unmapped page by {pid:?} at {va}"));
         self.hierarchy
-            .access(va, pa, &mut self.counters[pid.0 as usize], Domain::PRIMARY)
+            .access(va, pa, &mut self.counters[pid.0 as usize])
     }
 
     /// `clflush` of the line containing `va` (requires a mapping).
@@ -230,13 +230,6 @@ impl Machine {
         }
     }
 
-    /// Number of pages a process must allocate so a region covers
-    /// every L1 set once (one page for the paper's geometry).
-    pub fn pages_per_l1_span(&self) -> u64 {
-        let span = self.hierarchy.l1().geometry().set_stride();
-        span.div_ceil(PAGE_SIZE)
-    }
-
     /// Maps `frames` at `pid`'s next free VPNs and returns the
     /// virtual address of the first.
     fn map_frames(&mut self, pid: Pid, frames: impl IntoIterator<Item = u64>) -> VirtAddr {
@@ -267,6 +260,7 @@ impl Machine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cache_sim::addr::PAGE_SIZE;
     use cache_sim::hierarchy::HitLevel;
 
     fn machine() -> Machine {
@@ -480,11 +474,5 @@ mod tests {
         let a = m.create_process();
         m.alloc_pages(a, 16_384);
         m.create_process();
-    }
-
-    #[test]
-    fn l1_span_is_one_page_for_paper_geometry() {
-        let m = machine();
-        assert_eq!(m.pages_per_l1_span(), 1);
     }
 }

@@ -1,4 +1,5 @@
-//! Absolute output pins, one per experiment kind.
+//! Absolute output pins: one per experiment kind, and one per
+//! registry artifact at three seeds.
 //!
 //! The equivalence suites compare two run paths against each other
 //! (engines, worker counts, lockstep modes, buffered vs streamed), so
@@ -7,7 +8,10 @@
 //! bytes themselves: one small valid scenario per [`ExperimentKind`],
 //! run once on the fast-forward engine, hashed with
 //! [`content_hash64`] over its JSON text, and compared against a
-//! checked-in hash.
+//! checked-in hash. The artifact corpus does the same for every
+//! registry artifact's `lru-leak run <id> --trials 1 --seed <seed>
+//! --json` stdout, at each of [`CORPUS_SEEDS`], so it pins the whole
+//! path from the cache model through grid rendering.
 //!
 //! A hash here moves only when an experiment's output moves. When
 //! that is intended, rerun this test and copy the reported hash into
@@ -18,9 +22,11 @@ use lru_leak::cache_sim::replacement::PolicyKind;
 use lru_leak::exec_sim::sched::Engine;
 use lru_leak::lru_channel::covert::{Sharing, Variant};
 use lru_leak::lru_channel::params::ChannelParams;
+use lru_leak::scenario::registry;
 use lru_leak::scenario::spec::{ChannelId, DefenseId, InitId, SequenceId, WorkloadId};
 use lru_leak::scenario::{
-    content_hash64, ExperimentKind, HierarchyId, MessageSource, PlatformId, Scenario,
+    content_hash64, ExperimentKind, HierarchyId, MessageSource, PlatformId, RunOpts, Scenario,
+    BENCH_SEED,
 };
 
 /// The pinned scenarios: the smallest counts each kind accepts that
@@ -210,6 +216,257 @@ fn every_kind_reproduces_its_pinned_bytes() {
     assert!(
         drift.is_empty(),
         "output bytes drifted:\n{}",
+        drift.join("\n")
+    );
+}
+
+/// The master seeds of the artifact corpus.
+const CORPUS_SEEDS: [u64; 3] = [BENCH_SEED, 7, 123_456_789];
+
+/// The artifact corpus: per registry artifact, in registry order, the
+/// hash of its one-trial `run --json` stdout at each of
+/// [`CORPUS_SEEDS`].
+fn corpus() -> Vec<(&'static str, [u64; 3])> {
+    vec![
+        (
+            "fig3",
+            [
+                0x7a1f_fb11_e65a_7d41,
+                0xf0c9_e91d_15de_f71c,
+                0x547c_7294_4cb9_eaa8,
+            ],
+        ),
+        (
+            "fig4",
+            [
+                0xd994_de62_c70f_8b5e,
+                0xfde4_3b0a_3e22_2f50,
+                0xe822_e25c_8d51_89b7,
+            ],
+        ),
+        (
+            "fig5",
+            [
+                0x647d_a834_9f7a_9318,
+                0x1088_4912_d0cd_4de5,
+                0x7abb_c8c4_80cc_f95e,
+            ],
+        ),
+        (
+            "fig6",
+            [
+                0xd8fc_17fe_acb7_83d1,
+                0xf035_97a6_51d8_f607,
+                0xd05e_570a_eda3_67cd,
+            ],
+        ),
+        (
+            "fig7",
+            [
+                0x20a1_d46e_7f2d_f507,
+                0x5817_07ef_a5d6_ba62,
+                0x392f_d104_067b_34a8,
+            ],
+        ),
+        (
+            "fig8",
+            [
+                0xbddc_4f8e_d952_49be,
+                0x8fe6_3913_2cef_fdfc,
+                0xc820_ff14_3c8e_5ba0,
+            ],
+        ),
+        (
+            "fig9",
+            [
+                0x374b_e3d0_da34_0730,
+                0xa291_234b_0817_d65c,
+                0xa92f_c556_278f_644a,
+            ],
+        ),
+        (
+            "fig11",
+            [
+                0x6ddf_deee_0eae_bf2c,
+                0xd199_1f0c_3170_d7a8,
+                0xfaec_2665_94b7_d3a6,
+            ],
+        ),
+        (
+            "fig13",
+            [
+                0xbaae_4929_03bc_d8e5,
+                0x67cc_9d46_845f_f6bb,
+                0xcfb1_4b34_4f59_dc82,
+            ],
+        ),
+        (
+            "fig14",
+            [
+                0x603b_7905_97aa_c434,
+                0xd744_327d_9ab9_ce7d,
+                0x9d6e_736e_240a_29d8,
+            ],
+        ),
+        (
+            "fig15",
+            [
+                0xd65a_cba8_2167_7345,
+                0xc894_ec3f_bc64_56cf,
+                0xe3e9_0c5c_5999_31a1,
+            ],
+        ),
+        (
+            "table1",
+            [
+                0xe78d_06d9_4d25_46f4,
+                0x97bf_fb96_335a_2c48,
+                0x38cf_4c51_e5cb_7b52,
+            ],
+        ),
+        (
+            "table2",
+            [
+                0xb131_b33e_faf9_0988,
+                0xf63d_d594_1b8f_85c4,
+                0x6a34_c357_c82e_c3bc,
+            ],
+        ),
+        (
+            "table3",
+            [
+                0xcbe7_4632_6fb5_1a56,
+                0x62a2_c707_277d_f122,
+                0xc718_82df_9b30_c892,
+            ],
+        ),
+        (
+            "table4",
+            [
+                0x9630_6459_df49_98b6,
+                0x7942_e776_3115_3a5a,
+                0xe52e_4318_7531_add3,
+            ],
+        ),
+        (
+            "table5",
+            [
+                0x9494_5417_3b39_266f,
+                0xd7f9_c4ff_3ea2_b07f,
+                0xa6d1_6599_6f88_7e7f,
+            ],
+        ),
+        (
+            "table6",
+            [
+                0x98fd_42a3_7e6c_a84f,
+                0x1a1f_3f75_43ca_b997,
+                0x05ee_5795_3ef6_b91d,
+            ],
+        ),
+        (
+            "table7",
+            [
+                0x6d51_9f4e_ee17_21e5,
+                0x22ca_f4d9_da6c_8421,
+                0x05c4_a0d5_f822_c6e1,
+            ],
+        ),
+        (
+            "ablation_defenses",
+            [
+                0x9cad_2a67_b21c_55f2,
+                0xde27_5f78_1a2f_6e66,
+                0xa301_a2e4_8f07_cd62,
+            ],
+        ),
+        (
+            "ablation_multiset",
+            [
+                0x9003_3f5d_611a_03a1,
+                0xa3a8_80fc_d7df_493e,
+                0xf234_fde6_da5d_e490,
+            ],
+        ),
+        (
+            "ablation_prefetcher",
+            [
+                0x5130_51a2_c77d_081f,
+                0x2615_1f43_d6bf_c6fb,
+                0x8ead_b65a_eb3d_4e75,
+            ],
+        ),
+        (
+            "ablation_noise_ber",
+            [
+                0x9f4a_b15a_bfe8_d868,
+                0xc5bb_a6a3_95d1_dd8c,
+                0xbb52_4115_c6d3_4959,
+            ],
+        ),
+        (
+            "ablation_noise_capacity",
+            [
+                0x7762_1458_9318_663c,
+                0x07ce_afa2_a5ea_aff6,
+                0x30c1_53fd_9a18_fa5e,
+            ],
+        ),
+        (
+            "ablation_noise_grid",
+            [
+                0x4a2e_582a_1798_4456,
+                0xe4a1_7170_1c81_eb9e,
+                0x8f42_901f_7db5_022e,
+            ],
+        ),
+        (
+            "l2_lru_channel",
+            [
+                0xa12e_998e_0f55_fc6f,
+                0x9604_673e_d328_7dbb,
+                0xbd71_7b78_c09f_a76b,
+            ],
+        ),
+        (
+            "l2_inclusion_victim",
+            [
+                0xcb96_60e1_0f4c_2084,
+                0xa507_703f_ff30_57e4,
+                0x3944_c0b0_47a1_3898,
+            ],
+        ),
+    ]
+}
+
+#[test]
+fn every_artifact_is_in_the_corpus() {
+    let ids: Vec<&str> = corpus().iter().map(|(id, _)| *id).collect();
+    assert_eq!(ids, registry::ids(), "corpus and registry disagree");
+}
+
+#[test]
+fn every_artifact_reproduces_its_pinned_bytes() {
+    let mut drift = Vec::new();
+    for (id, hashes) in corpus() {
+        let artifact = registry::get(id).expect("corpus ids come from the registry");
+        for (seed, want) in CORPUS_SEEDS.into_iter().zip(hashes) {
+            let opts = RunOpts {
+                trials: Some(1),
+                seed,
+            };
+            let stdout = format!("{}\n", artifact.run(&opts).metrics.pretty());
+            let got = content_hash64(stdout.as_bytes());
+            if got != want {
+                drift.push(format!(
+                    "{id} seed {seed}: got {got:#018x}, pinned {want:#018x}"
+                ));
+            }
+        }
+    }
+    assert!(
+        drift.is_empty(),
+        "artifact bytes drifted:\n{}",
         drift.join("\n")
     );
 }

@@ -31,14 +31,14 @@ use lru_leak::cache_sim::hierarchy::Inclusion;
 use lru_leak::cache_sim::line::LineMeta;
 use lru_leak::cache_sim::plcache::{PlCache, PlDesign};
 use lru_leak::cache_sim::reference::RefCache;
-use lru_leak::cache_sim::replacement::{Domain, PolicyKind};
+use lru_leak::cache_sim::replacement::PolicyKind;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 /// One operation of a conformance stream.
 #[derive(Debug, Clone, Copy)]
 enum Op {
-    Access(PhysAddr, Domain),
+    Access(PhysAddr),
     Prefetch(PhysAddr),
     Flush(PhysAddr),
     Probe(PhysAddr),
@@ -56,7 +56,7 @@ enum Observed {
 
 fn apply(b: &mut dyn Backend, op: Op) -> Observed {
     match op {
-        Op::Access(pa, d) => Observed::Access(b.access_in_domain(pa, d)),
+        Op::Access(pa) => Observed::Access(b.access(pa)),
         Op::Prefetch(pa) => Observed::Prefetch(b.prefetch_fill(pa)),
         Op::Flush(pa) => Observed::Flush(b.flush_line(pa)),
         Op::Probe(pa) => Observed::Probe(b.probe(pa), b.way_of(pa)),
@@ -67,21 +67,14 @@ fn apply(b: &mut dyn Backend, op: Op) -> Observed {
 /// experiments), spiced with prefetch fills, flushes and read-only
 /// probes. The address universe is ~4× the observable capacity so
 /// streams mix hits, misses and evictions.
-fn stream(geom: CacheGeometry, kind: PolicyKind, seed: u64, steps: usize) -> Vec<Op> {
+fn stream(geom: CacheGeometry, seed: u64, steps: usize) -> Vec<Op> {
     let mut rng = SmallRng::seed_from_u64(seed ^ 0x1ace);
     let universe = geom.size_bytes() * 4;
     (0..steps)
         .map(|_| {
             let pa = PhysAddr::new(rng.gen_range(0..universe) & !(geom.line_size() - 1));
             match rng.gen_range(0..10u32) {
-                0..=6 => {
-                    let domain = if kind == PolicyKind::PartitionedTreePlru && rng.gen_bool(0.5) {
-                        Domain::SECONDARY
-                    } else {
-                        Domain::PRIMARY
-                    };
-                    Op::Access(pa, domain)
-                }
+                0..=6 => Op::Access(pa),
                 7 => Op::Prefetch(pa),
                 8 => Op::Flush(pa),
                 _ => Op::Probe(pa),
@@ -182,7 +175,7 @@ fn oracle_equivalence_matrix_on_the_paper_l1() {
     for factory in oracle_matched_backends() {
         for kind in PolicyKind::ALL {
             let geom = CacheGeometry::l1d_paper();
-            let ops = stream(geom, kind, 0xdead_beef, 20_000);
+            let ops = stream(geom, 0xdead_beef, 20_000);
             let mut candidate = factory(geom, kind, 0xdead_beef);
             let mut oracle = RefCache::new(geom, kind, 0xdead_beef);
             replay_against_oracle(candidate.as_mut(), &mut oracle, &ops, kind);
@@ -198,7 +191,7 @@ fn oracle_equivalence_matrix_on_small_and_wide_geometries() {
         for factory in oracle_matched_backends() {
             for kind in PolicyKind::ALL {
                 let seed = 0xc0de ^ sets ^ ways as u64;
-                let ops = stream(geom, kind, seed, 6_000);
+                let ops = stream(geom, seed, 6_000);
                 let mut candidate = factory(geom, kind, seed);
                 let mut oracle = RefCache::new(geom, kind, seed);
                 replay_against_oracle(candidate.as_mut(), &mut oracle, &ops, kind);
@@ -214,7 +207,7 @@ fn random_policy_streams_are_bit_identical_across_seeds() {
     // oracle-matched backend.
     for seed in [0u64, 1, 42, u64::MAX] {
         let geom = CacheGeometry::l1d_paper();
-        let ops = stream(geom, PolicyKind::Random, seed, 8_000);
+        let ops = stream(geom, seed, 8_000);
         for factory in oracle_matched_backends() {
             let mut candidate = factory(geom, PolicyKind::Random, seed);
             let mut oracle = RefCache::new(geom, PolicyKind::Random, seed);
@@ -232,7 +225,7 @@ fn every_backend_is_deterministic() {
     let geom = CacheGeometry::l1d_paper();
     for factory in conformance_backends() {
         for kind in PolicyKind::ALL {
-            let ops = stream(geom, kind, 0xf00d, 6_000);
+            let ops = stream(geom, 0xf00d, 6_000);
             let mut one = factory(geom, kind, 0xf00d);
             let mut two = factory(geom, kind, 0xf00d);
             let label = one.label();
@@ -255,7 +248,7 @@ fn every_backend_upholds_structural_invariants() {
     let geom = CacheGeometry::l1d_paper();
     for factory in conformance_backends() {
         for kind in PolicyKind::ALL {
-            let ops = stream(geom, kind, 0xbead, 4_000);
+            let ops = stream(geom, 0xbead, 4_000);
             let mut b = factory(geom, kind, 0xbead);
             let label = b.label();
             assert_eq!(b.geometry(), geom, "{label}: geometry passthrough");
@@ -263,8 +256,8 @@ fn every_backend_upholds_structural_invariants() {
             let (mut demanded, mut missed) = (0u64, 0u64);
             for (step, &op) in ops.iter().enumerate() {
                 match op {
-                    Op::Access(pa, d) => {
-                        let out = b.access_in_domain(pa, d);
+                    Op::Access(pa) => {
+                        let out = b.access(pa);
                         demanded += 1;
                         missed += u64::from(!out.hit);
                         // Resident-after-access: the line is present,

@@ -7,7 +7,7 @@ use lru_leak::cache_sim::counters::PerfCounters;
 use lru_leak::cache_sim::geometry::CacheGeometry;
 use lru_leak::cache_sim::hierarchy::HitLevel;
 use lru_leak::cache_sim::profiles::MicroArch;
-use lru_leak::cache_sim::replacement::{Domain, PolicyKind};
+use lru_leak::cache_sim::replacement::PolicyKind;
 use lru_leak::exec_sim::machine::Machine;
 use lru_leak::exec_sim::program::{Op, Script};
 use lru_leak::exec_sim::sched::{HyperThreaded, ThreadHandle, TimeSliced};
@@ -38,8 +38,8 @@ proptest! {
         for &raw in &addrs {
             let va = lru_leak::cache_sim::addr::VirtAddr::new(raw);
             let pa = PhysAddr::new(raw);
-            h.access(va, pa, &mut c, Domain::PRIMARY);
-            let again = h.access(va, pa, &mut c, Domain::PRIMARY);
+            h.access(va, pa, &mut c);
+            let again = h.access(va, pa, &mut c);
             prop_assert_eq!(again.level, HitLevel::L1);
         }
     }
@@ -55,7 +55,7 @@ proptest! {
         let mut c = PerfCounters::new();
         for &raw in &addrs {
             let va = lru_leak::cache_sim::addr::VirtAddr::new(raw);
-            h.access(va, PhysAddr::new(raw), &mut c, Domain::PRIMARY);
+            h.access(va, PhysAddr::new(raw), &mut c);
         }
         prop_assert_eq!(c.l2_accesses, c.l1d_misses);
         prop_assert_eq!(c.llc_accesses, c.l2_misses);
@@ -74,7 +74,7 @@ proptest! {
         let mut c = PerfCounters::new();
         for &raw in &addrs {
             let va = lru_leak::cache_sim::addr::VirtAddr::new(raw);
-            h.access(va, PhysAddr::new(raw), &mut c, Domain::PRIMARY);
+            h.access(va, PhysAddr::new(raw), &mut c);
         }
         let victim = PhysAddr::new(addrs[victim_idx % addrs.len()]);
         h.flush(victim);

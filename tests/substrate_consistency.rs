@@ -140,11 +140,8 @@ fn replacement_trait_objects_are_usable() {
         Box::new(lru_leak::cache_sim::replacement::Fifo::new(8)),
     ];
     for p in &mut policies {
-        p.on_access(3, lru_leak::cache_sim::replacement::Domain::PRIMARY);
-        let v = p.victim_among(
-            lru_leak::cache_sim::replacement::WayMask::all(8),
-            lru_leak::cache_sim::replacement::Domain::PRIMARY,
-        );
+        p.touch(3);
+        let v = p.victim_among(lru_leak::cache_sim::replacement::WayMask::all(8));
         assert!(v < 8);
     }
 }
