@@ -2,11 +2,12 @@
 //!
 //! Runs one fig4-style covert cell (d=8, ts=30000, tr=600, 4-bit
 //! random message, E5-2690, Tree-PLRU, shared-memory,
-//! hyper-threaded) through the scenario layer twice — `--lockstep
-//! off` (scalar path, one `Machine` per trial) and `--lockstep
-//! force` (N trials as lanes on one-set kernels) — on a
-//! single worker, so the measured ratio is the batching itself, not
-//! parallelism. Both paths are asserted byte-identical before
+//! hyper-threaded) twice: through the fold driver on the scalar
+//! per-trial path (`Scenario::run_trial`, one `Machine` per trial —
+//! exactly the scalar branch of `Scenario::run_reduced`) and through
+//! `Scenario::run_reduced`, which routes the eligible cell to N
+//! trials as lanes on one-set kernels. Both run on a single worker,
+//! so the measured ratio is the batching itself, not parallelism. Both paths are asserted byte-identical before
 //! anything is timed, the reps are interleaved scalar/lockstep so
 //! host drift hits both sides equally, min-of-reps is reported, and
 //! the acceptance target is a **≥ 3× speedup**. The measured block
@@ -21,11 +22,13 @@
 use std::time::Instant;
 
 use bench_harness::{bench_json_upsert, delta_line, header};
+use exec_sim::sched::Engine;
 use lru_channel::params::ChannelParams;
-use scenario::aggregate::CollectMetrics;
+use lru_channel::trials::{derive_seed, run_trials_fold_ctrl};
+use scenario::aggregate::{CollectMetrics, Reducer};
 use scenario::engine::RunCtrl;
 use scenario::spec::{MessageSource, Scenario};
-use scenario::{LockstepMode, Value};
+use scenario::Value;
 
 /// Trials per timed run. The lockstep lane width is the fold driver's
 /// chunk size (`fold_chunk_size(n) = (n/64).clamp(1, 64)` — a
@@ -64,9 +67,28 @@ fn fig4_cell() -> Scenario {
         .expect("valid fig4-style cell")
 }
 
-/// One timed single-worker run under `mode`; returns `(secs, bytes)`.
-fn run(scenario: &Scenario, mode: LockstepMode) -> (f64, String) {
-    let ctrl = RunCtrl::new().with_workers(1).with_lockstep(mode);
+/// One timed single-worker run of the scalar per-trial path;
+/// returns `(secs, bytes)`.
+fn run_scalar(scenario: &Scenario) -> (f64, String) {
+    let ctrl = RunCtrl::new().with_workers(1);
+    let start = Instant::now();
+    let acc = run_trials_fold_ctrl(
+        &ctrl,
+        scenario.trials,
+        |i| scenario.run_trial(derive_seed(scenario.seed, i as u64), Engine::FastForward),
+        || CollectMetrics.init(),
+        |acc, i, metrics| CollectMetrics.fold(acc, i, metrics),
+        |acc, other| CollectMetrics.merge(acc, other),
+    )
+    .expect("cell runs");
+    let out = CollectMetrics.finish(acc);
+    (start.elapsed().as_secs_f64(), out.to_string())
+}
+
+/// One timed single-worker run of the routed (lockstep) path;
+/// returns `(secs, bytes)`.
+fn run_lockstep(scenario: &Scenario) -> (f64, String) {
+    let ctrl = RunCtrl::new().with_workers(1);
     let start = Instant::now();
     let out = scenario
         .run_reduced(&CollectMetrics, &ctrl)
@@ -88,8 +110,8 @@ fn main() {
 
     // Byte identity comes first (and doubles as warm-up): a fast
     // wrong answer is not a speedup.
-    let (_, scalar_bytes) = run(&scenario, LockstepMode::Off);
-    let (_, lockstep_bytes) = run(&scenario, LockstepMode::Force);
+    let (_, scalar_bytes) = run_scalar(&scenario);
+    let (_, lockstep_bytes) = run_lockstep(&scenario);
     assert_eq!(
         scalar_bytes, lockstep_bytes,
         "lockstep output must be byte-identical to the scalar path"
@@ -101,8 +123,8 @@ fn main() {
         let mut scalar_secs = f64::INFINITY;
         let mut lockstep_secs = f64::INFINITY;
         for rep in 0..REPS {
-            let (s, _) = run(&scenario, LockstepMode::Off);
-            let (l, _) = run(&scenario, LockstepMode::Force);
+            let (s, _) = run_scalar(&scenario);
+            let (l, _) = run_lockstep(&scenario);
             scalar_secs = scalar_secs.min(s);
             lockstep_secs = lockstep_secs.min(l);
             println!(

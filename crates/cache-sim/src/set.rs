@@ -48,11 +48,6 @@ impl CacheSet {
         self.lines[way].as_ref()
     }
 
-    /// Mutable metadata of the line in `way`, if valid.
-    pub fn line_mut(&mut self, way: usize) -> Option<&mut LineMeta> {
-        self.lines[way].as_mut()
-    }
-
     /// Mask of ways holding locked lines (PL cache).
     pub fn locked_mask(&self) -> WayMask {
         let mut mask = WayMask::EMPTY;
@@ -77,11 +72,6 @@ impl CacheSet {
     /// The set's replacement state.
     pub fn policy(&self) -> &Policy {
         &self.policy
-    }
-
-    /// Mutable access to the replacement state.
-    pub fn policy_mut(&mut self) -> &mut Policy {
-        &mut self.policy
     }
 
     /// Records a hit on `way` in the replacement state.
@@ -154,8 +144,13 @@ mod tests {
     #[test]
     fn locked_mask_reports_locked_ways() {
         let mut s = set8();
-        s.install(2, LineMeta::new(5));
-        s.line_mut(2).unwrap().locked = true;
+        s.install(
+            2,
+            LineMeta {
+                locked: true,
+                ..LineMeta::new(5)
+            },
+        );
         s.install(4, LineMeta::new(6));
         assert_eq!(s.locked_mask().iter().collect::<Vec<_>>(), vec![2]);
     }

@@ -3,12 +3,11 @@
 //! ```text
 //! lru-leak list
 //! lru-leak run <artifact> [--trials N] [--threads K] [--seed S] [--json | --csv | --vega]
-//!              [--timeout-secs T] [--cache-dir DIR] [--lockstep MODE] [--progress]
+//!              [--timeout-secs T] [--cache-dir DIR] [--progress]
 //! lru-leak run-all [--trials N] [--threads K] [--seed S] [--json] [--csv-dir DIR]
-//!              [--timeout-secs T] [--cache-dir DIR] [--lockstep MODE] [--progress]
+//!              [--timeout-secs T] [--cache-dir DIR] [--progress]
 //! lru-leak show <artifact> [--trials N] [--seed S]
 //! lru-leak adhoc <scenario-json | @file.json> [--trials N] [--threads K] [--json] [--summary]
-//!              [--lockstep MODE]
 //! lru-leak serve [--addr A] [--threads K] [--cache-dir DIR] [--max-inflight-trials N]
 //!              [--max-queued N] [--recover]
 //! lru-leak submit <artifact | scenario-json | @file.json> [--addr A] [--trials N] [--seed S]
@@ -35,12 +34,10 @@
 //! millis (and the batch total) in its summary block — the only
 //! run-dependent bytes in the output.
 //!
-//! `--lockstep off|auto|force` selects how eligible covert trials are
-//! executed: `auto` (the default) batches them through the lockstep
-//! interpreter (one-set lanes), `off` pins the scalar path, and `force`
-//! fails up front — with the structured ineligibility reason — when
-//! any grid cell cannot batch. The report bytes are identical in
-//! every mode.
+//! Lockstep-eligible covert cells (`Scenario::lockstep_spec`) run
+//! through the batched one-set interpreter and every other cell on
+//! the scalar path; there is no switch, and the report bytes are
+//! those of the per-trial reference either way.
 //!
 //! `run` and `run-all` execute through the resilient
 //! [`scenario::engine`] job layer: a panicking trial chunk is caught
@@ -87,10 +84,8 @@ use lru_leak_server::{
     client as service_client, Server, ServerConfig, DEFAULT_ADDR, MAX_FRAME_BYTES,
 };
 use scenario::registry::{self, RunOpts};
-use scenario::spec::Scenario;
-use scenario::{
-    CancelToken, Engine, EngineError, FaultPlan, JobStatus, LockstepMode, ResultCache, Value,
-};
+use scenario::spec::{Scenario, ScenarioBuilder};
+use scenario::{CancelToken, Engine, EngineError, FaultPlan, JobStatus, ResultCache, Value};
 
 /// A CLI failure: the message to print on stderr and the exit code.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -138,12 +133,11 @@ lru-leak — run the paper's experiments from one declarative surface
 USAGE:
     lru-leak list
     lru-leak run <artifact> [--trials N] [--threads K] [--seed S] [--json | --csv | --vega]
-                 [--timeout-secs T] [--cache-dir DIR] [--lockstep MODE] [--progress]
+                 [--timeout-secs T] [--cache-dir DIR] [--progress]
     lru-leak run-all [--trials N] [--threads K] [--seed S] [--json] [--csv-dir DIR]
-                 [--timeout-secs T] [--cache-dir DIR] [--lockstep MODE] [--progress]
+                 [--timeout-secs T] [--cache-dir DIR] [--progress]
     lru-leak show <artifact> [--trials N] [--seed S]
     lru-leak adhoc <scenario-json | @file.json> [--trials N] [--threads K] [--json] [--summary]
-                 [--lockstep MODE]
     lru-leak serve [--addr A] [--threads K] [--cache-dir DIR] [--max-inflight-trials N]
                  [--max-queued N] [--recover] [--progress]
     lru-leak submit <artifact | scenario-json | @file.json> [--addr A] [--trials N] [--seed S]
@@ -165,7 +159,7 @@ OPTIONS:
                   sample count (artifacts without a trial axis ignore it)
     --threads K   Pin the parallel trial driver to K workers
                   (results are bit-identical for any K; 1 = sequential;
-                  takes precedence over LRU_LEAK_THREADS)
+                  default: the host's available parallelism)
     --seed S      Master seed (default: the fixed bench seed)
     --json        Emit the deterministic JSON metrics instead of tables
     --csv         run only: flatten the report's summary into
@@ -186,16 +180,6 @@ OPTIONS:
                   run/run-all: cancel an artifact that exceeds T seconds
                   (cooperative — observed at chunk boundaries). run-all
                   reports the timeout and continues with the next artifact
-    --lockstep MODE
-                  run/run-all/adhoc: off | auto | force (also spelled
-                  --lockstep=MODE). auto (the default) batches eligible
-                  covert trials through the one-set lockstep
-                  interpreter and falls back to the scalar path
-                  otherwise; off forces the scalar path; force demands
-                  batching and fails up front with the structured
-                  ineligibility reason (naming e.g. the hierarchy
-                  backend). Output bytes are identical in every mode —
-                  only the wall clock differs
     --cache-dir DIR
                   run/run-all/serve: content-addressed result cache. Each
                   grid cell's outcome is stored under a hash of its
@@ -255,7 +239,6 @@ struct Flags {
     trials: Option<usize>,
     threads: Option<usize>,
     seed: Option<u64>,
-    lockstep: Option<LockstepMode>,
     json: bool,
     csv: bool,
     vega: bool,
@@ -310,14 +293,6 @@ fn parse_flags(args: &[String]) -> Result<Flags, CliError> {
             }
             "--json" => flags.json = true,
             "--csv" => flags.csv = true,
-            "--lockstep" => {
-                let v = value_of("--lockstep")?;
-                flags.lockstep = Some(v.parse().map_err(CliError::usage)?);
-            }
-            lockstep if lockstep.starts_with("--lockstep=") => {
-                let v = &lockstep["--lockstep=".len()..];
-                flags.lockstep = Some(v.parse().map_err(CliError::usage)?);
-            }
             "--vega" => flags.vega = true,
             "--csv-dir" => flags.csv_dir = Some(value_of("--csv-dir")?),
             "--addr" => flags.addr = Some(value_of("--addr")?),
@@ -400,7 +375,6 @@ fn require_only_addr(flags: &Flags, command: &str) -> Result<(), CliError> {
     if flags.trials.is_some()
         || flags.threads.is_some()
         || flags.seed.is_some()
-        || flags.lockstep.is_some()
         || flags.json
         || flags.csv
         || flags.vega
@@ -426,7 +400,9 @@ fn build_submit_request(target: &str, flags: &Flags) -> Result<Value, CliError> 
     let mut req = if registry::get(target).is_some() {
         Value::obj().with("cmd", "run").with("artifact", target)
     } else if target.starts_with('{') || target.starts_with('@') {
-        let sc = load_scenario(target)?;
+        let sc = load_scenario(target)?
+            .build()
+            .map_err(|e| CliError::run(e.to_string()))?;
         Value::obj()
             .with("cmd", "adhoc")
             .with("scenario", sc.to_json())
@@ -528,12 +504,13 @@ fn artifact(id: &str) -> Result<&'static registry::Artifact, CliError> {
     })
 }
 
-/// Parses a scenario given inline or as `@file`. A file is read
-/// through a [`MAX_FRAME_BYTES`] cap: a scenario too big to submit
-/// over the wire does not load either.
-fn load_scenario(text: &str) -> Result<Scenario, CliError> {
+/// Parses a scenario given inline or as `@file`, unvalidated, so the
+/// caller can apply overrides before [`ScenarioBuilder::build`]. A
+/// file is read through a [`MAX_FRAME_BYTES`] cap: a scenario too big
+/// to submit over the wire does not load either.
+fn load_scenario(text: &str) -> Result<ScenarioBuilder, CliError> {
     let Some(path) = text.strip_prefix('@') else {
-        return Scenario::from_json_str(text).map_err(|e| CliError::run(e.to_string()));
+        return ScenarioBuilder::from_json_str(text).map_err(|e| CliError::run(e.to_string()));
     };
     let cannot_read =
         |e: &dyn std::fmt::Display| CliError::run(format!("cannot read {path:?}: {e}"));
@@ -547,7 +524,7 @@ fn load_scenario(text: &str) -> Result<Scenario, CliError> {
         )));
     }
     let body = String::from_utf8(bytes).map_err(|e| cannot_read(&e))?;
-    Scenario::from_json_str(&body).map_err(|e| CliError::run(e.to_string()))
+    ScenarioBuilder::from_json_str(&body).map_err(|e| CliError::run(e.to_string()))
 }
 
 /// Emits one throttled progress line (~20 per sweep) to `sink`.
@@ -582,34 +559,10 @@ fn build_engine(
     if let Some(threads) = flags.threads {
         engine = engine.with_workers(threads);
     }
-    if let Some(mode) = flags.lockstep {
-        engine = engine.with_lockstep(mode);
-    }
     if let Some(plan) = fault {
         engine = engine.with_fault_plan(plan);
     }
     Ok((engine, cache_handle))
-}
-
-/// `--lockstep=force` contract: every cell of the artifact's grid
-/// must be lockstep-eligible, and an ineligible cell is reported up
-/// front with the structured [`scenario::LockstepIneligible`] reason
-/// instead of silently falling back to the scalar path.
-fn check_force_eligibility(
-    a: &registry::Artifact,
-    opts: &RunOpts,
-    flags: &Flags,
-) -> Result<(), EngineError> {
-    if flags.lockstep != Some(LockstepMode::Force) {
-        return Ok(());
-    }
-    let grid = a.try_scenarios(opts).map_err(EngineError::Invalid)?;
-    for (i, sc) in grid.iter().enumerate() {
-        if let Err(reason) = sc.lockstep_spec() {
-            return Err(EngineError::LockstepIneligible { cell: i, reason });
-        }
-    }
-    Ok(())
 }
 
 /// Runs one artifact through the engine, streaming throttled
@@ -711,8 +664,7 @@ fn run_cli_inner(
             let (engine, _cache) = build_engine(&flags, fault)?;
             let a = artifact(id)?;
             let opts = opts_from(&flags);
-            let (report, status) = check_force_eligibility(a, &opts, &flags)
-                .and_then(|()| run_artifact_report(&engine, a, &opts, flags.progress, sink))
+            let (report, status) = run_artifact_report(&engine, a, &opts, flags.progress, sink)
                 .map_err(|e| CliError::run(format!("{}: {e}", a.id)))?;
             if flags.progress {
                 emit_status(sink, a.id, &status);
@@ -770,8 +722,7 @@ fn run_cli_inner(
                 // A failed or timed-out artifact is reported and the
                 // batch continues; completed artifacts keep their
                 // deterministic stdout either way.
-                let result = check_force_eligibility(a, &opts, &flags)
-                    .and_then(|()| run_artifact_report(&engine, a, &opts, flags.progress, sink));
+                let result = run_artifact_report(&engine, a, &opts, flags.progress, sink);
                 let millis = t0.elapsed().as_millis() as u64;
                 timings.push(Value::obj().with("id", a.id).with("millis", millis).with(
                     "status",
@@ -837,7 +788,7 @@ fn run_cli_inner(
                 // clock (batch + per-artifact millis) is the only
                 // run-dependent block a plain batch carries; the
                 // artifacts themselves stay bit-identical across
-                // runs, caches and lockstep modes — the resilience
+                // runs and caches — the resilience
                 // suite strips the clock/cache keys and pins that.
                 let mut batch = Value::obj()
                     .with("command", "run-all")
@@ -907,10 +858,9 @@ fn run_cli_inner(
                     "show only prints the grid — nothing runs, so there is no progress",
                 ));
             }
-            if flags.timeout_secs.is_some() || flags.cache_dir.is_some() || flags.lockstep.is_some()
-            {
+            if flags.timeout_secs.is_some() || flags.cache_dir.is_some() {
                 return Err(CliError::usage(
-                    "--timeout-secs/--cache-dir/--lockstep apply to run and run-all",
+                    "--timeout-secs/--cache-dir apply to run and run-all",
                 ));
             }
             let a = artifact(id)?;
@@ -960,27 +910,19 @@ fn run_cli_inner(
                     "--timeout-secs/--cache-dir apply to run and run-all",
                 ));
             }
-            let mut sc = load_scenario(spec)?;
+            // The overrides apply before validation, so the one
+            // check bounds the counts that actually run.
+            let mut builder = load_scenario(spec)?;
             if let Some(trials) = flags.trials {
-                sc.trials = trials;
+                builder = builder.trials(trials);
             }
             if let Some(seed) = flags.seed {
-                sc.seed = seed;
+                builder = builder.seed(seed);
             }
-            // The force contract, same as run/run-all: fail fast
-            // with the structured reason (which names e.g. the
-            // hierarchy backend) instead of a generic error or a
-            // silent scalar fallback.
-            if flags.lockstep == Some(LockstepMode::Force) {
-                if let Err(reason) = sc.lockstep_spec() {
-                    return Err(CliError::run(format!("--lockstep=force: {reason}")));
-                }
-            }
+            let sc = builder.build().map_err(|e| CliError::run(e.to_string()))?;
             let cb =
                 |done: usize, total: usize| emit_progress(sink, "adhoc", "trials", done, total);
-            let mut ctrl = RunCtrl::new()
-                .with_workers(flags.threads.unwrap_or(0))
-                .with_lockstep(flags.lockstep.unwrap_or_default());
+            let mut ctrl = RunCtrl::new().with_workers(flags.threads.unwrap_or(0));
             if flags.progress {
                 ctrl = ctrl.with_progress(&cb);
             }
@@ -991,8 +933,7 @@ fn run_cli_inner(
                 // memory even for million-trial sweeps.
                 scenario::Aggregate::for_scenario(&sc).reduce(&sc, &ctrl)
             } else {
-                // Identical bytes to sc.run() for every worker count
-                // and lockstep mode.
+                // Identical bytes to sc.run() for every worker count.
                 sc.run_ctrl(&ctrl)
             }
             .map_err(|e| CliError::run(format!("adhoc: {e}")))?;
@@ -1023,7 +964,6 @@ fn run_cli_inner(
             let flags = parse_flags(&args[1..])?;
             if flags.trials.is_some()
                 || flags.seed.is_some()
-                || flags.lockstep.is_some()
                 || flags.json
                 || flags.csv
                 || flags.vega
@@ -1092,7 +1032,6 @@ fn run_cli_inner(
                 || flags.csv_dir.is_some()
                 || flags.summary
                 || flags.cache_dir.is_some()
-                || flags.lockstep.is_some()
                 || flags.max_inflight_trials.is_some()
                 || flags.max_queued.is_some()
                 || flags.recover
@@ -1456,81 +1395,6 @@ mod tests {
         .unwrap_err();
         assert_eq!(err.code, 1);
         assert!(err.message.contains("not-an-artifact"));
-    }
-
-    #[test]
-    fn lockstep_modes_share_bytes_and_force_rejects_ineligible() {
-        let run =
-            |mode: &str| run_cli(&args(&["run", "fig5", "--lockstep", mode, "--json"])).unwrap();
-        let off = run("off");
-        assert_eq!(run("auto"), off, "auto must match the scalar bytes");
-        assert_eq!(run("force"), off, "force must match the scalar bytes");
-        // The --lockstep=MODE spelling parses too.
-        assert_eq!(
-            run_cli(&args(&["run", "fig5", "--lockstep=auto", "--json"])).unwrap(),
-            off
-        );
-        // fig6 is the time-sliced percent-ones sweep — no batched
-        // interpreter, so force fails up front with the reason.
-        let err = run_cli(&args(&["run", "fig6", "--lockstep=force"])).unwrap_err();
-        assert_eq!(err.code, 1, "{}", err.message);
-        assert!(
-            err.message.contains("not lockstep-eligible"),
-            "{}",
-            err.message
-        );
-        // Unknown modes and misplaced flags are usage errors.
-        let err = run_cli(&args(&["run", "fig5", "--lockstep", "sideways"])).unwrap_err();
-        assert_eq!(err.code, 2);
-        assert!(err.message.contains("unknown lockstep mode"));
-        let err = run_cli(&args(&["show", "fig5", "--lockstep=auto"])).unwrap_err();
-        assert_eq!(err.code, 2);
-    }
-
-    #[test]
-    fn adhoc_force_on_hierarchy_scenario_names_the_backend() {
-        // A covert scenario made lockstep-ineligible *only* by the
-        // hierarchy axis: force must fail fast with the structured
-        // reason naming the backend, not a generic error.
-        let spec = Scenario::builder()
-            .message(scenario::MessageSource::Alternating { bits: 8 })
-            .hierarchy(scenario::HierarchyId::BackInvalidate)
-            .seed(3)
-            .build()
-            .unwrap()
-            .to_json()
-            .to_string();
-        let spec = spec.as_str();
-        let err = run_cli(&args(&["adhoc", spec, "--lockstep=force"])).unwrap_err();
-        assert_eq!(err.code, 1, "{}", err.message);
-        assert!(
-            err.message.contains("not lockstep-eligible"),
-            "{}",
-            err.message
-        );
-        assert!(
-            err.message.contains("back-invalidate"),
-            "the reason must name the backend: {}",
-            err.message
-        );
-        // The same scenario runs fine under auto/off, with identical
-        // bytes (the hierarchy swap demotes to the scalar path).
-        let auto = run_cli(&args(&["adhoc", spec, "--json"])).unwrap();
-        let off = run_cli(&args(&["adhoc", spec, "--lockstep=off", "--json"])).unwrap();
-        assert_eq!(auto, off);
-        // And an eligible covert scenario still force-batches through
-        // adhoc byte-identically.
-        let eligible = Scenario::builder()
-            .message(scenario::MessageSource::Alternating { bits: 8 })
-            .seed(3)
-            .build()
-            .unwrap()
-            .to_json()
-            .to_string();
-        let eligible = eligible.as_str();
-        let forced = run_cli(&args(&["adhoc", eligible, "--lockstep=force", "--json"])).unwrap();
-        let scalar = run_cli(&args(&["adhoc", eligible, "--lockstep=off", "--json"])).unwrap();
-        assert_eq!(forced, scalar);
     }
 
     #[test]

@@ -78,10 +78,9 @@
 //! run: no noise third thread (its program would need machine-level
 //! allocation mid-wire), no time-sliced quanta, no AMD µtag way
 //! predictor (it keys on per-process *virtual* addresses, which the
-//! batch world deliberately erases). [`eligible`] gates on the
-//! platform/sharing half; callers must additionally check for an
-//! attached noise model. Ineligible shapes fall back to the scalar
-//! path unchanged.
+//! batch world deliberately erases). `Scenario::lockstep_spec` in
+//! the scenario crate is the one gate; ineligible shapes run on the
+//! scalar path unchanged.
 
 use cache_sim::addr::PhysAddr;
 use cache_sim::geometry::CacheGeometry;
@@ -96,7 +95,7 @@ use exec_sim::sched::HyperThreaded;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use crate::covert::{Sharing, Variant};
+use crate::covert::Variant;
 use crate::params::{ChannelParams, ParamError, Platform};
 use crate::protocol::{Sample, DEFAULT_ENCODE_CALC};
 use crate::setup;
@@ -137,63 +136,6 @@ pub struct LockstepRun {
     pub hit_threshold: u32,
     /// Nominal transmission rate in bits/second (`freq / Ts`).
     pub rate_bps: f64,
-}
-
-/// Whether a covert scenario shape can run on the lockstep path.
-///
-/// True for the two-thread hyper-threaded configuration on platforms
-/// without the AMD µtag way predictor. Callers must separately
-/// exclude runs with an attached noise model (noise programs allocate
-/// machine pages the batch world does not replicate).
-pub fn eligible(platform: &Platform, sharing: Sharing) -> bool {
-    sharing == Sharing::HyperThreaded && !platform.arch.has_way_predictor
-}
-
-/// How a run driver should use the lockstep path. Plumbed from the
-/// `lru-leak --lockstep=off|auto|force` debug flag through
-/// [`RunCtrl::with_lockstep`](crate::trials::RunCtrl::with_lockstep)
-/// down to `Scenario::run_reduced`, so regressions can be bisected
-/// against the scalar path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum LockstepMode {
-    /// Never batch — always the scalar per-trial path. Output is
-    /// byte-identical to `Auto` (that equivalence is what the
-    /// `lockstep_equivalence` suite pins); the mode exists to bisect
-    /// a suspected lockstep regression.
-    Off,
-    /// Batch whenever the scenario shape is eligible, fall back to
-    /// scalar otherwise. The default everywhere.
-    #[default]
-    Auto,
-    /// Demand batching. Run drivers treat this like `Auto`; front
-    /// ends (CLI, server) are responsible for rejecting ineligible
-    /// scenarios up front with a structured error.
-    Force,
-}
-
-impl LockstepMode {
-    /// The flag spellings, in declaration order.
-    pub const ALL: [LockstepMode; 3] = [LockstepMode::Off, LockstepMode::Auto, LockstepMode::Force];
-
-    /// The flag spelling of this mode.
-    pub fn name(self) -> &'static str {
-        match self {
-            LockstepMode::Off => "off",
-            LockstepMode::Auto => "auto",
-            LockstepMode::Force => "force",
-        }
-    }
-}
-
-impl std::str::FromStr for LockstepMode {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        LockstepMode::ALL
-            .into_iter()
-            .find(|m| m.name() == s)
-            .ok_or_else(|| format!("unknown lockstep mode `{s}` (expected off|auto|force)"))
-    }
 }
 
 /// The physical addresses of one channel shape. The machine
@@ -403,7 +345,8 @@ impl Channel {
 ///
 /// Panics if a lane's message is empty (as the scalar sender does),
 /// or if the layout breaks one of the facts the one-set lanes rest
-/// on (module docs); on an [`eligible`] platform none does.
+/// on (module docs); on a platform without a way predictor none
+/// does.
 pub fn run_batch(spec: &BatchSpec, lanes: &[LaneSpec]) -> Result<Vec<LockstepRun>, ParamError> {
     let arch = spec.platform.arch;
     let layout = channel_layout(spec, MicroArch { llc: None, ..arch })?;
@@ -626,7 +569,7 @@ enum Phase {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::covert::CovertConfig;
+    use crate::covert::{CovertConfig, Sharing};
 
     fn scalar_run(spec: &BatchSpec, message: &[bool], seed: u64) -> crate::covert::CovertRun {
         let cfg = CovertConfig {
@@ -720,7 +663,7 @@ mod tests {
     fn replay_proofs_hold_on_every_eligible_shape() {
         let mut shapes = 0;
         for platform in Platform::all() {
-            if !eligible(&platform, Sharing::HyperThreaded) {
+            if platform.arch.has_way_predictor {
                 continue;
             }
             let arch = platform.arch;
@@ -791,13 +734,5 @@ mod tests {
             run_batch(&s, &lanes(1, 2, 8)),
             Err(ParamError::BadD { .. })
         ));
-    }
-
-    #[test]
-    fn eligibility_excludes_time_sliced_and_way_predictor() {
-        assert!(eligible(&Platform::e5_2690(), Sharing::HyperThreaded));
-        assert!(eligible(&Platform::e3_1245v5(), Sharing::HyperThreaded));
-        assert!(!eligible(&Platform::e5_2690(), Sharing::TimeSliced));
-        assert!(!eligible(&Platform::epyc_7571(), Sharing::HyperThreaded));
     }
 }

@@ -42,10 +42,7 @@
 //!
 //! The worker count is a property of one run: [`RunCtrl::with_workers`]
 //! pins it, and without a pin the run uses the host's available
-//! parallelism, clamped by the `LRU_LEAK_THREADS` environment variable
-//! (`LRU_LEAK_THREADS=1` forces sequential execution, e.g. for
-//! debugging or timing baselines). The environment is consulted once
-//! and cached. There is no process-wide override, so one run's width
+//! parallelism. There is no process-wide override, so one run's width
 //! never leaks into the next run of a long-lived process.
 //!
 //! ## Resilience
@@ -71,11 +68,9 @@
 
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
-
-use crate::lockstep::LockstepMode;
 
 /// Derives the seed of trial `index` from the experiment's master
 /// seed (SplitMix64 finalizer over the pair — consecutive indices
@@ -87,25 +82,12 @@ pub fn derive_seed(master: u64, index: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Cached parse of `LRU_LEAK_THREADS`, read from the environment at
-/// most once per process.
-static ENV_WORKERS: OnceLock<Option<usize>> = OnceLock::new();
-
-/// Worker count of a run whose [`RunCtrl`] pins none: available
-/// parallelism clamped by `LRU_LEAK_THREADS` (parsed once, then
-/// cached — later changes to the environment are not observed).
+/// Worker count of a run whose [`RunCtrl`] pins none: the host's
+/// available parallelism.
 fn default_workers() -> usize {
-    let env = ENV_WORKERS.get_or_init(|| {
-        std::env::var("LRU_LEAK_THREADS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&n| n > 0)
-    });
-    env.unwrap_or_else(|| {
-        thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    })
+    thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
 }
 
 /// Chunk size the schedulers use for `n` trials.
@@ -221,8 +203,7 @@ pub type ProgressFn<'a> = &'a (dyn Fn(usize, usize) + Sync);
 
 /// Control surface for one scheduled run: the [`CancelToken`] the
 /// workers poll at chunk boundaries, an optional worker-count pin,
-/// the [`LockstepMode`] scenario drivers route by, an optional
-/// per-trial progress callback, and a retry counter the driver
+/// an optional per-trial progress callback, and a retry counter the driver
 /// increments every time a panicked chunk is deterministically re-run.
 ///
 /// Clones share the token and the retry counter, so a nested run
@@ -232,7 +213,6 @@ pub type ProgressFn<'a> = &'a (dyn Fn(usize, usize) + Sync);
 pub struct RunCtrl<'a> {
     cancel: CancelToken,
     workers: Option<usize>,
-    lockstep: LockstepMode,
     progress: Option<ProgressFn<'a>>,
     retried: Arc<AtomicUsize>,
 }
@@ -242,7 +222,6 @@ impl std::fmt::Debug for RunCtrl<'_> {
         f.debug_struct("RunCtrl")
             .field("cancel", &self.cancel)
             .field("workers", &self.workers)
-            .field("lockstep", &self.lockstep)
             .field("progress", &self.progress.is_some())
             .field("retried", &self.retried)
             .finish()
@@ -274,15 +253,6 @@ impl<'a> RunCtrl<'a> {
         self
     }
 
-    /// Sets how scenario drivers use the lockstep trial path (`Auto`
-    /// by default). The trial drivers themselves ignore it; results
-    /// are bit-identical for every mode.
-    #[must_use]
-    pub fn with_lockstep(mut self, mode: LockstepMode) -> RunCtrl<'a> {
-        self.lockstep = mode;
-        self
-    }
-
     /// Reports `(completed, total)` to `progress` after every trial.
     /// The callback never influences the result.
     #[must_use]
@@ -292,14 +262,9 @@ impl<'a> RunCtrl<'a> {
     }
 
     /// The worker count this run uses: the pin if one is set, else
-    /// the host's available parallelism clamped by `LRU_LEAK_THREADS`.
+    /// the host's available parallelism.
     pub fn workers(&self) -> usize {
         self.workers.unwrap_or_else(default_workers)
-    }
-
-    /// The lockstep routing mode.
-    pub fn lockstep(&self) -> LockstepMode {
-        self.lockstep
     }
 
     /// The token workers poll.

@@ -361,8 +361,7 @@ impl Aggregate {
     }
 
     /// Runs `scenario`'s trials through this aggregate's reducer,
-    /// under `ctrl`'s workers, cancel token, progress callback and
-    /// lockstep mode.
+    /// under `ctrl`'s workers, cancel token and progress callback.
     ///
     /// # Errors
     ///

@@ -60,7 +60,6 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use lru_channel::lockstep::LockstepMode;
 use lru_channel::trials::{derive_seed, run_trials_fold_ctrl};
 pub use lru_channel::trials::{CancelToken, FoldError, ProgressFn, RunCtrl};
 
@@ -145,16 +144,6 @@ pub enum EngineError {
         /// Stringified panic payload.
         payload: String,
     },
-    /// `--lockstep=force` was demanded for a grid with a cell the
-    /// lockstep path cannot run. Raised by front ends before
-    /// execution starts ([`Engine`] itself treats `Force` like
-    /// `Auto`), so the grid is never partially run.
-    LockstepIneligible {
-        /// Index of the first ineligible grid cell.
-        cell: usize,
-        /// Why that cell cannot run in lockstep.
-        reason: crate::LockstepIneligible,
-    },
     /// The artifact's grid does not validate at the requested
     /// options ([`Artifact::try_scenarios`]); nothing ran.
     Invalid(crate::ScenarioError),
@@ -162,13 +151,12 @@ pub enum EngineError {
 
 impl EngineError {
     /// Short machine-readable status tag (`"cancelled"`, `"timeout"`,
-    /// `"panicked"`, `"ineligible"`, `"invalid"`) for batch summaries.
+    /// `"panicked"`, `"invalid"`) for batch summaries.
     pub fn status(&self) -> &'static str {
         match self {
             EngineError::Cancelled => "cancelled",
             EngineError::DeadlineExceeded { .. } => "timeout",
             EngineError::ChunkPanicked { .. } => "panicked",
-            EngineError::LockstepIneligible { .. } => "ineligible",
             EngineError::Invalid(_) => "invalid",
         }
     }
@@ -189,9 +177,6 @@ impl fmt::Display for EngineError {
                 f,
                 "chunk {chunk} (cells {lo}..{hi}) panicked twice (original + retry): {payload}"
             ),
-            EngineError::LockstepIneligible { cell, reason } => {
-                write!(f, "--lockstep=force: cell {cell}: {reason}")
-            }
             EngineError::Invalid(e) => write!(f, "{e}"),
         }
     }
@@ -547,7 +532,6 @@ pub struct Engine {
     timeout: Option<Duration>,
     workers: Option<usize>,
     fault: Option<FaultPlan>,
-    lockstep: LockstepMode,
 }
 
 impl Engine {
@@ -586,18 +570,6 @@ impl Engine {
     #[must_use]
     pub fn with_fault_plan(mut self, fault: FaultPlan) -> Engine {
         self.fault = Some(fault);
-        self
-    }
-
-    /// Sets how cells use the lockstep trial path (`Auto` by
-    /// default). Results are bit-identical for every mode — `Off`
-    /// exists to bisect a suspected lockstep regression, and run
-    /// drivers treat `Force` like `Auto` (front ends reject
-    /// ineligible scenarios up front via
-    /// [`Scenario::lockstep_spec`](crate::Scenario::lockstep_spec)).
-    #[must_use]
-    pub fn with_lockstep(mut self, mode: LockstepMode) -> Engine {
-        self.lockstep = mode;
         self
     }
 
@@ -646,7 +618,7 @@ impl Engine {
 
     /// Shared body of the `run_job*` entry points. One job's control
     /// block: a deadline child token when a timeout is configured,
-    /// the engine's worker pin and lockstep mode.
+    /// the engine's worker pin.
     fn run_job_inner(
         &self,
         job: &Job,
@@ -658,9 +630,7 @@ impl Engine {
             Some(t) => cancel.child_with_timeout(t),
             None => cancel.clone(),
         };
-        let ctrl = &RunCtrl::with_cancel(token)
-            .with_workers(self.workers.unwrap_or(0))
-            .with_lockstep(self.lockstep);
+        let ctrl = &RunCtrl::with_cancel(token).with_workers(self.workers.unwrap_or(0));
         let run = JobRun {
             engine: self,
             job,

@@ -39,7 +39,7 @@ use lru_channel::covert::{
 };
 use lru_channel::decode::{self, BitConvention};
 use lru_channel::edit_distance::error_rate;
-use lru_channel::lockstep::{self, BatchSpec, LaneSpec, LockstepMode};
+use lru_channel::lockstep::{self, BatchSpec, LaneSpec};
 use lru_channel::multiset::run_parallel_alg1;
 use lru_channel::plru_study::{eviction_curve, InitCond, SequenceKind};
 use lru_channel::protocol::LruSender;
@@ -109,7 +109,7 @@ impl Scenario {
     }
 
     /// Streams the scenario's trials through `reducer`. The result
-    /// is bit-identical for any worker count and lockstep mode, and
+    /// is bit-identical for any worker count, and
     /// the driver keeps only `O(workers)` live accumulators plus
     /// `O(workers × chunk)` in-flight trial results — so with a
     /// constant-size accumulator
@@ -121,16 +121,15 @@ impl Scenario {
     /// `O(trials)`.
     ///
     /// `ctrl` supplies the worker count, the cancel token (polled at
-    /// every chunk boundary), the per-trial progress callback and
-    /// the [`LockstepMode`]. Under `Auto` (the default) and `Force`,
-    /// scenarios with a [`Scenario::lockstep_spec`] run their trials
-    /// in lockstep batches ([`lockstep::run_batch`]: one address
-    /// layout per batch, one-set lanes); ineligible scenarios — and
-    /// every run under `Off` — take the scalar per-trial path. The
-    /// produced bytes are identical either way (pinned by
-    /// `tests/lockstep_equivalence.rs`); only the wall clock differs.
-    /// Run drivers treat `Force` like `Auto`; front ends reject
-    /// ineligible scenarios up front via [`Scenario::lockstep_spec`].
+    /// every chunk boundary) and the per-trial progress callback.
+    /// Routing is a function of the scenario alone: scenarios with a
+    /// [`Scenario::lockstep_spec`] run their trials in lockstep
+    /// batches ([`lockstep::run_batch`]: one address layout per
+    /// batch, one-set lanes), every other scenario takes the scalar
+    /// per-trial path. The produced bytes equal the buffered
+    /// per-trial oracle's either way (pinned by
+    /// `tests/lockstep_equivalence.rs` and
+    /// `tests/streaming_equivalence.rs`); only the wall clock differs.
     ///
     /// # Errors
     ///
@@ -138,10 +137,8 @@ impl Scenario {
     /// completes; [`FoldError::ChunkPanicked`] when a trial chunk
     /// panics twice (original run + deterministic retry).
     pub fn run_reduced<R: Reducer>(&self, reducer: &R, ctrl: &RunCtrl) -> Result<Value, FoldError> {
-        if ctrl.lockstep() != LockstepMode::Off {
-            if let Ok(spec) = self.lockstep_spec() {
-                return self.run_reduced_lockstep(reducer, ctrl, &spec);
-            }
+        if let Ok(spec) = self.lockstep_spec() {
+            return self.run_reduced_lockstep(reducer, ctrl, &spec);
         }
         let acc = run_trials_fold_ctrl(
             ctrl,
@@ -236,9 +233,8 @@ impl Scenario {
 
     /// The [`BatchSpec`] this scenario would run in lockstep, or the
     /// reason it cannot. This is the single eligibility oracle: the
-    /// run drivers consult it to route under `Auto`, and front ends
-    /// consult it to reject `--lockstep=force` with a structured
-    /// message.
+    /// run drivers route by it, and the server and perfbench count
+    /// lockstep cells with it.
     ///
     /// # Errors
     ///
@@ -261,7 +257,6 @@ impl Scenario {
         if platform.arch.has_way_predictor {
             return Err(LockstepIneligible::WayPredictor);
         }
-        debug_assert!(lockstep::eligible(&platform, self.sharing));
         Ok(BatchSpec {
             platform,
             policy: self.policy,
@@ -273,8 +268,8 @@ impl Scenario {
 
 /// Why a scenario cannot run on the lockstep path (see
 /// [`Scenario::lockstep_spec`]). Each variant names the first
-/// condition that failed; [`std::fmt::Display`] renders the structured
-/// message front ends show for a rejected `--lockstep=force`.
+/// condition that failed; [`std::fmt::Display`] renders it as a
+/// structured message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LockstepIneligible {
     /// Only end-to-end covert runs ([`ExperimentKind::Covert`]) have

@@ -102,7 +102,6 @@ pub use engine::{
 pub use experiment::LockstepIneligible;
 pub use fmt::BENCH_SEED;
 pub use json::Value;
-pub use lru_channel::lockstep::LockstepMode;
 pub use registry::{Artifact, Report, RunOpts};
 pub use spec::{
     ExperimentKind, HierarchyId, MessageSource, NoiseModel, PlatformId, Scenario, ScenarioError,

@@ -215,18 +215,19 @@ impl WorkloadId {
     }
 }
 
-/// Largest value a scenario's element counts may take: the message's
-/// realized length (`bits`, or `bits × repeats` for a random message),
-/// plru-eviction `iterations` and l2-channel `samples`.
+/// Largest value a scenario's element counts may take: `trials`, the
+/// message's realized length (`bits`, or `bits × repeats` for a random
+/// message) and every count field of the [`ExperimentKind`] (samples,
+/// rounds, trials, iterations, bits, accesses, frames).
 ///
-/// Each of these sizes a buffer before the run starts, and a failed
+/// Many of these size a buffer before the run starts, and a failed
 /// allocation aborts the process — past the fold driver's
 /// `catch_unwind`, and in `serve` for every connection at once — so
 /// validation rejects a larger value with
-/// [`ScenarioError::Incompatible`]. 2^22 (4,194,304) is 8,192× the
-/// largest registry default (fig4's 128-bit × 4-repeat message), so
-/// every artifact validates at default trials and far beyond, while
-/// the largest buffer stays tens of MiB.
+/// [`ScenarioError::Incompatible`]; the rest would run unbounded. 2^22
+/// (4,194,304) is about 35× the largest registry default (fig9's
+/// 120,000 accesses), so every artifact validates at default trials
+/// and far beyond, while the largest buffer stays tens of MiB.
 pub const MAX_COUNT: usize = 1 << 22;
 
 /// Where the transmitted bits (or the attacked secret) come from.
@@ -713,6 +714,44 @@ pub enum ExperimentKind {
 }
 
 impl ExperimentKind {
+    /// The first count field above [`MAX_COUNT`], named as validation
+    /// reports it.
+    fn count_over_cap(&self) -> Option<&'static str> {
+        let over = |n: usize| n > MAX_COUNT;
+        match self {
+            ExperimentKind::PercentOnes { samples } if over(*samples) => {
+                Some("percent-ones samples")
+            }
+            ExperimentKind::PrimeProbe { samples } if over(*samples) => Some("prime-probe samples"),
+            ExperimentKind::FlushReload { samples, .. } if over(*samples) => {
+                Some("flush-reload samples")
+            }
+            ExperimentKind::Spectre { rounds, .. } if over(*rounds) => Some("spectre rounds"),
+            ExperimentKind::DefenseEval { trials } if over(*trials) => Some("defense-eval trials"),
+            ExperimentKind::PlruEviction { iterations, .. } if over(*iterations) => {
+                Some("plru-eviction iterations")
+            }
+            ExperimentKind::PlruEviction { trials, .. } if over(*trials) => {
+                Some("plru-eviction trials")
+            }
+            ExperimentKind::SenderMissRates { bits, .. } if over(*bits) => {
+                Some("sender-miss-rates bits")
+            }
+            ExperimentKind::ProbeHistogram { samples, .. } if over(*samples) => {
+                Some("probe-histogram samples")
+            }
+            ExperimentKind::PolicyPerf { accesses } if *accesses > MAX_COUNT as u64 => {
+                Some("policy-perf accesses")
+            }
+            ExperimentKind::MultiSet { frames, .. } if over(*frames) => Some("multi-set frames"),
+            ExperimentKind::L2Channel { samples } if over(*samples) => Some("l2-channel samples"),
+            ExperimentKind::InclusionVictim { trials } if over(*trials) => {
+                Some("inclusion-victim trials")
+            }
+            _ => None,
+        }
+    }
+
     /// Stable serialization tag.
     pub fn tag(&self) -> &'static str {
         match self {
@@ -1090,7 +1129,8 @@ impl Scenario {
         Value::Obj(pairs)
     }
 
-    /// Deserializes and re-validates a scenario.
+    /// Deserializes and re-validates a scenario
+    /// ([`ScenarioBuilder::from_json`], then [`ScenarioBuilder::build`]).
     ///
     /// # Errors
     ///
@@ -1098,6 +1138,36 @@ impl Scenario {
     /// [`ScenarioError::Param`]/[`ScenarioError::Incompatible`] if
     /// the described scenario would not have passed the builder.
     pub fn from_json(v: &Value) -> Result<Scenario, ScenarioError> {
+        ScenarioBuilder::from_json(v)?.build()
+    }
+
+    /// Parses a JSON string ([`Scenario::from_json`] on the parse
+    /// tree).
+    ///
+    /// # Errors
+    ///
+    /// See [`Scenario::from_json`].
+    pub fn from_json_str(text: &str) -> Result<Scenario, ScenarioError> {
+        ScenarioBuilder::from_json_str(text)?.build()
+    }
+}
+
+/// Builds a [`Scenario`], validating the axes against each other and
+/// against the platform's cache geometry on [`ScenarioBuilder::build`].
+#[derive(Debug, Clone)]
+pub struct ScenarioBuilder {
+    inner: Scenario,
+}
+
+impl ScenarioBuilder {
+    /// Deserializes a scenario without validating it, so a front end
+    /// can apply its `trials`/`seed` overrides before the one
+    /// [`ScenarioBuilder::build`] check.
+    ///
+    /// # Errors
+    ///
+    /// [`ScenarioError::Parse`] on malformed JSON.
+    pub fn from_json(v: &Value) -> Result<ScenarioBuilder, ScenarioError> {
         let str_field = |key: &str| -> Result<&str, ScenarioError> {
             v.get(key)
                 .and_then(Value::as_str)
@@ -1156,7 +1226,7 @@ impl Scenario {
             .get("seed")
             .and_then(Value::as_u64)
             .ok_or_else(|| ScenarioError::parse("seed must be a non-negative integer"))?;
-        ScenarioBuilder {
+        Ok(ScenarioBuilder {
             inner: Scenario {
                 platform,
                 policy,
@@ -1172,30 +1242,20 @@ impl Scenario {
                 trials,
                 seed,
             },
-        }
-        .build()
+        })
     }
 
-    /// Parses a JSON string ([`Scenario::from_json`] on the parse
-    /// tree).
+    /// Parses a JSON string ([`ScenarioBuilder::from_json`] on the
+    /// parse tree).
     ///
     /// # Errors
     ///
-    /// See [`Scenario::from_json`].
-    pub fn from_json_str(text: &str) -> Result<Scenario, ScenarioError> {
+    /// [`ScenarioError::Parse`] on malformed JSON.
+    pub fn from_json_str(text: &str) -> Result<ScenarioBuilder, ScenarioError> {
         let v = Value::parse(text).map_err(ScenarioError::parse)?;
-        Scenario::from_json(&v)
+        ScenarioBuilder::from_json(&v)
     }
-}
 
-/// Builds a [`Scenario`], validating the axes against each other and
-/// against the platform's cache geometry on [`ScenarioBuilder::build`].
-#[derive(Debug, Clone)]
-pub struct ScenarioBuilder {
-    inner: Scenario,
-}
-
-impl ScenarioBuilder {
     /// Sets the platform.
     #[must_use]
     pub fn platform(mut self, platform: PlatformId) -> Self {
@@ -1340,6 +1400,9 @@ impl ScenarioBuilder {
         if s.trials == 0 {
             return Err(ScenarioError::incompatible("trials must be >= 1"));
         }
+        if s.trials > MAX_COUNT {
+            return Err(ScenarioError::over_cap("trials"));
+        }
         if s.message.realized_len().is_none_or(|n| n > MAX_COUNT) {
             return Err(ScenarioError::over_cap("the message's realized bits"));
         }
@@ -1443,9 +1506,6 @@ impl ScenarioBuilder {
                     "plru-eviction needs iterations >= 1 and trials >= 1",
                 ));
             }
-            ExperimentKind::PlruEviction { iterations, .. } if *iterations > MAX_COUNT => {
-                return Err(ScenarioError::over_cap("plru-eviction iterations"));
-            }
             ExperimentKind::ProbeHistogram { samples, .. } if *samples == 0 => {
                 return Err(ScenarioError::incompatible(
                     "probe-histogram needs samples >= 1",
@@ -1459,15 +1519,15 @@ impl ScenarioBuilder {
             ExperimentKind::L2Channel { samples } if *samples == 0 => {
                 return Err(ScenarioError::incompatible("l2-channel needs samples >= 1"));
             }
-            ExperimentKind::L2Channel { samples } if *samples > MAX_COUNT => {
-                return Err(ScenarioError::over_cap("l2-channel samples"));
-            }
             ExperimentKind::InclusionVictim { trials } if *trials == 0 => {
                 return Err(ScenarioError::incompatible(
                     "inclusion-victim needs trials >= 1",
                 ));
             }
             _ => {}
+        }
+        if let Some(what) = s.kind.count_over_cap() {
+            return Err(ScenarioError::over_cap(what));
         }
         if s.hierarchy != HierarchyId::Inclusive
             && !matches!(
@@ -1742,6 +1802,81 @@ mod tests {
             Scenario::from_json_str(&s.to_json().to_string()).unwrap(),
             s
         );
+    }
+
+    /// Each count field validates at [`MAX_COUNT`] and is rejected,
+    /// by name, one past it.
+    #[test]
+    fn every_count_field_is_capped() {
+        fn kind(k: ExperimentKind) -> ScenarioBuilder {
+            Scenario::builder().kind(k)
+        }
+        /// The scenario with the named count set to `n`.
+        type At = fn(usize) -> ScenarioBuilder;
+        let cases: [(&str, At); 12] = [
+            ("trials", |n| Scenario::builder().trials(n)),
+            ("percent-ones samples", |n| {
+                kind(ExperimentKind::PercentOnes { samples: n })
+                    .message(MessageSource::Constant { bit: true, bits: 1 })
+            }),
+            ("prime-probe samples", |n| {
+                kind(ExperimentKind::PrimeProbe { samples: n })
+            }),
+            ("flush-reload samples", |n| {
+                kind(ExperimentKind::FlushReload {
+                    samples: n,
+                    to_mem: true,
+                })
+            }),
+            ("spectre rounds", |n| {
+                kind(ExperimentKind::Spectre {
+                    channel: ChannelId::LruAlg2,
+                    rounds: n,
+                    prefetcher: false,
+                })
+                .message(MessageSource::Text("s".into()))
+            }),
+            ("defense-eval trials", |n| {
+                kind(ExperimentKind::DefenseEval { trials: n }).defense(DefenseId::PlCacheOriginal)
+            }),
+            ("plru-eviction trials", |n| {
+                kind(ExperimentKind::PlruEviction {
+                    sequence: SequenceId::Seq1,
+                    init: InitId::Random,
+                    iterations: 2,
+                    trials: n,
+                })
+            }),
+            ("sender-miss-rates bits", |n| {
+                kind(ExperimentKind::SenderMissRates { sender: 0, bits: n })
+            }),
+            ("probe-histogram samples", |n| {
+                kind(ExperimentKind::ProbeHistogram {
+                    samples: n,
+                    single_load: false,
+                })
+            }),
+            ("policy-perf accesses", |n| {
+                kind(ExperimentKind::PolicyPerf { accesses: n as u64 })
+                    .workload(WorkloadId::Benchmark("gcc".into()))
+            }),
+            ("multi-set frames", |n| {
+                kind(ExperimentKind::MultiSet { sets: 4, frames: n })
+            }),
+            ("inclusion-victim trials", |n| {
+                kind(ExperimentKind::InclusionVictim { trials: n })
+            }),
+        ];
+        for (what, at) in cases {
+            at(MAX_COUNT)
+                .build()
+                .unwrap_or_else(|e| panic!("{what} at the cap: {e}"));
+            let err = at(MAX_COUNT + 1).build().unwrap_err();
+            assert!(
+                matches!(&err, ScenarioError::Incompatible(m) if m.starts_with(what)),
+                "{what} one past the cap: {err}"
+            );
+        }
     }
 
     #[test]

@@ -201,10 +201,9 @@ pub struct ServerSummary {
     pub computed_cells: u64,
     /// Grid cells served from the shared result cache.
     pub cached_cells: u64,
-    /// Lockstep-eligible grid cells across all jobs this server led.
-    /// The server runs engines in the default `auto` mode, so these
-    /// are the cells routed through the lockstep batch path whenever
-    /// they are simulated (cache hits skip simulation). Admission
+    /// Lockstep-eligible grid cells across all jobs this server led:
+    /// the cells routed through the lockstep batch path whenever they
+    /// are simulated (cache hits skip simulation). Admission
     /// cost is unaffected — see [`credit`] and
     /// [`proto::RunRequest::cost`].
     pub lockstep_cells: u64,
@@ -296,11 +295,6 @@ impl ServerHandle {
     /// connections close, then [`Server::run`] returns.
     pub fn begin_shutdown(&self) {
         self.shared.draining.store(true, Ordering::SeqCst);
-    }
-
-    /// Whether the drain has begun.
-    pub fn is_draining(&self) -> bool {
-        self.shared.draining.load(Ordering::SeqCst)
     }
 
     /// A live snapshot of the service counters.

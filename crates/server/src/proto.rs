@@ -35,7 +35,7 @@ use std::time::Duration;
 
 use scenario::engine::{content_hash64, CacheStats, JobProgress, JobStatus, ResultCache};
 use scenario::registry::{self, Artifact, RunOpts};
-use scenario::spec::Scenario;
+use scenario::spec::{Scenario, ScenarioBuilder};
 use scenario::{Job, Value};
 
 /// A parsed request line.
@@ -85,10 +85,9 @@ impl RunRequest {
     }
 
     /// How many of the job's grid cells the engine routes through the
-    /// lockstep batch path when it simulates them (the server runs
-    /// engines in the default `auto` mode; cache hits skip simulation
-    /// entirely). Reported per job in the `accepted` and `result`
-    /// events.
+    /// lockstep batch path when it simulates them (cache hits skip
+    /// simulation entirely). Reported per job in the `accepted` and
+    /// `result` events.
     pub fn lockstep_cells(&self) -> usize {
         self.job
             .grid
@@ -219,14 +218,17 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
                 let spec = v
                     .get("scenario")
                     .ok_or("\"adhoc\" needs a \"scenario\" field")?;
-                let mut sc =
-                    Scenario::from_json(spec).map_err(|e| format!("invalid scenario: {e}"))?;
+                // The overrides apply before validation, so the one
+                // check bounds the counts that actually run.
+                let invalid = |e| format!("invalid scenario: {e}");
+                let mut builder = ScenarioBuilder::from_json(spec).map_err(invalid)?;
                 if let Some(trials) = trials {
-                    sc.trials = trials.max(1);
+                    builder = builder.trials(trials);
                 }
                 if let Some(seed) = seed {
-                    sc.seed = seed;
+                    builder = builder.seed(seed);
                 }
+                let sc = builder.build().map_err(invalid)?;
                 let job = Job::from_scenario("adhoc", sc.clone());
                 (None, Some(sc), job)
             };

@@ -2,7 +2,7 @@
 //! registry artifact at three seeds.
 //!
 //! The equivalence suites compare two run paths against each other
-//! (engines, worker counts, lockstep modes, buffered vs streamed), so
+//! (engines, worker counts, lockstep vs scalar, buffered vs streamed), so
 //! a fault both paths share — say, a `run_trial` arm wired to the
 //! wrong experiment body — passes all of them. This suite pins the
 //! bytes themselves: one small valid scenario per [`ExperimentKind`],

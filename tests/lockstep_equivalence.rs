@@ -2,96 +2,53 @@
 //! through `lru_channel::lockstep` (one-set lanes) must be invisible
 //! in the output.
 //!
-//! For every registry artifact, the report produced with lockstep
-//! batching enabled (`Auto` — the default everywhere — and `Force`)
-//! must reproduce the scalar path's (`Off`) `Report { text, metrics }`
-//! byte for byte on 1, 4 and 8 workers. Artifacts with no eligible
-//! cell route identically under every mode, so they ride along as a
-//! no-regression check for free.
+//! Routing is a function of the scenario alone
+//! (`Scenario::lockstep_spec`), so the scalar reference is the
+//! buffered per-trial oracle in `oracle/mod.rs`: every trial through
+//! `Scenario::run_trial` on the calling thread, no driver and no
+//! lockstep. Multi-trial eligible cells must reproduce it byte for
+//! byte on 1, 4 and 8 workers. Every registry artifact's default run
+//! is pinned against the same oracle in `streaming_equivalence.rs`.
 
-use lru_leak::scenario::engine::{CancelToken, Engine, RunCtrl};
-use lru_leak::scenario::registry::{self, RunOpts};
-use lru_leak::scenario::{LockstepMode, Scenario};
+// Only `run_scenario` is used here; `run_artifact` serves other suites.
+#[allow(dead_code)]
+mod oracle;
 
-fn report(id: &str, opts: &RunOpts, mode: LockstepMode, workers: usize) -> (String, String) {
-    let artifact = registry::get(id).unwrap();
-    let engine = Engine::new().with_workers(workers).with_lockstep(mode);
-    let (report, _status) = engine
-        .run_artifact(artifact, opts, None, &CancelToken::new())
-        .unwrap();
-    (report.text, report.metrics.to_string())
-}
-
-/// Artifacts whose grid contains at least one lockstep-eligible cell.
-fn eligible_ids(opts: &RunOpts) -> Vec<&'static str> {
-    registry::ids()
-        .into_iter()
-        .filter(|id| {
-            registry::get(id)
-                .unwrap()
-                .scenarios(opts)
-                .iter()
-                .any(|s| s.lockstep_spec().is_ok())
-        })
-        .collect()
-}
-
-#[test]
-fn every_eligible_artifact_is_bit_identical_across_lockstep_modes_and_workers() {
-    let opts = RunOpts {
-        trials: Some(1),
-        seed: 0x010c_57e9,
-    };
-    let eligible = eligible_ids(&opts);
-    assert!(
-        !eligible.is_empty(),
-        "registry should contain lockstep-eligible artifacts"
-    );
-    for id in eligible {
-        let scalar = report(id, &opts, LockstepMode::Off, 1);
-        for workers in [1usize, 4, 8] {
-            for mode in [LockstepMode::Auto, LockstepMode::Force] {
-                let batched = report(id, &opts, mode, workers);
-                assert_eq!(
-                    batched.0,
-                    scalar.0,
-                    "{id}: lockstep {m} text differs from scalar at {workers} workers",
-                    m = mode.name()
-                );
-                assert_eq!(
-                    batched.1,
-                    scalar.1,
-                    "{id}: lockstep {m} metrics differ from scalar at {workers} workers",
-                    m = mode.name()
-                );
-            }
-        }
-    }
-}
+use lru_leak::exec_sim::sched;
+use lru_leak::scenario::engine::RunCtrl;
+use lru_leak::scenario::Scenario;
 
 /// Multi-trial sweeps are where the batching actually kicks in (one
-/// `run_batch` per scheduler chunk); pin a fig4-style cell at a trial
-/// count that spans several chunks.
+/// `run_batch` per scheduler chunk). The cells: a fig4-style builder
+/// cell at a trial count that spans several chunks; a 64-trial
+/// Tree-PLRU Algorithm 1 cell; and a Random-policy Algorithm 2 cell
+/// at a non-zero target set, where each lane's victim stream must be
+/// seeded like that set of the L1.
 #[test]
-fn multi_trial_covert_sweep_is_bit_identical_across_modes() {
-    let scenario = Scenario::builder()
-        .trials(24)
-        .seed(0x0ba7_c4ed)
-        .build()
-        .unwrap();
-    assert!(scenario.lockstep_spec().is_ok());
-    let scalar = scenario
-        .run_ctrl(&RunCtrl::new().with_lockstep(LockstepMode::Off))
-        .unwrap();
-    for workers in [1usize, 4, 8] {
-        for mode in [LockstepMode::Auto, LockstepMode::Force] {
-            let ctrl = RunCtrl::new().with_workers(workers).with_lockstep(mode);
-            let batched = scenario.run_ctrl(&ctrl).unwrap();
+fn multi_trial_covert_sweeps_match_the_oracle_across_workers() {
+    const SC: &str = r#"{"platform":"e5-2690","policy":"tree-plru","variant":"alg1-shared-memory","sharing":"hyper-threaded","defense":"none","workload":"idle","noise":"none","hierarchy":"inclusive","params":{"d":8,"target_set":0,"ts":6000,"tr":600},"message":{"alternating":20},"kind":{"covert":{}},"trials":64,"seed":7}"#;
+    const SC_RANDOM: &str = r#"{"platform":"e5-2690","policy":"random","variant":"alg2-no-shared-memory","sharing":"hyper-threaded","defense":"none","workload":"idle","noise":"none","hierarchy":"inclusive","params":{"d":6,"target_set":37,"ts":6000,"tr":600},"message":{"alternating":20},"kind":{"covert":{}},"trials":64,"seed":7}"#;
+    let cells = [
+        (
+            "builder",
+            Scenario::builder()
+                .trials(24)
+                .seed(0x0ba7_c4ed)
+                .build()
+                .unwrap(),
+        ),
+        ("tree-plru", Scenario::from_json_str(SC).unwrap()),
+        ("random", Scenario::from_json_str(SC_RANDOM).unwrap()),
+    ];
+    for (name, scenario) in cells {
+        assert!(scenario.lockstep_spec().is_ok(), "{name}: not eligible");
+        let reference = oracle::run_scenario(&scenario, sched::Engine::FastForward).to_string();
+        for workers in [1usize, 4, 8] {
+            let ctrl = RunCtrl::new().with_workers(workers);
             assert_eq!(
-                batched.to_string(),
-                scalar.to_string(),
-                "lockstep {m} differs from scalar at {workers} workers",
-                m = mode.name()
+                scenario.run_ctrl(&ctrl).unwrap().to_string(),
+                reference,
+                "{name}: lockstep differs from the oracle at {workers} workers"
             );
         }
     }
@@ -106,6 +63,17 @@ fn lockstep_eligibility_reasons_are_structured() {
 
     let base = Scenario::builder().build().unwrap();
     assert!(base.lockstep_spec().is_ok());
+
+    let mut skylake = base.clone();
+    skylake.platform = lru_leak::scenario::PlatformId::E3_1245V5;
+    assert!(skylake.lockstep_spec().is_ok());
+
+    let mut amd = base.clone();
+    amd.platform = lru_leak::scenario::PlatformId::Epyc7571;
+    assert_eq!(
+        amd.lockstep_spec().unwrap_err(),
+        LockstepIneligible::WayPredictor
+    );
 
     let mut time_sliced = base.clone();
     time_sliced.sharing = lru_leak::lru_channel::covert::Sharing::TimeSliced;

@@ -16,9 +16,12 @@
 //!    artifacts keep their deterministic output, and the process
 //!    exits 3 (partial failure).
 
+mod oracle;
+
 use std::path::PathBuf;
 use std::time::Duration;
 
+use lru_leak::exec_sim::sched;
 use lru_leak::scenario::engine::{CancelToken, Engine, EngineError, FaultPlan, Job, ResultCache};
 use lru_leak::scenario::registry::{self, RunOpts};
 use lru_leak::scenario::Value;
@@ -403,11 +406,9 @@ fn partial_run_all_failure_exits_3_with_completed_output() {
 
 #[test]
 fn lockstep_cells_recover_byte_identically_from_an_injected_panic() {
-    use lru_leak::scenario::LockstepMode;
-
     let opts = opts();
     // Every artifact whose grid routes through the lockstep batch
-    // path under the engine's default Auto mode.
+    // path.
     let eligible: Vec<&str> = registry::ids()
         .into_iter()
         .filter(|id| {
@@ -424,27 +425,22 @@ fn lockstep_cells_recover_byte_identically_from_an_injected_panic() {
     );
     for id in eligible {
         let artifact = registry::get(id).unwrap();
-        let (reference, _) = Engine::new()
-            .with_lockstep(LockstepMode::Off)
-            .run_artifact(artifact, &opts, None, &CancelToken::new())
-            .unwrap();
+        let reference = oracle::run_artifact(artifact, &opts, sched::Engine::FastForward);
         // Cell 0 panics once mid-batch; the chunk containing it is
         // retried deterministically — with its lockstep batches
         // re-run — and the report must not change a byte.
-        let engine = Engine::new()
-            .with_lockstep(LockstepMode::Force)
-            .with_fault_plan(FaultPlan::seeded(7).panic_at(&[0], 1));
+        let engine = Engine::new().with_fault_plan(FaultPlan::seeded(7).panic_at(&[0], 1));
         let (faulted, status) = engine
             .run_artifact(artifact, &opts, None, &CancelToken::new())
             .unwrap_or_else(|e| panic!("{id}: faulted lockstep run did not recover: {e}"));
         assert_eq!(
             faulted.text, reference.text,
-            "{id}: faulted-then-retried lockstep text differs from the scalar run"
+            "{id}: faulted-then-retried lockstep text differs from the oracle"
         );
         assert_eq!(
             faulted.metrics.to_string(),
             reference.metrics.to_string(),
-            "{id}: faulted-then-retried lockstep metrics differ from the scalar run"
+            "{id}: faulted-then-retried lockstep metrics differ from the oracle"
         );
         assert!(
             status.retried_chunks >= 1,
@@ -457,7 +453,6 @@ fn lockstep_cells_recover_byte_identically_from_an_injected_panic() {
 fn lockstep_runs_honour_cancellation_at_batch_boundaries() {
     use lru_leak::scenario::engine::{FoldError, RunCtrl};
     use lru_leak::scenario::spec::Scenario;
-    use lru_leak::scenario::LockstepMode;
 
     // A multi-trial eligible sweep, cancelled before it starts: the
     // lockstep driver polls the token at every batch boundary, so
@@ -466,7 +461,7 @@ fn lockstep_runs_honour_cancellation_at_batch_boundaries() {
     assert!(scenario.lockstep_spec().is_ok());
     let token = CancelToken::new();
     token.cancel();
-    let ctrl = RunCtrl::with_cancel(token).with_lockstep(LockstepMode::Force);
+    let ctrl = RunCtrl::with_cancel(token);
     let err = scenario.run_ctrl(&ctrl).unwrap_err();
     assert!(matches!(err, FoldError::Cancelled), "got {err:?}");
 
@@ -475,7 +470,6 @@ fn lockstep_runs_honour_cancellation_at_batch_boundaries() {
     // as the scalar path.
     let artifact = registry::get("fig5").unwrap();
     let engine = Engine::new()
-        .with_lockstep(LockstepMode::Auto)
         .with_timeout(Duration::from_millis(5))
         .with_fault_plan(FaultPlan::seeded(7).delay_every(1, Duration::from_millis(40)));
     let err = engine

@@ -613,6 +613,12 @@ fn trials_that_push_a_grid_past_a_count_cap_are_a_typed_error() {
             err.message
         );
     }
+    // adhoc applies --trials before validating, so the same cap
+    // bounds the trial count that would run.
+    let sc = Scenario::builder().build().unwrap().to_json().to_string();
+    let err = cli(&["adhoc", &sc, "--trials", &over]).unwrap_err();
+    assert_eq!(err.code, 1);
+    assert!(err.message.contains("trials must be <="), "{}", err.message);
     let opts = RunOpts {
         trials: Some(lru_leak::scenario::MAX_COUNT + 1),
         ..RunOpts::default()

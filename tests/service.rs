@@ -17,9 +17,9 @@
 //!    paying for it: the server cancels the job cooperatively.
 //! 5. **Shutdown drains.** Queued jobs complete and their clients
 //!    get results before `Server::run` returns.
-//! 6. **Hostile nesting is a typed error.** A request nested deeper
-//!    than the JSON parser's cap is a `bad_request`, and the server
-//!    keeps serving.
+//! 6. **Hostile input is a typed error.** A request nested deeper
+//!    than the JSON parser's cap, or a scenario whose counts pass
+//!    `MAX_COUNT`, is a `bad_request`, and the server keeps serving.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -98,8 +98,7 @@ fn run_and_adhoc_bodies_match_the_cli_byte_for_byte() {
     // Artifact request == `lru-leak run fig5 --json ...`. The
     // accepted event announces up front that the job rides the
     // lockstep batch path (fig5 is covert + hyper-threaded +
-    // noiseless, so every cell is eligible under the engine's default
-    // `auto` mode).
+    // noiseless, so every cell is eligible).
     let mut accepted = Vec::new();
     let event =
         client::request(&addr, &fig5_request(), |e| accepted.push(e.clone())).expect("run request");
@@ -305,6 +304,55 @@ fn trials_past_a_count_cap_are_a_bad_request_and_the_server_survives() {
     handle.begin_shutdown();
     let summary = join.join().unwrap().expect("server run");
     assert_eq!((summary.failed, summary.completed), (1, 1));
+}
+
+#[test]
+fn oversized_adhoc_counts_are_a_bad_request_and_status_still_answers() {
+    let (addr, handle, join) = spawn_server(ServerConfig::default());
+
+    // 10^12 multi-set frames once sized a 24 TB buffer up front and
+    // aborted the whole server; a 10^12 `trials` override bypassed
+    // validation because it was applied after it.
+    let multi_set = r#"{"platform":"e5-2690","policy":"tree-plru","variant":"alg1-shared-memory","sharing":"hyper-threaded","defense":"none","workload":"idle","noise":"none","hierarchy":"inclusive","params":{"d":8,"target_set":0,"ts":6000,"tr":600},"message":{"alternating":16},"kind":{"multi-set":{"sets":4,"frames":1000000000000}},"trials":1,"seed":7}"#;
+    let covert = lru_leak::scenario::Scenario::builder()
+        .build()
+        .unwrap()
+        .to_json();
+    for (request, field) in [
+        (
+            Value::obj()
+                .with("cmd", "adhoc")
+                .with("scenario", Value::parse(multi_set).unwrap()),
+            "multi-set frames",
+        ),
+        (
+            Value::obj()
+                .with("cmd", "adhoc")
+                .with("scenario", covert)
+                .with("trials", 1_000_000_000_000u64),
+            "trials",
+        ),
+    ] {
+        let event = client::request(&addr, &request, |_| {}).expect("a final event");
+        assert_eq!(
+            event.get("status").and_then(Value::as_str),
+            Some("bad_request"),
+            "{event}"
+        );
+        let message = event.get("message").and_then(Value::as_str).unwrap();
+        assert!(message.contains("incompatible scenario"), "{message}");
+        assert!(
+            message.contains(&format!("{field} must be <=")),
+            "{message}"
+        );
+    }
+
+    let status = client::status(&addr).expect("status after the rejections");
+    assert_eq!(status.get("event").and_then(Value::as_str), Some("status"));
+
+    handle.begin_shutdown();
+    let summary = join.join().unwrap().expect("server run");
+    assert_eq!((summary.failed, summary.completed), (2, 0));
 }
 
 #[test]
