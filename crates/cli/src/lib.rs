@@ -1,19 +1,9 @@
 //! # lru-leak-cli — the command-line face of the scenario registry
 //!
-//! ```text
-//! lru-leak list
-//! lru-leak run <artifact> [--trials N] [--threads K] [--seed S] [--json | --csv | --vega]
-//!              [--timeout-secs T] [--cache-dir DIR] [--progress]
-//! lru-leak run-all [--trials N] [--threads K] [--seed S] [--json] [--csv-dir DIR]
-//!              [--timeout-secs T] [--cache-dir DIR] [--progress]
-//! lru-leak show <artifact> [--trials N] [--seed S]
-//! lru-leak adhoc <scenario-json | @file.json> [--trials N] [--threads K] [--json] [--summary]
-//! lru-leak serve [--addr A] [--threads K] [--cache-dir DIR] [--max-inflight-trials N]
-//!              [--max-queued N] [--recover]
-//! lru-leak submit <artifact | scenario-json | @file.json> [--addr A] [--trials N] [--seed S]
-//!              [--threads K] [--timeout-secs T] [--retries N] [--backoff-ms B] [--progress]
-//! lru-leak status [--addr A]        lru-leak shutdown [--addr A]
-//! ```
+//! The synopsis and the help for every option are [`USAGE`], which
+//! `lru-leak help` prints. One table in this crate decides which
+//! positional argument and options each command takes, and a unit test
+//! keeps each row equal to the command's `USAGE` entry.
 //!
 //! Everything is a thin veneer over [`scenario::registry`]: `run <id>`
 //! executes the artifact's registered grid, so for a fixed seed the
@@ -137,9 +127,10 @@ USAGE:
     lru-leak run-all [--trials N] [--threads K] [--seed S] [--json] [--csv-dir DIR]
                  [--timeout-secs T] [--cache-dir DIR] [--progress]
     lru-leak show <artifact> [--trials N] [--seed S]
-    lru-leak adhoc <scenario-json | @file.json> [--trials N] [--threads K] [--json] [--summary]
+    lru-leak adhoc <scenario-json | @file.json> [--trials N] [--threads K] [--seed S] [--json]
+                 [--summary] [--progress]
     lru-leak serve [--addr A] [--threads K] [--cache-dir DIR] [--max-inflight-trials N]
-                 [--max-queued N] [--recover] [--progress]
+                 [--max-queued N] [--recover]
     lru-leak submit <artifact | scenario-json | @file.json> [--addr A] [--trials N] [--seed S]
                  [--threads K] [--timeout-secs T] [--retries N] [--backoff-ms B] [--progress]
     lru-leak status [--addr A]
@@ -255,103 +246,110 @@ struct Flags {
     backoff_ms: Option<u64>,
 }
 
-fn parse_flags(args: &[String]) -> Result<Flags, CliError> {
+/// One command: what its positional argument is, if it takes one (as
+/// the "needs ..." usage error names it), and every option it takes,
+/// in [`USAGE`] order.
+struct Command {
+    name: &'static str,
+    positional: Option<&'static str>,
+    options: &'static [&'static str],
+}
+
+/// What each command accepts; [`parse_args`] rejects everything else.
+/// `help` takes anything and has no row.
+#[rustfmt::skip]
+const COMMANDS: &[Command] = &[
+    Command { name: "list", positional: None, options: &[] },
+    Command { name: "run", positional: Some("an artifact ID"), options: &[
+        "--trials", "--threads", "--seed", "--json", "--csv", "--vega", "--timeout-secs",
+        "--cache-dir", "--progress"] },
+    Command { name: "run-all", positional: None, options: &[
+        "--trials", "--threads", "--seed", "--json", "--csv-dir", "--timeout-secs",
+        "--cache-dir", "--progress"] },
+    Command { name: "show", positional: Some("an artifact ID"), options: &["--trials", "--seed"] },
+    Command { name: "adhoc", positional: Some("a scenario (JSON or @file)"), options: &[
+        "--trials", "--threads", "--seed", "--json", "--summary", "--progress"] },
+    Command { name: "serve", positional: None, options: &[
+        "--addr", "--threads", "--cache-dir", "--max-inflight-trials", "--max-queued",
+        "--recover"] },
+    Command { name: "submit", positional: Some("an artifact ID, a scenario as JSON, or @file"),
+        options: &["--addr", "--trials", "--seed", "--threads", "--timeout-secs", "--retries",
+        "--backoff-ms", "--progress"] },
+    Command { name: "status", positional: None, options: &["--addr"] },
+    Command { name: "shutdown", positional: None, options: &["--addr"] },
+];
+
+/// Parses an integer option's value; a `positive` option rejects 0.
+fn parse_int<T: std::str::FromStr + Default + PartialEq>(
+    name: &str,
+    value: &str,
+    positive: bool,
+) -> Result<T, CliError> {
+    let kind = if positive { "positive" } else { "non-negative" };
+    let n: T = value
+        .parse()
+        .map_err(|_| CliError::usage(format!("{name} needs a {kind} integer, got {value:?}")))?;
+    if positive && n == T::default() {
+        return Err(CliError::usage(format!("{name} must be >= 1")));
+    }
+    Ok(n)
+}
+
+/// Splits the arguments after the command name into the command's
+/// positional argument (`""` when it takes none) and its options,
+/// rejecting anything its [`COMMANDS`] row does not list.
+fn parse_args<'a>(cmd: &Command, args: &'a [String]) -> Result<(&'a str, Flags), CliError> {
+    let name = cmd.name;
+    let mut it = args.iter().map(String::as_str);
+    let positional = match cmd.positional {
+        Some(what) => it
+            .next()
+            .filter(|a| !a.starts_with("--"))
+            .ok_or_else(|| CliError::usage(format!("{name} needs {what}")))?,
+        None => "",
+    };
     let mut flags = Flags::default();
-    let mut it = args.iter();
     while let Some(arg) = it.next() {
-        let mut value_of = |name: &str| {
+        if !arg.starts_with("--") {
+            let takes = cmd.positional.map_or("no", |_| "one");
+            return Err(CliError::usage(format!(
+                "{name} takes {takes} argument, got {arg:?}"
+            )));
+        }
+        if !cmd.options.contains(&arg) {
+            return Err(CliError::usage(format!(
+                "{name} does not take {arg}; it takes only [{}]",
+                cmd.options.join(" ")
+            )));
+        }
+        let mut value = || {
             it.next()
-                .cloned()
-                .ok_or_else(|| CliError::usage(format!("{name} needs a value")))
+                .ok_or_else(|| CliError::usage(format!("{arg} needs a value")))
         };
-        match arg.as_str() {
-            "--trials" => {
-                let v = value_of("--trials")?;
-                let n: usize = v.parse().map_err(|_| {
-                    CliError::usage(format!("--trials needs a positive integer, got {v:?}"))
-                })?;
-                if n == 0 {
-                    return Err(CliError::usage("--trials must be >= 1"));
-                }
-                flags.trials = Some(n);
+        match arg {
+            "--trials" => flags.trials = Some(parse_int(arg, value()?, true)?),
+            "--threads" => flags.threads = Some(parse_int(arg, value()?, true)?),
+            "--seed" => flags.seed = Some(parse_int(arg, value()?, false)?),
+            "--timeout-secs" => flags.timeout_secs = Some(parse_int(arg, value()?, true)?),
+            "--max-inflight-trials" => {
+                flags.max_inflight_trials = Some(parse_int(arg, value()?, true)?)
             }
-            "--threads" => {
-                let v = value_of("--threads")?;
-                let n: usize = v.parse().map_err(|_| {
-                    CliError::usage(format!("--threads needs a positive integer, got {v:?}"))
-                })?;
-                if n == 0 {
-                    return Err(CliError::usage("--threads must be >= 1"));
-                }
-                flags.threads = Some(n);
-            }
-            "--seed" => {
-                let v = value_of("--seed")?;
-                flags.seed = Some(v.parse().map_err(|_| {
-                    CliError::usage(format!("--seed needs a non-negative integer, got {v:?}"))
-                })?);
-            }
+            "--max-queued" => flags.max_queued = Some(parse_int(arg, value()?, false)?),
+            "--retries" => flags.retries = Some(parse_int(arg, value()?, false)?),
+            "--backoff-ms" => flags.backoff_ms = Some(parse_int(arg, value()?, false)?),
+            "--csv-dir" => flags.csv_dir = Some(value()?.to_string()),
+            "--cache-dir" => flags.cache_dir = Some(value()?.to_string()),
+            "--addr" => flags.addr = Some(value()?.to_string()),
             "--json" => flags.json = true,
             "--csv" => flags.csv = true,
             "--vega" => flags.vega = true,
-            "--csv-dir" => flags.csv_dir = Some(value_of("--csv-dir")?),
-            "--addr" => flags.addr = Some(value_of("--addr")?),
-            "--max-inflight-trials" => {
-                let v = value_of("--max-inflight-trials")?;
-                let n: usize = v.parse().map_err(|_| {
-                    CliError::usage(format!(
-                        "--max-inflight-trials needs a positive integer, got {v:?}"
-                    ))
-                })?;
-                if n == 0 {
-                    return Err(CliError::usage("--max-inflight-trials must be >= 1"));
-                }
-                flags.max_inflight_trials = Some(n);
-            }
-            "--max-queued" => {
-                let v = value_of("--max-queued")?;
-                flags.max_queued = Some(v.parse().map_err(|_| {
-                    CliError::usage(format!(
-                        "--max-queued needs a non-negative integer, got {v:?}"
-                    ))
-                })?);
-            }
-            "--recover" => flags.recover = true,
-            "--retries" => {
-                let v = value_of("--retries")?;
-                flags.retries = Some(v.parse().map_err(|_| {
-                    CliError::usage(format!("--retries needs a non-negative integer, got {v:?}"))
-                })?);
-            }
-            "--backoff-ms" => {
-                let v = value_of("--backoff-ms")?;
-                flags.backoff_ms = Some(v.parse().map_err(|_| {
-                    CliError::usage(format!(
-                        "--backoff-ms needs a non-negative integer, got {v:?}"
-                    ))
-                })?);
-            }
             "--progress" => flags.progress = true,
             "--summary" => flags.summary = true,
-            "--timeout-secs" => {
-                let v = value_of("--timeout-secs")?;
-                let secs: u64 = v.parse().map_err(|_| {
-                    CliError::usage(format!(
-                        "--timeout-secs needs a positive integer, got {v:?}"
-                    ))
-                })?;
-                if secs == 0 {
-                    return Err(CliError::usage("--timeout-secs must be >= 1"));
-                }
-                flags.timeout_secs = Some(secs);
-            }
-            "--cache-dir" => flags.cache_dir = Some(value_of("--cache-dir")?),
-            other => {
-                return Err(CliError::usage(format!("unknown option {other:?}")));
-            }
+            "--recover" => flags.recover = true,
+            _ => unreachable!("every option in COMMANDS has an arm"),
         }
     }
-    Ok(flags)
+    Ok((positional, flags))
 }
 
 fn opts_from(flags: &Flags) -> RunOpts {
@@ -368,29 +366,6 @@ fn service_addr(flags: &Flags) -> String {
         .addr
         .clone()
         .unwrap_or_else(|| DEFAULT_ADDR.to_string())
-}
-
-/// Rejects everything but `--addr` for the thin client commands.
-fn require_only_addr(flags: &Flags, command: &str) -> Result<(), CliError> {
-    if flags.trials.is_some()
-        || flags.threads.is_some()
-        || flags.seed.is_some()
-        || flags.json
-        || flags.csv
-        || flags.vega
-        || flags.csv_dir.is_some()
-        || flags.summary
-        || flags.timeout_secs.is_some()
-        || flags.cache_dir.is_some()
-        || flags.max_inflight_trials.is_some()
-        || flags.max_queued.is_some()
-        || flags.recover
-        || flags.retries.is_some()
-        || flags.backoff_ms.is_some()
-    {
-        return Err(CliError::usage(format!("{command} takes only --addr")));
-    }
-    Ok(())
 }
 
 /// Builds the wire request a `submit` sends: a `run` request when the
@@ -462,23 +437,6 @@ fn relay_event(sink: ProgressSink, event: &Value) {
         }
         _ => {}
     }
-}
-
-/// Rejects the service-only options for local commands.
-fn reject_service_flags(flags: &Flags, command: &str) -> Result<(), CliError> {
-    if flags.addr.is_some()
-        || flags.max_inflight_trials.is_some()
-        || flags.max_queued.is_some()
-        || flags.recover
-        || flags.retries.is_some()
-        || flags.backoff_ms.is_some()
-    {
-        return Err(CliError::usage(format!(
-            "--addr/--max-inflight-trials/--max-queued/--recover/--retries/--backoff-ms \
-             apply to the service commands (serve/submit/status/shutdown), not {command}"
-        )));
-    }
-    Ok(())
 }
 
 fn list() -> String {
@@ -635,34 +593,22 @@ fn run_cli_inner(
     let Some(command) = args.first() else {
         return Err(CliError::usage("missing command"));
     };
-    match command.as_str() {
-        "help" | "--help" | "-h" => Ok(format!("{USAGE}\n")),
-        "list" => {
-            if args.len() > 1 {
-                return Err(CliError::usage("list takes no arguments"));
-            }
-            Ok(list())
-        }
+    if matches!(command.as_str(), "help" | "--help" | "-h") {
+        return Ok(format!("{USAGE}\n"));
+    }
+    let cmd = COMMANDS
+        .iter()
+        .find(|c| c.name == command)
+        .ok_or_else(|| CliError::usage(format!("unknown command {command:?}")))?;
+    let (arg, flags) = parse_args(cmd, &args[1..])?;
+    match cmd.name {
+        "list" => Ok(list()),
         "run" => {
-            let id = args
-                .get(1)
-                .filter(|a| !a.starts_with("--"))
-                .ok_or_else(|| CliError::usage("run needs an artifact ID"))?;
-            let flags = parse_flags(&args[2..])?;
-            reject_service_flags(&flags, "run")?;
-            if flags.summary {
-                return Err(CliError::usage("--summary only applies to adhoc"));
-            }
-            if flags.csv_dir.is_some() {
-                return Err(CliError::usage(
-                    "--csv-dir only applies to run-all; use --csv to print one artifact's CSV",
-                ));
-            }
             if usize::from(flags.csv) + usize::from(flags.json) + usize::from(flags.vega) > 1 {
                 return Err(CliError::usage("pick one of --csv, --json and --vega"));
             }
             let (engine, _cache) = build_engine(&flags, fault)?;
-            let a = artifact(id)?;
+            let a = artifact(arg)?;
             let opts = opts_from(&flags);
             let (report, status) = run_artifact_report(&engine, a, &opts, flags.progress, sink)
                 .map_err(|e| CliError::run(format!("{}: {e}", a.id)))?;
@@ -680,26 +626,6 @@ fn run_cli_inner(
             }
         }
         "run-all" => {
-            if args.get(1).is_some_and(|a| !a.starts_with("--")) {
-                return Err(CliError::usage(
-                    "run-all takes no artifact ID — it runs the whole registry",
-                ));
-            }
-            let flags = parse_flags(&args[1..])?;
-            reject_service_flags(&flags, "run-all")?;
-            if flags.summary {
-                return Err(CliError::usage("--summary only applies to adhoc"));
-            }
-            if flags.csv {
-                return Err(CliError::usage(
-                    "run-all writes per-artifact CSVs with --csv-dir <dir>",
-                ));
-            }
-            if flags.vega {
-                return Err(CliError::usage(
-                    "--vega renders one artifact's summary — use run <artifact> --vega",
-                ));
-            }
             if let Some(dir) = &flags.csv_dir {
                 std::fs::create_dir_all(dir)
                     .map_err(|e| CliError::run(format!("cannot create {dir:?}: {e}")))?;
@@ -839,31 +765,7 @@ fn run_cli_inner(
             }
         }
         "show" => {
-            let id = args
-                .get(1)
-                .filter(|a| !a.starts_with("--"))
-                .ok_or_else(|| CliError::usage("show needs an artifact ID"))?;
-            let flags = parse_flags(&args[2..])?;
-            reject_service_flags(&flags, "show")?;
-            if flags.summary {
-                return Err(CliError::usage("--summary only applies to adhoc"));
-            }
-            if flags.csv || flags.vega || flags.csv_dir.is_some() {
-                return Err(CliError::usage(
-                    "show only prints the grid — run the artifact to get CSV or Vega output",
-                ));
-            }
-            if flags.progress {
-                return Err(CliError::usage(
-                    "show only prints the grid — nothing runs, so there is no progress",
-                ));
-            }
-            if flags.timeout_secs.is_some() || flags.cache_dir.is_some() {
-                return Err(CliError::usage(
-                    "--timeout-secs/--cache-dir apply to run and run-all",
-                ));
-            }
-            let a = artifact(id)?;
+            let a = artifact(arg)?;
             let grid = a
                 .try_scenarios(&opts_from(&flags))
                 .map_err(|e| CliError::run(format!("{}: {e}", a.id)))?;
@@ -894,25 +796,9 @@ fn run_cli_inner(
             Ok(format!("{}\n", json.pretty()))
         }
         "adhoc" => {
-            let spec = args
-                .get(1)
-                .filter(|a| !a.starts_with("--"))
-                .ok_or_else(|| CliError::usage("adhoc needs a scenario (JSON or @file)"))?;
-            let flags = parse_flags(&args[2..])?;
-            reject_service_flags(&flags, "adhoc")?;
-            if flags.csv || flags.vega || flags.csv_dir.is_some() {
-                return Err(CliError::usage(
-                    "CSV/Vega export covers registry artifacts (run/run-all); adhoc emits JSON",
-                ));
-            }
-            if flags.timeout_secs.is_some() || flags.cache_dir.is_some() {
-                return Err(CliError::usage(
-                    "--timeout-secs/--cache-dir apply to run and run-all",
-                ));
-            }
             // The overrides apply before validation, so the one
             // check bounds the counts that actually run.
-            let mut builder = load_scenario(spec)?;
+            let mut builder = load_scenario(arg)?;
             if let Some(trials) = flags.trials {
                 builder = builder.trials(trials);
             }
@@ -958,26 +844,6 @@ fn run_cli_inner(
             }
         }
         "serve" => {
-            if args.get(1).is_some_and(|a| !a.starts_with("--")) {
-                return Err(CliError::usage("serve takes options only"));
-            }
-            let flags = parse_flags(&args[1..])?;
-            if flags.trials.is_some()
-                || flags.seed.is_some()
-                || flags.json
-                || flags.csv
-                || flags.vega
-                || flags.csv_dir.is_some()
-                || flags.summary
-                || flags.timeout_secs.is_some()
-                || flags.retries.is_some()
-                || flags.backoff_ms.is_some()
-            {
-                return Err(CliError::usage(
-                    "serve takes --addr, --threads, --cache-dir, --max-inflight-trials, \
-                     --max-queued and --recover; per-request options travel with submit",
-                ));
-            }
             if flags.recover && flags.cache_dir.is_none() {
                 return Err(CliError::usage(
                     "--recover needs --cache-dir: the job journal lives in the cache directory",
@@ -1019,30 +885,7 @@ fn run_cli_inner(
             ))
         }
         "submit" => {
-            let target = args
-                .get(1)
-                .filter(|a| !a.starts_with("--"))
-                .ok_or_else(|| {
-                    CliError::usage("submit needs an artifact ID, a scenario as JSON, or @file")
-                })?;
-            let flags = parse_flags(&args[2..])?;
-            if flags.json
-                || flags.csv
-                || flags.vega
-                || flags.csv_dir.is_some()
-                || flags.summary
-                || flags.cache_dir.is_some()
-                || flags.max_inflight_trials.is_some()
-                || flags.max_queued.is_some()
-                || flags.recover
-            {
-                return Err(CliError::usage(
-                    "submit takes --addr, --trials, --seed, --threads, --timeout-secs, \
-                     --retries, --backoff-ms and --progress; rendering and cache options \
-                     live on the server",
-                ));
-            }
-            let request = build_submit_request(target, &flags)?;
+            let request = build_submit_request(arg, &flags)?;
             let addr = service_addr(&flags);
             // Resubmission is idempotent (single-flight coalescing +
             // journal dedupe by content hash), so every transport
@@ -1079,34 +922,18 @@ fn run_cli_inner(
             }
         }
         "status" => {
-            if args.get(1).is_some_and(|a| !a.starts_with("--")) {
-                return Err(CliError::usage("status takes only --addr"));
-            }
-            let flags = parse_flags(&args[1..])?;
-            require_only_addr(&flags, "status")?;
-            if flags.progress {
-                return Err(CliError::usage("status takes only --addr"));
-            }
             let addr = service_addr(&flags);
             let event = service_client::status(&addr)
                 .map_err(|e| CliError::run(format!("status: {addr}: {e}")))?;
             Ok(format!("{}\n", event.pretty()))
         }
         "shutdown" => {
-            if args.get(1).is_some_and(|a| !a.starts_with("--")) {
-                return Err(CliError::usage("shutdown takes only --addr"));
-            }
-            let flags = parse_flags(&args[1..])?;
-            require_only_addr(&flags, "shutdown")?;
-            if flags.progress {
-                return Err(CliError::usage("shutdown takes only --addr"));
-            }
             let addr = service_addr(&flags);
             let event = service_client::shutdown(&addr)
                 .map_err(|e| CliError::run(format!("shutdown: {addr}: {e}")))?;
             Ok(format!("{}\n", event.pretty()))
         }
-        other => Err(CliError::usage(format!("unknown command {other:?}"))),
+        _ => unreachable!("every COMMANDS row has an arm"),
     }
 }
 
@@ -1123,6 +950,35 @@ mod tests {
         let out = run_cli(&args(&["list"])).unwrap();
         for id in registry::ids() {
             assert!(out.contains(id), "list output missing {id}");
+        }
+    }
+
+    #[test]
+    fn usage_synopsis_lists_exactly_each_commands_options() {
+        // Each synopsis entry: its `lru-leak <command>` line plus the
+        // indented continuation lines below it.
+        let synopsis = &USAGE[USAGE.find("USAGE:").unwrap()..USAGE.find("ARTIFACTS:").unwrap()];
+        let mut entries: Vec<(&str, Vec<&str>)> = Vec::new();
+        for line in synopsis.lines().skip(1) {
+            let mut words = line.split_whitespace();
+            if words.next() == Some("lru-leak") {
+                entries.push((words.next().unwrap(), Vec::new()));
+            }
+            let (_, options) = entries.last_mut().expect("synopsis starts with a command");
+            let words = line.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'));
+            options.extend(words.filter(|w| w.starts_with("--")));
+        }
+        let mut names: Vec<&str> = COMMANDS.iter().map(|c| c.name).collect();
+        names.push("help");
+        assert_eq!(entries.iter().map(|e| e.0).collect::<Vec<_>>(), names);
+        for (cmd, (_, options)) in COMMANDS.iter().zip(&entries) {
+            assert_eq!(cmd.options, &options[..], "{}", cmd.name);
+            // Every listed option parses, with a value if it takes one.
+            let head = &["x"][..usize::from(cmd.positional.is_some())];
+            for opt in cmd.options {
+                let parses = |tail: &[&str]| parse_args(cmd, &args(&[head, tail].concat())).is_ok();
+                assert!(parses(&[opt, "1"]) || parses(&[opt]), "{} {opt}", cmd.name);
+            }
         }
     }
 
@@ -1345,6 +1201,11 @@ mod tests {
             &["status", "--trials", "4"][..],
             &["shutdown", "--json"][..],
             &["status", "extra-arg"][..],
+            // Each command takes only what its USAGE line lists.
+            &["show", "fig5", "--json"][..],
+            &["show", "fig5", "--threads", "2"][..],
+            &["serve", "--progress"][..],
+            &["run-all", "fig4"][..],
         ] {
             let err = run_cli(&args(cmd)).unwrap_err();
             assert_eq!(err.code, 2, "{cmd:?}: {}", err.message);
@@ -1407,5 +1268,17 @@ mod tests {
         let out = run_cli(&args(&["adhoc", &sc.to_json().to_string(), "--json"])).unwrap();
         let v = Value::parse(out.trim()).unwrap();
         assert!(v.get("outcome").unwrap().get("error_rate").is_some());
+        let cmd = args(&[
+            "adhoc",
+            &sc.to_json().to_string(),
+            "--json",
+            "--seed",
+            "7",
+            "--progress",
+        ]);
+        let out = run_cli_with(&cmd, &|_: &str| {}).unwrap();
+        let v = Value::parse(out.trim()).unwrap();
+        let seed = v.get("scenario").and_then(|s| s.get("seed"));
+        assert_eq!(seed.and_then(Value::as_u64), Some(7));
     }
 }

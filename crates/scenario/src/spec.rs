@@ -366,7 +366,13 @@ impl MessageSource {
                 .get("bits")
                 .and_then(Value::as_usize)
                 .ok_or_else(|| ScenarioError::parse("random.bits must be an integer"))?;
-            let repeats = r.get("repeats").and_then(Value::as_usize).unwrap_or(1);
+            let repeats = optional(
+                r,
+                "repeats",
+                Value::as_usize,
+                1,
+                "random.repeats must be an integer",
+            )?;
             return Ok(MessageSource::Random { bits, repeats });
         }
         if let Some(t) = v.get("text").and_then(Value::as_str) {
@@ -852,6 +858,10 @@ impl ExperimentKind {
             }
         };
         let (tag, body) = (&pairs[0].0, &pairs[0].1);
+        let bool_field = |key: &str, default: bool| -> Result<bool, ScenarioError> {
+            let what = format!("kind.{tag}.{key} must be a bool");
+            optional(body, key, Value::as_bool, default, &what)
+        };
         let usize_field = |key: &str| -> Result<usize, ScenarioError> {
             body.get(key)
                 .and_then(Value::as_usize)
@@ -873,15 +883,12 @@ impl ExperimentKind {
             }),
             "flush-reload" => Ok(ExperimentKind::FlushReload {
                 samples: usize_field("samples")?,
-                to_mem: body.get("to_mem").and_then(Value::as_bool).unwrap_or(true),
+                to_mem: bool_field("to_mem", true)?,
             }),
             "spectre" => Ok(ExperimentKind::Spectre {
                 channel: channel_field("channel")?,
                 rounds: usize_field("rounds")?,
-                prefetcher: body
-                    .get("prefetcher")
-                    .and_then(Value::as_bool)
-                    .unwrap_or(false),
+                prefetcher: bool_field("prefetcher", false)?,
             }),
             "defense-eval" => Ok(ExperimentKind::DefenseEval {
                 trials: usize_field("trials")?,
@@ -926,10 +933,7 @@ impl ExperimentKind {
             }),
             "probe-histogram" => Ok(ExperimentKind::ProbeHistogram {
                 samples: usize_field("samples")?,
-                single_load: body
-                    .get("single_load")
-                    .and_then(Value::as_bool)
-                    .unwrap_or(false),
+                single_load: bool_field("single_load", false)?,
             }),
             "policy-perf" => Ok(ExperimentKind::PolicyPerf {
                 accesses: body
@@ -1000,6 +1004,21 @@ impl From<ParamError> for ScenarioError {
     fn from(e: ParamError) -> ScenarioError {
         ScenarioError::Param(e)
     }
+}
+
+/// Reads an optional field of `obj`: an absent `key` is `default`, and
+/// a present one that `read` rejects is a parse error `what`, never
+/// the default.
+fn optional<T>(
+    obj: &Value,
+    key: &str,
+    read: impl Fn(&Value) -> Option<T>,
+    default: T,
+    what: &str,
+) -> Result<T, ScenarioError> {
+    obj.get(key).map_or(Ok(default), |v| {
+        read(v).ok_or_else(|| ScenarioError::parse(what))
+    })
 }
 
 /// One fully-specified experiment. Construct through
@@ -1221,7 +1240,13 @@ impl ScenarioBuilder {
             v.get("kind")
                 .ok_or_else(|| ScenarioError::parse("missing kind"))?,
         )?;
-        let trials = v.get("trials").and_then(Value::as_usize).unwrap_or(1);
+        let trials = optional(
+            v,
+            "trials",
+            Value::as_usize,
+            1,
+            "trials must be a non-negative integer",
+        )?;
         let seed = v
             .get("seed")
             .and_then(Value::as_u64)
@@ -1885,6 +1910,98 @@ mod tests {
         s.params.d = 0; // corrupt after build
         let err = Scenario::from_json_str(&s.to_json().to_string()).unwrap_err();
         assert!(matches!(err, ScenarioError::Param(ParamError::BadD { .. })));
+    }
+
+    /// Parses the default scenario's JSON with `key` set to the JSON
+    /// text `value` (removed when `value` is empty), without
+    /// validating.
+    fn parse_with(key: &str, value: &str) -> Result<Scenario, ScenarioError> {
+        let Value::Obj(mut pairs) = Scenario::builder().build().unwrap().to_json() else {
+            unreachable!("to_json builds an object")
+        };
+        pairs.retain(|(k, _)| k != key);
+        if !value.is_empty() {
+            pairs.push((key.to_string(), Value::parse(value).unwrap()));
+        }
+        ScenarioBuilder::from_json(&Value::Obj(pairs)).map(|b| b.inner)
+    }
+
+    /// `parse_with(key, value)` is a parse error that names `field`.
+    fn rejects(key: &str, value: &str, field: &str) {
+        match parse_with(key, value) {
+            Err(ScenarioError::Parse(msg)) => assert!(msg.contains(field), "{msg}"),
+            other => panic!("{key}: {value} should be a parse error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_wrong_typed_trials_is_a_parse_error() {
+        assert_eq!(parse_with("trials", "").unwrap().trials, 1);
+        rejects("trials", "\"many\"", "trials");
+        rejects("trials", "-3", "trials");
+    }
+
+    #[test]
+    fn a_wrong_typed_random_repeats_is_a_parse_error() {
+        let absent = parse_with("message", r#"{"random":{"bits":4}}"#).unwrap();
+        assert_eq!(
+            absent.message,
+            MessageSource::Random {
+                bits: 4,
+                repeats: 1
+            }
+        );
+        rejects(
+            "message",
+            r#"{"random":{"bits":4,"repeats":"lots"}}"#,
+            "repeats",
+        );
+    }
+
+    #[test]
+    fn a_wrong_typed_flush_reload_to_mem_is_a_parse_error() {
+        let absent = parse_with("kind", r#"{"flush-reload":{"samples":5}}"#).unwrap();
+        let to_mem = ExperimentKind::FlushReload {
+            samples: 5,
+            to_mem: true,
+        };
+        assert_eq!(absent.kind, to_mem);
+        rejects(
+            "kind",
+            r#"{"flush-reload":{"samples":5,"to_mem":"no"}}"#,
+            "to_mem",
+        );
+    }
+
+    #[test]
+    fn a_wrong_typed_spectre_prefetcher_is_a_parse_error() {
+        let kind = r#"{"spectre":{"channel":"lru-alg1","rounds":2}}"#;
+        let absent = parse_with("kind", kind).unwrap();
+        assert!(matches!(
+            absent.kind,
+            ExperimentKind::Spectre {
+                prefetcher: false,
+                ..
+            }
+        ));
+        let bad = kind.replace("2}", "2,\"prefetcher\":1}");
+        rejects("kind", &bad, "prefetcher");
+    }
+
+    #[test]
+    fn a_wrong_typed_probe_histogram_single_load_is_a_parse_error() {
+        let kind = r#"{"probe-histogram":{"samples":3}}"#;
+        let absent = parse_with("kind", kind).unwrap();
+        let default = ExperimentKind::ProbeHistogram {
+            samples: 3,
+            single_load: false,
+        };
+        assert_eq!(absent.kind, default);
+        rejects(
+            "kind",
+            &kind.replace("3}", "3,\"single_load\":\"x\"}"),
+            "single_load",
+        );
     }
 
     #[test]

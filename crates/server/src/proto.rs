@@ -194,7 +194,11 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
                 .map(|t| parse_usize(t, "timeout_secs", 1))
                 .transpose()?
                 .map(|secs| Duration::from_secs(secs as u64));
-            let stream = v.get("stream").and_then(Value::as_bool).unwrap_or(false);
+            let stream = v
+                .get("stream")
+                .map(|s| s.as_bool().ok_or("\"stream\" must be a boolean"))
+                .transpose()?
+                .unwrap_or(false);
             let defaults = RunOpts::default();
             let opts = RunOpts {
                 trials,
@@ -377,6 +381,19 @@ mod tests {
                 .unwrap_err()
                 .contains("invalid scenario")
         );
+    }
+
+    #[test]
+    fn a_non_boolean_stream_is_rejected() {
+        let base = "{\"cmd\":\"run\",\"artifact\":\"fig5\"";
+        let Request::Run(r) = parse_request(&format!("{base}}}")).unwrap() else {
+            panic!("expected a run request");
+        };
+        assert!(!r.stream, "an absent stream keeps its default");
+        for bad in ["\"yes\"", "1", "null"] {
+            let err = parse_request(&format!("{base},\"stream\":{bad}}}")).unwrap_err();
+            assert!(err.contains("\"stream\" must be a boolean"), "{bad}: {err}");
+        }
     }
 
     #[test]

@@ -20,6 +20,9 @@
 //! 6. **Hostile input is a typed error.** A request nested deeper
 //!    than the JSON parser's cap, or a scenario whose counts pass
 //!    `MAX_COUNT`, is a `bad_request`, and the server keeps serving.
+//! 7. **The HTTP shim routes.** `GET /status`, `POST /run` and
+//!    `POST /shutdown` answer 200, a bad `POST /run` 400 and any
+//!    other route 404; only `POST /run` counts as a request.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -394,6 +397,70 @@ fn an_oversized_frame_is_a_bad_request_and_the_server_survives() {
     handle.begin_shutdown();
     let summary = join.join().unwrap().expect("server run");
     assert_eq!((summary.failed, summary.completed), (2, 1));
+}
+
+/// Sends one HTTP/1.1 request and returns the status code and the
+/// body (one JSON event).
+fn http(addr: &str, method: &str, path: &str, body: &str) -> (u16, Value) {
+    let mut stream = TcpStream::connect(addr).expect("http connect");
+    let len = body.len();
+    write!(
+        stream,
+        "{method} {path} HTTP/1.1\r\nHost: x\r\nContent-Length: {len}\r\n\r\n{body}"
+    )
+    .expect("http send");
+    let mut response = String::new();
+    stream.read_to_string(&mut response).expect("http recv");
+    let (head, body) = response.split_once("\r\n\r\n").expect("http head");
+    let code = head.split_whitespace().nth(1).and_then(|c| c.parse().ok());
+    let event = Value::parse(body.trim()).expect("http body is one JSON event");
+    (code.expect("http status code"), event)
+}
+
+#[test]
+fn the_http_routes_answer_and_count_as_documented() {
+    let (addr, _handle, join) = spawn_server(ServerConfig::default());
+    let event_of = |v: &Value| v.get("event").and_then(Value::as_str).map(str::to_string);
+    let status_of = |v: &Value| v.get("status").and_then(Value::as_str).map(str::to_string);
+
+    let (code, event) = http(&addr, "GET", "/status", "");
+    assert_eq!((code, event_of(&event).as_deref()), (200, Some("status")));
+
+    // POST /run answers with the result event: its body is exactly
+    // what `run table3 --json` prints at the same options.
+    let run = Value::obj()
+        .with("cmd", "run")
+        .with("artifact", "table3")
+        .with("trials", 1u64)
+        .with("seed", 99u64);
+    let (code, event) = http(&addr, "POST", "/run", &run.to_string());
+    assert_eq!(code, 200, "{event}");
+    let cli = run_cli(&args(&[
+        "run", "table3", "--json", "--trials", "1", "--seed", "99",
+    ]));
+    assert_eq!(body_of(&event), cli.expect("cli table3"));
+
+    // A request that is not run/adhoc, and malformed JSON: 400.
+    for bad in [r#"{"cmd":"status"}"#, "{not json"] {
+        let (code, event) = http(&addr, "POST", "/run", bad);
+        assert_eq!(code, 400, "{bad}: {event}");
+        assert_eq!(status_of(&event).as_deref(), Some("bad_request"), "{bad}");
+    }
+
+    let (code, event) = http(&addr, "GET", "/nope", "");
+    assert_eq!(code, 404, "{event}");
+    assert_eq!(status_of(&event).as_deref(), Some("bad_request"));
+
+    let (code, event) = http(&addr, "POST", "/shutdown", "");
+    assert_eq!((code, event_of(&event).as_deref()), (200, Some("shutdown")));
+    let summary = join.join().unwrap().expect("server run returns");
+    // Only POST /run counts as a request: the table3 run completed
+    // and the two 400s failed. GET /status, POST /shutdown and the
+    // 404 are not counted.
+    assert_eq!(
+        (summary.requests, summary.completed, summary.failed),
+        (3, 1, 2)
+    );
 }
 
 #[test]
