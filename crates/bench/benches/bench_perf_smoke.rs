@@ -5,8 +5,8 @@
 //! hierarchy driven by a random line-aligned address stream, for
 //! both storage layouts:
 //!
-//! * **AoS baseline** — the retained array-of-structs reference
-//!   cache ([`cache_sim::RefCache`]), wired into the same two-level
+//! * **AoS baseline** — the array-of-structs reference cache
+//!   ([`test_support::RefCache`]), wired into the same two-level
 //!   demand logic the hierarchy uses;
 //! * **SoA hot path** — the flat [`cache_sim::Cache`] behind
 //!   [`cache_sim::CacheHierarchy`].
@@ -29,13 +29,13 @@ use cache_sim::cache::Cache;
 use cache_sim::counters::PerfCounters;
 use cache_sim::geometry::CacheGeometry;
 use cache_sim::hierarchy::{CacheHierarchy, Latencies};
-use cache_sim::reference::RefCache;
 use cache_sim::replacement::PolicyKind;
 use lru_channel::covert::{percent_ones, PercentOnesOpts, Variant};
 use lru_channel::params::{ChannelParams, Platform};
 use lru_channel::trials::{derive_seed, run_trials_fold_ctrl, RunCtrl};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use test_support::RefCache;
 
 /// Accesses per timed measurement.
 const ACCESSES: usize = 2_000_000;
@@ -256,7 +256,9 @@ fn main() {
     json.push_str(&format!("  \"reps_best_of\": {REPS},\n"));
     json.push_str(&format!("  \"host_threads\": {host_threads},\n"));
     json.push_str("  \"hierarchy\": \"L1 32KiB/8w + L2 256KiB/8w, random line-aligned streams (L1-resident and 4x-L2 tiers)\",\n");
-    json.push_str("  \"baseline\": \"seed AoS layout (cache_sim::reference::RefCache, division-based slicing)\",\n");
+    json.push_str(
+        "  \"baseline\": \"seed AoS layout (test_support::RefCache, division-based slicing)\",\n",
+    );
     json.push_str("  \"layouts\": {\n");
     for (i, (key, aos, soa, speedup)) in rows.iter().enumerate() {
         json.push_str(&format!(

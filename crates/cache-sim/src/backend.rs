@@ -1,14 +1,14 @@
 //! The pluggable cache-backend abstraction.
 //!
-//! Every single-level-*observable* cache model in this crate —
-//! the flat SoA [`Cache`], the retained AoS oracle
-//! [`RefCache`](crate::reference::RefCache), the Partition-Locked
-//! [`PlCache`], and the two-level
-//! [`HierarchyBackend`] models built on [`CacheHierarchy`] — exposes
-//! the same surface: lookup, touch, fill, evict, flush, plus
-//! geometry and replacement introspection. [`Backend`] names that
-//! surface so experiments and the backend-conformance harness
-//! (`tests/layout_equivalence.rs`) are generic over the model.
+//! Every single-level-*observable* cache model in this crate — the
+//! flat SoA [`Cache`], the Partition-Locked [`PlCache`], and the
+//! two-level [`HierarchyBackend`] models built on [`CacheHierarchy`]
+//! — exposes the same surface: lookup, touch, fill, evict, flush,
+//! plus geometry and replacement introspection. [`Backend`] names
+//! that surface so experiments and the backend-conformance harness
+//! (`tests/layout_equivalence.rs`) are generic over the model; the
+//! `test-support` crate's array-of-structs oracle `RefCache`
+//! implements it too.
 //!
 //! The one semantic flag a backend carries beyond its cache
 //! behaviour is [`Backend::quantum_ff_safe`]: whether an access can
@@ -144,52 +144,6 @@ impl Backend for Cache {
 
     fn clear(&mut self) {
         Cache::clear(self)
-    }
-}
-
-impl Backend for crate::reference::RefCache {
-    fn label(&self) -> &'static str {
-        "aos-reference"
-    }
-
-    fn geometry(&self) -> CacheGeometry {
-        crate::reference::RefCache::geometry(self)
-    }
-
-    fn policy_kind(&self) -> PolicyKind {
-        crate::reference::RefCache::policy_kind(self)
-    }
-
-    fn access(&mut self, pa: PhysAddr) -> AccessOutcome {
-        crate::reference::RefCache::access(self, pa)
-    }
-
-    fn prefetch_fill(&mut self, pa: PhysAddr) -> Option<PhysAddr> {
-        crate::reference::RefCache::prefetch_fill(self, pa)
-    }
-
-    fn probe(&self, pa: PhysAddr) -> bool {
-        crate::reference::RefCache::probe(self, pa)
-    }
-
-    fn way_of(&self, pa: PhysAddr) -> Option<usize> {
-        crate::reference::RefCache::way_of(self, pa)
-    }
-
-    fn flush_line(&mut self, pa: PhysAddr) -> bool {
-        crate::reference::RefCache::flush_line(self, pa)
-    }
-
-    fn line(&self, set: usize, way: usize) -> Option<LineMeta> {
-        self.set(set).line(way).copied()
-    }
-
-    fn stats(&self) -> CacheStats {
-        crate::reference::RefCache::stats(self)
-    }
-
-    fn clear(&mut self) {
-        crate::reference::RefCache::clear(self)
     }
 }
 
@@ -376,15 +330,6 @@ mod tests {
         (0..32u64)
             .map(|i| b.access(PhysAddr::new((i % 12) * 0x1000)))
             .collect()
-    }
-
-    #[test]
-    fn soa_and_reference_agree_through_the_trait() {
-        let geom = CacheGeometry::l1d_paper();
-        let mut soa = Cache::new(geom, PolicyKind::TreePlru, 9);
-        let mut aos = crate::reference::RefCache::new(geom, PolicyKind::TreePlru, 9);
-        assert_eq!(ops(&mut soa), ops(&mut aos));
-        assert_eq!(Backend::stats(&soa), Backend::stats(&aos));
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! bitmask words, and packed replacement state — so the
 //! [`Cache::access`] hot path is a branch-light tag compare over one
 //! or two host cache lines. The original array-of-structs layout is
-//! preserved in [`crate::reference`] as the equivalence oracle and
-//! performance baseline.
+//! kept outside the library, as `RefCache` in the `test-support`
+//! crate: the equivalence oracle and performance baseline.
 
 use crate::addr::PhysAddr;
 use crate::geometry::CacheGeometry;
@@ -72,7 +72,7 @@ impl Cache {
     /// # Panics
     ///
     /// Panics if `kind` requires a power-of-two way count and the
-    /// geometry's is not (see [`crate::replacement::Policy::new`]).
+    /// geometry's is not (see [`crate::replacement::SetState::new`]).
     pub fn new(geom: CacheGeometry, kind: PolicyKind, seed: u64) -> Self {
         Self {
             geom,

@@ -9,9 +9,10 @@
 //! * [`replacement`] — the five replacement policies discussed by the
 //!   paper (true LRU, Tree-PLRU, Bit-PLRU, FIFO, Random) plus a
 //!   DAWG-style partitioned Tree-PLRU (an independent tree per half
-//!   of the ways, victims from the lower half), all behind the
-//!   [`replacement::SetReplacement`] trait: `touch` on a hit, `fill`
-//!   on an install, `victim_among` a way mask.
+//!   of the ways, victims from the lower half), each implemented once
+//!   over packed per-set state words: `touch` on a hit, `fill` on an
+//!   install, `victim_among` a way mask. [`replacement::SetState`]
+//!   holds one set's state on its own.
 //! * [`cache`] — a single-level set-associative [`cache::Cache`] with
 //!   per-access outcomes (hit/miss, filled way, evicted line). Its
 //!   storage is a flat structure-of-arrays hot path: one contiguous
@@ -19,18 +20,16 @@
 //! * [`one_set`] — one set of that cache as an allocation-free value
 //!   ([`one_set::OneSet`]), for runs that hammer a single set: the
 //!   Table I study and the lockstep covert lanes.
-//! * [`reference`](mod@reference) — the original array-of-structs layout
-//!   ([`reference::RefCache`]), retained as the equivalence oracle
-//!   and performance baseline for the flat layout.
 //! * [`plcache`] — Partition-Locked cache semantics (paper Fig. 10),
 //!   in both the *original* (LRU state still updated on locked lines —
 //!   vulnerable) and *fixed* (LRU state frozen for locked lines) forms.
 //! * [`backend`] — the [`backend::Backend`] trait putting every cache
-//!   model (flat SoA, AoS oracle, PL cache, two-level hierarchies)
-//!   behind one surface — a single demand `access`, prefetch fill,
-//!   probe, flush and line introspection — with a `quantum_ff_safe`
-//!   capability bit the execution engine consults; the
-//!   backend-conformance harness is generic over it.
+//!   model (flat SoA, PL cache, two-level hierarchies, and the
+//!   `test-support` crate's array-of-structs oracle) behind one
+//!   surface — a single demand `access`, prefetch fill, probe, flush
+//!   and line introspection — with a `quantum_ff_safe` capability bit
+//!   the execution engine consults; the backend-conformance harness
+//!   is generic over it.
 //! * [`hierarchy`] — an L1D/L2/(LLC) hierarchy with cycle latencies
 //!   (paper Table II), optional next-line [`prefetcher`] (Appendix C
 //!   noise source) and the AMD linear-address µtag
@@ -81,9 +80,7 @@ pub mod one_set;
 pub mod plcache;
 pub mod prefetcher;
 pub mod profiles;
-pub mod reference;
 pub mod replacement;
-pub mod set;
 mod storage;
 pub mod way_predictor;
 
@@ -95,5 +92,4 @@ pub use geometry::CacheGeometry;
 pub use hierarchy::{CacheHierarchy, DualCore, HierarchyOutcome, HitLevel, Inclusion, Latencies};
 pub use plcache::{PlCache, PlDesign, PlRequest};
 pub use profiles::MicroArch;
-pub use reference::RefCache;
-pub use replacement::{Policy, PolicyKind, SetReplacement, WayMask};
+pub use replacement::{PolicyKind, SetState, WayMask};

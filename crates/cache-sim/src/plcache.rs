@@ -91,7 +91,7 @@ impl PlCache {
     /// # Panics
     ///
     /// Panics if the policy requires a power-of-two way count and the
-    /// geometry's is not (see [`crate::replacement::Policy::new`]).
+    /// geometry's is not (see [`crate::replacement::SetState::new`]).
     pub fn new(geom: CacheGeometry, kind: PolicyKind, design: PlDesign, seed: u64) -> Self {
         Self {
             geom,

@@ -1,14 +1,10 @@
-//! Packed replacement-policy logic for the structure-of-arrays
-//! cache storage.
+//! Packed replacement-policy logic: the one implementation of every
+//! policy the simulator runs.
 //!
-//! The per-set [`super::Policy`] enum keeps each policy's state in
-//! its own heap allocations (`Vec<bool>`, `Vec<u64>` per set), which
-//! is what the paper experiments were prototyped against — and what
-//! made `Cache::access` memory-bound: a single access chased the
-//! `sets` vector, the per-set `lines` vector and the per-set policy
-//! vectors. In the flat layout ([`crate::storage`]) the replacement
-//! state of a set lives in a handful of words *inside the set's own
-//! storage row*, directly after its tags and valid word:
+//! The replacement state of a set lives in a handful of words: inside
+//! the set's own storage row in the flat layout ([`crate::storage`]),
+//! directly after its tags and valid word, or inline in a
+//! [`SetState`]:
 //!
 //! * Tree-PLRU / Bit-PLRU / partitioned Tree-PLRU — one word (the
 //!   8-way trees of the paper need 7 bits; a word keeps every
@@ -16,18 +12,18 @@
 //! * true LRU and FIFO — one clock word followed by `ways` stamp
 //!   words;
 //! * Random — no words at all (the owner keeps one generator per
-//!   set, built by [`random_streams`] and seeded exactly like the
-//!   per-set [`super::RandomRepl`] so victim streams are
-//!   bit-identical to the reference layout, and lends it to the
-//!   victim search).
+//!   set — a cache builds them with [`random_streams`], seeding set
+//!   `s` with [`set_seed`]`(seed, s)` — and lends it to the victim
+//!   search).
 //!
 //! [`ReplPolicy`] holds the policy *logic* plus the read-only tables
 //! shared by every cache of a width (Tree-PLRU touch masks and victim
 //! table, computed at compile time); it allocates nothing and is
-//! `Copy`. Every update and victim search mirrors the corresponding
-//! [`super::SetReplacement`] implementation exactly.
-//! The `layout_equivalence` suite replays long random traces through
-//! both layouts and asserts identical outcomes.
+//! `Copy`. The workspace suite `replacement_oracle` drives
+//! [`SetState`] against the independently written object policies of
+//! the `test-support` crate, and `layout_equivalence` replays long
+//! random traces through the flat cache and that crate's
+//! array-of-structs `RefCache`, asserting identical outcomes.
 
 use super::{PolicyKind, WayMask};
 use rand::rngs::SmallRng;
@@ -344,9 +340,8 @@ impl ReplPolicy {
     ///
     /// # Panics
     ///
-    /// Panics if `allowed` contains no way below `ways` — mirroring
-    /// [`super::assert_valid_victim_request`] — or if the policy is
-    /// Random and `rng` is `None`.
+    /// Panics if `allowed` contains no way below `ways`, or if the
+    /// policy is Random and `rng` is `None`.
     #[inline]
     pub(crate) fn victim_among(
         &self,
@@ -355,7 +350,7 @@ impl ReplPolicy {
         ways: usize,
         allowed: WayMask,
     ) -> usize {
-        super::assert_valid_victim_request(ways, allowed);
+        assert_valid_victim_request(ways, allowed);
         let usable = allowed.intersect(WayMask::all(ways));
         match self {
             ReplPolicy::Lru | ReplPolicy::Fifo => min_stamp_way(&repl[1..1 + ways], usable),
@@ -390,6 +385,115 @@ impl ReplPolicy {
     }
 }
 
+/// State words of the widest policy state: LRU/FIFO's clock plus
+/// one stamp per way of a 64-way set.
+const MAX_WORDS: usize = 1 + 64;
+
+/// The replacement state of one cache set, on its own: the policy
+/// logic every [`Cache`](crate::cache::Cache) set runs, its state
+/// words held inline, and Random's generator.
+///
+/// For studies that need replacement decisions without lines — the
+/// §IX-B partition experiments compare the victims of two copies of
+/// one set's state. Building or cloning one allocates nothing.
+///
+/// ```
+/// use cache_sim::replacement::{PolicyKind, SetState, WayMask};
+/// let mut tree = SetState::new(PolicyKind::TreePlru, 8, 0);
+/// for w in 0..8 {
+///     tree.touch(w);
+/// }
+/// // After touching 0..=7 in order from the all-zero state, the
+/// // victim is way 0 (the same answer as true LRU).
+/// assert_eq!(tree.victim(), 0);
+/// // A masked search detours around the excluded ways.
+/// assert_eq!(tree.victim_among(WayMask::all(8).without(0)), 1);
+/// ```
+#[derive(Debug, Clone)]
+pub struct SetState {
+    policy: ReplPolicy,
+    ways: usize,
+    full_mask: u64,
+    /// The policy's state words; policies with fewer leave the tail
+    /// at zero.
+    words: [u64; MAX_WORDS],
+    /// Random's generator (`None` for every other policy).
+    rng: Option<SmallRng>,
+}
+
+impl SetState {
+    /// The power-on state of one `ways`-way set under `kind`.
+    ///
+    /// `seed` seeds Random's generator as it is: a
+    /// [`Cache`](crate::cache::Cache) built with `seed` seeds its set
+    /// `s` with a value derived from both. Every other policy ignores
+    /// it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ways` is not in `1..=64`, or if `kind` is a
+    /// Tree-PLRU variant and `ways` is not a power of two (at least 2
+    /// for the partitioned one).
+    pub fn new(kind: PolicyKind, ways: usize, seed: u64) -> Self {
+        Self {
+            policy: ReplPolicy::new(kind, ways),
+            ways,
+            full_mask: WayMask::all(ways).bits(),
+            words: [0; MAX_WORDS],
+            rng: (kind == PolicyKind::Random).then(|| SmallRng::seed_from_u64(seed)),
+        }
+    }
+
+    /// Records a hit on `way`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `way >= ways`.
+    pub fn touch(&mut self, way: usize) {
+        assert!(way < self.ways, "way {way} out of range");
+        self.policy
+            .on_access(&mut self.words, self.ways, self.full_mask, way);
+    }
+
+    /// Records that a new line was installed in `way`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `way >= ways`.
+    pub fn fill(&mut self, way: usize) {
+        assert!(way < self.ways, "way {way} out of range");
+        self.policy
+            .on_fill(&mut self.words, self.ways, self.full_mask, way);
+    }
+
+    /// Chooses a victim from `allowed` (Random draws from the set's
+    /// generator; every other policy only reads its state).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `allowed` contains no way below `ways`.
+    pub fn victim_among(&mut self, allowed: WayMask) -> usize {
+        self.policy
+            .victim_among(self.rng.as_mut(), &self.words, self.ways, allowed)
+    }
+
+    /// Chooses a victim with every way allowed, as a cache's demand
+    /// miss does (the partitioned policy still confines it to the
+    /// lower half).
+    pub fn victim(&mut self) -> usize {
+        self.policy
+            .victim_full(self.rng.as_mut(), &self.words, self.ways)
+    }
+}
+
+fn assert_valid_victim_request(ways: usize, allowed: WayMask) {
+    let usable = allowed.intersect(WayMask::all(ways));
+    assert!(
+        !usable.is_empty(),
+        "victim requested from an empty way mask (ways={ways}, allowed={allowed})"
+    );
+}
+
 /// The set generator a Random victim search draws from.
 #[inline]
 fn random_stream(rng: Option<&mut SmallRng>) -> &mut SmallRng {
@@ -397,8 +501,7 @@ fn random_stream(rng: Option<&mut SmallRng>) -> &mut SmallRng {
 }
 
 /// Follows the LRU pointers from the root, detouring around subtrees
-/// with no allowed way. Read-only, exactly like
-/// [`super::TreePlru::peek_victim`].
+/// with no allowed way. Read-only.
 #[inline]
 fn tree_victim(tree: u64, ways: usize, allowed: WayMask) -> usize {
     let mask = allowed.bits();
@@ -474,152 +577,61 @@ fn nth_way(mask: WayMask, k: usize) -> usize {
 
 #[cfg(test)]
 mod tests {
-    use super::super::{Policy, SetReplacement};
     use super::*;
-
-    /// Drives a `ReplPolicy` with its own state words, like the
-    /// storage rows do.
-    struct Harness {
-        policy: ReplPolicy,
-        rngs: Vec<SmallRng>,
-        words: Vec<Vec<u64>>,
-        ways: usize,
-        full_mask: u64,
-    }
-
-    impl Harness {
-        fn new(kind: PolicyKind, sets: usize, ways: usize, seed: u64) -> Self {
-            Self {
-                policy: ReplPolicy::new(kind, ways),
-                rngs: random_streams(kind, sets, seed),
-                words: vec![vec![0; ReplPolicy::words_per_set(kind, ways)]; sets],
-                ways,
-                full_mask: WayMask::all(ways).bits(),
-            }
-        }
-
-        fn touch(&mut self, set: usize, way: usize) {
-            self.policy
-                .on_access(&mut self.words[set], self.ways, self.full_mask, way);
-        }
-
-        fn fill(&mut self, set: usize, way: usize) {
-            self.policy
-                .on_fill(&mut self.words[set], self.ways, self.full_mask, way);
-        }
-
-        fn victim(&mut self, set: usize, mask: WayMask) -> usize {
-            self.policy
-                .victim_among(self.rngs.get_mut(set), &self.words[set], self.ways, mask)
-        }
-
-        fn victim_full(&mut self, set: usize) -> usize {
-            self.policy
-                .victim_full(self.rngs.get_mut(set), &self.words[set], self.ways)
-        }
-    }
-
-    /// Packed state must agree with the per-set reference policies
-    /// on a mixed access/fill/victim schedule.
-    #[test]
-    fn packed_matches_reference_policies() {
-        for kind in PolicyKind::ALL {
-            let ways = 8;
-            let sets = 4;
-            let seed = 0xfeed;
-            let mut packed = Harness::new(kind, sets, ways, seed);
-            let mut reference: Vec<Policy> = (0..sets)
-                .map(|s| Policy::new(kind, ways, set_seed(seed, s as u64)))
-                .collect();
-            let mut x = 123u64;
-            for step in 0..4000 {
-                // Cheap deterministic schedule driver.
-                x = x
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                let set = (x >> 33) as usize % sets;
-                let way = (x >> 21) as usize % ways;
-                match step % 3 {
-                    0 => {
-                        packed.touch(set, way);
-                        reference[set].touch(way);
-                    }
-                    1 => {
-                        packed.fill(set, way);
-                        reference[set].fill(way);
-                    }
-                    _ => {
-                        let mask_bits = 1 | ((x >> 5) & WayMask::all(ways).bits());
-                        let mask = WayMask::from_bits(mask_bits);
-                        assert_eq!(
-                            packed.victim(set, mask),
-                            reference[set].victim_among(mask),
-                            "{kind} diverged at step {step} (set {set}, mask {mask})"
-                        );
-                    }
-                }
-            }
-        }
-    }
 
     #[test]
     fn victim_full_matches_victim_among_full_mask() {
         for kind in PolicyKind::ALL {
             if kind == PolicyKind::Random {
                 // The two draw differently-shaped samples from the
-                // same stream; covered by the dedicated test below.
+                // same stream; the workspace `replacement_oracle`
+                // suite pins both against the oracle's stream.
                 continue;
             }
             let ways = 8;
-            let mut h = Harness::new(kind, 1, ways, 3);
+            let mut set = SetState::new(kind, ways, 3);
             let mut x = 77u64;
             for _ in 0..500 {
                 x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
-                h.touch(0, (x >> 40) as usize % ways);
-                h.fill(0, (x >> 20) as usize % ways);
-                let via_mask = h.victim(0, WayMask::all(ways));
-                let fast = h.victim_full(0);
+                set.touch((x >> 40) as usize % ways);
+                set.fill((x >> 20) as usize % ways);
+                let via_mask = set.victim_among(WayMask::all(ways));
+                let fast = set.victim();
                 assert_eq!(fast, via_mask, "{kind}: fast path diverged");
             }
         }
     }
 
     #[test]
-    fn random_victim_full_matches_reference_stream() {
-        // The fast path must draw exactly like RandomRepl with a
-        // full mask so the RNG streams stay aligned.
-        let ways = 8;
-        let mut h = Harness::new(PolicyKind::Random, 2, ways, 9);
-        let mut reference: Vec<Policy> = (0..2)
-            .map(|s| Policy::new(PolicyKind::Random, ways, set_seed(9, s as u64)))
-            .collect();
-        for i in 0..200 {
-            let set = i % 2;
-            let fast = h.victim_full(set);
-            let refv = reference[set].victim_among(WayMask::all(ways));
-            assert_eq!(fast, refv, "draw {i} diverged");
-        }
+    #[should_panic(expected = "empty way mask")]
+    fn empty_mask_panics() {
+        let mut set = SetState::new(PolicyKind::Lru, 8, 0);
+        let _ = set.victim_among(WayMask::EMPTY);
     }
 
     #[test]
-    #[should_panic(expected = "empty way mask")]
-    fn empty_mask_panics() {
-        let mut h = Harness::new(PolicyKind::Lru, 1, 8, 0);
-        let _ = h.victim(0, WayMask::EMPTY);
+    #[should_panic(expected = "out of range")]
+    fn out_of_range_way_panics() {
+        SetState::new(PolicyKind::Lru, 8, 0).touch(8);
     }
 
     #[test]
     fn sixty_four_way_masks_do_not_overflow() {
-        let mut h = Harness::new(PolicyKind::BitPlru, 1, 64, 0);
+        let mut set = SetState::new(PolicyKind::BitPlru, 64, 0);
         for w in 0..63 {
-            h.touch(0, w);
+            set.touch(w);
         }
-        assert_eq!(h.victim(0, WayMask::all(64)), 63);
+        assert_eq!(set.victim_among(WayMask::all(64)), 63);
         // 64th access rolls the generation over.
-        h.touch(0, 63);
-        assert_eq!(h.victim(0, WayMask::all(64)), 0);
+        set.touch(63);
+        assert_eq!(set.victim_among(WayMask::all(64)), 0);
+        // The widest stamp state fits the inline words.
+        let mut lru = SetState::new(PolicyKind::Lru, 64, 0);
+        for w in (0..64).rev() {
+            lru.fill(w);
+        }
+        assert_eq!(lru.victim(), 63);
     }
-
     #[test]
     fn compile_time_tree_tables_cover_every_width() {
         for ways in [1usize, 2, 4, 8, 16, 32, 64] {

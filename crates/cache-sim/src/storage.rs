@@ -386,8 +386,8 @@ impl SoaStore {
     }
 
     /// Clears every line and resets replacement state (the Random
-    /// generators keep their streams, exactly like
-    /// [`crate::replacement::RandomRepl::reset`]).
+    /// generators keep their streams: they are part of the
+    /// simulation, not of the cache state).
     pub(crate) fn clear(&mut self) {
         self.words.fill(0);
         self.locked.fill(0);

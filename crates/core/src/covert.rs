@@ -480,152 +480,3 @@ mod tests {
         );
     }
 }
-
-/// Ignored diagnostic dumps used while calibrating the model against
-/// the paper (run with `cargo test -- --ignored --nocapture`).
-#[cfg(test)]
-mod diagnostics_alg2 {
-    use super::*;
-    use crate::decode::{self, BitConvention};
-
-    #[test]
-    #[ignore]
-    fn dump_alg2() {
-        let msg: Vec<bool> = (0..20).map(|i| i % 2 == 1).collect();
-        let run = CovertConfig {
-            platform: Platform::e5_2690(),
-            params: ChannelParams::paper_alg2_default(),
-            variant: Variant::NoSharedMemory,
-            sharing: Sharing::HyperThreaded,
-            message: msg.clone(),
-            seed: 2,
-            engine: Engine::FastForward,
-        }
-        .run()
-        .unwrap();
-        println!(
-            "threshold={} samples={}",
-            run.hit_threshold,
-            run.samples.len()
-        );
-        // per-window fraction of misses
-        let ts = 6000u64;
-        let mut windows: Vec<Vec<u32>> = vec![];
-        for s in &run.samples {
-            let w = (s.at / ts) as usize;
-            while windows.len() <= w {
-                windows.push(vec![]);
-            }
-            windows[w].push(s.measured);
-        }
-        for (w, vals) in windows.iter().enumerate() {
-            let miss = vals.iter().filter(|&&v| v > run.hit_threshold).count();
-            println!(
-                "w{:02} sent={} miss_frac={:.2} n={} vals={:?}",
-                w,
-                msg.get(w).map(|b| *b as u8).unwrap_or(9),
-                miss as f64 / vals.len().max(1) as f64,
-                vals.len(),
-                &vals[..vals.len().min(12)]
-            );
-        }
-        let bits = decode::bits_by_window(
-            &run.samples,
-            ts,
-            run.hit_threshold,
-            BitConvention::MissIsOne,
-        );
-        println!(
-            "decoded: {:?}",
-            bits.iter().map(|b| *b as u8).collect::<Vec<_>>()
-        );
-    }
-}
-
-#[cfg(test)]
-mod diagnostics_alg2_by_d {
-    use super::*;
-
-    #[test]
-    #[ignore]
-    fn alg2_signal_by_d() {
-        for d in 1..=8 {
-            let params = ChannelParams {
-                d,
-                target_set: 0,
-                ts: 6000,
-                tr: 600,
-            };
-            let mut fracs = (0.0, 0.0);
-            for (bit, slot) in [(false, 0), (true, 1)] {
-                let run = CovertConfig {
-                    platform: Platform::e5_2690(),
-                    params,
-                    variant: Variant::NoSharedMemory,
-                    sharing: Sharing::HyperThreaded,
-                    message: vec![bit; 30],
-                    seed: 7,
-                    engine: Engine::FastForward,
-                }
-                .run()
-                .unwrap();
-                let miss = run
-                    .samples
-                    .iter()
-                    .filter(|s| s.measured > run.hit_threshold)
-                    .count();
-                let f = miss as f64 / run.samples.len() as f64;
-                if slot == 0 {
-                    fracs.0 = f
-                } else {
-                    fracs.1 = f
-                }
-            }
-            println!("d={d} miss_frac m=0: {:.2}  m=1: {:.2}", fracs.0, fracs.1);
-        }
-    }
-}
-
-#[cfg(test)]
-mod diagnostics_bitplru {
-    use super::*;
-    use cache_sim::replacement::PolicyKind;
-
-    #[test]
-    #[ignore]
-    fn bitplru_sweep_d() {
-        for d in 1..=8 {
-            let params = ChannelParams {
-                d,
-                target_set: 0,
-                ts: 6000,
-                tr: 600,
-            };
-            let mut res = vec![];
-            for bit in [false, true] {
-                let cfg = CovertConfig {
-                    platform: Platform::e5_2690(),
-                    params,
-                    variant: Variant::SharedMemory,
-                    sharing: Sharing::HyperThreaded,
-                    message: vec![bit; 30],
-                    seed: 7,
-                    engine: Engine::FastForward,
-                };
-                let mut machine =
-                    exec_sim::machine::Machine::new(cfg.platform.arch, PolicyKind::BitPlru, 7);
-                let run = cfg.run_on(&mut machine).unwrap();
-                let hits = run
-                    .samples
-                    .iter()
-                    .filter(|s| s.measured <= run.hit_threshold)
-                    .count();
-                res.push(hits as f64 / run.samples.len() as f64);
-            }
-            println!(
-                "BitPlru d={d} P(hit|0)={:.2} P(hit|1)={:.2}",
-                res[0], res[1]
-            );
-        }
-    }
-}

@@ -316,30 +316,3 @@ mod tests {
         assert_eq!(a.probabilities, b.probabilities);
     }
 }
-
-/// Ignored diagnostic dump of the full Table I grid (run with
-/// `cargo test -- --ignored --nocapture`).
-#[cfg(test)]
-mod diagnostics {
-    use super::*;
-
-    #[test]
-    #[ignore]
-    fn dump_table1() {
-        for curve in table1(12, 2000, 42) {
-            let p: Vec<String> = curve
-                .probabilities
-                .iter()
-                .map(|x| format!("{:.1}", x * 100.0))
-                .collect();
-            println!(
-                "{:?} {:?} {:?}: {} steady={:.1}",
-                curve.init,
-                curve.policy,
-                curve.sequence,
-                p.join(" "),
-                curve.steady_state() * 100.0
-            );
-        }
-    }
-}

@@ -8,7 +8,7 @@
 //! observable exactly like the ordinary LRU channel. DAWG gives each
 //! domain its own tree half, removing the shared bits.
 
-use cache_sim::replacement::{PartitionedTreePlru, SetReplacement, TreePlru, WayMask};
+use cache_sim::replacement::{PolicyKind, SetState, WayMask};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -40,7 +40,7 @@ pub fn shared_plru_leak(trials: usize, seed: u64) -> PartitionLeak {
     let sender_ways = [1usize, 3, 5, 7];
     let mut flips = 0usize;
     for _ in 0..trials {
-        let mut tree = TreePlru::new(8);
+        let mut tree = SetState::new(PolicyKind::TreePlru, 8, 0);
         // Random prior history across all ways.
         for _ in 0..rng.gen_range(4..24) {
             let w = rng.gen_range(0..8);
@@ -73,7 +73,7 @@ pub fn dawg_partitioned_leak(trials: usize, seed: u64) -> PartitionLeak {
     let mut rng = SmallRng::seed_from_u64(seed);
     let mut flips = 0usize;
     for _ in 0..trials {
-        let mut state = PartitionedTreePlru::new(8);
+        let mut state = SetState::new(PolicyKind::PartitionedTreePlru, 8, 0);
         for _ in 0..rng.gen_range(4..24) {
             state.touch(rng.gen_range(0..8));
         }

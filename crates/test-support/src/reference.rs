@@ -1,5 +1,5 @@
 //! Array-of-structs reference cache: the original storage layout,
-//! retained as the oracle for the flat [`crate::cache::Cache`] and
+//! retained as the oracle for the flat [`cache_sim::cache::Cache`] and
 //! as the performance baseline of the `bench_perf_smoke` benchmark.
 //!
 //! [`RefCache`] is byte-for-byte the pre-refactor implementation:
@@ -10,13 +10,15 @@
 //! the SoA layout exactly; the `layout_equivalence` integration
 //! suite replays long random traces through both and asserts it.
 
-use crate::addr::PhysAddr;
-use crate::cache::{AccessOutcome, CacheStats};
-use crate::geometry::CacheGeometry;
-use crate::line::LineMeta;
-use crate::replacement::packed::set_seed;
-use crate::replacement::{Policy, PolicyKind, WayMask};
+use crate::replacement::Policy;
 use crate::set::CacheSet;
+use crate::set_seed;
+use cache_sim::addr::PhysAddr;
+use cache_sim::cache::{AccessOutcome, CacheStats};
+use cache_sim::geometry::CacheGeometry;
+use cache_sim::line::LineMeta;
+use cache_sim::replacement::{PolicyKind, WayMask};
+use cache_sim::Backend;
 
 /// The original array-of-structs cache.
 #[derive(Debug, Clone)]
@@ -29,7 +31,7 @@ pub struct RefCache {
 
 impl RefCache {
     /// Creates an empty reference cache (same seed derivation as
-    /// [`crate::cache::Cache::new`], so randomized policies produce
+    /// [`cache_sim::cache::Cache::new`], so randomized policies produce
     /// identical victim streams).
     pub fn new(geom: CacheGeometry, kind: PolicyKind, seed: u64) -> Self {
         let sets = (0..geom.num_sets())
@@ -53,7 +55,7 @@ impl RefCache {
         self.kind
     }
 
-    /// Demand access, as in [`crate::cache::Cache::access`].
+    /// Demand access, as in [`cache_sim::cache::Cache::access`].
     pub fn access(&mut self, pa: PhysAddr) -> AccessOutcome {
         let (set_idx, tag) = self.locate(pa);
         self.stats.accesses += 1;
@@ -85,7 +87,7 @@ impl RefCache {
     }
 
     /// Prefetch fill (no demand-access accounting), as in
-    /// [`crate::cache::Cache::prefetch_fill`].
+    /// [`cache_sim::cache::Cache::prefetch_fill`].
     pub fn prefetch_fill(&mut self, pa: PhysAddr) -> Option<PhysAddr> {
         let (set_idx, tag) = self.locate(pa);
         let ways = self.geom.ways();
@@ -162,6 +164,52 @@ impl RefCache {
             ((pa.raw() / line) % sets) as usize,
             pa.raw() / (line * sets),
         )
+    }
+}
+
+impl Backend for RefCache {
+    fn label(&self) -> &'static str {
+        "aos-reference"
+    }
+
+    fn geometry(&self) -> CacheGeometry {
+        RefCache::geometry(self)
+    }
+
+    fn policy_kind(&self) -> PolicyKind {
+        RefCache::policy_kind(self)
+    }
+
+    fn access(&mut self, pa: PhysAddr) -> AccessOutcome {
+        RefCache::access(self, pa)
+    }
+
+    fn prefetch_fill(&mut self, pa: PhysAddr) -> Option<PhysAddr> {
+        RefCache::prefetch_fill(self, pa)
+    }
+
+    fn probe(&self, pa: PhysAddr) -> bool {
+        RefCache::probe(self, pa)
+    }
+
+    fn way_of(&self, pa: PhysAddr) -> Option<usize> {
+        RefCache::way_of(self, pa)
+    }
+
+    fn flush_line(&mut self, pa: PhysAddr) -> bool {
+        RefCache::flush_line(self, pa)
+    }
+
+    fn line(&self, set: usize, way: usize) -> Option<LineMeta> {
+        self.set(set).line(way).copied()
+    }
+
+    fn stats(&self) -> CacheStats {
+        RefCache::stats(self)
+    }
+
+    fn clear(&mut self) {
+        RefCache::clear(self)
     }
 }
 

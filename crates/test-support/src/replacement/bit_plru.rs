@@ -12,7 +12,7 @@ use super::{assert_valid_victim_request, SetReplacement, WayMask};
 /// lowest index whose MRU-bit is 0" rule from the paper.
 ///
 /// ```
-/// use cache_sim::replacement::{BitPlru, SetReplacement};
+/// use test_support::replacement::{BitPlru, SetReplacement};
 /// let mut b = BitPlru::new(4);
 /// b.touch(0);
 /// b.touch(1);

@@ -14,7 +14,7 @@ use super::{assert_valid_victim_request, SetReplacement, WayMask};
 /// line is brought into the cache on cache misses").
 ///
 /// ```
-/// use cache_sim::replacement::{Fifo, SetReplacement};
+/// use test_support::replacement::{Fifo, SetReplacement};
 /// let mut f = Fifo::new(4);
 /// for w in 0..4 {
 ///     f.fill(w);

@@ -11,7 +11,7 @@ use super::{assert_valid_victim_request, SetReplacement, WayMask};
 /// (Table I, LRU column = 100%).
 ///
 /// ```
-/// use cache_sim::replacement::{Lru, SetReplacement};
+/// use test_support::replacement::{Lru, SetReplacement};
 /// let mut lru = Lru::new(4);
 /// for w in [0, 1, 2, 3, 0] {
 ///     lru.touch(w);

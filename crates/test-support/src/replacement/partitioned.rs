@@ -20,7 +20,7 @@ use super::{assert_valid_victim_request, SetReplacement, TreePlru, WayMask};
 /// violate in ordinary Tree-PLRU.
 ///
 /// ```
-/// use cache_sim::replacement::{PartitionedTreePlru, SetReplacement};
+/// use test_support::replacement::{PartitionedTreePlru, SetReplacement};
 /// let mut p = PartitionedTreePlru::new(8);
 /// let before = p.victim();
 /// // The attacker hammers the upper half of the ways...

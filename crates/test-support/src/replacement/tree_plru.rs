@@ -17,7 +17,7 @@ use super::{assert_valid_victim_request, SetReplacement, WayMask};
 /// what makes the channels of §IV noisy under PLRU.
 ///
 /// ```
-/// use cache_sim::replacement::{TreePlru, SetReplacement};
+/// use test_support::replacement::{TreePlru, SetReplacement};
 /// let mut t = TreePlru::new(8);
 /// for w in 0..8 {
 ///     t.touch(w);

@@ -1,7 +1,8 @@
 //! One cache set: ways plus replacement state.
 
-use crate::line::LineMeta;
-use crate::replacement::{Policy, SetReplacement, WayMask};
+use crate::replacement::{Policy, SetReplacement};
+use cache_sim::line::LineMeta;
+use cache_sim::replacement::WayMask;
 
 /// A single cache set: `ways` line slots and the replacement state
 /// that arbitrates between them.
@@ -102,7 +103,7 @@ impl CacheSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::replacement::PolicyKind;
+    use cache_sim::replacement::PolicyKind;
 
     fn set8() -> CacheSet {
         CacheSet::new(Policy::new(PolicyKind::Lru, 8, 0))

@@ -125,3 +125,32 @@ fn detector_separates_fr_from_lru_and_benign() {
     }
     let _ = MissRateDetector::default();
 }
+
+#[test]
+fn partition_flip_rates_are_pinned_at_the_registry_count() {
+    // `ablation_defenses` runs both partition experiments at 5,000
+    // trials; the artifact corpus runs them at one trial, where a
+    // flip rate can only read 0 or 1. These bits pin the full-count
+    // rates at the corpus seeds exactly: 2,550 / 2,475 / 2,475 flips
+    // through the shared tree, none through the partitioned state.
+    const TRIALS: usize = 5_000;
+    let pins: [(u64, u64, u64); 3] = [
+        (lru_leak::scenario::BENCH_SEED, 0x3fe0_51eb_851e_b852, 0),
+        (7, 0x3fdf_ae14_7ae1_47ae, 0),
+        (123_456_789, 0x3fdf_ae14_7ae1_47ae, 0),
+    ];
+    for (seed, shared_bits, dawg_bits) in pins {
+        let shared = shared_plru_leak(TRIALS, seed).victim_flip_rate;
+        let dawg = dawg_partitioned_leak(TRIALS, seed).victim_flip_rate;
+        assert_eq!(
+            shared.to_bits(),
+            shared_bits,
+            "shared Tree-PLRU, seed {seed}: {shared}"
+        );
+        assert_eq!(
+            dawg.to_bits(),
+            dawg_bits,
+            "DAWG-partitioned, seed {seed}: {dawg}"
+        );
+    }
+}

@@ -1,8 +1,8 @@
 //! Backend-conformance harness: every cache model behind the
-//! [`Backend`] trait — the flat SoA [`Cache`], the AoS oracle
-//! [`RefCache`], both [`PlCache`] designs, and the three two-level
-//! [`HierarchyBackend`] inclusion models — is run through one generic
-//! suite as a policy × backend matrix:
+//! [`Backend`] trait — the flat SoA [`Cache`], the `test-support`
+//! crate's AoS oracle [`RefCache`], both [`PlCache`] designs, and the
+//! three two-level [`HierarchyBackend`] inclusion models — is run
+//! through one generic suite as a policy × backend matrix:
 //!
 //! * **Oracle equivalence** — a backend whose observable level must
 //!   match the AoS reference (hit/miss, chosen way, evicted line,
@@ -30,10 +30,10 @@ use lru_leak::cache_sim::geometry::CacheGeometry;
 use lru_leak::cache_sim::hierarchy::Inclusion;
 use lru_leak::cache_sim::line::LineMeta;
 use lru_leak::cache_sim::plcache::{PlCache, PlDesign};
-use lru_leak::cache_sim::reference::RefCache;
 use lru_leak::cache_sim::replacement::PolicyKind;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use test_support::RefCache;
 
 /// One operation of a conformance stream.
 #[derive(Debug, Clone, Copy)]

@@ -3,7 +3,7 @@
 
 use lru_leak::cache_sim::hierarchy::HitLevel;
 use lru_leak::cache_sim::profiles::MicroArch;
-use lru_leak::cache_sim::replacement::{PolicyKind, SetReplacement};
+use lru_leak::cache_sim::replacement::PolicyKind;
 use lru_leak::exec_sim::machine::Machine;
 use lru_leak::exec_sim::measure::{rdtscp_single, LatencyProbe};
 use lru_leak::exec_sim::tsc::TscModel;
@@ -127,22 +127,6 @@ fn all_policies_drive_a_full_hierarchy() {
             }
             assert!(m.counters(pid).l1d_accesses == 2_000);
         }
-    }
-}
-
-#[test]
-fn replacement_trait_objects_are_usable() {
-    // The SetReplacement trait stays object-safe (C-OBJECT).
-    let mut policies: Vec<Box<dyn SetReplacement>> = vec![
-        Box::new(lru_leak::cache_sim::replacement::Lru::new(8)),
-        Box::new(lru_leak::cache_sim::replacement::TreePlru::new(8)),
-        Box::new(lru_leak::cache_sim::replacement::BitPlru::new(8)),
-        Box::new(lru_leak::cache_sim::replacement::Fifo::new(8)),
-    ];
-    for p in &mut policies {
-        p.touch(3);
-        let v = p.victim_among(lru_leak::cache_sim::replacement::WayMask::all(8));
-        assert!(v < 8);
     }
 }
 
