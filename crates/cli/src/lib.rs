@@ -69,7 +69,7 @@ use std::fmt::Write;
 use std::io::Read;
 use std::time::{Duration, Instant};
 
-use lru_channel::trials::RunCtrl;
+use lru_channel::trials::{RunCtrl, MAX_WORKERS};
 use lru_leak_server::{
     client as service_client, Server, ServerConfig, DEFAULT_ADDR, MAX_FRAME_BYTES,
 };
@@ -148,9 +148,10 @@ ARTIFACTS:
 OPTIONS:
     --trials N    Override the artifact's natural per-point trial /
                   sample count (artifacts without a trial axis ignore it)
-    --threads K   Pin the parallel trial driver to K workers
+    --threads K   Pin the parallel trial driver to K workers, 1..=256
                   (results are bit-identical for any K; 1 = sequential;
-                  default: the host's available parallelism)
+                  default: the host's available parallelism). The
+                  service caps a request's \"threads\" at 256 too
     --seed S      Master seed (default: the fixed bench seed)
     --json        Emit the deterministic JSON metrics instead of tables
     --csv         run only: flatten the report's summary into
@@ -328,7 +329,13 @@ fn parse_args<'a>(cmd: &Command, args: &'a [String]) -> Result<(&'a str, Flags),
         };
         match arg {
             "--trials" => flags.trials = Some(parse_int(arg, value()?, true)?),
-            "--threads" => flags.threads = Some(parse_int(arg, value()?, true)?),
+            "--threads" => {
+                let threads = parse_int(arg, value()?, true)?;
+                if threads > MAX_WORKERS {
+                    return Err(CliError::usage(format!("{arg} must be <= {MAX_WORKERS}")));
+                }
+                flags.threads = Some(threads);
+            }
             "--seed" => flags.seed = Some(parse_int(arg, value()?, false)?),
             "--timeout-secs" => flags.timeout_secs = Some(parse_int(arg, value()?, true)?),
             "--max-inflight-trials" => {
@@ -994,6 +1001,25 @@ mod tests {
             assert_eq!(err.code, 2, "{cmd:?}");
             assert!(
                 err.message.contains("--trials must be >= 1"),
+                "{cmd:?}: {err:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn threads_above_the_worker_cap_is_a_usage_error() {
+        let over = (MAX_WORKERS + 1).to_string();
+        for cmd in [
+            &["run", "fig5", "--threads", &over][..],
+            &["run-all", "--threads", &over][..],
+            &["adhoc", "{}", "--threads", &over][..],
+            &["serve", "--threads", &over][..],
+            &["submit", "fig5", "--threads", &over][..],
+        ] {
+            let err = run_cli(&args(cmd)).unwrap_err();
+            assert_eq!(err.code, 2, "{cmd:?}");
+            assert!(
+                err.message.contains("--threads must be <= 256"),
                 "{cmd:?}: {err:?}"
             );
         }

@@ -82,6 +82,12 @@ pub fn derive_seed(master: u64, index: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// Largest worker count a front door accepts for one run (`--threads`
+/// on the CLI, `threads` on the wire). Each worker of a fold is an OS
+/// thread, so an unbounded request could make a process spawn
+/// thousands of them; 256 is far above any host this runs on.
+pub const MAX_WORKERS: usize = 256;
+
 /// Worker count of a run whose [`RunCtrl`] pins none: the host's
 /// available parallelism.
 fn default_workers() -> usize {

@@ -5,9 +5,11 @@
 //! carries its own JSON: [`Value`] keeps object keys in insertion
 //! order and the writer emits one canonical byte sequence per tree,
 //! which is what makes `lru-leak run <id> --json` bit-identical
-//! across repeated runs with the same seed.
+//! across repeated runs with the same seed. [`Fields`] reads one
+//! object strictly: every key must be one the reader asks for.
 
 use std::fmt;
+use std::ops::RangeInclusive;
 
 /// A JSON value. Integers keep their own variants so `u64` seeds
 /// round-trip losslessly (an `f64` would truncate above 2^53).
@@ -74,11 +76,6 @@ impl Value {
             Value::Num(n) if n >= 0.0 && n.fract() == 0.0 && n <= 2f64.powi(53) => Some(n as u64),
             _ => None,
         }
-    }
-
-    /// The value as a `usize`, if it is a non-negative integer.
-    pub fn as_usize(&self) -> Option<usize> {
-        self.as_u64().map(|u| u as usize)
     }
 
     /// The value as a `bool`.
@@ -207,6 +204,145 @@ impl From<String> for Value {
 impl From<Vec<Value>> for Value {
     fn from(items: Vec<Value>) -> Value {
         Value::Arr(items)
+    }
+}
+
+/// A type [`Fields`] can read a field as.
+pub trait Field<'a>: Sized {
+    /// The type as an error names it ("a boolean").
+    const WHAT: &'static str;
+    /// `v` as this type, if it has it.
+    fn read(v: &'a Value) -> Option<Self>;
+}
+
+macro_rules! field_types {
+    ($($t:ty, $what:literal, |$v:ident| $read:expr;)*) => {$(
+        impl<'a> Field<'a> for $t {
+            const WHAT: &'static str = $what;
+            fn read($v: &'a Value) -> Option<$t> { $read }
+        }
+    )*};
+}
+
+field_types! {
+    bool, "a boolean", |v| v.as_bool();
+    u32, "a non-negative 32-bit integer", |v| v.as_u64().and_then(|u| u.try_into().ok());
+    u64, "a non-negative integer", |v| v.as_u64();
+    usize, "a non-negative integer", |v| v.as_u64().and_then(|u| u.try_into().ok());
+    f64, "a number", |v| v.as_f64();
+    &'a str, "a string", |v| v.as_str();
+    Vec<bool>, "a string of 0s and 1s", |v| {
+        v.as_str()?.chars().map(|c| matches!(c, '0' | '1').then_some(c == '1')).collect()
+    };
+    &'a Value, "a JSON value", |v| Some(v);
+}
+
+/// A strict reader over the pairs of one JSON object. Each read
+/// consumes the pair it finds, and [`Fields::finish`] rejects the
+/// first pair nothing consumed — a misspelled key, a second copy of a
+/// key, or a key of another shape — so the reads are the only list of
+/// a shape's keys. Every error names the full key path, e.g.
+/// `"kind.flush-reload.to_mem" must be a boolean`.
+#[must_use = "finish() rejects the keys nothing read"]
+pub struct Fields<'a> {
+    /// Where the object sits in the document (`""` at the root).
+    path: String,
+    pairs: &'a [(String, Value)],
+    consumed: Vec<bool>,
+}
+
+impl<'a> Fields<'a> {
+    /// Opens `v`, found at `path` (`""` for the document root), as an
+    /// object. A root that is not an object has no keys, so its first
+    /// required field is reported missing.
+    pub fn open(v: &'a Value, path: &str) -> Result<Fields<'a>, String> {
+        let pairs = match v {
+            Value::Obj(pairs) => pairs,
+            _ if path.is_empty() => &[][..],
+            _ => return Err(format!("{path:?} must be an object")),
+        };
+        Ok(Fields {
+            path: path.to_string(),
+            pairs,
+            consumed: vec![false; pairs.len()],
+        })
+    }
+
+    /// Opens `v`, found at `path`, as a tagged object `{"tag": body}`
+    /// with exactly one key, and returns the tag with a reader from
+    /// which the caller reads the body as the field `tag`.
+    pub fn tagged(v: &'a Value, path: &str) -> Result<(&'a str, Fields<'a>), String> {
+        let fields = Fields::open(v, path)?;
+        match fields.pairs {
+            [(tag, _)] => Ok((tag, fields)),
+            [(a, _), (b, _), ..] => Err(format!(
+                "{path:?} must be an object with exactly one key, got {a:?} and {b:?}"
+            )),
+            [] => Err(format!("{path:?} must be an object with exactly one key")),
+        }
+    }
+
+    fn key_path(&self, key: &str) -> String {
+        match self.path.as_str() {
+            "" => key.to_string(),
+            path => format!("{path}.{key}"),
+        }
+    }
+
+    /// An optional field: `None` when absent, an error when present
+    /// with another type.
+    pub fn opt<T: Field<'a>>(&mut self, key: &str) -> Result<Option<T>, String> {
+        let Some(at) = self.pairs.iter().position(|(k, _)| k == key) else {
+            return Ok(None);
+        };
+        self.consumed[at] = true;
+        T::read(&self.pairs[at].1)
+            .map(Some)
+            .ok_or_else(|| format!("{:?} must be {}", self.key_path(key), T::WHAT))
+    }
+
+    /// A required field.
+    pub fn req<T: Field<'a>>(&mut self, key: &str) -> Result<T, String> {
+        self.opt(key)?
+            .ok_or_else(|| format!("missing key {:?}", self.key_path(key)))
+    }
+
+    /// A required string field that `parse` maps to a named value.
+    pub fn name<T>(&mut self, key: &str, parse: impl Fn(&str) -> Option<T>) -> Result<T, String> {
+        let name: &str = self.req(key)?;
+        parse(name).ok_or_else(|| format!("unknown {} {name:?}", self.key_path(key)))
+    }
+
+    /// An optional integer field that must lie in `range`.
+    pub fn opt_in(
+        &mut self,
+        key: &str,
+        range: RangeInclusive<usize>,
+    ) -> Result<Option<usize>, String> {
+        let bound = match self.opt(key)? {
+            Some(n) if n < *range.start() => format!(">= {}", range.start()),
+            Some(n) if n > *range.end() => format!("<= {}", range.end()),
+            n => return Ok(n),
+        };
+        Err(format!("{:?} must be {bound}", self.key_path(key)))
+    }
+
+    /// A required object field, opened as a reader of its own.
+    pub fn object(&mut self, key: &str) -> Result<Fields<'a>, String> {
+        let v = self.req(key)?;
+        Fields::open(v, &self.key_path(key))
+    }
+
+    /// Ends the read: the first pair nothing consumed is an error,
+    /// named a duplicate when an earlier pair has its key.
+    pub fn finish(self) -> Result<(), String> {
+        let Some(at) = self.consumed.iter().position(|&c| !c) else {
+            return Ok(());
+        };
+        let key = &self.pairs[at].0;
+        let dup = self.pairs[..at].iter().any(|(k, _)| k == key);
+        let what = if dup { "duplicate" } else { "unknown" };
+        Err(format!("{what} key {:?}", self.key_path(key)))
     }
 }
 

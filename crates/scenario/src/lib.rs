@@ -48,7 +48,8 @@
 //!   [`registry::Artifact::run`] is the same call on a plain engine.
 //! * [`json`] — the dependency-free JSON tree both layers serialize
 //!   through (deterministic writer, so `--json` output is
-//!   bit-identical for a fixed seed).
+//!   bit-identical for a fixed seed), and the strict field reader
+//!   every scenario and wire-request parse runs on.
 //! * [`fmt`] — the table/sparkline text helpers the renderers and
 //!   perf benches share.
 //!

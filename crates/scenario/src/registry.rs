@@ -2022,10 +2022,13 @@ mod tests {
             assert!(!grid.is_empty(), "{} grid is empty", artifact.id);
             for sc in &grid {
                 // Every registry scenario survives a serialize →
-                // revalidate round trip.
-                let back = Scenario::from_json_str(&sc.to_json().to_string())
-                    .unwrap_or_else(|e| panic!("{}: {e}", artifact.id));
-                assert_eq!(&back, sc);
+                // revalidate round trip, in both encodings: the strict
+                // reader accepts every key the encoder writes.
+                for json in [sc.to_json(), sc.to_json_full()] {
+                    let back = Scenario::from_json_str(&json.to_string())
+                        .unwrap_or_else(|e| panic!("{}: {e}", artifact.id));
+                    assert_eq!(&back, sc);
+                }
             }
         }
     }

@@ -21,7 +21,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use workloads::spec_like::Benchmark;
 
-use crate::json::Value;
+use crate::json::{Fields, Value};
 
 /// The simulated CPUs of the paper's evaluation (Table III).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -199,19 +199,17 @@ impl WorkloadId {
     }
 
     fn from_json(v: &Value) -> Result<WorkloadId, ScenarioError> {
-        if let Some(s) = v.as_str() {
-            return match s {
-                "idle" => Ok(WorkloadId::Idle),
-                "benign-noise" => Ok(WorkloadId::BenignNoise),
-                other => Err(ScenarioError::parse(format!("unknown workload {other:?}"))),
-            };
+        match v.as_str() {
+            Some("idle") => Ok(WorkloadId::Idle),
+            Some("benign-noise") => Ok(WorkloadId::BenignNoise),
+            Some(other) => Err(ScenarioError::parse(format!("unknown workload {other:?}"))),
+            None => {
+                let mut f = Fields::open(v, "workload")?;
+                let name: &str = f.req("benchmark")?;
+                f.finish()?;
+                Ok(WorkloadId::Benchmark(name.to_string()))
+            }
         }
-        if let Some(b) = v.get("benchmark").and_then(Value::as_str) {
-            return Ok(WorkloadId::Benchmark(b.to_string()));
-        }
-        Err(ScenarioError::parse(
-            "workload must be a name or {benchmark}",
-        ))
     }
 }
 
@@ -347,53 +345,30 @@ impl MessageSource {
     }
 
     fn from_json(v: &Value) -> Result<MessageSource, ScenarioError> {
-        if let Some(bits) = v.get("alternating").and_then(Value::as_usize) {
-            return Ok(MessageSource::Alternating { bits });
-        }
-        if let Some(c) = v.get("constant") {
-            let bit = c
-                .get("bit")
-                .and_then(Value::as_bool)
-                .ok_or_else(|| ScenarioError::parse("constant.bit must be a bool"))?;
-            let bits = c
-                .get("bits")
-                .and_then(Value::as_usize)
-                .ok_or_else(|| ScenarioError::parse("constant.bits must be an integer"))?;
-            return Ok(MessageSource::Constant { bit, bits });
-        }
-        if let Some(r) = v.get("random") {
-            let bits = r
-                .get("bits")
-                .and_then(Value::as_usize)
-                .ok_or_else(|| ScenarioError::parse("random.bits must be an integer"))?;
-            let repeats = optional(
-                r,
-                "repeats",
-                Value::as_usize,
-                1,
-                "random.repeats must be an integer",
-            )?;
-            return Ok(MessageSource::Random { bits, repeats });
-        }
-        if let Some(t) = v.get("text").and_then(Value::as_str) {
-            return Ok(MessageSource::Text(t.to_string()));
-        }
-        if let Some(b) = v.get("bits").and_then(Value::as_str) {
-            let bits: Result<Vec<bool>, ScenarioError> = b
-                .chars()
-                .map(|c| match c {
-                    '0' => Ok(false),
-                    '1' => Ok(true),
-                    other => Err(ScenarioError::parse(format!(
-                        "message.bits must be 0s and 1s, got {other:?}"
-                    ))),
-                })
-                .collect();
-            return Ok(MessageSource::Bits(bits?));
-        }
-        Err(ScenarioError::parse(
-            "message must be one of alternating/constant/random/text/bits",
-        ))
+        let (tag, mut m) = Fields::tagged(v, "message")?;
+        Ok(match tag {
+            "alternating" => MessageSource::Alternating { bits: m.req(tag)? },
+            "constant" => {
+                let mut c = m.object(tag)?;
+                let (bit, bits) = (c.req("bit")?, c.req("bits")?);
+                c.finish()?;
+                MessageSource::Constant { bit, bits }
+            }
+            "random" => {
+                let mut r = m.object(tag)?;
+                let (bits, repeats) = (r.req("bits")?, r.opt("repeats")?.unwrap_or(1));
+                r.finish()?;
+                MessageSource::Random { bits, repeats }
+            }
+            "text" => MessageSource::Text(m.req::<&str>(tag)?.to_string()),
+            "bits" => MessageSource::Bits(m.req(tag)?),
+            other => {
+                return Err(ScenarioError::parse(format!(
+                    "unknown message {other:?} — expected alternating, constant, random, text \
+                     or bits"
+                )))
+            }
+        })
     }
 }
 
@@ -439,45 +414,25 @@ pub fn noise_from_json(v: &Value) -> Result<NoiseModel, ScenarioError> {
             other => Err(unknown_noise(other)),
         };
     }
-    let pairs = match v {
-        Value::Obj(pairs) if pairs.len() == 1 => pairs,
-        _ => {
-            return Err(ScenarioError::parse(
-                "noise must be \"none\" or an object with exactly one model key",
-            ))
-        }
+    let (tag, mut outer) = Fields::tagged(v, "noise")?;
+    let mut f = outer.object(tag)?;
+    let noise = match tag {
+        "random-eviction" => NoiseModel::RandomEviction {
+            lines: f.req("lines")?,
+            gap_cycles: f.req("gap_cycles")?,
+        },
+        "periodic-burst" => NoiseModel::PeriodicBurst {
+            period_cycles: f.req("period_cycles")?,
+            burst_lines: f.req("burst_lines")?,
+        },
+        "bernoulli" => NoiseModel::Bernoulli {
+            p: f.req("p")?,
+            lines: f.req("lines")?,
+        },
+        other => return Err(unknown_noise(other)),
     };
-    let (tag, body) = (&pairs[0].0, &pairs[0].1);
-    let u32_field = |key: &str| -> Result<u32, ScenarioError> {
-        body.get(key)
-            .and_then(Value::as_u64)
-            .filter(|&x| x <= u64::from(u32::MAX))
-            .map(|x| x as u32)
-            .ok_or_else(|| ScenarioError::parse(format!("noise.{tag}.{key} must be an integer")))
-    };
-    match tag.as_str() {
-        "random-eviction" => Ok(NoiseModel::RandomEviction {
-            lines: u32_field("lines")?,
-            gap_cycles: u32_field("gap_cycles")?,
-        }),
-        "periodic-burst" => Ok(NoiseModel::PeriodicBurst {
-            period_cycles: body
-                .get("period_cycles")
-                .and_then(Value::as_u64)
-                .ok_or_else(|| {
-                    ScenarioError::parse("noise.periodic-burst.period_cycles must be an integer")
-                })?,
-            burst_lines: u32_field("burst_lines")?,
-        }),
-        "bernoulli" => Ok(NoiseModel::Bernoulli {
-            p: body
-                .get("p")
-                .and_then(Value::as_f64)
-                .ok_or_else(|| ScenarioError::parse("noise.bernoulli.p must be a number"))?,
-            lines: u32_field("lines")?,
-        }),
-        other => Err(unknown_noise(other)),
-    }
+    f.finish()?;
+    Ok(noise)
 }
 
 fn unknown_noise(name: &str) -> ScenarioError {
@@ -598,6 +553,24 @@ pub enum SequenceId {
     Seq2,
 }
 
+impl SequenceId {
+    /// All sequences, in serialization order.
+    pub const ALL: [SequenceId; 2] = [SequenceId::Seq1, SequenceId::Seq2];
+
+    /// Stable serialization name.
+    pub fn name(self) -> &'static str {
+        match self {
+            SequenceId::Seq1 => "seq1",
+            SequenceId::Seq2 => "seq2",
+        }
+    }
+
+    /// Parses a serialization name.
+    pub fn parse(name: &str) -> Option<SequenceId> {
+        Self::ALL.into_iter().find(|s| s.name() == name)
+    }
+}
+
 /// The Table I initial-condition kinds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum InitId {
@@ -605,6 +578,24 @@ pub enum InitId {
     Random,
     /// Sequential pre-access history.
     Sequential,
+}
+
+impl InitId {
+    /// All initial conditions, in serialization order.
+    pub const ALL: [InitId; 2] = [InitId::Random, InitId::Sequential];
+
+    /// Stable serialization name.
+    pub fn name(self) -> &'static str {
+        match self {
+            InitId::Random => "random",
+            InitId::Sequential => "sequential",
+        }
+    }
+
+    /// Parses a serialization name.
+    pub fn parse(name: &str) -> Option<InitId> {
+        Self::ALL.into_iter().find(|i| i.name() == name)
+    }
 }
 
 /// Which measurement the scenario takes.
@@ -807,20 +798,8 @@ impl ExperimentKind {
                 iterations,
                 trials,
             } => Value::obj()
-                .with(
-                    "sequence",
-                    match sequence {
-                        SequenceId::Seq1 => "seq1",
-                        SequenceId::Seq2 => "seq2",
-                    },
-                )
-                .with(
-                    "init",
-                    match init {
-                        InitId::Random => "random",
-                        InitId::Sequential => "sequential",
-                    },
-                )
+                .with("sequence", sequence.name())
+                .with("init", init.name())
                 .with("iterations", *iterations)
                 .with("trials", *trials),
             ExperimentKind::EncodingLatency { channel } => {
@@ -849,112 +828,67 @@ impl ExperimentKind {
     }
 
     fn from_json(v: &Value) -> Result<ExperimentKind, ScenarioError> {
-        let pairs = match v {
-            Value::Obj(pairs) if pairs.len() == 1 => pairs,
-            _ => {
-                return Err(ScenarioError::parse(
-                    "kind must be an object with exactly one tag key",
-                ))
-            }
+        let (tag, mut outer) = Fields::tagged(v, "kind")?;
+        let mut f = outer.object(tag)?;
+        let kind = match tag {
+            "covert" => ExperimentKind::Covert,
+            "percent-ones" => ExperimentKind::PercentOnes {
+                samples: f.req("samples")?,
+            },
+            "prime-probe" => ExperimentKind::PrimeProbe {
+                samples: f.req("samples")?,
+            },
+            "flush-reload" => ExperimentKind::FlushReload {
+                samples: f.req("samples")?,
+                to_mem: f.opt("to_mem")?.unwrap_or(true),
+            },
+            "spectre" => ExperimentKind::Spectre {
+                channel: f.name("channel", ChannelId::parse)?,
+                rounds: f.req("rounds")?,
+                prefetcher: f.opt("prefetcher")?.unwrap_or(false),
+            },
+            "defense-eval" => ExperimentKind::DefenseEval {
+                trials: f.req("trials")?,
+            },
+            "plru-eviction" => ExperimentKind::PlruEviction {
+                sequence: f.name("sequence", SequenceId::parse)?,
+                init: f.name("init", InitId::parse)?,
+                iterations: f.req("iterations")?,
+                trials: f.req("trials")?,
+            },
+            "latency-check" => ExperimentKind::LatencyCheck,
+            "platform-spec" => ExperimentKind::PlatformSpec,
+            "encoding-latency" => ExperimentKind::EncodingLatency {
+                channel: f.name("channel", ChannelId::parse)?,
+            },
+            "sender-miss-rates" => ExperimentKind::SenderMissRates {
+                sender: f.req("sender")?,
+                bits: f.req("bits")?,
+            },
+            "spectre-miss-rates" => ExperimentKind::SpectreMissRates {
+                channel: f.name("channel", ChannelId::parse)?,
+            },
+            "probe-histogram" => ExperimentKind::ProbeHistogram {
+                samples: f.req("samples")?,
+                single_load: f.opt("single_load")?.unwrap_or(false),
+            },
+            "policy-perf" => ExperimentKind::PolicyPerf {
+                accesses: f.req("accesses")?,
+            },
+            "multi-set" => ExperimentKind::MultiSet {
+                sets: f.req("sets")?,
+                frames: f.req("frames")?,
+            },
+            "l2-channel" => ExperimentKind::L2Channel {
+                samples: f.req("samples")?,
+            },
+            "inclusion-victim" => ExperimentKind::InclusionVictim {
+                trials: f.req("trials")?,
+            },
+            other => return Err(ScenarioError::parse(format!("unknown kind {other:?}"))),
         };
-        let (tag, body) = (&pairs[0].0, &pairs[0].1);
-        let bool_field = |key: &str, default: bool| -> Result<bool, ScenarioError> {
-            let what = format!("kind.{tag}.{key} must be a bool");
-            optional(body, key, Value::as_bool, default, &what)
-        };
-        let usize_field = |key: &str| -> Result<usize, ScenarioError> {
-            body.get(key)
-                .and_then(Value::as_usize)
-                .ok_or_else(|| ScenarioError::parse(format!("kind.{tag}.{key} must be an integer")))
-        };
-        let channel_field = |key: &str| -> Result<ChannelId, ScenarioError> {
-            body.get(key)
-                .and_then(Value::as_str)
-                .and_then(ChannelId::parse)
-                .ok_or_else(|| ScenarioError::parse(format!("kind.{tag}.{key} must be a channel")))
-        };
-        match tag.as_str() {
-            "covert" => Ok(ExperimentKind::Covert),
-            "percent-ones" => Ok(ExperimentKind::PercentOnes {
-                samples: usize_field("samples")?,
-            }),
-            "prime-probe" => Ok(ExperimentKind::PrimeProbe {
-                samples: usize_field("samples")?,
-            }),
-            "flush-reload" => Ok(ExperimentKind::FlushReload {
-                samples: usize_field("samples")?,
-                to_mem: bool_field("to_mem", true)?,
-            }),
-            "spectre" => Ok(ExperimentKind::Spectre {
-                channel: channel_field("channel")?,
-                rounds: usize_field("rounds")?,
-                prefetcher: bool_field("prefetcher", false)?,
-            }),
-            "defense-eval" => Ok(ExperimentKind::DefenseEval {
-                trials: usize_field("trials")?,
-            }),
-            "plru-eviction" => {
-                let sequence = match body.get("sequence").and_then(Value::as_str) {
-                    Some("seq1") => SequenceId::Seq1,
-                    Some("seq2") => SequenceId::Seq2,
-                    _ => {
-                        return Err(ScenarioError::parse(
-                            "plru-eviction.sequence must be seq1/seq2",
-                        ))
-                    }
-                };
-                let init = match body.get("init").and_then(Value::as_str) {
-                    Some("random") => InitId::Random,
-                    Some("sequential") => InitId::Sequential,
-                    _ => {
-                        return Err(ScenarioError::parse(
-                            "plru-eviction.init must be random/sequential",
-                        ))
-                    }
-                };
-                Ok(ExperimentKind::PlruEviction {
-                    sequence,
-                    init,
-                    iterations: usize_field("iterations")?,
-                    trials: usize_field("trials")?,
-                })
-            }
-            "latency-check" => Ok(ExperimentKind::LatencyCheck),
-            "platform-spec" => Ok(ExperimentKind::PlatformSpec),
-            "encoding-latency" => Ok(ExperimentKind::EncodingLatency {
-                channel: channel_field("channel")?,
-            }),
-            "sender-miss-rates" => Ok(ExperimentKind::SenderMissRates {
-                sender: usize_field("sender")?,
-                bits: usize_field("bits")?,
-            }),
-            "spectre-miss-rates" => Ok(ExperimentKind::SpectreMissRates {
-                channel: channel_field("channel")?,
-            }),
-            "probe-histogram" => Ok(ExperimentKind::ProbeHistogram {
-                samples: usize_field("samples")?,
-                single_load: bool_field("single_load", false)?,
-            }),
-            "policy-perf" => Ok(ExperimentKind::PolicyPerf {
-                accesses: body
-                    .get("accesses")
-                    .and_then(Value::as_u64)
-                    .ok_or_else(|| {
-                        ScenarioError::parse("policy-perf.accesses must be an integer")
-                    })?,
-            }),
-            "multi-set" => Ok(ExperimentKind::MultiSet {
-                sets: usize_field("sets")?,
-                frames: usize_field("frames")?,
-            }),
-            "l2-channel" => Ok(ExperimentKind::L2Channel {
-                samples: usize_field("samples")?,
-            }),
-            "inclusion-victim" => Ok(ExperimentKind::InclusionVictim {
-                trials: usize_field("trials")?,
-            }),
-            other => Err(ScenarioError::parse(format!("unknown kind {other:?}"))),
-        }
+        f.finish()?;
+        Ok(kind)
     }
 }
 
@@ -1006,19 +940,11 @@ impl From<ParamError> for ScenarioError {
     }
 }
 
-/// Reads an optional field of `obj`: an absent `key` is `default`, and
-/// a present one that `read` rejects is a parse error `what`, never
-/// the default.
-fn optional<T>(
-    obj: &Value,
-    key: &str,
-    read: impl Fn(&Value) -> Option<T>,
-    default: T,
-    what: &str,
-) -> Result<T, ScenarioError> {
-    obj.get(key).map_or(Ok(default), |v| {
-        read(v).ok_or_else(|| ScenarioError::parse(what))
-    })
+/// A [`Fields`] read error, which names the key it is about.
+impl From<String> for ScenarioError {
+    fn from(msg: String) -> ScenarioError {
+        ScenarioError::Parse(msg)
+    }
 }
 
 /// One fully-specified experiment. Construct through
@@ -1084,11 +1010,27 @@ impl Scenario {
 
     /// Serializes to a JSON tree (lossless; see [`Scenario::from_json`]).
     ///
-    /// The default `noise` axis ([`NoiseModel::None`]) is omitted, so
-    /// scenarios that predate the noise subsystem keep their exact
-    /// historical byte encoding. Use [`Scenario::to_json_full`] when
-    /// every axis should be spelled out.
+    /// The `noise` and `hierarchy` axes are omitted at their defaults
+    /// ([`NoiseModel::None`], [`HierarchyId::Inclusive`]), so
+    /// scenarios that predate those axes keep their exact historical
+    /// byte encoding. Use [`Scenario::to_json_full`] when every axis
+    /// should be spelled out.
     pub fn to_json(&self) -> Value {
+        self.encode(false)
+    }
+
+    /// [`Scenario::to_json`] with *every* axis spelled out, including
+    /// a default `noise` axis as the explicit string `"none"` and a
+    /// default `hierarchy` axis as `"inclusive"`. This is what
+    /// `lru-leak show` prints, so a grid listing never hides an axis
+    /// behind its default.
+    pub fn to_json_full(&self) -> Value {
+        self.encode(true)
+    }
+
+    /// The one encoder behind [`Scenario::to_json`] (`full = false`)
+    /// and [`Scenario::to_json_full`].
+    fn encode(&self, full: bool) -> Value {
         let mut v = Value::obj()
             .with("platform", self.platform.name())
             .with("policy", policy_name(self.policy))
@@ -1096,11 +1038,22 @@ impl Scenario {
             .with("sharing", sharing_name(self.sharing))
             .with("defense", self.defense.name())
             .with("workload", self.workload.to_json());
-        if !self.noise.is_none() {
-            v = v.with("noise", noise_to_json(&self.noise));
-        }
-        if self.hierarchy != HierarchyId::Inclusive {
-            v = v.with("hierarchy", self.hierarchy.name());
+        // Non-default axes come first and spelled-out defaults after
+        // them: `ResultCache::key` hashes the full encoding, so this
+        // order is part of every cache key.
+        let mut axes = [
+            ("noise", noise_to_json(&self.noise), self.noise.is_none()),
+            (
+                "hierarchy",
+                Value::from(self.hierarchy.name()),
+                self.hierarchy == HierarchyId::Inclusive,
+            ),
+        ];
+        axes.sort_by_key(|&(_, _, default)| default);
+        for (key, value, default) in axes {
+            if full || !default {
+                v = v.with(key, value);
+            }
         }
         v.with(
             "params",
@@ -1114,38 +1067,6 @@ impl Scenario {
         .with("kind", self.kind.to_json())
         .with("trials", self.trials)
         .with("seed", self.seed)
-    }
-
-    /// [`Scenario::to_json`] with *every* axis spelled out, including
-    /// a default `noise` axis as the explicit string `"none"` and a
-    /// default `hierarchy` axis as `"inclusive"`. This is what
-    /// `lru-leak show` prints, so a grid listing never hides an axis
-    /// behind its default.
-    pub fn to_json_full(&self) -> Value {
-        let Value::Obj(mut pairs) = self.to_json() else {
-            unreachable!("to_json builds an object")
-        };
-        let before_params = |pairs: &[(String, Value)]| {
-            pairs
-                .iter()
-                .position(|(k, _)| k == "params")
-                .unwrap_or(pairs.len())
-        };
-        if self.noise.is_none() {
-            let at = before_params(&pairs);
-            pairs.insert(at, ("noise".to_string(), noise_to_json(&self.noise)));
-        }
-        if self.hierarchy == HierarchyId::Inclusive {
-            let at = before_params(&pairs);
-            pairs.insert(
-                at,
-                (
-                    "hierarchy".to_string(),
-                    Value::Str(self.hierarchy.name().into()),
-                ),
-            );
-        }
-        Value::Obj(pairs)
     }
 
     /// Deserializes and re-validates a scenario
@@ -1181,93 +1102,53 @@ pub struct ScenarioBuilder {
 impl ScenarioBuilder {
     /// Deserializes a scenario without validating it, so a front end
     /// can apply its `trials`/`seed` overrides before the one
-    /// [`ScenarioBuilder::build`] check.
+    /// [`ScenarioBuilder::build`] check. The read is strict
+    /// ([`Fields`]): every key must belong to the shape it sits in.
     ///
     /// # Errors
     ///
-    /// [`ScenarioError::Parse`] on malformed JSON.
+    /// [`ScenarioError::Parse`] on malformed JSON: a missing or
+    /// wrong-typed field, or an unknown or duplicated key, named by its
+    /// full path.
     pub fn from_json(v: &Value) -> Result<ScenarioBuilder, ScenarioError> {
-        let str_field = |key: &str| -> Result<&str, ScenarioError> {
-            v.get(key)
-                .and_then(Value::as_str)
-                .ok_or_else(|| ScenarioError::parse(format!("{key} must be a string")))
-        };
-        let platform = PlatformId::parse(str_field("platform")?)
-            .ok_or_else(|| ScenarioError::parse("unknown platform"))?;
-        let policy = parse_policy(str_field("policy")?)
-            .ok_or_else(|| ScenarioError::parse("unknown policy"))?;
-        let variant = parse_variant(str_field("variant")?)
-            .ok_or_else(|| ScenarioError::parse("unknown variant"))?;
-        let sharing = parse_sharing(str_field("sharing")?)
-            .ok_or_else(|| ScenarioError::parse("unknown sharing"))?;
-        let defense = DefenseId::parse(str_field("defense")?)
-            .ok_or_else(|| ScenarioError::parse("unknown defense"))?;
-        let workload = WorkloadId::from_json(
-            v.get("workload")
-                .ok_or_else(|| ScenarioError::parse("missing workload"))?,
-        )?;
-        let noise = match v.get("noise") {
-            Some(n) => noise_from_json(n)?,
-            None => NoiseModel::None,
-        };
-        let hierarchy = match v.get("hierarchy") {
-            Some(h) => h.as_str().and_then(HierarchyId::parse).ok_or_else(|| {
-                ScenarioError::parse(
-                    "unknown hierarchy — expected inclusive, non-inclusive or back-invalidate",
-                )
-            })?,
-            None => HierarchyId::Inclusive,
-        };
-        let p = v
-            .get("params")
-            .ok_or_else(|| ScenarioError::parse("missing params"))?;
-        let params_field = |key: &str| -> Result<u64, ScenarioError> {
-            p.get(key)
-                .and_then(Value::as_u64)
-                .ok_or_else(|| ScenarioError::parse(format!("params.{key} must be an integer")))
-        };
-        let params = ChannelParams {
-            d: params_field("d")? as usize,
-            target_set: params_field("target_set")? as usize,
-            ts: params_field("ts")?,
-            tr: params_field("tr")?,
-        };
-        let message = MessageSource::from_json(
-            v.get("message")
-                .ok_or_else(|| ScenarioError::parse("missing message"))?,
-        )?;
-        let kind = ExperimentKind::from_json(
-            v.get("kind")
-                .ok_or_else(|| ScenarioError::parse("missing kind"))?,
-        )?;
-        let trials = optional(
-            v,
-            "trials",
-            Value::as_usize,
-            1,
-            "trials must be a non-negative integer",
-        )?;
-        let seed = v
-            .get("seed")
-            .and_then(Value::as_u64)
-            .ok_or_else(|| ScenarioError::parse("seed must be a non-negative integer"))?;
-        Ok(ScenarioBuilder {
-            inner: Scenario {
-                platform,
-                policy,
-                variant,
-                sharing,
-                defense,
-                workload,
-                noise,
-                hierarchy,
-                params,
-                message,
-                kind,
-                trials,
-                seed,
+        let mut f = Fields::open(v, "")?;
+        let inner = Scenario {
+            platform: f.name("platform", PlatformId::parse)?,
+            policy: f.name("policy", parse_policy)?,
+            variant: f.name("variant", parse_variant)?,
+            sharing: f.name("sharing", parse_sharing)?,
+            defense: f.name("defense", DefenseId::parse)?,
+            workload: WorkloadId::from_json(f.req("workload")?)?,
+            noise: f
+                .opt("noise")?
+                .map_or(Ok(NoiseModel::None), noise_from_json)?,
+            hierarchy: match f.opt("hierarchy")? {
+                Some(h) => HierarchyId::parse(h).ok_or_else(|| {
+                    ScenarioError::parse(format!(
+                        "unknown hierarchy {h:?} — expected inclusive, non-inclusive or \
+                         back-invalidate"
+                    ))
+                })?,
+                None => HierarchyId::Inclusive,
             },
-        })
+            params: {
+                let mut p = f.object("params")?;
+                let params = ChannelParams {
+                    d: p.req("d")?,
+                    target_set: p.req("target_set")?,
+                    ts: p.req("ts")?,
+                    tr: p.req("tr")?,
+                };
+                p.finish()?;
+                params
+            },
+            message: MessageSource::from_json(f.req("message")?)?,
+            kind: ExperimentKind::from_json(f.req("kind")?)?,
+            trials: f.opt("trials")?.unwrap_or(1),
+            seed: f.req("seed")?,
+        };
+        f.finish()?;
+        Ok(ScenarioBuilder { inner })
     }
 
     /// Parses a JSON string ([`ScenarioBuilder::from_json`] on the
@@ -1914,12 +1795,15 @@ mod tests {
 
     /// Parses the default scenario's JSON with `key` set to the JSON
     /// text `value` (removed when `value` is empty), without
-    /// validating.
+    /// validating. A `key` written `+key` adds a second `key` instead.
     fn parse_with(key: &str, value: &str) -> Result<Scenario, ScenarioError> {
         let Value::Obj(mut pairs) = Scenario::builder().build().unwrap().to_json() else {
             unreachable!("to_json builds an object")
         };
-        pairs.retain(|(k, _)| k != key);
+        let key = key.strip_prefix('+').unwrap_or_else(|| {
+            pairs.retain(|(k, _)| k != key);
+            key
+        });
         if !value.is_empty() {
             pairs.push((key.to_string(), Value::parse(value).unwrap()));
         }
@@ -2002,6 +1886,46 @@ mod tests {
             &kind.replace("3}", "3,\"single_load\":\"x\"}"),
             "single_load",
         );
+    }
+
+    #[test]
+    fn unknown_duplicated_and_stray_keys_are_parse_errors() {
+        rejects(
+            "kind",
+            r#"{"flush-reload":{"samples":4,"to_mme":false}}"#,
+            r#"unknown key "kind.flush-reload.to_mme""#,
+        );
+        rejects("kind", r#"{"covert":{"samples":9}}"#, "kind.covert.samples");
+        rejects("trails", "50", r#"unknown key "trails""#);
+        rejects("noize", r#"{"bernoulli":{"p":0.5,"lines":4}}"#, "noize");
+        rejects(
+            "noise",
+            r#"{"bernoulli":{"p":0.5,"lines":4,"burst_lines":2}}"#,
+            "noise.bernoulli.burst_lines",
+        );
+        rejects(
+            "message",
+            r#"{"alternating":16,"random":{"bits":4}}"#,
+            r#""random""#,
+        );
+        rejects(
+            "message",
+            r#"{"random":{"bits":4,"repeat":2}}"#,
+            "message.random.repeat",
+        );
+        rejects("+trials", "50", r#"duplicate key "trials""#);
+        rejects("+workload", r#""idle""#, r#"duplicate key "workload""#);
+        rejects(
+            "params",
+            r#"{"d":8,"target_set":0,"ts":6000,"tr":600,"dd":3}"#,
+            "params.dd",
+        );
+        rejects(
+            "params",
+            r#"{"d":8,"target_set":0,"ts":6000,"tr":600,"d":3}"#,
+            r#"duplicate key "params.d""#,
+        );
+        rejects("workload", r#"{"benchmark":"mcf","x":1}"#, "workload.x");
     }
 
     #[test]

@@ -14,6 +14,11 @@
 //! {"cmd":"shutdown"}                                   begin graceful drain
 //! ```
 //!
+//! The parse is strict: a key the request's shape does not list (or
+//! its scenario's), a duplicated key and a wrong-typed field are
+//! `bad_request` errors naming the key's path, and `threads` must lie
+//! in `1..=`[`MAX_WORKERS`].
+//!
 //! Events:
 //!
 //! ```text
@@ -33,7 +38,9 @@
 
 use std::time::Duration;
 
+use lru_channel::trials::MAX_WORKERS;
 use scenario::engine::{content_hash64, CacheStats, JobProgress, JobStatus, ResultCache};
+use scenario::json::Fields;
 use scenario::registry::{self, Artifact, RunOpts};
 use scenario::spec::{Scenario, ScenarioBuilder};
 use scenario::{Job, Value};
@@ -149,66 +156,37 @@ impl RunRequest {
     }
 }
 
-fn parse_usize(v: &Value, field: &str, min: usize) -> Result<usize, String> {
-    let n = v
-        .as_u64()
-        .ok_or_else(|| format!("{field:?} must be a non-negative integer"))?;
-    let n = usize::try_from(n).map_err(|_| format!("{field:?} is out of range"))?;
-    if n < min {
-        return Err(format!("{field:?} must be >= {min}"));
-    }
-    Ok(n)
-}
-
 /// Parses one request line.
 ///
 /// # Errors
 ///
-/// A human-readable message for malformed JSON, unknown commands or
-/// fields, unknown artifacts, and invalid scenarios — the server
-/// reports it as a `bad_request` error event.
+/// A human-readable message for malformed JSON, unknown commands,
+/// missing, wrong-typed, unknown or duplicated fields, unknown
+/// artifacts, and invalid scenarios — the server reports it as a
+/// `bad_request` error event.
 pub fn parse_request(line: &str) -> Result<Request, String> {
     let v = Value::parse(line).map_err(|e| format!("malformed request JSON: {e}"))?;
-    let cmd = v
-        .get("cmd")
-        .and_then(Value::as_str)
-        .ok_or("request needs a \"cmd\" field")?;
+    let mut f = Fields::open(&v, "")?;
+    let cmd: &str = f.req("cmd")?;
     match cmd {
-        "status" => Ok(Request::Status),
-        "shutdown" => Ok(Request::Shutdown),
+        "status" => f.finish().map(|()| Request::Status),
+        "shutdown" => f.finish().map(|()| Request::Shutdown),
         "run" | "adhoc" => {
-            let trials = v
-                .get("trials")
-                .map(|t| parse_usize(t, "trials", 1))
-                .transpose()?;
-            let seed = v
-                .get("seed")
-                .map(|s| s.as_u64().ok_or("\"seed\" must be a non-negative integer"))
-                .transpose()?;
-            let threads = v
-                .get("threads")
-                .map(|t| parse_usize(t, "threads", 1))
-                .transpose()?;
-            let timeout = v
-                .get("timeout_secs")
-                .map(|t| parse_usize(t, "timeout_secs", 1))
-                .transpose()?
+            let trials = f.opt_in("trials", 1..=usize::MAX)?;
+            let seed: Option<u64> = f.opt("seed")?;
+            let threads = f.opt_in("threads", 1..=MAX_WORKERS)?;
+            let timeout = f
+                .opt_in("timeout_secs", 1..=usize::MAX)?
                 .map(|secs| Duration::from_secs(secs as u64));
-            let stream = v
-                .get("stream")
-                .map(|s| s.as_bool().ok_or("\"stream\" must be a boolean"))
-                .transpose()?
-                .unwrap_or(false);
+            let stream = f.opt("stream")?.unwrap_or(false);
             let defaults = RunOpts::default();
             let opts = RunOpts {
                 trials,
                 seed: seed.unwrap_or(defaults.seed),
             };
             let (artifact, scenario, job) = if cmd == "run" {
-                let id = v
-                    .get("artifact")
-                    .and_then(Value::as_str)
-                    .ok_or("\"run\" needs an \"artifact\" field")?;
+                let id: &str = f.req("artifact")?;
+                f.finish()?;
                 let artifact = registry::get(id)
                     .ok_or_else(|| format!("unknown artifact {id:?} — see `lru-leak list`"))?;
                 let job = Job {
@@ -219,9 +197,8 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
                 };
                 (Some(artifact), None, job)
             } else {
-                let spec = v
-                    .get("scenario")
-                    .ok_or("\"adhoc\" needs a \"scenario\" field")?;
+                let spec: &Value = f.req("scenario")?;
+                f.finish()?;
                 // The overrides apply before validation, so the one
                 // check bounds the counts that actually run.
                 let invalid = |e| format!("invalid scenario: {e}");
@@ -371,16 +348,41 @@ mod tests {
         assert!(parse_request("{\"cmd\":\"run\",\"artifact\":\"fig99\"}")
             .unwrap_err()
             .contains("fig99"));
-        assert!(
-            parse_request("{\"cmd\":\"run\",\"artifact\":\"fig5\",\"threads\":0}")
-                .unwrap_err()
-                .contains("threads")
-        );
+        for threads in [0, MAX_WORKERS + 1] {
+            let line = format!("{{\"cmd\":\"run\",\"artifact\":\"fig5\",\"threads\":{threads}}}");
+            assert!(parse_request(&line).unwrap_err().contains("threads"));
+        }
         assert!(
             parse_request("{\"cmd\":\"adhoc\",\"scenario\":{\"platform\":\"moon\"}}")
                 .unwrap_err()
                 .contains("invalid scenario")
         );
+    }
+
+    #[test]
+    fn unknown_duplicated_and_stray_keys_are_rejected() {
+        let adhoc = Scenario::builder().build().unwrap().to_json();
+        for (line, key) in [
+            (
+                r#"{"cmd":"run","artifact":"fig5","trails":2}"#.to_string(),
+                r#"unknown key "trails""#,
+            ),
+            (
+                format!(r#"{{"cmd":"adhoc","scenario":{adhoc},"artifact":"fig5"}}"#),
+                r#"unknown key "artifact""#,
+            ),
+            (
+                r#"{"cmd":"status","x":1}"#.to_string(),
+                r#"unknown key "x""#,
+            ),
+            (
+                r#"{"cmd":"run","artifact":"fig5","seed":1,"seed":2}"#.to_string(),
+                r#"duplicate key "seed""#,
+            ),
+        ] {
+            let err = parse_request(&line).unwrap_err();
+            assert!(err.contains(key), "{line}: {err}");
+        }
     }
 
     #[test]
