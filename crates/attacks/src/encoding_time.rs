@@ -28,13 +28,6 @@ pub enum EncodedChannel {
 }
 
 impl EncodedChannel {
-    /// All rows of Table V.
-    pub const ALL: [EncodedChannel; 3] = [
-        EncodedChannel::FlushReloadMem,
-        EncodedChannel::FlushReloadL1,
-        EncodedChannel::LruChannel,
-    ];
-
     /// Table column header.
     pub fn label(&self) -> &'static str {
         match self {
@@ -72,20 +65,6 @@ pub fn encoding_latency(platform: Platform, channel: EncodedChannel) -> u32 {
 
     let out = machine.access(pid, target);
     DEFAULT_ENCODE_CALC + out.cycles
-}
-
-/// The full Table V: rows = channels, columns = platforms.
-pub fn table5() -> Vec<(EncodedChannel, Vec<(Platform, u32)>)> {
-    EncodedChannel::ALL
-        .iter()
-        .map(|&ch| {
-            let cols = Platform::all()
-                .iter()
-                .map(|&p| (p, encoding_latency(p, ch)))
-                .collect();
-            (ch, cols)
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -129,14 +108,5 @@ mod tests {
             mem > 150,
             "F+R(mem) encode must include memory latency, got {mem}"
         );
-    }
-
-    #[test]
-    fn table5_is_3_by_3() {
-        let t = table5();
-        assert_eq!(t.len(), 3);
-        for (_, cols) in &t {
-            assert_eq!(cols.len(), 3);
-        }
     }
 }

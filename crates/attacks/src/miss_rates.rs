@@ -170,14 +170,6 @@ pub fn sender_miss_rates(
     }
 }
 
-/// The full Table VI for one platform.
-pub fn table6(platform: Platform, bits: usize, seed: u64, engine: Engine) -> Vec<MissRateRow> {
-    SenderScenario::ALL
-        .iter()
-        .map(|&s| sender_miss_rates(platform, s, bits, seed, engine))
-        .collect()
-}
-
 /// The Spectre channels compared by Table VII.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SpectreChannel {
@@ -187,15 +179,6 @@ pub enum SpectreChannel {
     LruAlg1,
     /// LRU Algorithm 2 disclosure.
     LruAlg2,
-}
-
-impl SpectreChannel {
-    /// All rows of Table VII.
-    pub const ALL: [SpectreChannel; 3] = [
-        SpectreChannel::FlushReloadMem,
-        SpectreChannel::LruAlg1,
-        SpectreChannel::LruAlg2,
-    ];
 }
 
 /// Measures the combined (victim + attacker) miss rates during a
@@ -249,14 +232,6 @@ pub fn spectre_miss_rates(
         rates: counters.miss_rates(),
         counters,
     }
-}
-
-/// The full Table VII for one platform.
-pub fn table7(platform: Platform, secret: &str, seed: u64) -> Vec<MissRateRow> {
-    SpectreChannel::ALL
-        .iter()
-        .map(|&c| spectre_miss_rates(platform, c, secret, seed))
-        .collect()
 }
 
 #[cfg(test)]
@@ -359,9 +334,8 @@ mod tests {
 
     #[test]
     fn table6_has_all_rows() {
-        let rows = table6(Platform::e5_2690(), 50, 6, Engine::FastForward);
-        assert_eq!(rows.len(), 6);
-        assert_eq!(rows[0].label, "F+R (mem)");
-        assert_eq!(rows[5].label, "sender only");
+        let labels = SenderScenario::ALL.map(|s| s.label());
+        assert_eq!(labels[0], "F+R (mem)");
+        assert_eq!(labels[5], "sender only");
     }
 }

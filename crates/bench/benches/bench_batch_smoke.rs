@@ -28,7 +28,7 @@ use bench_harness::{header, BENCH_SEED};
 use lru_channel::trials::RunCtrl;
 use scenario::aggregate::ScalarStats;
 use scenario::registry::{self, RunOpts};
-use scenario::spec::{ExperimentKind, InitId, MessageSource, Scenario, SequenceId};
+use scenario::spec::{ExperimentKind, InitCond, MessageSource, Scenario, SequenceKind};
 use scenario::{Aggregate, CancelToken, Engine};
 
 /// Trials of the large streaming sweep (the acceptance floor).
@@ -51,8 +51,8 @@ fn timed<T>(f: impl FnOnce() -> T) -> (f64, T) {
 fn sweep_scenario() -> Scenario {
     Scenario::builder()
         .kind(ExperimentKind::PlruEviction {
-            sequence: SequenceId::Seq1,
-            init: InitId::Random,
+            sequence: SequenceKind::Seq1,
+            init: InitCond::Random,
             iterations: 2,
             trials: 1,
         })

@@ -5,18 +5,21 @@
 //! two-level [`HierarchyBackend`] models built on [`CacheHierarchy`]
 //! — exposes the same surface: lookup, touch, fill, evict, flush,
 //! plus geometry and replacement introspection. [`Backend`] names
-//! that surface so experiments and the backend-conformance harness
-//! (`tests/layout_equivalence.rs`) are generic over the model; the
-//! `test-support` crate's array-of-structs oracle `RefCache`
-//! implements it too.
+//! that surface so the backend-conformance harness
+//! (`tests/layout_equivalence.rs`) and the repository benchmark's
+//! access sweep are generic over the model; the `test-support`
+//! crate's array-of-structs oracle `RefCache` implements it too. The
+//! experiments do not go through it: they drive a concrete model.
 //!
 //! The one semantic flag a backend carries beyond its cache
 //! behaviour is [`Backend::quantum_ff_safe`]: whether an access can
 //! only change state inside the accessed line's own set(s). The
-//! execution engine consults it next to a program's declared
-//! footprint before granting a quantum fast-forward; a
-//! back-invalidating hierarchy answers `false` and is demoted to
-//! block execution.
+//! conformance harness checks it against the model's inclusion; the
+//! execution engine consults the same bit on the machine's
+//! [`CacheHierarchy::quantum_ff_safe`] (not through this trait) next
+//! to a program's declared footprint before granting a quantum
+//! fast-forward, so a back-invalidating hierarchy is demoted to block
+//! execution.
 
 use crate::addr::PhysAddr;
 use crate::cache::{AccessOutcome, Cache, CacheStats};

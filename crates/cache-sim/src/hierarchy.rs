@@ -93,17 +93,6 @@ pub enum Inclusion {
     BackInvalidate,
 }
 
-impl Inclusion {
-    /// Stable lowercase name (serialization / CLI surface).
-    pub fn name(self) -> &'static str {
-        match self {
-            Inclusion::Inclusive => "inclusive",
-            Inclusion::NonInclusive => "non-inclusive",
-            Inclusion::BackInvalidate => "back-invalidate",
-        }
-    }
-}
-
 /// The level an access was served from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum HitLevel {

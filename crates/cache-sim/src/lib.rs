@@ -27,9 +27,10 @@
 //!   model (flat SoA, PL cache, two-level hierarchies, and the
 //!   `test-support` crate's array-of-structs oracle) behind one
 //!   surface — a single demand `access`, prefetch fill, probe, flush
-//!   and line introspection — with a `quantum_ff_safe` capability bit
-//!   the execution engine consults; the backend-conformance harness
-//!   is generic over it.
+//!   and line introspection — with a `quantum_ff_safe` capability bit;
+//!   the backend-conformance harness and the repository benchmark's
+//!   access sweep are generic over it. The execution engine reads the
+//!   bit from [`hierarchy::CacheHierarchy::quantum_ff_safe`] instead.
 //! * [`hierarchy`] — an L1D/L2/(LLC) hierarchy with cycle latencies
 //!   (paper Table II), optional next-line [`prefetcher`] (Appendix C
 //!   noise source) and the AMD linear-address µtag

@@ -172,22 +172,6 @@ pub fn eviction_curve(
     }
 }
 
-/// Runs the full Table I grid (3 policies × 2 sequences × 2 initial
-/// conditions) with the given trial count.
-pub fn table1(iterations: usize, trials: usize, seed: u64) -> Vec<EvictionCurve> {
-    let mut out = Vec::new();
-    for init in [InitCond::Random, InitCond::Sequential] {
-        for policy in PolicyKind::TABLE1 {
-            for sequence in [SequenceKind::Seq1, SequenceKind::Seq2] {
-                out.push(eviction_curve(
-                    policy, sequence, init, iterations, trials, seed,
-                ));
-            }
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -287,12 +271,6 @@ mod tests {
             "Bit-PLRU Seq1 steady state should approach 100%, got {}",
             curve.steady_state()
         );
-    }
-
-    #[test]
-    fn table1_grid_has_12_cells() {
-        let rows = table1(2, 50, 7);
-        assert_eq!(rows.len(), 12);
     }
 
     #[test]

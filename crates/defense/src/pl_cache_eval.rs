@@ -101,22 +101,19 @@ pub fn pl_cache_alg2_trace(design: PlDesign, bits: &[bool], d: usize, seed: u64)
     PlRun { design, trace }
 }
 
-/// The paired Fig. 11 experiment: alternating bits on both designs.
-pub fn fig11(iterations: usize, d: usize, seed: u64) -> (PlRun, PlRun) {
-    let bits: Vec<bool> = (0..iterations).map(|i| i % 2 == 1).collect();
-    (
-        pl_cache_alg2_trace(PlDesign::Original, &bits, d, seed),
-        pl_cache_alg2_trace(PlDesign::Fixed, &bits, d, seed),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// `design` under 200 alternating bits (`0101…`), `d` = 1, seed 1.
+    fn alternating(design: PlDesign) -> PlRun {
+        let bits: Vec<bool> = (0..200).map(|i| i % 2 == 1).collect();
+        pl_cache_alg2_trace(design, &bits, 1, 1)
+    }
+
     #[test]
     fn original_pl_cache_leaks() {
-        let (original, _) = fig11(200, 1, 1);
+        let original = alternating(PlDesign::Original);
         assert!(
             original.distinguishability() > 0.3,
             "original PL cache must leak, got {:.3}",
@@ -126,7 +123,7 @@ mod tests {
 
     #[test]
     fn fixed_pl_cache_does_not_leak() {
-        let (_, fixed) = fig11(200, 1, 1);
+        let fixed = alternating(PlDesign::Fixed);
         assert!(
             fixed.distinguishability() < 0.02,
             "fixed PL cache must not leak, got {:.3}",

@@ -4,7 +4,7 @@
 use cache_sim::profiles::MicroArch;
 use cache_sim::replacement::PolicyKind;
 use workloads::cpi::{measure_benchmark, BenchmarkResult};
-use workloads::spec_like::{Benchmark, SUITE};
+use workloads::spec_like::Benchmark;
 
 /// One benchmark's Fig. 9 data: results for Tree-PLRU, FIFO and
 /// Random, plus the normalizations the figure plots.
@@ -34,16 +34,6 @@ impl Fig9Row {
         let base = self.results[0].cpi.max(1e-9);
         [1.0, self.results[1].cpi / base, self.results[2].cpi / base]
     }
-}
-
-/// Runs the Fig. 9 study: the whole suite on the paper's GEM5
-/// configuration under all three policies.
-pub fn fig9(accesses_per_benchmark: u64, seed: u64) -> Vec<Fig9Row> {
-    let arch = MicroArch::gem5_fig9();
-    SUITE
-        .iter()
-        .map(|&b| fig9_row(b, &arch, accesses_per_benchmark, seed))
-        .collect()
 }
 
 /// One benchmark of the Fig. 9 study.

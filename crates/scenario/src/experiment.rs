@@ -41,7 +41,7 @@ use lru_channel::decode::{self, BitConvention};
 use lru_channel::edit_distance::error_rate;
 use lru_channel::lockstep::{self, BatchSpec, LaneSpec};
 use lru_channel::multiset::run_parallel_alg1;
-use lru_channel::plru_study::{eviction_curve, InitCond, SequenceKind};
+use lru_channel::plru_study::eviction_curve;
 use lru_channel::protocol::LruSender;
 use lru_channel::setup;
 use lru_channel::trials::{
@@ -54,8 +54,7 @@ use workloads::spec_like::Benchmark;
 use crate::aggregate::{CollectMetrics, Reducer};
 use crate::json::Value;
 use crate::spec::{
-    ChannelId, DefenseId, ExperimentKind, HierarchyId, InitId, MessageSource, Scenario, SequenceId,
-    WorkloadId,
+    ChannelId, DefenseId, ExperimentKind, Inclusion, MessageSource, Named, Scenario, WorkloadId,
 };
 
 impl Scenario {
@@ -250,7 +249,7 @@ impl Scenario {
         if !self.noise.is_none() {
             return Err(LockstepIneligible::Noise);
         }
-        if self.hierarchy != HierarchyId::Inclusive {
+        if self.hierarchy != Inclusion::Inclusive {
             return Err(LockstepIneligible::Hierarchy(self.hierarchy));
         }
         let platform = self.platform.platform();
@@ -286,7 +285,7 @@ pub enum LockstepIneligible {
     /// (and in particular back-invalidation, which also forfeits the
     /// quantum fast-forward capability bit) have no batched
     /// interpreter. Carries the backend so the rejection can name it.
-    Hierarchy(HierarchyId),
+    Hierarchy(Inclusion),
     /// The AMD µtag way predictor keys on per-process virtual
     /// addresses, which the batch world deliberately erases.
     WayPredictor,
@@ -349,11 +348,8 @@ fn run_covert(s: &Scenario, seed: u64, engine: Engine) -> Value {
     // Swap the inclusion model only when the hierarchy axis is
     // non-default, so the default path builds the machine exactly
     // as before and stays byte-identical.
-    if s.hierarchy != HierarchyId::Inclusive {
-        let swapped = machine
-            .hierarchy()
-            .clone()
-            .with_inclusion(s.hierarchy.inclusion());
+    if s.hierarchy != Inclusion::Inclusive {
+        let swapped = machine.hierarchy().clone().with_inclusion(s.hierarchy);
         *machine.hierarchy_mut() = swapped;
     }
     let run = cfg
@@ -452,7 +448,7 @@ fn run_percent_ones(s: &Scenario, seed: u64, engine: Engine) -> Value {
         CoRunner::Model(s.noise)
     };
     let opts = PercentOnesOpts {
-        inclusion: s.hierarchy.inclusion(),
+        inclusion: s.hierarchy,
         co_runner,
         engine,
     };
@@ -505,7 +501,7 @@ fn run_l2_channel(s: &Scenario, seed: u64, _engine: Engine) -> Value {
         l2_geom,
         PolicyKind::Lru,
         platform.arch.latencies,
-        s.hierarchy.inclusion(),
+        s.hierarchy,
         seed,
     );
     let message = s.message.bits(seed);
@@ -562,7 +558,7 @@ fn run_inclusion_victim(s: &Scenario, seed: u64, _engine: Engine) -> Value {
         l2_geom,
         PolicyKind::Lru,
         platform.arch.latencies,
-        s.hierarchy.inclusion(),
+        s.hierarchy,
         seed,
     );
     let stride = l2_geom.set_stride();
@@ -896,14 +892,6 @@ fn run_plru_eviction(s: &Scenario, seed: u64, _engine: Engine) -> Value {
     else {
         unreachable!("kind checked at build");
     };
-    let sequence = match sequence {
-        SequenceId::Seq1 => SequenceKind::Seq1,
-        SequenceId::Seq2 => SequenceKind::Seq2,
-    };
-    let init = match init {
-        InitId::Random => InitCond::Random,
-        InitId::Sequential => InitCond::Sequential,
-    };
     let curve = eviction_curve(s.policy, sequence, init, iterations, trials, seed);
     let probs: Vec<Value> = curve
         .probabilities
@@ -911,7 +899,7 @@ fn run_plru_eviction(s: &Scenario, seed: u64, _engine: Engine) -> Value {
         .map(|&p| Value::from(p))
         .collect();
     Value::obj()
-        .with("policy", crate::spec::policy_name(s.policy))
+        .with("policy", s.policy.name())
         .with("probabilities", Value::Arr(probs))
         .with("steady_state", curve.steady_state())
 }
@@ -1100,7 +1088,7 @@ fn run_policy_perf(s: &Scenario, seed: u64, _engine: Engine) -> Value {
             Value::Arr(
                 PolicyKind::FIG9
                     .iter()
-                    .map(|&p| Value::from(crate::spec::policy_name(p)))
+                    .map(|&p| Value::from(p.name()))
                     .collect(),
             ),
         )
@@ -1180,7 +1168,7 @@ fn run_multi_set(s: &Scenario, seed: u64, engine: Engine) -> Value {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::PlatformId;
+    use crate::spec::{InitCond, PlatformId, SequenceKind};
 
     #[test]
     fn covert_default_recovers_alternating_bits() {
@@ -1215,8 +1203,8 @@ mod tests {
     fn trials_fan_out_in_index_order() {
         let s = Scenario::builder()
             .kind(ExperimentKind::PlruEviction {
-                sequence: SequenceId::Seq1,
-                init: InitId::Random,
+                sequence: SequenceKind::Seq1,
+                init: InitCond::Random,
                 iterations: 4,
                 trials: 50,
             })
@@ -1282,9 +1270,9 @@ mod tests {
         // receiver's L1, so the LRU readout is exact; the silent
         // backends leave the receiver blind (it always decodes 0,
         // and an alternating message is half ones).
-        assert_eq!(run(HierarchyId::BackInvalidate), 0.0);
-        assert_eq!(run(HierarchyId::Inclusive), 0.5);
-        assert_eq!(run(HierarchyId::NonInclusive), 0.5);
+        assert_eq!(run(Inclusion::BackInvalidate), 0.0);
+        assert_eq!(run(Inclusion::Inclusive), 0.5);
+        assert_eq!(run(Inclusion::NonInclusive), 0.5);
     }
 
     #[test]
@@ -1299,14 +1287,14 @@ mod tests {
             let m = s.run_trial(3, Engine::FastForward);
             m.get("signal_rate").unwrap().as_f64().unwrap()
         };
-        assert_eq!(run(HierarchyId::BackInvalidate), 1.0);
-        assert_eq!(run(HierarchyId::Inclusive), 0.0);
-        assert_eq!(run(HierarchyId::NonInclusive), 0.0);
+        assert_eq!(run(Inclusion::BackInvalidate), 1.0);
+        assert_eq!(run(Inclusion::Inclusive), 0.0);
+        assert_eq!(run(Inclusion::NonInclusive), 0.0);
     }
 
     #[test]
     fn non_default_hierarchy_is_lockstep_ineligible_and_names_the_backend() {
-        for h in [HierarchyId::NonInclusive, HierarchyId::BackInvalidate] {
+        for h in [Inclusion::NonInclusive, Inclusion::BackInvalidate] {
             let s = Scenario::builder().hierarchy(h).build().unwrap();
             let err = s.lockstep_spec().unwrap_err();
             assert_eq!(err, LockstepIneligible::Hierarchy(h));
@@ -1327,7 +1315,7 @@ mod tests {
         // swapping the inclusion model must not break it — this pins
         // the machine-swap threading (and, for back-invalidate, the
         // engine demotion) end to end.
-        for h in HierarchyId::ALL {
+        for h in Inclusion::all() {
             let s = Scenario::builder()
                 .message(MessageSource::Alternating { bits: 16 })
                 .hierarchy(h)
@@ -1381,7 +1369,7 @@ mod tests {
 
     #[test]
     fn platform_spec_reports_the_paper_geometry() {
-        for p in PlatformId::ALL {
+        for p in PlatformId::all() {
             let s = Scenario::builder()
                 .platform(p)
                 .kind(ExperimentKind::PlatformSpec)

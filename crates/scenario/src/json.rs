@@ -11,6 +11,8 @@
 use std::fmt;
 use std::ops::RangeInclusive;
 
+use crate::spec::Named;
+
 /// A JSON value. Integers keep their own variants so `u64` seeds
 /// round-trip losslessly (an `f64` would truncate above 2^53).
 #[derive(Debug, Clone, PartialEq)]
@@ -303,14 +305,26 @@ impl<'a> Fields<'a> {
 
     /// A required field.
     pub fn req<T: Field<'a>>(&mut self, key: &str) -> Result<T, String> {
-        self.opt(key)?
-            .ok_or_else(|| format!("missing key {:?}", self.key_path(key)))
+        self.opt(key)?.ok_or_else(|| self.missing(key))
     }
 
-    /// A required string field that `parse` maps to a named value.
-    pub fn name<T>(&mut self, key: &str, parse: impl Fn(&str) -> Option<T>) -> Result<T, String> {
-        let name: &str = self.req(key)?;
-        parse(name).ok_or_else(|| format!("unknown {} {name:?}", self.key_path(key)))
+    fn missing(&self, key: &str) -> String {
+        format!("missing key {:?}", self.key_path(key))
+    }
+
+    /// An optional string field naming a value of `T`'s table.
+    pub fn opt_named<T: Named>(&mut self, key: &str) -> Result<Option<T>, String> {
+        let Some(name) = self.opt::<&str>(key)? else {
+            return Ok(None);
+        };
+        T::parse(name)
+            .map(Some)
+            .ok_or_else(|| T::unknown(&self.key_path(key), name))
+    }
+
+    /// A required string field naming a value of `T`'s table.
+    pub fn named<T: Named>(&mut self, key: &str) -> Result<T, String> {
+        self.opt_named(key)?.ok_or_else(|| self.missing(key))
     }
 
     /// An optional integer field that must lie in `range`.

@@ -105,6 +105,6 @@ pub use fmt::BENCH_SEED;
 pub use json::Value;
 pub use registry::{Artifact, Report, RunOpts};
 pub use spec::{
-    ExperimentKind, HierarchyId, MessageSource, NoiseModel, PlatformId, Scenario, ScenarioError,
-    MAX_COUNT,
+    ExperimentKind, Inclusion, MessageSource, Named, NoiseModel, PlatformId, Scenario,
+    ScenarioError, MAX_COUNT,
 };

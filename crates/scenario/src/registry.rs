@@ -17,8 +17,8 @@ use crate::engine::{CancelToken, Engine};
 use crate::fmt::{geomean, header, kbps, pct, pct1, row, sparkline, BENCH_SEED};
 use crate::json::Value;
 use crate::spec::{
-    ChannelId, DefenseId, ExperimentKind, HierarchyId, InitId, MessageSource, NoiseModel,
-    PlatformId, Scenario, ScenarioError, SequenceId, WorkloadId,
+    ChannelId, DefenseId, ExperimentKind, Inclusion, InitCond, MessageSource, Named, NoiseModel,
+    PlatformId, Scenario, ScenarioError, SequenceKind, WorkloadId,
 };
 
 /// Knobs the CLI and the service pass down to a grid.
@@ -527,7 +527,7 @@ fn fig4_render(_o: &RunOpts, grid: &[Scenario], outs: &[Value]) -> (String, Valu
                         let err = f(out, "error_rate");
                         summary.push(
                             Value::obj()
-                                .with("variant", crate::spec::variant_name(sc.variant))
+                                .with("variant", sc.variant.name())
                                 .with("d", sc.params.d)
                                 .with("ts", sc.params.ts)
                                 .with("tr", sc.params.tr)
@@ -638,7 +638,7 @@ fn trace_render(_o: &RunOpts, grid: &[Scenario], outs: &[Value]) -> (String, Val
         );
         summary.push(
             Value::obj()
-                .with("variant", crate::spec::variant_name(sc.variant))
+                .with("variant", sc.variant.name())
                 .with("error_rate", f(out, "error_rate"))
                 .with("rate_bps", f(out, "rate_bps")),
         );
@@ -888,9 +888,9 @@ fn fig11_render(_o: &RunOpts, grid: &[Scenario], outs: &[Value]) -> (String, Val
 fn table1_grid(opts: &RunOpts) -> Result<Vec<Scenario>, ScenarioError> {
     let trials = opts.count(lru_channel::plru_study::PAPER_TRIALS);
     let mut grid = Vec::new();
-    for init in [InitId::Random, InitId::Sequential] {
+    for init in InitCond::all() {
         for policy in PolicyKind::TABLE1 {
-            for sequence in [SequenceId::Seq1, SequenceId::Seq2] {
+            for sequence in SequenceKind::all() {
                 grid.push(
                     Scenario::builder()
                         .policy(policy)
@@ -927,18 +927,8 @@ fn table1_render(_o: &RunOpts, grid: &[Scenario], outs: &[Value]) -> (String, Va
         };
         let probs = floats(out, "probabilities");
         let steady = f(out, "steady_state");
-        let label = format!(
-            "{:?}/{}/{:?}",
-            match init {
-                InitId::Random => "Random",
-                InitId::Sequential => "Sequential",
-            },
-            sc.policy,
-            match sequence {
-                SequenceId::Seq1 => "Seq1",
-                SequenceId::Seq2 => "Seq2",
-            }
-        );
+        // The quoted init and sequence are the table's historical bytes.
+        let label = format!("\"{init:?}\"/{}/\"{sequence:?}\"", sc.policy);
         row(
             &mut buf,
             &label,
@@ -956,8 +946,7 @@ fn table1_render(_o: &RunOpts, grid: &[Scenario], outs: &[Value]) -> (String, Va
 // ---- Tables II / III: substrate checks ----
 
 fn table2_grid(opts: &RunOpts) -> Result<Vec<Scenario>, ScenarioError> {
-    PlatformId::ALL
-        .into_iter()
+    PlatformId::all()
         .map(|p| {
             Scenario::builder()
                 .platform(p)
@@ -993,8 +982,7 @@ fn table2_render(_o: &RunOpts, _grid: &[Scenario], outs: &[Value]) -> (String, V
 }
 
 fn table3_grid(opts: &RunOpts) -> Result<Vec<Scenario>, ScenarioError> {
-    PlatformId::ALL
-        .into_iter()
+    PlatformId::all()
         .map(|p| {
             Scenario::builder()
                 .platform(p)
@@ -1192,7 +1180,7 @@ fn table5_grid(opts: &RunOpts) -> Result<Vec<Scenario>, ScenarioError> {
         ChannelId::FlushReloadL1,
         ChannelId::LruAlg1,
     ] {
-        for platform in PlatformId::ALL {
+        for platform in PlatformId::all() {
             grid.push(
                 Scenario::builder()
                     .platform(platform)
@@ -1207,12 +1195,11 @@ fn table5_grid(opts: &RunOpts) -> Result<Vec<Scenario>, ScenarioError> {
 
 fn table5_render(_o: &RunOpts, grid: &[Scenario], outs: &[Value]) -> (String, Value) {
     let mut buf = String::new();
-    let platforms: Vec<String> = PlatformId::ALL
-        .iter()
+    let platforms: Vec<String> = PlatformId::all()
         .map(|p| p.platform().arch.model.to_string())
         .collect();
     row(&mut buf, "channel", &platforms);
-    for rows in outs.chunks(PlatformId::ALL.len()) {
+    for rows in outs.chunks(PlatformId::NAMES.len()) {
         let vals: Vec<String> = rows.iter().map(|o| u(o, "cycles").to_string()).collect();
         row(&mut buf, s(&rows[0], "label"), &vals);
     }
@@ -1652,7 +1639,7 @@ fn ablation_noise_ber_render(_o: &RunOpts, grid: &[Scenario], outs: &[Value]) ->
         for (sc, err) in [(sc1, err1), (sc2, err2)] {
             summary.push(
                 Value::obj()
-                    .with("variant", crate::spec::variant_name(sc.variant))
+                    .with("variant", sc.variant.name())
                     .with("noise", crate::spec::noise_to_json(&sc.noise))
                     .with("error_rate", err)
                     .with("capacity_bits_per_use", crate::capacity::bsc_capacity(err)),
@@ -1929,8 +1916,7 @@ fn ablation_prefetcher_render(_o: &RunOpts, grid: &[Scenario], outs: &[Value]) -
 // ---- Cross-core L2 artifacts: the hierarchy-backend contrasts ----
 
 fn l2_lru_channel_grid(opts: &RunOpts) -> Result<Vec<Scenario>, ScenarioError> {
-    HierarchyId::ALL
-        .into_iter()
+    Inclusion::all()
         .map(|h| {
             Scenario::builder()
                 .kind(ExperimentKind::L2Channel {
@@ -1967,8 +1953,7 @@ fn l2_lru_channel_render(_o: &RunOpts, grid: &[Scenario], outs: &[Value]) -> (St
 }
 
 fn l2_inclusion_victim_grid(opts: &RunOpts) -> Result<Vec<Scenario>, ScenarioError> {
-    HierarchyId::ALL
-        .into_iter()
+    Inclusion::all()
         .map(|h| {
             Scenario::builder()
                 .kind(ExperimentKind::InclusionVictim {

@@ -13,15 +13,57 @@
 use std::error::Error;
 use std::fmt;
 
+pub use cache_sim::hierarchy::Inclusion;
 use cache_sim::replacement::PolicyKind;
 use lru_channel::covert::{Sharing, Variant};
 pub use lru_channel::noise::NoiseModel;
 use lru_channel::params::{ChannelParams, ParamError, Platform};
+pub use lru_channel::plru_study::{InitCond, SequenceKind};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use workloads::spec_like::Benchmark;
 
 use crate::json::{Fields, Value};
+
+/// A value set whose values each have one stable serialization name.
+///
+/// [`Named::NAMES`] is the only place a value's name is written:
+/// [`Named::name`], [`Named::parse`], [`Named::all`] and the reader
+/// [`Fields::named`] derive from it, so the JSON encoding, every
+/// `ResultCache` key and every parse error spell a value the same way.
+pub trait Named: Copy + PartialEq + 'static {
+    /// Every value with its name, in serialization order. A value
+    /// missing here cannot be encoded ([`Named::name`] panics).
+    const NAMES: &'static [(Self, &'static str)];
+
+    /// The value's serialization name.
+    fn name(self) -> &'static str {
+        Self::NAMES
+            .iter()
+            .find(|&&(v, _)| v == self)
+            .map(|&(_, name)| name)
+            .expect("every value has a row in Named::NAMES")
+    }
+
+    /// The value a serialization name stands for.
+    fn parse(name: &str) -> Option<Self> {
+        Self::NAMES
+            .iter()
+            .find(|&&(_, n)| n == name)
+            .map(|&(v, _)| v)
+    }
+
+    /// Every value, in serialization order.
+    fn all() -> impl ExactSizeIterator<Item = Self> {
+        Self::NAMES.iter().map(|&(v, _)| v)
+    }
+
+    /// The parse error for `name`, read at the key path `path` and not
+    /// in the table.
+    fn unknown(path: &str, name: &str) -> String {
+        format!("unknown {path} {name:?}")
+    }
+}
 
 /// The simulated CPUs of the paper's evaluation (Table III).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -35,13 +77,6 @@ pub enum PlatformId {
 }
 
 impl PlatformId {
-    /// All platforms, in paper order.
-    pub const ALL: [PlatformId; 3] = [
-        PlatformId::E5_2690,
-        PlatformId::E3_1245V5,
-        PlatformId::Epyc7571,
-    ];
-
     /// The platform bundle (CPU profile + timer model).
     pub fn platform(self) -> Platform {
         match self {
@@ -50,74 +85,44 @@ impl PlatformId {
             PlatformId::Epyc7571 => Platform::epyc_7571(),
         }
     }
-
-    /// Stable serialization name.
-    pub fn name(self) -> &'static str {
-        match self {
-            PlatformId::E5_2690 => "e5-2690",
-            PlatformId::E3_1245V5 => "e3-1245v5",
-            PlatformId::Epyc7571 => "epyc-7571",
-        }
-    }
-
-    /// Parses a serialization name.
-    pub fn parse(name: &str) -> Option<PlatformId> {
-        Self::ALL.into_iter().find(|p| p.name() == name)
-    }
 }
 
-/// Stable serialization name of a replacement policy.
-pub fn policy_name(policy: PolicyKind) -> &'static str {
-    match policy {
-        PolicyKind::Lru => "lru",
-        PolicyKind::TreePlru => "tree-plru",
-        PolicyKind::BitPlru => "bit-plru",
-        PolicyKind::Fifo => "fifo",
-        PolicyKind::Random => "random",
-        PolicyKind::PartitionedTreePlru => "partitioned-tree-plru",
-    }
+/// The platform axis, in paper order.
+impl Named for PlatformId {
+    const NAMES: &'static [(Self, &'static str)] = &[
+        (PlatformId::E5_2690, "e5-2690"),
+        (PlatformId::E3_1245V5, "e3-1245v5"),
+        (PlatformId::Epyc7571, "epyc-7571"),
+    ];
 }
 
-/// Parses a replacement-policy serialization name.
-pub fn parse_policy(name: &str) -> Option<PolicyKind> {
-    PolicyKind::ALL
-        .into_iter()
-        .find(|&p| policy_name(p) == name)
+/// The L1 replacement policy (the §IX-A substitution axis).
+impl Named for PolicyKind {
+    const NAMES: &'static [(Self, &'static str)] = &[
+        (PolicyKind::Lru, "lru"),
+        (PolicyKind::TreePlru, "tree-plru"),
+        (PolicyKind::BitPlru, "bit-plru"),
+        (PolicyKind::Fifo, "fifo"),
+        (PolicyKind::Random, "random"),
+        (PolicyKind::PartitionedTreePlru, "partitioned-tree-plru"),
+    ];
 }
 
-/// Stable serialization name of a protocol variant.
-pub fn variant_name(variant: Variant) -> &'static str {
-    match variant {
-        Variant::SharedMemory => "alg1-shared-memory",
-        Variant::SharedMemoryThreads => "alg1-threads",
-        Variant::NoSharedMemory => "alg2-no-shared-memory",
-    }
+/// The protocol variant (Algorithm 1 or 2).
+impl Named for Variant {
+    const NAMES: &'static [(Self, &'static str)] = &[
+        (Variant::SharedMemory, "alg1-shared-memory"),
+        (Variant::SharedMemoryThreads, "alg1-threads"),
+        (Variant::NoSharedMemory, "alg2-no-shared-memory"),
+    ];
 }
 
-/// Parses a protocol-variant serialization name.
-pub fn parse_variant(name: &str) -> Option<Variant> {
-    [
-        Variant::SharedMemory,
-        Variant::SharedMemoryThreads,
-        Variant::NoSharedMemory,
-    ]
-    .into_iter()
-    .find(|&v| variant_name(v) == name)
-}
-
-/// Stable serialization name of a core-sharing setting.
-pub fn sharing_name(sharing: Sharing) -> &'static str {
-    match sharing {
-        Sharing::HyperThreaded => "hyper-threaded",
-        Sharing::TimeSliced => "time-sliced",
-    }
-}
-
-/// Parses a core-sharing serialization name.
-pub fn parse_sharing(name: &str) -> Option<Sharing> {
-    [Sharing::HyperThreaded, Sharing::TimeSliced]
-        .into_iter()
-        .find(|&s| sharing_name(s) == name)
+/// How sender and receiver share the core (§V).
+impl Named for Sharing {
+    const NAMES: &'static [(Self, &'static str)] = &[
+        (Sharing::HyperThreaded, "hyper-threaded"),
+        (Sharing::TimeSliced, "time-sliced"),
+    ];
 }
 
 /// Which §IX defense (if any) the scenario evaluates or runs under.
@@ -143,39 +148,18 @@ pub enum DefenseId {
     MissRateDetector,
 }
 
-impl DefenseId {
-    /// All defenses, in serialization order.
-    pub const ALL: [DefenseId; 9] = [
-        DefenseId::None,
-        DefenseId::PlCacheOriginal,
-        DefenseId::PlCacheFixed,
-        DefenseId::SharedPartition,
-        DefenseId::DawgPartition,
-        DefenseId::RandomFill,
-        DefenseId::IndexRandomization,
-        DefenseId::InvisibleSpeculation,
-        DefenseId::MissRateDetector,
+impl Named for DefenseId {
+    const NAMES: &'static [(Self, &'static str)] = &[
+        (DefenseId::None, "none"),
+        (DefenseId::PlCacheOriginal, "pl-cache-original"),
+        (DefenseId::PlCacheFixed, "pl-cache-fixed"),
+        (DefenseId::SharedPartition, "shared-partition"),
+        (DefenseId::DawgPartition, "dawg-partition"),
+        (DefenseId::RandomFill, "random-fill"),
+        (DefenseId::IndexRandomization, "index-randomization"),
+        (DefenseId::InvisibleSpeculation, "invisible-speculation"),
+        (DefenseId::MissRateDetector, "miss-rate-detector"),
     ];
-
-    /// Stable serialization name.
-    pub fn name(self) -> &'static str {
-        match self {
-            DefenseId::None => "none",
-            DefenseId::PlCacheOriginal => "pl-cache-original",
-            DefenseId::PlCacheFixed => "pl-cache-fixed",
-            DefenseId::SharedPartition => "shared-partition",
-            DefenseId::DawgPartition => "dawg-partition",
-            DefenseId::RandomFill => "random-fill",
-            DefenseId::IndexRandomization => "index-randomization",
-            DefenseId::InvisibleSpeculation => "invisible-speculation",
-            DefenseId::MissRateDetector => "miss-rate-detector",
-        }
-    }
-
-    /// Parses a serialization name.
-    pub fn parse(name: &str) -> Option<DefenseId> {
-        Self::ALL.into_iter().find(|d| d.name() == name)
-    }
 }
 
 /// What else runs on the core (the workload axis).
@@ -441,57 +425,23 @@ fn unknown_noise(name: &str) -> ScenarioError {
     ))
 }
 
-/// The hierarchy backend of the scenario (the `hierarchy` axis):
-/// which L1↔L2 inclusion model the simulated machine runs.
-///
-/// [`HierarchyId::Inclusive`] is the historical single-machine model
-/// and the default; it is *omitted* by [`Scenario::to_json`] so
-/// pre-hierarchy scenario encodings are unchanged byte for byte.
-/// The two other backends open the cross-core channels and — for
-/// [`HierarchyId::BackInvalidate`] — revoke the quantum fast-forward
-/// capability bit, demoting execution to the block interpreter.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum HierarchyId {
-    /// Inclusive fills, silent L2 evictions (the default backend).
-    #[default]
-    Inclusive,
-    /// Non-inclusive (victim-cache) L2: demand misses fill L1 only.
-    NonInclusive,
-    /// Inclusive with L2 evictions back-invalidating L1 copies.
-    BackInvalidate,
-}
-
-impl HierarchyId {
-    /// All hierarchy backends, in serialization order.
-    pub const ALL: [HierarchyId; 3] = [
-        HierarchyId::Inclusive,
-        HierarchyId::NonInclusive,
-        HierarchyId::BackInvalidate,
+/// The hierarchy backend (the `hierarchy` axis): which L1↔L2
+/// inclusion model the simulated machine runs. An unknown name's error
+/// lists the valid ones.
+impl Named for Inclusion {
+    const NAMES: &'static [(Self, &'static str)] = &[
+        (Inclusion::Inclusive, "inclusive"),
+        (Inclusion::NonInclusive, "non-inclusive"),
+        (Inclusion::BackInvalidate, "back-invalidate"),
     ];
 
-    /// Stable serialization name.
-    pub fn name(self) -> &'static str {
-        self.inclusion().name()
-    }
-
-    /// Parses a serialization name.
-    pub fn parse(name: &str) -> Option<HierarchyId> {
-        Self::ALL.into_iter().find(|h| h.name() == name)
-    }
-
-    /// The cache-sim inclusion policy this backend selects.
-    pub fn inclusion(self) -> cache_sim::hierarchy::Inclusion {
-        match self {
-            HierarchyId::Inclusive => cache_sim::hierarchy::Inclusion::Inclusive,
-            HierarchyId::NonInclusive => cache_sim::hierarchy::Inclusion::NonInclusive,
-            HierarchyId::BackInvalidate => cache_sim::hierarchy::Inclusion::BackInvalidate,
-        }
-    }
-
-    /// Whether the backend keeps the quantum fast-forward engine
-    /// sound (mirrors `CacheHierarchy::quantum_ff_safe`).
-    pub fn quantum_ff_safe(self) -> bool {
-        self != HierarchyId::BackInvalidate
+    fn unknown(path: &str, name: &str) -> String {
+        let names: Vec<&str> = Self::NAMES.iter().map(|&(_, n)| n).collect();
+        let (last, rest) = names.split_last().expect("a non-empty table");
+        format!(
+            "unknown {path} {name:?} — expected {} or {last}",
+            rest.join(", ")
+        )
     }
 }
 
@@ -510,29 +460,6 @@ pub enum ChannelId {
 }
 
 impl ChannelId {
-    /// All channels, in serialization order.
-    pub const ALL: [ChannelId; 4] = [
-        ChannelId::FlushReloadMem,
-        ChannelId::FlushReloadL1,
-        ChannelId::LruAlg1,
-        ChannelId::LruAlg2,
-    ];
-
-    /// Stable serialization name.
-    pub fn name(self) -> &'static str {
-        match self {
-            ChannelId::FlushReloadMem => "fr-mem",
-            ChannelId::FlushReloadL1 => "fr-l1",
-            ChannelId::LruAlg1 => "lru-alg1",
-            ChannelId::LruAlg2 => "lru-alg2",
-        }
-    }
-
-    /// Parses a serialization name.
-    pub fn parse(name: &str) -> Option<ChannelId> {
-        Self::ALL.into_iter().find(|c| c.name() == name)
-    }
-
     /// Paper table label.
     pub fn label(self) -> &'static str {
         match self {
@@ -544,58 +471,27 @@ impl ChannelId {
     }
 }
 
-/// The Table I access-sequence kinds, re-exported shape.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SequenceId {
-    /// Seq1: `line 1..=8` in order.
-    Seq1,
-    /// Seq2: `line 1..=8`, then `line 1` again.
-    Seq2,
+impl Named for ChannelId {
+    const NAMES: &'static [(Self, &'static str)] = &[
+        (ChannelId::FlushReloadMem, "fr-mem"),
+        (ChannelId::FlushReloadL1, "fr-l1"),
+        (ChannelId::LruAlg1, "lru-alg1"),
+        (ChannelId::LruAlg2, "lru-alg2"),
+    ];
 }
 
-impl SequenceId {
-    /// All sequences, in serialization order.
-    pub const ALL: [SequenceId; 2] = [SequenceId::Seq1, SequenceId::Seq2];
-
-    /// Stable serialization name.
-    pub fn name(self) -> &'static str {
-        match self {
-            SequenceId::Seq1 => "seq1",
-            SequenceId::Seq2 => "seq2",
-        }
-    }
-
-    /// Parses a serialization name.
-    pub fn parse(name: &str) -> Option<SequenceId> {
-        Self::ALL.into_iter().find(|s| s.name() == name)
-    }
+/// The Table I access sequence (§IV-C).
+impl Named for SequenceKind {
+    const NAMES: &'static [(Self, &'static str)] =
+        &[(SequenceKind::Seq1, "seq1"), (SequenceKind::Seq2, "seq2")];
 }
 
-/// The Table I initial-condition kinds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum InitId {
-    /// Random pre-access history.
-    Random,
-    /// Sequential pre-access history.
-    Sequential,
-}
-
-impl InitId {
-    /// All initial conditions, in serialization order.
-    pub const ALL: [InitId; 2] = [InitId::Random, InitId::Sequential];
-
-    /// Stable serialization name.
-    pub fn name(self) -> &'static str {
-        match self {
-            InitId::Random => "random",
-            InitId::Sequential => "sequential",
-        }
-    }
-
-    /// Parses a serialization name.
-    pub fn parse(name: &str) -> Option<InitId> {
-        Self::ALL.into_iter().find(|i| i.name() == name)
-    }
+/// The Table I initial condition (§IV-C).
+impl Named for InitCond {
+    const NAMES: &'static [(Self, &'static str)] = &[
+        (InitCond::Random, "random"),
+        (InitCond::Sequential, "sequential"),
+    ];
 }
 
 /// Which measurement the scenario takes.
@@ -640,9 +536,9 @@ pub enum ExperimentKind {
     /// The Table I eviction-probability study.
     PlruEviction {
         /// Access sequence.
-        sequence: SequenceId,
+        sequence: SequenceKind,
         /// Initial condition.
-        init: InitId,
+        init: InitCond,
         /// Loop iterations per trial.
         iterations: usize,
         /// Independent trials.
@@ -843,7 +739,7 @@ impl ExperimentKind {
                 to_mem: f.opt("to_mem")?.unwrap_or(true),
             },
             "spectre" => ExperimentKind::Spectre {
-                channel: f.name("channel", ChannelId::parse)?,
+                channel: f.named("channel")?,
                 rounds: f.req("rounds")?,
                 prefetcher: f.opt("prefetcher")?.unwrap_or(false),
             },
@@ -851,22 +747,22 @@ impl ExperimentKind {
                 trials: f.req("trials")?,
             },
             "plru-eviction" => ExperimentKind::PlruEviction {
-                sequence: f.name("sequence", SequenceId::parse)?,
-                init: f.name("init", InitId::parse)?,
+                sequence: f.named("sequence")?,
+                init: f.named("init")?,
                 iterations: f.req("iterations")?,
                 trials: f.req("trials")?,
             },
             "latency-check" => ExperimentKind::LatencyCheck,
             "platform-spec" => ExperimentKind::PlatformSpec,
             "encoding-latency" => ExperimentKind::EncodingLatency {
-                channel: f.name("channel", ChannelId::parse)?,
+                channel: f.named("channel")?,
             },
             "sender-miss-rates" => ExperimentKind::SenderMissRates {
                 sender: f.req("sender")?,
                 bits: f.req("bits")?,
             },
             "spectre-miss-rates" => ExperimentKind::SpectreMissRates {
-                channel: f.name("channel", ChannelId::parse)?,
+                channel: f.named("channel")?,
             },
             "probe-histogram" => ExperimentKind::ProbeHistogram {
                 samples: f.req("samples")?,
@@ -968,9 +864,12 @@ pub struct Scenario {
     /// pre-noise encodings are stable).
     pub noise: NoiseModel,
     /// The hierarchy backend the simulated machine runs
-    /// ([`HierarchyId::Inclusive`] by default — omitted from JSON so
-    /// pre-hierarchy encodings are stable).
-    pub hierarchy: HierarchyId,
+    /// ([`Inclusion::Inclusive`] by default — omitted from JSON so
+    /// pre-hierarchy encodings are stable). The two other backends open
+    /// the cross-core channels, and [`Inclusion::BackInvalidate`]
+    /// also revokes the quantum fast-forward capability bit, demoting
+    /// execution to the block interpreter.
+    pub hierarchy: Inclusion,
     /// Channel parameters (`d`, target set, `Ts`, `Tr`).
     pub params: ChannelParams,
     /// Message source.
@@ -998,7 +897,7 @@ impl Scenario {
                 defense: DefenseId::None,
                 workload: WorkloadId::Idle,
                 noise: NoiseModel::None,
-                hierarchy: HierarchyId::Inclusive,
+                hierarchy: Inclusion::Inclusive,
                 params: ChannelParams::paper_alg1_default(),
                 message: MessageSource::Alternating { bits: 20 },
                 kind: ExperimentKind::Covert,
@@ -1011,7 +910,7 @@ impl Scenario {
     /// Serializes to a JSON tree (lossless; see [`Scenario::from_json`]).
     ///
     /// The `noise` and `hierarchy` axes are omitted at their defaults
-    /// ([`NoiseModel::None`], [`HierarchyId::Inclusive`]), so
+    /// ([`NoiseModel::None`], [`Inclusion::Inclusive`]), so
     /// scenarios that predate those axes keep their exact historical
     /// byte encoding. Use [`Scenario::to_json_full`] when every axis
     /// should be spelled out.
@@ -1033,9 +932,9 @@ impl Scenario {
     fn encode(&self, full: bool) -> Value {
         let mut v = Value::obj()
             .with("platform", self.platform.name())
-            .with("policy", policy_name(self.policy))
-            .with("variant", variant_name(self.variant))
-            .with("sharing", sharing_name(self.sharing))
+            .with("policy", self.policy.name())
+            .with("variant", self.variant.name())
+            .with("sharing", self.sharing.name())
             .with("defense", self.defense.name())
             .with("workload", self.workload.to_json());
         // Non-default axes come first and spelled-out defaults after
@@ -1046,7 +945,7 @@ impl Scenario {
             (
                 "hierarchy",
                 Value::from(self.hierarchy.name()),
-                self.hierarchy == HierarchyId::Inclusive,
+                self.hierarchy == Inclusion::Inclusive,
             ),
         ];
         axes.sort_by_key(|&(_, _, default)| default);
@@ -1113,24 +1012,16 @@ impl ScenarioBuilder {
     pub fn from_json(v: &Value) -> Result<ScenarioBuilder, ScenarioError> {
         let mut f = Fields::open(v, "")?;
         let inner = Scenario {
-            platform: f.name("platform", PlatformId::parse)?,
-            policy: f.name("policy", parse_policy)?,
-            variant: f.name("variant", parse_variant)?,
-            sharing: f.name("sharing", parse_sharing)?,
-            defense: f.name("defense", DefenseId::parse)?,
+            platform: f.named("platform")?,
+            policy: f.named("policy")?,
+            variant: f.named("variant")?,
+            sharing: f.named("sharing")?,
+            defense: f.named("defense")?,
             workload: WorkloadId::from_json(f.req("workload")?)?,
             noise: f
                 .opt("noise")?
                 .map_or(Ok(NoiseModel::None), noise_from_json)?,
-            hierarchy: match f.opt("hierarchy")? {
-                Some(h) => HierarchyId::parse(h).ok_or_else(|| {
-                    ScenarioError::parse(format!(
-                        "unknown hierarchy {h:?} — expected inclusive, non-inclusive or \
-                         back-invalidate"
-                    ))
-                })?,
-                None => HierarchyId::Inclusive,
-            },
+            hierarchy: f.opt_named("hierarchy")?.unwrap_or(Inclusion::Inclusive),
             params: {
                 let mut p = f.object("params")?;
                 let params = ChannelParams {
@@ -1213,7 +1104,7 @@ impl ScenarioBuilder {
 
     /// Sets the hierarchy-backend axis.
     #[must_use]
-    pub fn hierarchy(mut self, hierarchy: HierarchyId) -> Self {
+    pub fn hierarchy(mut self, hierarchy: Inclusion) -> Self {
         self.inner.hierarchy = hierarchy;
         self
     }
@@ -1435,7 +1326,7 @@ impl ScenarioBuilder {
         if let Some(what) = s.kind.count_over_cap() {
             return Err(ScenarioError::over_cap(what));
         }
-        if s.hierarchy != HierarchyId::Inclusive
+        if s.hierarchy != Inclusion::Inclusive
             && !matches!(
                 s.kind,
                 ExperimentKind::Covert
@@ -1453,7 +1344,7 @@ impl ScenarioBuilder {
         // The hierarchy axis studies the inclusion model in
         // isolation, on a quiet machine: reject the combination with
         // interference rather than define it.
-        if s.hierarchy != HierarchyId::Inclusive
+        if s.hierarchy != Inclusion::Inclusive
             && (!s.noise.is_none() || s.workload == WorkloadId::BenignNoise)
         {
             return Err(ScenarioError::incompatible(format!(
@@ -1626,8 +1517,8 @@ mod tests {
             ),
             (
                 ExperimentKind::PlruEviction {
-                    sequence: SequenceId::Seq2,
-                    init: InitId::Sequential,
+                    sequence: SequenceKind::Seq2,
+                    init: InitCond::Sequential,
                     iterations: 12,
                     trials: 10,
                 },
@@ -1747,8 +1638,8 @@ mod tests {
             }),
             ("plru-eviction trials", |n| {
                 kind(ExperimentKind::PlruEviction {
-                    sequence: SequenceId::Seq1,
-                    init: InitId::Random,
+                    sequence: SequenceKind::Seq1,
+                    init: InitCond::Random,
                     iterations: 2,
                     trials: n,
                 })
@@ -1970,37 +1861,94 @@ mod tests {
         // A missing field parses as the default.
         assert_eq!(
             Scenario::from_json_str(&text).unwrap().hierarchy,
-            HierarchyId::Inclusive
+            Inclusion::Inclusive
         );
     }
 
-    #[test]
-    fn hierarchy_axis_round_trips() {
-        for h in HierarchyId::ALL {
-            let s = Scenario::builder().hierarchy(h).build().unwrap();
-            let back = Scenario::from_json_str(&s.to_json().to_string()).unwrap();
-            assert_eq!(back, s, "round trip of {h:?}");
-            assert_eq!(HierarchyId::parse(h.name()), Some(h));
+    /// Checks `T`'s table through the scenario field it is read at:
+    /// names are distinct; every value and its name map to each
+    /// other; `set` with each value builds a scenario whose `to_json`
+    /// and `to_json_full` both parse back to it; and an unknown name
+    /// at `path` is an error naming the path.
+    fn check_table<T: Named + fmt::Debug>(path: &str, set: impl Fn(T) -> ScenarioBuilder) {
+        let mut names: Vec<&str> = T::NAMES.iter().map(|&(_, n)| n).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), T::NAMES.len(), "{path}: a name repeats");
+        for &(v, name) in T::NAMES {
+            assert_eq!((v.name(), T::parse(name)), (name, Some(v)), "{path}");
+            let s = set(v)
+                .build()
+                .unwrap_or_else(|e| panic!("{path} {name}: {e}"));
+            for text in [s.to_json().to_string(), s.to_json_full().to_string()] {
+                assert_eq!(Scenario::from_json_str(&text).unwrap(), s, "{path} {name}");
+            }
         }
-        // The full form is also parseable (explicit default).
-        let s = Scenario::builder().build().unwrap();
-        assert_eq!(
-            Scenario::from_json_str(&s.to_json_full().to_string()).unwrap(),
-            s
-        );
+        let (first, _) = T::NAMES[0];
+        let key = path.rsplit('.').next().unwrap();
+        let field = format!("{key:?}:{:?}", first.name());
+        let full = set(first).build().unwrap().to_json_full().to_string();
+        assert!(full.contains(&field), "{path}: {field} not in {full}");
+        let bad = full.replace(&field, &format!("{key:?}:\"no-such-name\""));
+        match Scenario::from_json_str(&bad) {
+            Err(ScenarioError::Parse(msg)) => assert!(
+                msg.starts_with(&format!("unknown {path} \"no-such-name\"")),
+                "{path}: {msg}"
+            ),
+            other => panic!("{path}: an unknown name parsed as {other:?}"),
+        }
+    }
+
+    #[test]
+    fn every_name_table_round_trips_and_rejects_unknown_names() {
+        let b = Scenario::builder;
+        check_table("platform", |p| b().platform(p));
+        check_table("policy", |p| b().policy(p));
+        check_table("variant", |v| b().variant(v));
+        check_table("sharing", |s| b().sharing(s));
+        check_table("defense", |d| b().defense(d));
+        check_table("hierarchy", |h| b().hierarchy(h));
+        check_table("kind.spectre.channel", |channel| {
+            b().message(MessageSource::Text("s".into()))
+                .kind(ExperimentKind::Spectre {
+                    channel,
+                    rounds: 1,
+                    prefetcher: false,
+                })
+        });
+        let plru = |sequence, init| {
+            b().kind(ExperimentKind::PlruEviction {
+                sequence,
+                init,
+                iterations: 1,
+                trials: 1,
+            })
+        };
+        check_table("kind.plru-eviction.sequence", |s| plru(s, InitCond::Random));
+        check_table("kind.plru-eviction.init", |i| plru(SequenceKind::Seq1, i));
+        // The policy table covers every policy the simulator has.
+        assert!(PolicyKind::all().eq(PolicyKind::ALL));
+        // The hierarchy axis lists the valid names in its error.
+        match parse_with("hierarchy", r#""shared""#) {
+            Err(ScenarioError::Parse(msg)) => assert_eq!(
+                msg,
+                r#"unknown hierarchy "shared" — expected inclusive, non-inclusive or back-invalidate"#
+            ),
+            other => panic!("an unknown hierarchy parsed as {other:?}"),
+        }
     }
 
     #[test]
     fn hierarchy_axis_is_gated_by_kind() {
         let err = Scenario::builder()
-            .hierarchy(HierarchyId::BackInvalidate)
+            .hierarchy(Inclusion::BackInvalidate)
             .kind(ExperimentKind::LatencyCheck)
             .build()
             .unwrap_err();
         assert!(matches!(err, ScenarioError::Incompatible(_)));
         assert!(err.to_string().contains("back-invalidate"));
         // The threaded kinds accept every backend.
-        for h in HierarchyId::ALL {
+        for h in Inclusion::all() {
             assert!(Scenario::builder().hierarchy(h).build().is_ok());
             assert!(Scenario::builder()
                 .hierarchy(h)

@@ -138,11 +138,9 @@ pub struct ServerConfig {
     /// Content-addressed result cache shared by every connection.
     pub cache_dir: Option<PathBuf>,
     /// Global admission budget in trial-units; 0 means
-    /// [`DEFAULT_MAX_INFLIGHT_TRIALS`].
+    /// [`DEFAULT_MAX_INFLIGHT_TRIALS`]. One connection may hold half
+    /// of it.
     pub max_inflight_trials: usize,
-    /// Per-connection admission cap; defaults to half the global
-    /// budget.
-    pub per_conn_trials: Option<usize>,
     /// Admission wait-queue bound; `None` means
     /// [`DEFAULT_MAX_QUEUED`]. Requests past the bound are shed with
     /// a structured `overloaded` rejection (HTTP: `503` +
@@ -341,7 +339,6 @@ impl Server {
         } else {
             config.max_inflight_trials
         };
-        let per_conn = config.per_conn_trials.unwrap_or(capacity / 2);
         let max_queued = config.max_queued.unwrap_or(DEFAULT_MAX_QUEUED);
         let (journal, recovery, recovered_done) = match (&config.cache_dir, config.recover) {
             (Some(dir), true) => {
@@ -369,7 +366,7 @@ impl Server {
             shared: Arc::new(Shared {
                 threads: config.threads,
                 cache,
-                ledger: Arc::new(Ledger::bounded(capacity, per_conn, max_queued)),
+                ledger: Arc::new(Ledger::bounded(capacity, capacity / 2, max_queued)),
                 flights: Flights::default(),
                 journal,
                 stats,
@@ -953,12 +950,12 @@ fn serve_http(shared: &Arc<Shared>, stream: TcpStream, conn_id: u64) {
         return;
     };
     let mut reader = BufReader::new(read_half);
-    let too_large = |stream| {
+    let reject = |stream, event: Value| {
         shared.stats.requests.fetch_add(1, Ordering::Relaxed);
         shared.stats.failed.fetch_add(1, Ordering::Relaxed);
-        let payload = frame_too_large_event().to_string();
-        respond_http(stream, 400, "Bad Request", &payload, None);
+        respond_http(stream, 400, "Bad Request", &event.to_string(), None);
     };
+    let too_large = |stream| reject(stream, frame_too_large_event());
     let request_line = match read_frame(&mut reader) {
         Frame::Line(line) => line,
         Frame::TooLarge => return too_large(stream),
@@ -978,13 +975,27 @@ fn serve_http(shared: &Arc<Shared>, stream: TcpStream, conn_id: u64) {
         if header.is_empty() {
             break;
         }
-        if let Some(v) = header.to_ascii_lowercase().strip_prefix("content-length:") {
-            content_length = v.trim().parse().unwrap_or(0);
+        let Some((name, value)) = header.split_once(':') else {
+            continue;
+        };
+        if name.eq_ignore_ascii_case("content-length") {
+            // A body is one request frame: a length past the NDJSON
+            // frame cap gets the same 400 an over-long line does, so
+            // no header can size an unbounded buffer.
+            content_length = match value.trim().parse() {
+                Ok(n) if n <= MAX_FRAME_BYTES => n,
+                Ok(_) => return too_large(stream),
+                Err(_) => {
+                    let message = format!(
+                        "\"Content-Length\" must be a non-negative integer, got {:?}",
+                        value.trim()
+                    );
+                    return reject(stream, proto::error_event("bad_request", &message));
+                }
+            };
         }
     }
-    // A megabyte of request JSON is already absurd; cap the read so a
-    // bogus Content-Length cannot pin the thread.
-    let mut body = vec![0u8; content_length.min(MAX_FRAME_BYTES)];
+    let mut body = vec![0u8; content_length];
     if !body.is_empty() && reader.read_exact(&mut body).is_err() {
         return;
     }

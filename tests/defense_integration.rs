@@ -6,7 +6,7 @@ use lru_leak::cache_sim::replacement::PolicyKind;
 use lru_leak::defense::delayed_update::{spectre_under_mode, Channel};
 use lru_leak::defense::detection::{detection_study, MissRateDetector};
 use lru_leak::defense::partition_eval::{dawg_partitioned_leak, shared_plru_leak};
-use lru_leak::defense::pl_cache_eval::fig11;
+use lru_leak::defense::pl_cache_eval::pl_cache_alg2_trace;
 use lru_leak::defense::policy_eval::{fig9_row, geomean_normalized_cpi};
 use lru_leak::exec_sim::machine::Machine;
 use lru_leak::exec_sim::sched::Engine;
@@ -67,7 +67,9 @@ fn policy_substitution_is_cheap() {
 
 #[test]
 fn pl_cache_fix_closes_the_lock_channel() {
-    let (original, fixed) = fig11(300, 1, 42);
+    let bits: Vec<bool> = (0..300).map(|i| i % 2 == 1).collect();
+    let original = pl_cache_alg2_trace(PlDesign::Original, &bits, 1, 42);
+    let fixed = pl_cache_alg2_trace(PlDesign::Fixed, &bits, 1, 42);
     assert!(original.distinguishability() > 0.1);
     assert!(fixed.distinguishability() < 0.01);
     assert_eq!(original.design, PlDesign::Original);

@@ -13,6 +13,12 @@
 //! --json` stdout, at each of [`CORPUS_SEEDS`], so it pins the whole
 //! path from the cache model through grid rendering.
 //!
+//! The cache-key pins hash, per artifact, the [`ResultCache::key`] of
+//! every cell of its default-options grid — the full encoding `lru-leak
+//! show <id>` prints. The stored result cache and the server's journal
+//! are addressed by these keys, so a moved key turns every stored entry
+//! into a miss even when no output byte moves.
+//!
 //! A hash here moves only when an experiment's output moves. When
 //! that is intended, rerun this test and copy the reported hash into
 //! [`cases`], and say in the change which kind's bytes changed and
@@ -23,10 +29,10 @@ use lru_leak::exec_sim::sched::Engine;
 use lru_leak::lru_channel::covert::{Sharing, Variant};
 use lru_leak::lru_channel::params::ChannelParams;
 use lru_leak::scenario::registry;
-use lru_leak::scenario::spec::{ChannelId, DefenseId, InitId, SequenceId, WorkloadId};
+use lru_leak::scenario::spec::{ChannelId, DefenseId, InitCond, SequenceKind, WorkloadId};
 use lru_leak::scenario::{
-    content_hash64, ExperimentKind, HierarchyId, MessageSource, PlatformId, RunOpts, Scenario,
-    BENCH_SEED,
+    content_hash64, ExperimentKind, Inclusion, MessageSource, PlatformId, ResultCache, RunOpts,
+    Scenario, BENCH_SEED,
 };
 
 /// The pinned scenarios: the smallest counts each kind accepts that
@@ -100,8 +106,8 @@ fn cases() -> Vec<(&'static str, Scenario, u64)> {
         (
             "plru-eviction",
             b().kind(ExperimentKind::PlruEviction {
-                sequence: SequenceId::Seq2,
-                init: InitId::Sequential,
+                sequence: SequenceKind::Seq2,
+                init: InitCond::Sequential,
                 iterations: 2,
                 trials: 2,
             })
@@ -168,7 +174,7 @@ fn cases() -> Vec<(&'static str, Scenario, u64)> {
         ),
         (
             "l2-channel",
-            b().hierarchy(HierarchyId::BackInvalidate)
+            b().hierarchy(Inclusion::BackInvalidate)
                 .message(MessageSource::Alternating { bits: 4 })
                 .kind(ExperimentKind::L2Channel { samples: 4 })
                 .seed(16),
@@ -176,7 +182,7 @@ fn cases() -> Vec<(&'static str, Scenario, u64)> {
         ),
         (
             "inclusion-victim",
-            b().hierarchy(HierarchyId::BackInvalidate)
+            b().hierarchy(Inclusion::BackInvalidate)
                 .kind(ExperimentKind::InclusionVictim { trials: 2 })
                 .seed(17),
             0x96dd_4d1d_2ef9_fe9f,
@@ -467,6 +473,67 @@ fn every_artifact_reproduces_its_pinned_bytes() {
     assert!(
         drift.is_empty(),
         "artifact bytes drifted:\n{}",
+        drift.join("\n")
+    );
+}
+
+/// Per registry artifact, in registry order, the hash of its
+/// default-options grid's [`ResultCache::key`]s, one key per line.
+fn cache_key_pins() -> Vec<(&'static str, u64)> {
+    vec![
+        ("fig3", 0x2f2b_668a_dbb4_4903),
+        ("fig4", 0xd000_a09e_8191_e02d),
+        ("fig5", 0x8f97_5e09_2180_c5be),
+        ("fig6", 0x191f_c2e7_29ab_0fb3),
+        ("fig7", 0xca80_0d4c_764b_ecaa),
+        ("fig8", 0x5b5e_1655_5cd9_3135),
+        ("fig9", 0xfdc9_6a95_abc8_5495),
+        ("fig11", 0x9811_be2e_748d_a580),
+        ("fig13", 0x8b3d_a668_4388_cead),
+        ("fig14", 0x85b4_ce86_f329_d536),
+        ("fig15", 0x3d2c_1e4e_3927_1d75),
+        ("table1", 0x57a1_4e37_6888_af21),
+        ("table2", 0x9e37_1d37_935c_1012),
+        ("table3", 0x2687_ca9f_2d66_5498),
+        ("table4", 0x5d52_c723_9ef9_af4f),
+        ("table5", 0x324e_20b7_9a24_b665),
+        ("table6", 0xcb9f_5d77_1e11_18f1),
+        ("table7", 0x1b5d_6c04_fba0_0a58),
+        ("ablation_defenses", 0xe21d_e3ea_ecda_3808),
+        ("ablation_multiset", 0x0af1_5acf_bd57_b2ee),
+        ("ablation_prefetcher", 0xae97_e8fc_8424_dab0),
+        ("ablation_noise_ber", 0xec0c_4bdb_5be1_e7f5),
+        ("ablation_noise_capacity", 0x14a8_4fc8_0522_3f3d),
+        ("ablation_noise_grid", 0x9a0c_43e2_b570_006f),
+        ("l2_lru_channel", 0x48a4_ea06_5005_3ad4),
+        ("l2_inclusion_victim", 0x7928_3741_9dcd_ebd0),
+    ]
+}
+
+#[test]
+fn every_artifact_is_in_the_cache_key_pins() {
+    let ids: Vec<&str> = cache_key_pins().iter().map(|(id, _)| *id).collect();
+    assert_eq!(ids, registry::ids(), "cache-key pins and registry disagree");
+}
+
+#[test]
+fn every_artifact_keeps_its_pinned_cache_keys() {
+    let mut drift = Vec::new();
+    for (id, want) in cache_key_pins() {
+        let artifact = registry::get(id).expect("pinned ids come from the registry");
+        let keys: String = artifact
+            .scenarios(&RunOpts::default())
+            .iter()
+            .map(|sc| ResultCache::key(sc) + "\n")
+            .collect();
+        let got = content_hash64(keys.as_bytes());
+        if got != want {
+            drift.push(format!("{id}: got {got:#018x}, pinned {want:#018x}"));
+        }
+    }
+    assert!(
+        drift.is_empty(),
+        "cache keys drifted:\n{}",
         drift.join("\n")
     );
 }

@@ -93,11 +93,11 @@ fn lockstep_eligibility_reasons_are_structured() {
     );
 
     let mut hierarchy = base.clone();
-    hierarchy.hierarchy = lru_leak::scenario::HierarchyId::BackInvalidate;
+    hierarchy.hierarchy = lru_leak::scenario::Inclusion::BackInvalidate;
     let reason = hierarchy.lockstep_spec().unwrap_err();
     assert_eq!(
         reason,
-        LockstepIneligible::Hierarchy(lru_leak::scenario::HierarchyId::BackInvalidate)
+        LockstepIneligible::Hierarchy(lru_leak::scenario::Inclusion::BackInvalidate)
     );
     assert!(
         reason.to_string().contains("back-invalidate"),
@@ -109,7 +109,7 @@ fn lockstep_eligibility_reasons_are_structured() {
         LockstepIneligible::Kind,
         LockstepIneligible::Sharing,
         LockstepIneligible::Noise,
-        LockstepIneligible::Hierarchy(lru_leak::scenario::HierarchyId::NonInclusive),
+        LockstepIneligible::Hierarchy(lru_leak::scenario::Inclusion::NonInclusive),
         LockstepIneligible::WayPredictor,
     ] {
         let msg = reason.to_string();

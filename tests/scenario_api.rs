@@ -259,8 +259,8 @@ fn cli_text_matches_the_registry_report() {
 fn cli_adhoc_runs_a_serialized_scenario_deterministically() {
     let sc = Scenario::builder()
         .kind(ExperimentKind::PlruEviction {
-            sequence: lru_leak::scenario::spec::SequenceId::Seq1,
-            init: lru_leak::scenario::spec::InitId::Random,
+            sequence: lru_leak::scenario::spec::SequenceKind::Seq1,
+            init: lru_leak::scenario::spec::InitCond::Random,
             iterations: 8,
             trials: 200,
         })
@@ -460,8 +460,8 @@ fn progress_goes_to_the_sink_not_stdout() {
 fn adhoc_summary_streams_a_constant_memory_aggregate() {
     let sc = Scenario::builder()
         .kind(ExperimentKind::PlruEviction {
-            sequence: lru_leak::scenario::spec::SequenceId::Seq1,
-            init: lru_leak::scenario::spec::InitId::Random,
+            sequence: lru_leak::scenario::spec::SequenceKind::Seq1,
+            init: lru_leak::scenario::spec::InitCond::Random,
             iterations: 2,
             trials: 1,
         })
@@ -504,8 +504,8 @@ fn adhoc_threads_does_not_latch_the_default_worker_count() {
     let k = (before + 1).to_string();
     let sc = Scenario::builder()
         .kind(ExperimentKind::PlruEviction {
-            sequence: lru_leak::scenario::spec::SequenceId::Seq1,
-            init: lru_leak::scenario::spec::InitId::Random,
+            sequence: lru_leak::scenario::spec::SequenceKind::Seq1,
+            init: lru_leak::scenario::spec::InitCond::Random,
             iterations: 2,
             trials: 1,
         })
@@ -539,8 +539,8 @@ fn oversized_adhoc_is_incompatible(valid: &Scenario, field: &str, value: &str) {
 fn plru_eviction(iterations: usize) -> Result<Scenario, ScenarioError> {
     Scenario::builder()
         .kind(ExperimentKind::PlruEviction {
-            sequence: lru_leak::scenario::spec::SequenceId::Seq1,
-            init: lru_leak::scenario::spec::InitId::Random,
+            sequence: lru_leak::scenario::spec::SequenceKind::Seq1,
+            init: lru_leak::scenario::spec::InitCond::Random,
             iterations,
             trials: 1,
         })

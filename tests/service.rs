@@ -402,13 +402,17 @@ fn an_oversized_frame_is_a_bad_request_and_the_server_survives() {
 /// Sends one HTTP/1.1 request and returns the status code and the
 /// body (one JSON event).
 fn http(addr: &str, method: &str, path: &str, body: &str) -> (u16, Value) {
-    let mut stream = TcpStream::connect(addr).expect("http connect");
     let len = body.len();
-    write!(
-        stream,
-        "{method} {path} HTTP/1.1\r\nHost: x\r\nContent-Length: {len}\r\n\r\n{body}"
+    http_raw(
+        addr,
+        &format!("{method} {path} HTTP/1.1\r\nHost: x\r\nContent-Length: {len}\r\n\r\n{body}"),
     )
-    .expect("http send");
+}
+
+/// Sends `request` verbatim and reads the one-event HTTP response.
+fn http_raw(addr: &str, request: &str) -> (u16, Value) {
+    let mut stream = TcpStream::connect(addr).expect("http connect");
+    stream.write_all(request.as_bytes()).expect("http send");
     let mut response = String::new();
     stream.read_to_string(&mut response).expect("http recv");
     let (head, body) = response.split_once("\r\n\r\n").expect("http head");
@@ -460,6 +464,38 @@ fn the_http_routes_answer_and_count_as_documented() {
     assert_eq!(
         (summary.requests, summary.completed, summary.failed),
         (3, 1, 2)
+    );
+}
+
+#[test]
+fn a_bad_or_oversized_content_length_is_a_counted_400() {
+    let (addr, _handle, join) = spawn_server(ServerConfig::default());
+    let run = r#"{"cmd":"run","artifact":"table3","trials":1}"#;
+    let post =
+        |length: &str| format!("POST /run HTTP/1.1\r\nContent-Length: {length}\r\n\r\n{run}");
+    // A length that does not parse names the header instead of
+    // reading as an empty body.
+    for length in ["abc", "-1", "12x"] {
+        let (code, event) = http_raw(&addr, &post(length));
+        assert_eq!(code, 400, "{length}: {event}");
+        let message = event.get("message").and_then(Value::as_str).unwrap();
+        assert!(message.contains("Content-Length"), "{length}: {message}");
+        assert!(message.contains(length), "{length}: {message}");
+    }
+    // A length past the frame cap is the NDJSON over-long-frame 400,
+    // not a parse of the body's first megabyte.
+    let over = (lru_leak_server::MAX_FRAME_BYTES + 1).to_string();
+    let (code, event) = http_raw(&addr, &post(&over));
+    assert_eq!(code, 400, "{event}");
+    let message = event.get("message").and_then(Value::as_str).unwrap();
+    assert!(message.starts_with("frame exceeds"), "{message}");
+
+    let (code, _) = http(&addr, "POST", "/shutdown", "");
+    assert_eq!(code, 200);
+    let summary = join.join().unwrap().expect("server run returns");
+    assert_eq!(
+        (summary.requests, summary.completed, summary.failed),
+        (4, 0, 4)
     );
 }
 

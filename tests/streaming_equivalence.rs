@@ -15,7 +15,7 @@ use lru_leak::exec_sim::sched;
 use lru_leak::lru_channel::trials::RunCtrl;
 use lru_leak::scenario::aggregate::{KeyHistogram, ScalarStats};
 use lru_leak::scenario::registry::{self, RunOpts};
-use lru_leak::scenario::spec::{ExperimentKind, InitId, MessageSource, Scenario, SequenceId};
+use lru_leak::scenario::spec::{ExperimentKind, InitCond, MessageSource, Scenario, SequenceKind};
 use lru_leak::scenario::{Aggregate, CancelToken, Engine, Value};
 
 fn on(workers: usize) -> RunCtrl<'static> {
@@ -58,8 +58,8 @@ fn every_artifact_streams_bit_identical_to_the_buffered_path() {
 fn plru_scenario(trials: usize) -> Scenario {
     Scenario::builder()
         .kind(ExperimentKind::PlruEviction {
-            sequence: SequenceId::Seq1,
-            init: InitId::Random,
+            sequence: SequenceKind::Seq1,
+            init: InitCond::Random,
             iterations: 2,
             trials: 1,
         })
