@@ -20,6 +20,12 @@
 //! * [`one_set`] — one set of that cache as an allocation-free value
 //!   ([`one_set::OneSet`]), for runs that hammer a single set: the
 //!   Table I study and the lockstep covert lanes.
+//! * [`two_level`] — the Fig. 9 GEM5 hierarchy (8-way L1D over a
+//!   16-way LRU L2, no LLC) as a fixed-geometry value
+//!   ([`two_level::TwoLevel`]) over the same row layout and policy
+//!   logic, for the Fig. 9 study, which generates each benchmark's
+//!   address stream once and steps one such lane per L1D policy over
+//!   it.
 //! * [`plcache`] — Partition-Locked cache semantics (paper Fig. 10),
 //!   in both the *original* (LRU state still updated on locked lines —
 //!   vulnerable) and *fixed* (LRU state frozen for locked lines) forms.
@@ -83,6 +89,7 @@ pub mod prefetcher;
 pub mod profiles;
 pub mod replacement;
 mod storage;
+pub mod two_level;
 pub mod way_predictor;
 
 pub use addr::{PhysAddr, VirtAddr};

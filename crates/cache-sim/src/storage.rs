@@ -29,7 +29,7 @@ use rand::rngs::SmallRng;
 /// Bitmask of ways whose stored tag equals `tag` (validity not yet
 /// applied). The 8-way shape — every cache in the paper — compiles
 /// to a fully unrolled, vectorizable compare of one 64-byte line.
-#[inline]
+#[inline(always)]
 fn match_mask(tags: &[u64], tag: u64) -> u64 {
     if let Ok(t8) = <&[u64; 8]>::try_from(tags) {
         let mut eq = 0u64;
@@ -48,8 +48,12 @@ fn match_mask(tags: &[u64], tag: u64) -> u64 {
 
 /// The way of a set row's `tags` holding `tag` among the `valid`
 /// ways, if any.
-#[inline]
-fn find_in_row(tags: &[u64], valid: u64, tag: u64) -> Option<usize> {
+///
+/// Always inlined, so a caller whose `tags` slice has a constant
+/// length (the two-level kernel's 16-way L2) gets the compare
+/// unrolled too.
+#[inline(always)]
+pub(crate) fn find_in_row(tags: &[u64], valid: u64, tag: u64) -> Option<usize> {
     let m = match_mask(tags, tag) & valid;
     if m != 0 {
         Some(m.trailing_zeros() as usize)
@@ -64,14 +68,15 @@ fn find_in_row(tags: &[u64], valid: u64, tag: u64) -> Option<usize> {
 /// update on a hit, and on a miss the lowest invalid way (else the
 /// policy's full-mask victim) + install + `on_fill`.
 ///
-/// Both row-based stores — [`SoaStore`] and
-/// [`crate::one_set::OneSet`] — run their demand accesses through
-/// this one function; the first finds `found` with [`find_in_row`],
-/// the one-set kernel with its tag index. `rng` is the set's Random
-/// generator (`None` for every other policy).
+/// Every row-based store — [`SoaStore`], [`crate::one_set::OneSet`]
+/// and the levels of [`crate::two_level::TwoLevel`] — runs its
+/// demand accesses through this one function; the flat store and the
+/// two-level kernel find `found` with [`find_in_row`], the one-set
+/// kernel with its tag index. `rng` is the set's Random generator
+/// (`None` for every other policy).
 ///
 /// Always inlined, so a caller with a constant way count (the
-/// one-set kernel) gets the victim search unrolled.
+/// one-set and two-level kernels) gets the victim search unrolled.
 #[inline(always)]
 pub(crate) fn row_access(
     policy: &ReplPolicy,

@@ -1,9 +1,14 @@
 //! Fig. 9: the performance price of replacing Tree-PLRU with FIFO or
 //! Random in the L1D.
+//!
+//! [`fig9_row`] measures all three policies of a benchmark in one
+//! pass: `workloads::cpi::measure_policies` generates the benchmark's
+//! address stream once and steps three fixed-geometry L1+L2 lanes
+//! (`cache_sim::two_level::TwoLevel`) over it, one per policy.
 
 use cache_sim::profiles::MicroArch;
 use cache_sim::replacement::PolicyKind;
-use workloads::cpi::{measure_benchmark, BenchmarkResult};
+use workloads::cpi::{measure_policies, BenchmarkResult};
 use workloads::spec_like::Benchmark;
 
 /// One benchmark's Fig. 9 data: results for Tree-PLRU, FIFO and
@@ -36,13 +41,12 @@ impl Fig9Row {
     }
 }
 
-/// One benchmark of the Fig. 9 study.
+/// One benchmark of the Fig. 9 study: every [`PolicyKind::FIG9`]
+/// policy over one address stream.
 pub fn fig9_row(bench: Benchmark, arch: &MicroArch, accesses: u64, seed: u64) -> Fig9Row {
-    let results =
-        PolicyKind::FIG9.map(|policy| measure_benchmark(bench, arch, policy, accesses, seed));
     Fig9Row {
         name: bench.name,
-        results,
+        results: measure_policies(bench, arch, PolicyKind::FIG9, accesses, seed),
     }
 }
 

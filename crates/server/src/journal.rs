@@ -36,6 +36,8 @@
 //! state, the result cache is the source of truth for bytes:
 //!
 //! * a torn final record (crash mid-append) is ignored;
+//! * the file is read one line at a time, and a line longer than
+//!   [`MAX_RECORD_BYTES`] is skipped without being held in memory;
 //! * an unparsable or stale-version record is skipped;
 //! * a `done` record whose result-cache entries are missing or
 //!   corrupt demotes the job back to pending — it recomputes rather
@@ -48,7 +50,7 @@
 
 use std::collections::BTreeMap;
 use std::fs;
-use std::io::{self, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
@@ -56,9 +58,19 @@ use scenario::engine::ResultCache;
 use scenario::Value;
 
 use crate::proto::{self, Request};
+use crate::MAX_FRAME_BYTES;
 
 /// The journal file name inside `--cache-dir`.
 pub const JOURNAL_FILE: &str = "journal.ndjson";
+
+/// The longest journal line recovery reads; a longer one is skipped
+/// without being held in memory. An `accepted` record embeds its
+/// request's canonical re-encoding, which can take up to three times
+/// the [`MAX_FRAME_BYTES`] frame the request arrived in (the two-byte
+/// escapes `\b` and `\f` are written back as the six-byte `\u0008`
+/// and `\u000c`), so one frame would cut off records the server wrote
+/// itself; four frames cover that and the record's envelope.
+pub const MAX_RECORD_BYTES: usize = 4 * MAX_FRAME_BYTES;
 
 /// Version stamp on every record; records from other versions are
 /// skipped on load (and therefore degrade to recompute).
@@ -141,29 +153,30 @@ impl Journal {
     fn load(dir: &Path, verify: Option<&ResultCache>) -> io::Result<(Journal, RecoveryReport)> {
         fs::create_dir_all(dir)?;
         let path = dir.join(JOURNAL_FILE);
-        let bytes = match fs::read(&path) {
-            Ok(bytes) => bytes,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => Vec::new(),
+        // A missing journal reads as an empty one.
+        let mut reader: Box<dyn BufRead> = match fs::File::open(&path) {
+            Ok(file) => Box::new(BufReader::new(file)),
+            Err(e) if e.kind() == io::ErrorKind::NotFound => Box::new(io::empty()),
             Err(e) => return Err(e),
         };
         let mut report = RecoveryReport::default();
 
-        // Fold the record stream. A crash mid-append leaves a torn
-        // final line (no trailing newline) — drop it.
-        let mut lines: Vec<&[u8]> = bytes.split(|&b| b == b'\n').collect();
-        let torn = !bytes.is_empty() && !bytes.ends_with(b"\n");
-        lines.pop(); // the empty tail after the final '\n', or the torn record
-        if torn {
-            report.skipped += 1;
-        }
+        // Fold the record stream, one capped line at a time.
         let mut accepted: BTreeMap<u64, (u64, Value)> = BTreeMap::new();
         let mut states: BTreeMap<u64, KeyState> = BTreeMap::new();
-        for line in lines {
-            if line.is_empty() {
-                continue;
+        let mut line = Vec::new();
+        loop {
+            match read_record_line(&mut reader, &mut line)? {
+                RecordLine::End => break,
+                RecordLine::Unusable => {
+                    report.skipped += 1;
+                    continue;
+                }
+                RecordLine::Line if line.is_empty() => continue,
+                RecordLine::Line => {}
             }
             // A non-UTF-8 line is as unparsable as malformed JSON.
-            let Some(rec) = std::str::from_utf8(line)
+            let Some(rec) = std::str::from_utf8(&line)
                 .ok()
                 .and_then(|line| Value::parse(line).ok())
             else {
@@ -361,6 +374,53 @@ fn accepted_record(seq: u64, key: u64, request: &Value) -> String {
     line
 }
 
+/// What [`read_record_line`] found.
+enum RecordLine {
+    /// A complete line, now in the buffer without its `\n`.
+    Line,
+    /// A line that cannot hold a record: longer than
+    /// [`MAX_RECORD_BYTES`] (the rest of it is read past, never
+    /// buffered), or the file's unterminated tail — a crash
+    /// mid-append tears the final record.
+    Unusable,
+    /// End of file.
+    End,
+}
+
+/// Reads the next journal line into `line`, buffering at most
+/// [`MAX_RECORD_BYTES`] of it, so a corrupt or hostile journal cannot
+/// make recovery hold a whole file in memory.
+fn read_record_line(reader: &mut impl BufRead, line: &mut Vec<u8>) -> io::Result<RecordLine> {
+    line.clear();
+    let cap = MAX_RECORD_BYTES as u64 + 1;
+    reader.by_ref().take(cap).read_until(b'\n', line)?;
+    if line.is_empty() {
+        return Ok(RecordLine::End);
+    }
+    if line.ends_with(b"\n") {
+        line.pop();
+        return Ok(RecordLine::Line);
+    }
+    if line.len() > MAX_RECORD_BYTES {
+        // Over the cap: discard through the next newline.
+        loop {
+            let chunk = reader.fill_buf()?;
+            match chunk.iter().position(|&b| b == b'\n') {
+                Some(i) => {
+                    reader.consume(i + 1);
+                    break;
+                }
+                None if chunk.is_empty() => break,
+                None => {
+                    let n = chunk.len();
+                    reader.consume(n);
+                }
+            }
+        }
+    }
+    Ok(RecordLine::Unusable)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -481,6 +541,77 @@ mod tests {
         let (_journal, report) = Journal::recover(&dir, None).unwrap();
         assert_eq!(report.skipped, 1, "the invalid line is skipped");
         assert_eq!(report.pending.len(), 1, "the intact record survives");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_long_newline_free_line_is_skipped_and_every_other_record_recovers() {
+        // 2 MiB (unparsable, under the cap) and one byte over the cap
+        // (read past unbuffered).
+        for len in [2 << 20, MAX_RECORD_BYTES + 1] {
+            let dir = tmpdir("long-line");
+            {
+                let journal = Journal::open(&dir).unwrap();
+                journal.accepted(1, &run_request("fig5")).unwrap();
+                // A line with no newline inside it, between two valid
+                // records.
+                let path = dir.join(JOURNAL_FILE);
+                let mut file = fs::OpenOptions::new().append(true).open(&path).unwrap();
+                file.write_all(&vec![b'{'; len]).unwrap();
+                file.write_all(b"\n").unwrap();
+                drop(file);
+                journal.accepted(2, &run_request("fig6")).unwrap();
+            }
+            let (_journal, report) = Journal::recover(&dir, None).unwrap();
+            let keys: Vec<u64> = report.pending.iter().map(|job| job.key).collect();
+            assert_eq!(keys, [1, 2], "{len}: both valid records recover, in order");
+            assert_eq!(report.skipped, 1, "{len}: the long line is skipped");
+            let _ = fs::remove_dir_all(&dir);
+        }
+    }
+
+    #[test]
+    fn over_cap_and_torn_lines_count_as_skipped() {
+        let dir = tmpdir("overcap-skip");
+        let record = |seq: u64, key: &str| {
+            format!(
+                "{{\"rec\":\"accepted\",\"v\":1,\"seq\":{seq},\"key\":\"{key}\",\
+                 \"request\":{{\"cmd\":\"run\",\"artifact\":\"fig5\"}}}}\n"
+            )
+        };
+        let mut bytes = record(0, "00000000000000aa").into_bytes();
+        bytes.extend(vec![b'x'; MAX_RECORD_BYTES + 1]);
+        bytes.push(b'\n');
+        bytes.extend(record(1, "00000000000000bb").into_bytes());
+        // A final over-cap line that the file ends inside.
+        bytes.extend(vec![b'y'; MAX_RECORD_BYTES + 2]);
+        fs::write(dir.join(JOURNAL_FILE), bytes).unwrap();
+        let (_journal, report) = Journal::recover(&dir, None).unwrap();
+        let keys: Vec<u64> = report.pending.iter().map(|job| job.key).collect();
+        assert_eq!(keys, [0xaa, 0xbb]);
+        assert_eq!(report.skipped, 2, "one over-cap line, one over-cap tail");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_record_longer_than_its_request_frame_recovers() {
+        // A request line of about 400 KB whose string holds 200,000
+        // `\b` escapes is re-encoded with `\u0008`: its record is
+        // about 1.2 MB, past one frame.
+        let long = Value::obj()
+            .with("cmd", "adhoc")
+            .with("text", "\u{8}".repeat(200_000));
+        let dir = tmpdir("long-record");
+        {
+            let journal = Journal::open(&dir).unwrap();
+            journal.accepted(9, &long).unwrap();
+        }
+        let len = fs::metadata(dir.join(JOURNAL_FILE)).unwrap().len();
+        assert!(len > MAX_FRAME_BYTES as u64, "record is {len} bytes");
+        let (_journal, report) = Journal::recover(&dir, None).unwrap();
+        assert_eq!(report.skipped, 0);
+        assert_eq!(report.pending.len(), 1, "the long record recovers");
+        assert_eq!(report.pending[0].request, long);
         let _ = fs::remove_dir_all(&dir);
     }
 

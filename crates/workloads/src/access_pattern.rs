@@ -139,6 +139,19 @@ impl AccessPattern {
         }
     }
 
+    /// Bytes of address space the generator draws from: every
+    /// [`AccessPattern::next_offset`] is below it.
+    pub fn extent(&self) -> u64 {
+        match self {
+            AccessPattern::Sequential { working_set, .. }
+            | AccessPattern::RandomUniform { working_set, .. }
+            | AccessPattern::Zipfian { working_set, .. }
+            | AccessPattern::StackLike { working_set, .. } => *working_set,
+            AccessPattern::PointerChase { perm, .. } => perm.len() as u64 * LINE,
+            AccessPattern::Blocked2d { cols, rows, .. } => cols * rows,
+        }
+    }
+
     /// The next byte offset to access.
     pub fn next_offset(&mut self) -> u64 {
         match self {

@@ -10,7 +10,7 @@ use exec_sim::machine::{Machine, Pid};
 use exec_sim::program::{Op, Program};
 
 use crate::access_pattern::AccessPattern;
-use crate::spec_like::Benchmark;
+use crate::spec_like::{pick_component, Benchmark};
 
 /// A gcc-like benign program: the compiler mix of
 /// [`Benchmark::patterns`] driven as an [`exec_sim::Program`], with a
@@ -42,10 +42,7 @@ impl BenignCoRunner {
         let mix = bench.patterns(seed);
         let bases = mix
             .iter()
-            .map(|(_, p)| {
-                let ws = extent(p);
-                machine.alloc_pages(pid, ws.div_ceil(4096).max(1))
-            })
+            .map(|(_, p)| machine.alloc_pages(pid, p.extent().div_ceil(4096).max(1)))
             .collect();
         let total_weight = mix.iter().map(|(w, _)| *w).sum();
         Self {
@@ -77,28 +74,10 @@ impl Program for BenignCoRunner {
             return Op::Compute(self.gap_cycles);
         }
         self.emit_access = false;
-        let mut pick = self.next_pick();
-        let mut idx = 0;
-        for (i, (w, _)) in self.mix.iter().enumerate() {
-            if pick < *w {
-                idx = i;
-                break;
-            }
-            pick -= *w;
-        }
+        let pick = self.next_pick();
+        let idx = pick_component(&self.mix, pick);
         let off = self.mix[idx].1.next_offset();
         Op::Access(self.bases[idx].add(off))
-    }
-}
-
-fn extent(p: &AccessPattern) -> u64 {
-    match p {
-        AccessPattern::Sequential { working_set, .. }
-        | AccessPattern::RandomUniform { working_set, .. }
-        | AccessPattern::Zipfian { working_set, .. }
-        | AccessPattern::StackLike { working_set, .. } => *working_set,
-        AccessPattern::PointerChase { perm, .. } => perm.len() as u64 * crate::access_pattern::LINE,
-        AccessPattern::Blocked2d { cols, rows, .. } => cols * rows,
     }
 }
 

@@ -1,13 +1,25 @@
 //! Trace-driven timing model: L1D miss rate and CPI per benchmark
 //! and replacement policy (the two panels of Fig. 9).
+//!
+//! [`measure_policies`] generates a benchmark's address stream once
+//! and replays it, a block at a time, through one fixed-geometry
+//! L1+L2 lane ([`cache_sim::two_level::TwoLevel`]) per L1D policy.
+//! The lanes share nothing but the addresses, so each policy's miss
+//! rates and CPI are exactly those of a run of that policy alone;
+//! the workspace `two_level_kernel` suite pins them against a
+//! per-policy reference run through a full `Machine`.
 
+use cache_sim::addr::{PhysAddr, PAGE_SIZE};
+use cache_sim::counters::PerfCounters;
 use cache_sim::profiles::MicroArch;
 use cache_sim::replacement::PolicyKind;
+use cache_sim::two_level::TwoLevel;
 use exec_sim::machine::Machine;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use crate::spec_like::Benchmark;
+use crate::access_pattern::AccessPattern;
+use crate::spec_like::{pick_component, Benchmark};
 
 /// The timing model: out-of-order cores overlap much of a miss's
 /// latency, so only `mlp_exposure` of the beyond-L1 cycles shows up
@@ -57,80 +69,155 @@ pub struct BenchmarkResult {
     pub cpi: f64,
 }
 
-/// Runs `accesses` memory references of `bench` through a fresh
-/// machine built from `arch` with the given L1D policy, and returns
-/// miss rates plus modelled CPI.
-pub fn measure_benchmark(
+/// Runs `accesses` memory references of `bench` under each L1D
+/// policy of `policies` and returns, in the same order, each
+/// policy's miss rates plus modelled CPI.
+///
+/// The address stream does not depend on the policy, so it is
+/// generated once, a block at a time, and every policy's
+/// [`TwoLevel`] lane — the two-level hierarchy of `arch` with that
+/// L1D policy — steps over each block in turn. Each lane keeps its
+/// own counters and its own exposed-penalty sum, added in stream
+/// order, so a lane's result is exactly that of a run of the policy
+/// on its own.
+///
+/// # Panics
+///
+/// Panics if `arch` is not a shape [`TwoLevel::new`] accepts (the
+/// Fig. 9 GEM5 configuration is).
+pub fn measure_policies<const N: usize>(
     bench: Benchmark,
     arch: &MicroArch,
-    policy: PolicyKind,
+    policies: [PolicyKind; N],
     accesses: u64,
     seed: u64,
-) -> BenchmarkResult {
-    let mut machine = Machine::new(*arch, policy, seed);
-    let pid = machine.create_process();
-    let mut rng = SmallRng::seed_from_u64(seed ^ 0xbe6c);
-
-    // One private region per mix component, sized to its working
-    // set. Patterns emit offsets; we add the region base.
-    let mut mix = bench.patterns(seed);
-    let total_weight: f64 = mix.iter().map(|(w, _)| *w).sum();
-    let bases: Vec<_> = mix
-        .iter()
-        .map(|(_, p)| {
-            let ws = pattern_extent(p);
-            machine.alloc_pages(pid, ws.div_ceil(4096).max(1))
-        })
-        .collect();
-
+) -> [BenchmarkResult; N] {
+    let mut stream = AddressStream::new(bench, arch, seed);
+    let mut lanes = policies.map(|policy| Lane {
+        policy,
+        cache: TwoLevel::new(arch, policy, seed),
+        counters: PerfCounters::new(),
+        exposed_penalty: 0.0,
+    });
     let l1_lat = arch.latencies.l1 as f64;
-    let mut exposed_penalty = 0.0f64;
     // Warm-up half as long as the measurement, then measure in
     // steady state (SPEC results are steady-state too; without this
     // the compulsory misses of a cold cache dominate short runs).
-    let warmup = accesses / 2;
-    for step in 0..warmup + accesses {
-        if step == warmup {
-            machine.reset_counters();
-            exposed_penalty = 0.0;
-        }
-        // Weighted pick of a mix component.
-        let mut pick = rng.gen_range(0.0..total_weight);
-        let mut idx = 0;
-        for (i, (w, _)) in mix.iter().enumerate() {
-            if pick < *w {
-                idx = i;
-                break;
-            }
-            pick -= *w;
-        }
-        let off = mix[idx].1.next_offset();
-        let out = machine.access(pid, bases[idx].add(off));
-        exposed_penalty += (out.cycles as f64 - l1_lat).max(0.0);
+    stream.feed(accesses / 2, &mut lanes, l1_lat);
+    for lane in &mut lanes {
+        lane.counters.reset();
+        lane.exposed_penalty = 0.0;
     }
+    stream.feed(accesses, &mut lanes, l1_lat);
 
-    let c = machine.counters(pid);
-    let rates = c.miss_rates();
     let model = CpiModel::for_benchmark(&bench);
-    BenchmarkResult {
-        name: bench.name,
-        policy,
-        accesses,
-        l1d_miss_rate: rates.l1d,
-        l2_miss_rate: rates.l2,
-        cpi: model.cpi(exposed_penalty / accesses as f64),
-    }
+    lanes.map(|lane| {
+        let rates = lane.counters.miss_rates();
+        BenchmarkResult {
+            name: bench.name,
+            policy: lane.policy,
+            accesses,
+            l1d_miss_rate: rates.l1d,
+            l2_miss_rate: rates.l2,
+            cpi: model.cpi(lane.exposed_penalty / accesses as f64),
+        }
+    })
 }
 
-fn pattern_extent(p: &crate::access_pattern::AccessPattern) -> u64 {
-    use crate::access_pattern::AccessPattern as A;
-    match p {
-        A::Sequential { working_set, .. }
-        | A::RandomUniform { working_set, .. }
-        | A::Zipfian { working_set, .. }
-        | A::StackLike { working_set, .. } => *working_set,
-        A::PointerChase { perm, .. } => perm.len() as u64 * crate::access_pattern::LINE,
-        A::Blocked2d { cols, rows, .. } => cols * rows,
+/// One policy's cache and what it has counted so far.
+struct Lane {
+    policy: PolicyKind,
+    cache: TwoLevel,
+    counters: PerfCounters,
+    /// Sum over accesses of the cycles beyond an L1 hit.
+    exposed_penalty: f64,
+}
+
+/// Addresses generated per block; each block is generated once and
+/// then replayed by every lane.
+const BLOCK: usize = 1024;
+
+/// A benchmark's address stream: a seeded weighted pick of a mix
+/// component per access, then that component's next offset inside
+/// its own physical region.
+struct AddressStream {
+    rng: SmallRng,
+    mix: Vec<(f64, AccessPattern)>,
+    total_weight: f64,
+    /// Physical base address of each component's region.
+    bases: Vec<u64>,
+}
+
+impl AddressStream {
+    /// The stream of `bench` at `seed`. Each mix component gets a
+    /// private region sized to its working set, mapped by a
+    /// [`Machine`] of `arch` (whose caches stay unused): one process,
+    /// one page run per component in mix order. Frames are handed
+    /// out densely, so each region is physically contiguous —
+    /// asserted page by page — and translating an access is one base
+    /// add.
+    fn new(bench: Benchmark, arch: &MicroArch, seed: u64) -> Self {
+        let mut machine = Machine::new(*arch, PolicyKind::Lru, seed);
+        let pid = machine.create_process();
+        let mix = bench.patterns(seed);
+        let bases = mix
+            .iter()
+            .map(|(_, p)| {
+                let pages = p.extent().div_ceil(PAGE_SIZE).max(1);
+                let va = machine.alloc_pages(pid, pages);
+                let translate = |page: u64| {
+                    machine
+                        .translate(pid, va.add(page * PAGE_SIZE))
+                        .expect("region was just mapped")
+                        .raw()
+                };
+                let base = translate(0);
+                for page in 1..pages {
+                    assert_eq!(
+                        translate(page),
+                        base + page * PAGE_SIZE,
+                        "{}: region frames are not contiguous",
+                        bench.name
+                    );
+                }
+                base
+            })
+            .collect();
+        Self {
+            rng: SmallRng::seed_from_u64(seed ^ 0xbe6c),
+            total_weight: mix.iter().map(|(w, _)| *w).sum(),
+            mix,
+            bases,
+        }
+    }
+
+    /// The next physical address of the stream.
+    #[inline]
+    fn next_addr(&mut self) -> PhysAddr {
+        let pick = self.rng.gen_range(0.0..self.total_weight);
+        let idx = pick_component(&self.mix, pick);
+        let off = self.mix[idx].1.next_offset();
+        PhysAddr::new(self.bases[idx] + off)
+    }
+
+    /// Steps every lane over the next `n` addresses of the stream.
+    fn feed(&mut self, n: u64, lanes: &mut [Lane], l1_lat: f64) {
+        let mut block = [PhysAddr::new(0); BLOCK];
+        let mut left = n;
+        while left > 0 {
+            let len = left.min(BLOCK as u64) as usize;
+            let block = &mut block[..len];
+            for pa in block.iter_mut() {
+                *pa = self.next_addr();
+            }
+            for lane in lanes.iter_mut() {
+                for &pa in block.iter() {
+                    let cycles = lane.cache.access(pa, &mut lane.counters);
+                    lane.exposed_penalty += (cycles as f64 - l1_lat).max(0.0);
+                }
+            }
+            left -= len as u64;
+        }
     }
 }
 
@@ -141,11 +228,23 @@ mod tests {
 
     const N: u64 = 20_000;
 
+    /// One policy on its own: a single-lane [`measure_policies`].
+    fn measure_one(
+        bench: Benchmark,
+        arch: &MicroArch,
+        policy: PolicyKind,
+        accesses: u64,
+        seed: u64,
+    ) -> BenchmarkResult {
+        let [r] = measure_policies(bench, arch, [policy], accesses, seed);
+        r
+    }
+
     #[test]
     fn small_working_sets_mostly_hit() {
         let arch = MicroArch::gem5_fig9();
         let hmmer = Benchmark::by_name("hmmer").unwrap();
-        let r = measure_benchmark(hmmer, &arch, PolicyKind::TreePlru, N, 1);
+        let r = measure_one(hmmer, &arch, PolicyKind::TreePlru, N, 1);
         assert!(
             r.l1d_miss_rate < 0.15,
             "hmmer should be L1-friendly, got {:.3}",
@@ -156,14 +255,14 @@ mod tests {
     #[test]
     fn mcf_misses_much_more_than_hmmer() {
         let arch = MicroArch::gem5_fig9();
-        let mcf = measure_benchmark(
+        let mcf = measure_one(
             Benchmark::by_name("mcf").unwrap(),
             &arch,
             PolicyKind::TreePlru,
             N,
             2,
         );
-        let hmmer = measure_benchmark(
+        let hmmer = measure_one(
             Benchmark::by_name("hmmer").unwrap(),
             &arch,
             PolicyKind::TreePlru,
@@ -181,9 +280,9 @@ mod tests {
         let arch = MicroArch::gem5_fig9();
         for name in ["bzip2", "gcc", "hmmer"] {
             let b = Benchmark::by_name(name).unwrap();
-            let base = measure_benchmark(b, &arch, PolicyKind::TreePlru, N, 3);
+            let base = measure_one(b, &arch, PolicyKind::TreePlru, N, 3);
             for policy in [PolicyKind::Fifo, PolicyKind::Random] {
-                let alt = measure_benchmark(b, &arch, policy, N, 3);
+                let alt = measure_one(b, &arch, policy, N, 3);
                 let delta = (alt.cpi / base.cpi - 1.0).abs();
                 assert!(
                     delta < 0.08,
@@ -197,8 +296,8 @@ mod tests {
     fn results_are_deterministic() {
         let arch = MicroArch::gem5_fig9();
         let b = Benchmark::by_name("astar").unwrap();
-        let a = measure_benchmark(b, &arch, PolicyKind::Random, 5_000, 7);
-        let c = measure_benchmark(b, &arch, PolicyKind::Random, 5_000, 7);
+        let a = measure_one(b, &arch, PolicyKind::Random, 5_000, 7);
+        let c = measure_one(b, &arch, PolicyKind::Random, 5_000, 7);
         assert_eq!(a, c);
     }
 
@@ -217,7 +316,7 @@ mod tests {
     fn whole_suite_runs() {
         let arch = MicroArch::gem5_fig9();
         for b in SUITE.iter().take(4) {
-            let r = measure_benchmark(*b, &arch, PolicyKind::TreePlru, 2_000, 5);
+            let r = measure_one(*b, &arch, PolicyKind::TreePlru, 2_000, 5);
             assert_eq!(r.accesses, 2_000);
             assert!(r.cpi > 0.0);
         }

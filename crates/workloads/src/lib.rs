@@ -13,7 +13,9 @@
 //!   classes mirror the SPEC int/float suites the paper plots;
 //! * [`cpi`] — a trace-driven timing model (base CPI + MLP-discounted
 //!   miss penalties) producing the L1D miss rate and normalized CPI
-//!   series of Fig. 9;
+//!   series of Fig. 9: each benchmark's address stream is generated
+//!   once and replayed through one fixed-geometry L1+L2 lane per
+//!   policy;
 //! * [`background`] — the benign "gcc" co-runner of Table VI.
 //!
 //! The *relative* claim of Fig. 9 (policies differ little because L1
@@ -29,5 +31,5 @@ pub mod cpi;
 pub mod spec_like;
 
 pub use access_pattern::AccessPattern;
-pub use cpi::{measure_benchmark, BenchmarkResult, CpiModel};
+pub use cpi::{measure_policies, BenchmarkResult, CpiModel};
 pub use spec_like::{Benchmark, SUITE};

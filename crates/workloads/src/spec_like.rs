@@ -238,6 +238,21 @@ impl Benchmark {
     }
 }
 
+/// The component of a [`Benchmark::patterns`] mix that a weighted
+/// draw selects: `pick`, uniform in `0..` the mix's total weight,
+/// falls in the first component whose cumulative weight exceeds it
+/// (component 0 when rounding leaves it past the last).
+#[inline]
+pub(crate) fn pick_component(mix: &[(f64, AccessPattern)], mut pick: f64) -> usize {
+    for (i, (w, _)) in mix.iter().enumerate() {
+        if pick < *w {
+            return i;
+        }
+        pick -= *w;
+    }
+    0
+}
+
 fn t(mem_per_instr: f64, base_cpi: f64, mlp_exposure: f64) -> BenchmarkTraits {
     BenchmarkTraits {
         mem_per_instr,
@@ -281,6 +296,21 @@ mod tests {
         for b in SUITE {
             for (w, _) in b.patterns(2) {
                 assert!(w > 0.0, "{}", b.name);
+            }
+        }
+    }
+
+    #[test]
+    fn every_offset_stays_inside_its_pattern_extent() {
+        // The Fig. 9 stream maps each pattern onto `extent()` bytes
+        // of pages and translates with one base add.
+        for b in SUITE {
+            for (_, mut p) in b.patterns(3) {
+                let extent = p.extent();
+                for _ in 0..5_000 {
+                    let off = p.next_offset();
+                    assert!(off < extent, "{}: offset {off} >= extent {extent}", b.name);
+                }
             }
         }
     }

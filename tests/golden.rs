@@ -537,3 +537,36 @@ fn every_artifact_keeps_its_pinned_cache_keys() {
         drift.join("\n")
     );
 }
+
+/// Per [`CORPUS_SEEDS`] seed, the hash of `lru-leak run fig9 --trials
+/// 20000 --seed <seed> --json` stdout. The corpus runs fig9 at one
+/// measured access per policy, which leaves its cache lanes nearly
+/// idle; 20,000 accesses (plus 10,000 of warm-up) per benchmark and
+/// policy fill the L1 and drive every policy's victim search.
+const FIG9_20K_PINS: [u64; 3] = [
+    0x45c9_9e12_6d3b_c7cd,
+    0x8312_5cee_18ec_4527,
+    0x5f9c_8207_0d66_7b70,
+];
+
+#[test]
+fn fig9_at_twenty_thousand_accesses_reproduces_its_pinned_bytes() {
+    let artifact = registry::get("fig9").expect("fig9 is registered");
+    let mut drift = Vec::new();
+    for (seed, want) in CORPUS_SEEDS.into_iter().zip(FIG9_20K_PINS) {
+        let opts = RunOpts {
+            trials: Some(20_000),
+            seed,
+        };
+        let stdout = format!("{}\n", artifact.run(&opts).metrics.pretty());
+        let got = content_hash64(stdout.as_bytes());
+        if got != want {
+            drift.push(format!("seed {seed}: got {got:#018x}, pinned {want:#018x}"));
+        }
+    }
+    assert!(
+        drift.is_empty(),
+        "fig9 bytes drifted:\n{}",
+        drift.join("\n")
+    );
+}
