@@ -15,33 +15,21 @@ use lru_channel::params::Platform;
 use lru_channel::protocol::DEFAULT_ENCODE_CALC;
 use lru_channel::setup::alloc_set_lines;
 
-/// The channels compared by Table V.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EncodedChannel {
-    /// Flush+Reload with `clflush` (line starts in memory).
-    FlushReloadMem,
-    /// Flush+Reload with an L1 eviction set (line starts in L2).
-    FlushReloadL1,
-    /// LRU Algorithms 1 & 2 (line starts in L1; the paper reports
-    /// one number for both).
-    LruChannel,
-}
+use crate::primitive::Channel;
 
-impl EncodedChannel {
-    /// Table column header.
-    pub fn label(&self) -> &'static str {
-        match self {
-            EncodedChannel::FlushReloadMem => "F+R (mem)",
-            EncodedChannel::FlushReloadL1 => "F+R (L1)",
-            EncodedChannel::LruChannel => "L1 LRU (Alg.1&2)",
-        }
+/// Table V's row label for `channel`: the paper reports one number
+/// for both LRU algorithms.
+pub fn row_label(channel: Channel) -> &'static str {
+    match channel {
+        Channel::LruAlg1 | Channel::LruAlg2 => "L1 LRU (Alg.1&2)",
+        flush_reload => flush_reload.label(),
     }
 }
 
 /// Measures the sender's encode latency in cycles on `platform` by
 /// setting up the channel's pre-access cache state and executing the
 /// access (address calculation included, as in the paper).
-pub fn encoding_latency(platform: Platform, channel: EncodedChannel) -> u32 {
+pub fn encoding_latency(platform: Platform, channel: Channel) -> u32 {
     let mut machine = Machine::new(platform.arch, PolicyKind::TreePlru, 1);
     let pid = machine.create_process();
     let lines = alloc_set_lines(&mut machine, pid, 0, 9);
@@ -50,14 +38,14 @@ pub fn encoding_latency(platform: Platform, channel: EncodedChannel) -> u32 {
     // Bring the line to the state the channel's receiver leaves it in.
     machine.access(pid, target); // resident everywhere
     match channel {
-        EncodedChannel::FlushReloadMem => machine.flush(pid, target),
-        EncodedChannel::FlushReloadL1 => {
+        Channel::FlushReload => machine.flush(pid, target),
+        Channel::FlushReloadL1 => {
             // Evict from L1 only, by filling the set.
             for &va in &lines[1..9] {
                 machine.access(pid, va);
             }
         }
-        EncodedChannel::LruChannel => {
+        Channel::LruAlg1 | Channel::LruAlg2 => {
             // Keep it resident in L1 (re-touch to be sure).
             machine.access(pid, target);
         }
@@ -75,9 +63,9 @@ mod tests {
     fn lru_encode_is_cheapest_fr_mem_most_expensive() {
         // The Table V ordering on every platform.
         for platform in Platform::all() {
-            let mem = encoding_latency(platform, EncodedChannel::FlushReloadMem);
-            let l1 = encoding_latency(platform, EncodedChannel::FlushReloadL1);
-            let lru = encoding_latency(platform, EncodedChannel::LruChannel);
+            let mem = encoding_latency(platform, Channel::FlushReload);
+            let l1 = encoding_latency(platform, Channel::FlushReloadL1);
+            let lru = encoding_latency(platform, Channel::LruAlg1);
             assert!(
                 lru < l1,
                 "{}: LRU {lru} !< F+R(L1) {l1}",
@@ -94,7 +82,7 @@ mod tests {
     #[test]
     fn lru_encode_magnitude_matches_paper() {
         // Paper Table V: 31 cycles on the E5-2690.
-        let lru = encoding_latency(Platform::e5_2690(), EncodedChannel::LruChannel);
+        let lru = encoding_latency(Platform::e5_2690(), Channel::LruAlg1);
         assert!(
             (25..=45).contains(&lru),
             "LRU encode should be ~31 cycles, got {lru}"
@@ -103,7 +91,7 @@ mod tests {
 
     #[test]
     fn fr_mem_costs_a_memory_round_trip() {
-        let mem = encoding_latency(Platform::e5_2690(), EncodedChannel::FlushReloadMem);
+        let mem = encoding_latency(Platform::e5_2690(), Channel::FlushReload);
         assert!(
             mem > 150,
             "F+R(mem) encode must include memory latency, got {mem}"

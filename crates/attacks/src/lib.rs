@@ -10,12 +10,15 @@
 //!   `clflush`-to-memory ("F+R (mem)") and L1-eviction-set
 //!   ("F+R (L1)").
 //! * [`prime_probe`] — Prime+Probe over one L1 set.
-//! * [`primitive`] — the disclosure-primitive abstraction used by
-//!   the Spectre harness, implemented by Flush+Reload and by LRU
-//!   Algorithms 1 and 2.
+//! * [`primitive`] — the one [`Channel`] type (the two Flush+Reload
+//!   flavours and LRU Algorithms 1 and 2, each with its table label)
+//!   and the disclosure-primitive abstraction used by the Spectre
+//!   harness. [`Channel::primitive`] is the one factory from a
+//!   channel to its primitive.
 //! * [`spectre`] — the end-to-end Spectre-v1 secret recovery over
 //!   63 cache sets, with the Appendix-C random-order multi-round
-//!   prefetcher-noise mitigation.
+//!   prefetcher-noise mitigation; [`SpectreAttack::recover_secret`]
+//!   is the one path from a channel to a recovered secret.
 //! * [`encoding_time`] — Table V: sender encoding latency per
 //!   channel.
 //! * [`miss_rates`] — Tables VI/VII: performance-counter footprints
@@ -35,5 +38,5 @@ pub mod primitive;
 pub mod side_channel;
 pub mod spectre;
 
-pub use primitive::DisclosurePrimitive;
+pub use primitive::{Channel, DisclosurePrimitive};
 pub use spectre::SpectreAttack;

@@ -12,7 +12,6 @@ use cache_sim::replacement::PolicyKind;
 use exec_sim::machine::Machine;
 use exec_sim::measure::LatencyProbe;
 use exec_sim::sched::{Engine, HyperThreaded, ThreadHandle};
-use exec_sim::speculation::build_victim;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use workloads::background::BenignCoRunner;
@@ -22,7 +21,7 @@ use lru_channel::protocol::{LruReceiver, LruSender};
 use lru_channel::setup;
 
 use crate::flush_reload::{EvictionMethod, FlushReloadReceiver};
-use crate::primitive::{FlushReloadPrimitive, LruAlg1Primitive, LruAlg2Primitive};
+use crate::primitive::Channel;
 use crate::spectre::{encode_symbols, SpectreAttack};
 
 /// One row of Table VI or VII.
@@ -39,14 +38,8 @@ pub struct MissRateRow {
 /// The Table VI configurations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SenderScenario {
-    /// Sender + Flush+Reload(mem) receiver.
-    FlushReloadMem,
-    /// Sender + Flush+Reload(L1) receiver.
-    FlushReloadL1,
-    /// Sender + LRU Algorithm 1 receiver.
-    LruAlg1,
-    /// Sender + LRU Algorithm 2 receiver.
-    LruAlg2,
+    /// Sender + a receiver on the channel.
+    Receiver(Channel),
     /// Sender sharing the core with a benign gcc-like workload.
     SenderAndGcc,
     /// Sender alone on the core.
@@ -56,10 +49,10 @@ pub enum SenderScenario {
 impl SenderScenario {
     /// All rows of Table VI, in paper order.
     pub const ALL: [SenderScenario; 6] = [
-        SenderScenario::FlushReloadMem,
-        SenderScenario::FlushReloadL1,
-        SenderScenario::LruAlg1,
-        SenderScenario::LruAlg2,
+        SenderScenario::Receiver(Channel::FlushReload),
+        SenderScenario::Receiver(Channel::FlushReloadL1),
+        SenderScenario::Receiver(Channel::LruAlg1),
+        SenderScenario::Receiver(Channel::LruAlg2),
         SenderScenario::SenderAndGcc,
         SenderScenario::SenderOnly,
     ];
@@ -67,10 +60,7 @@ impl SenderScenario {
     /// Table row label.
     pub fn label(&self) -> &'static str {
         match self {
-            SenderScenario::FlushReloadMem => "F+R (mem)",
-            SenderScenario::FlushReloadL1 => "F+R (L1)",
-            SenderScenario::LruAlg1 => "L1 LRU Alg.1",
-            SenderScenario::LruAlg2 => "L1 LRU Alg.2",
+            SenderScenario::Receiver(channel) => channel.label(),
             SenderScenario::SenderAndGcc => "sender & gcc",
             SenderScenario::SenderOnly => "sender only",
         }
@@ -96,7 +86,7 @@ pub fn sender_miss_rates(
     let message: Vec<bool> = (0..bits).map(|_| rng.gen_bool(0.5)).collect();
 
     let endpoints = match scenario {
-        SenderScenario::LruAlg2 => {
+        SenderScenario::Receiver(Channel::LruAlg2) => {
             setup::alg2(&mut machine, sender_pid, receiver_pid, params.target_set)
         }
         _ => setup::alg1(&mut machine, sender_pid, receiver_pid, params.target_set),
@@ -112,8 +102,8 @@ pub fn sender_miss_rates(
     // Build the co-runner and run. Each arm keeps its program alive
     // on the stack for the scheduler borrow.
     match scenario {
-        SenderScenario::FlushReloadMem | SenderScenario::FlushReloadL1 => {
-            let eviction = if scenario == SenderScenario::FlushReloadMem {
+        SenderScenario::Receiver(channel @ (Channel::FlushReload | Channel::FlushReloadL1)) => {
+            let eviction = if channel == Channel::FlushReload {
                 EvictionMethod::Clflush
             } else {
                 EvictionMethod::L1EvictionSet(endpoints.receiver_lines[1..9].to_vec())
@@ -130,7 +120,7 @@ pub fn sender_miss_rates(
                 limit,
             );
         }
-        SenderScenario::LruAlg1 | SenderScenario::LruAlg2 => {
+        SenderScenario::Receiver(Channel::LruAlg1 | Channel::LruAlg2) => {
             let mut recv = LruReceiver::new(endpoints.receiver_lines.clone(), params.d, params.tr);
             let probe = LatencyProbe::new(&mut machine, receiver_pid, platform.tsc, 63);
             sched.run(
@@ -170,61 +160,37 @@ pub fn sender_miss_rates(
     }
 }
 
-/// The Spectre channels compared by Table VII.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SpectreChannel {
-    /// Flush+Reload disclosure.
-    FlushReloadMem,
-    /// LRU Algorithm 1 disclosure.
-    LruAlg1,
-    /// LRU Algorithm 2 disclosure.
-    LruAlg2,
-}
-
 /// Measures the combined (victim + attacker) miss rates during a
 /// Spectre-v1 run recovering `secret` via the given channel
 /// (Table VII).
 pub fn spectre_miss_rates(
     platform: Platform,
-    channel: SpectreChannel,
+    channel: Channel,
     secret: &str,
     seed: u64,
 ) -> MissRateRow {
     let mut machine = Machine::new(platform.arch, PolicyKind::TreePlru, seed);
-    let symbols = encode_symbols(secret);
-    let (mut victim, off) = build_victim(&mut machine, &symbols, 8);
-    let pid = victim.pid;
     let attack = SpectreAttack {
         seed,
         ..SpectreAttack::default()
     };
-
     // Warm-up: recover the first symbol once untimed so compulsory
     // misses of the attack's own data structures don't dominate the
     // rates, then measure the full run.
+    let (pid, _) = attack.recover_secret(
+        &mut machine,
+        platform,
+        channel,
+        &encode_symbols(secret),
+        true,
+    );
+    // Both Flush+Reload flavours disclose through one primitive, so
+    // they measure (and are labelled) alike.
     let label = match channel {
-        SpectreChannel::FlushReloadMem => {
-            let mut prim = FlushReloadPrimitive::new(pid, victim.array2, platform);
-            attack.recover(&mut machine, &mut victim, &mut prim, off, 1);
-            machine.reset_counters();
-            attack.recover(&mut machine, &mut victim, &mut prim, off, symbols.len());
-            "F+R (mem)"
-        }
-        SpectreChannel::LruAlg1 => {
-            let mut prim = LruAlg1Primitive::new(&mut machine, pid, victim.array2, platform);
-            attack.recover(&mut machine, &mut victim, &mut prim, off, 1);
-            machine.reset_counters();
-            attack.recover(&mut machine, &mut victim, &mut prim, off, symbols.len());
-            "L1 LRU Alg.1"
-        }
-        SpectreChannel::LruAlg2 => {
-            let mut prim = LruAlg2Primitive::new(&mut machine, pid, victim.array2, platform);
-            attack.recover(&mut machine, &mut victim, &mut prim, off, 1);
-            machine.reset_counters();
-            attack.recover(&mut machine, &mut victim, &mut prim, off, symbols.len());
-            "L1 LRU Alg.2"
-        }
-    };
+        Channel::FlushReloadL1 => Channel::FlushReload,
+        other => other,
+    }
+    .label();
 
     let counters = *machine.counters(pid);
     MissRateRow {
@@ -253,7 +219,7 @@ mod tests {
 
     #[test]
     fn lru_sender_l1_miss_rate_is_tiny() {
-        let row = sender_row(SenderScenario::LruAlg1, 1);
+        let row = sender_row(SenderScenario::Receiver(Channel::LruAlg1), 1);
         assert!(
             row.rates.l1d < 0.02,
             "LRU Alg.1 sender must mostly hit L1, got {:.4}",
@@ -263,8 +229,8 @@ mod tests {
 
     #[test]
     fn fr_mem_sender_misses_much_more_beyond_l2() {
-        let fr = sender_row(SenderScenario::FlushReloadMem, 2);
-        let lru = sender_row(SenderScenario::LruAlg1, 2);
+        let fr = sender_row(SenderScenario::Receiver(Channel::FlushReload), 2);
+        let lru = sender_row(SenderScenario::Receiver(Channel::LruAlg1), 2);
         // Table VI shape: F+R(mem) has order-of-magnitude worse L2
         // and LLC rates than the LRU sender.
         assert!(
@@ -285,7 +251,7 @@ mod tests {
     fn lru_sender_resembles_benign_cosched() {
         // The stealth claim: the LRU sender's L1D profile is within
         // the range spanned by benign co-scheduling.
-        let lru = sender_row(SenderScenario::LruAlg1, 3);
+        let lru = sender_row(SenderScenario::Receiver(Channel::LruAlg1), 3);
         let gcc = sender_row(SenderScenario::SenderAndGcc, 3);
         assert!(
             lru.rates.l1d <= gcc.rates.l1d + 0.02,
@@ -299,8 +265,8 @@ mod tests {
     fn sender_only_has_lowest_l1_missrate() {
         let only = sender_row(SenderScenario::SenderOnly, 4);
         for s in [
-            SenderScenario::FlushReloadMem,
-            SenderScenario::LruAlg1,
+            SenderScenario::Receiver(Channel::FlushReload),
+            SenderScenario::Receiver(Channel::LruAlg1),
             SenderScenario::SenderAndGcc,
         ] {
             let row = sender_row(s, 4);
@@ -316,8 +282,8 @@ mod tests {
 
     #[test]
     fn spectre_fr_mem_has_huge_llc_miss_rate() {
-        let fr = spectre_miss_rates(Platform::e5_2690(), SpectreChannel::FlushReloadMem, "ab", 5);
-        let lru = spectre_miss_rates(Platform::e5_2690(), SpectreChannel::LruAlg1, "ab", 5);
+        let fr = spectre_miss_rates(Platform::e5_2690(), Channel::FlushReload, "ab", 5);
+        let lru = spectre_miss_rates(Platform::e5_2690(), Channel::LruAlg1, "ab", 5);
         // Table VII shape: F+R(mem) ~90%+ LLC misses; the LRU
         // channels stay low.
         assert!(

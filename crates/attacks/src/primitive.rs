@@ -25,12 +25,55 @@ use lru_channel::setup::alloc_set_lines;
 /// Number of recoverable symbol values (63 usable sets).
 pub const SYMBOL_VALUES: u8 = 63;
 
+/// The channels the paper compares (Tables V–VII, §VIII): the two
+/// Flush+Reload flavours and the two LRU algorithms.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Channel {
+    /// Flush+Reload, `clflush` flavour (the line starts in memory).
+    FlushReload,
+    /// Flush+Reload, L1-eviction-set flavour (the line starts in L2).
+    FlushReloadL1,
+    /// LRU Algorithm 1.
+    LruAlg1,
+    /// LRU Algorithm 2.
+    LruAlg2,
+}
+
+impl Channel {
+    /// Paper table label.
+    pub fn label(self) -> &'static str {
+        match self {
+            Channel::FlushReload => "F+R (mem)",
+            Channel::FlushReloadL1 => "F+R (L1)",
+            Channel::LruAlg1 => "L1 LRU Alg.1",
+            Channel::LruAlg2 => "L1 LRU Alg.2",
+        }
+    }
+
+    /// Builds this channel's disclosure primitive over the victim's
+    /// probe array `array2`. Both Flush+Reload flavours disclose
+    /// through the `clflush` [`FlushReloadPrimitive`]; the L1 flavour
+    /// differs only in how a covert receiver evicts (Tables V, VI).
+    pub fn primitive(
+        self,
+        machine: &mut Machine,
+        pid: Pid,
+        array2: VirtAddr,
+        platform: Platform,
+    ) -> Box<dyn DisclosurePrimitive> {
+        match self {
+            Channel::FlushReload | Channel::FlushReloadL1 => {
+                Box::new(FlushReloadPrimitive::new(pid, array2, platform))
+            }
+            Channel::LruAlg1 => Box::new(LruAlg1Primitive::new(machine, pid, array2, platform)),
+            Channel::LruAlg2 => Box::new(LruAlg2Primitive::new(machine, pid, array2, platform)),
+        }
+    }
+}
+
 /// A mechanism for recovering which probe line the victim touched
 /// transiently.
 pub trait DisclosurePrimitive {
-    /// Human-readable channel name (as in the paper's tables).
-    fn name(&self) -> &'static str;
-
     /// Establishes the pre-attack cache/LRU state. Called after
     /// predictor training, immediately before the victim's
     /// malicious invocation.
@@ -84,10 +127,6 @@ impl FlushReloadPrimitive {
 }
 
 impl DisclosurePrimitive for FlushReloadPrimitive {
-    fn name(&self) -> &'static str {
-        "F+R (mem)"
-    }
-
     fn prepare(&mut self, machine: &mut Machine) {
         for v in 0..SYMBOL_VALUES {
             machine.flush(self.pid, self.probe_line(v));
@@ -151,10 +190,6 @@ impl LruAlg1Primitive {
 }
 
 impl DisclosurePrimitive for LruAlg1Primitive {
-    fn name(&self) -> &'static str {
-        "L1 LRU Alg.1"
-    }
-
     fn prepare(&mut self, machine: &mut Machine) {
         // Initialization phase with d = 8: touch lines 0..7 of every
         // candidate set in order (line 0 resident and *oldest*).
@@ -214,10 +249,6 @@ impl LruAlg2Primitive {
 }
 
 impl DisclosurePrimitive for LruAlg2Primitive {
-    fn name(&self) -> &'static str {
-        "L1 LRU Alg.2"
-    }
-
     fn prepare(&mut self, machine: &mut Machine) {
         // Occupy every way of every candidate set, in order (the
         // sequential initial condition of Table I).

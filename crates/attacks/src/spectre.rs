@@ -7,10 +7,11 @@ use std::collections::HashMap;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-use exec_sim::machine::Machine;
-use exec_sim::speculation::{SpecMode, SpectreVictim};
+use exec_sim::machine::{Machine, Pid};
+use exec_sim::speculation::{build_victim, SpecMode, SpectreVictim};
+use lru_channel::params::Platform;
 
-use crate::primitive::{DisclosurePrimitive, SYMBOL_VALUES};
+use crate::primitive::{Channel, DisclosurePrimitive, SYMBOL_VALUES};
 
 /// The 63-symbol alphabet used by the demos (the paper's setup
 /// supports 63 distinct values — 63 usable cache sets).
@@ -70,6 +71,31 @@ impl Default for SpectreAttack {
 }
 
 impl SpectreAttack {
+    /// Plants the `secret` symbols in a fresh victim on `machine`,
+    /// builds `channel`'s disclosure primitive over its probe array
+    /// and recovers every symbol. With `warm`, one symbol is first
+    /// recovered untimed and the counters reset, so the attack's own
+    /// compulsory misses do not dominate a miss-rate readout.
+    /// Returns the victim's pid and one recovered symbol per
+    /// position (see [`SpectreAttack::recover`]).
+    pub fn recover_secret(
+        &self,
+        machine: &mut Machine,
+        platform: Platform,
+        channel: Channel,
+        secret: &[u8],
+        warm: bool,
+    ) -> (Pid, Vec<u8>) {
+        let (mut victim, off) = build_victim(machine, secret, 8);
+        let mut primitive = channel.primitive(machine, victim.pid, victim.array2, platform);
+        if warm {
+            self.recover(machine, &mut victim, primitive.as_mut(), off, 1);
+            machine.reset_counters();
+        }
+        let got = self.recover(machine, &mut victim, primitive.as_mut(), off, secret.len());
+        (victim.pid, got)
+    }
+
     /// Recovers `len` secret symbols starting at `secret_offset`
     /// from `victim.array1`, using `primitive` as the disclosure
     /// channel. Returns one recovered symbol per position (255 when

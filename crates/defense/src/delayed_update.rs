@@ -3,24 +3,12 @@
 //! load is no longer speculative. Squashed transient loads therefore
 //! leave nothing for any disclosure primitive to read.
 
-use attacks::primitive::{FlushReloadPrimitive, LruAlg1Primitive, LruAlg2Primitive};
+use attacks::primitive::Channel;
 use attacks::spectre::{decode_symbols, encode_symbols, SpectreAttack};
-use cache_sim::profiles::MicroArch;
 use cache_sim::replacement::PolicyKind;
 use exec_sim::machine::Machine;
-use exec_sim::speculation::{build_victim, SpecMode};
+use exec_sim::speculation::SpecMode;
 use lru_channel::params::Platform;
-
-/// Which disclosure primitive to evaluate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Channel {
-    /// Flush+Reload.
-    FlushReload,
-    /// LRU Algorithm 1.
-    LruAlg1,
-    /// LRU Algorithm 2.
-    LruAlg2,
-}
 
 /// Result of one Spectre-vs-defense run.
 #[derive(Debug, Clone)]
@@ -44,32 +32,14 @@ pub fn spectre_under_mode(
     seed: u64,
 ) -> SpectreDefenseResult {
     let platform = Platform::e5_2690();
-    let mut machine = Machine::new(
-        MicroArch::sandy_bridge_e5_2690(),
-        PolicyKind::TreePlru,
-        seed,
-    );
+    let mut machine = Machine::new(platform.arch, PolicyKind::TreePlru, seed);
     let symbols = encode_symbols(secret);
-    let (mut victim, off) = build_victim(&mut machine, &symbols, 8);
     let attack = SpectreAttack {
         mode,
         seed,
         ..SpectreAttack::default()
     };
-    let got = match channel {
-        Channel::FlushReload => {
-            let mut p = FlushReloadPrimitive::new(victim.pid, victim.array2, platform);
-            attack.recover(&mut machine, &mut victim, &mut p, off, symbols.len())
-        }
-        Channel::LruAlg1 => {
-            let mut p = LruAlg1Primitive::new(&mut machine, victim.pid, victim.array2, platform);
-            attack.recover(&mut machine, &mut victim, &mut p, off, symbols.len())
-        }
-        Channel::LruAlg2 => {
-            let mut p = LruAlg2Primitive::new(&mut machine, victim.pid, victim.array2, platform);
-            attack.recover(&mut machine, &mut victim, &mut p, off, symbols.len())
-        }
-    };
+    let (_, got) = attack.recover_secret(&mut machine, platform, channel, &symbols, false);
     let correct = got
         .iter()
         .zip(symbols.iter())

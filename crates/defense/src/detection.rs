@@ -71,6 +71,7 @@ pub fn detection_study(platform: Platform, bits: usize, seed: u64, engine: Engin
 #[cfg(test)]
 mod tests {
     use super::*;
+    use attacks::primitive::Channel;
 
     /// One Table VI row on the paper's Xeon, on the default engine.
     fn sender_row(scenario: SenderScenario, seed: u64) -> MissRateRow {
@@ -86,7 +87,7 @@ mod tests {
     #[test]
     fn detector_flags_flush_reload_mem() {
         let detector = MissRateDetector::default();
-        let row = sender_row(SenderScenario::FlushReloadMem, 1);
+        let row = sender_row(SenderScenario::Receiver(Channel::FlushReload), 1);
         assert!(
             detector.judge(row).flagged,
             "F+R(mem)'s memory hammering must be visible"
@@ -96,7 +97,10 @@ mod tests {
     #[test]
     fn detector_does_not_flag_lru_sender() {
         let detector = MissRateDetector::default();
-        for scenario in [SenderScenario::LruAlg1, SenderScenario::LruAlg2] {
+        for scenario in [
+            SenderScenario::Receiver(Channel::LruAlg1),
+            SenderScenario::Receiver(Channel::LruAlg2),
+        ] {
             let row = sender_row(scenario, 2);
             assert!(
                 !detector.judge(row).flagged,

@@ -10,11 +10,10 @@
 //! are the same whether they end up in a bench table or in
 //! `lru-leak … --json` output.
 
-use attacks::encoding_time::{encoding_latency, EncodedChannel};
+use attacks::encoding_time::{self, encoding_latency};
 use attacks::flush_reload::{EvictionMethod, FlushReloadReceiver};
-use attacks::miss_rates::{self, MissRateRow, SenderScenario, SpectreChannel};
+use attacks::miss_rates::{self, MissRateRow, SenderScenario};
 use attacks::prime_probe::PrimeProbeReceiver;
-use attacks::primitive::{FlushReloadPrimitive, LruAlg1Primitive, LruAlg2Primitive};
 use attacks::spectre::{decode_symbols, encode_symbols, SpectreAttack};
 use cache_sim::addr::PhysAddr;
 use cache_sim::geometry::CacheGeometry;
@@ -32,7 +31,7 @@ use defense::randomization::{index_randomization_defeats_eviction, random_fill_l
 use exec_sim::machine::Machine;
 use exec_sim::measure::{rdtscp_single, LatencyProbe};
 use exec_sim::sched::{Engine, HyperThreaded, ThreadHandle};
-use exec_sim::speculation::{build_victim, SpecMode};
+use exec_sim::speculation::SpecMode;
 use lru_channel::analysis::Histogram;
 use lru_channel::covert::{
     percent_ones, CoRunner, CovertConfig, PercentOnesOpts, Sharing, Variant,
@@ -54,7 +53,7 @@ use workloads::spec_like::Benchmark;
 use crate::aggregate::{CollectMetrics, Reducer};
 use crate::json::Value;
 use crate::spec::{
-    ChannelId, DefenseId, ExperimentKind, Inclusion, MessageSource, Named, Scenario, WorkloadId,
+    DefenseId, ExperimentKind, Inclusion, MessageSource, Named, Scenario, WorkloadId,
 };
 
 impl Scenario {
@@ -698,51 +697,6 @@ fn run_flush_reload(s: &Scenario, seed: u64, engine: Engine) -> Value {
         .with("decoded", bitstring(&bits, 512))
 }
 
-fn spectre_recover(
-    machine: &mut Machine,
-    platform: lru_channel::params::Platform,
-    channel: ChannelId,
-    attack: &SpectreAttack,
-    secret: &str,
-    warm: bool,
-) -> (String, f64) {
-    let symbols = encode_symbols(secret);
-    let (mut victim, off) = build_victim(machine, &symbols, 8);
-    let got = match channel {
-        ChannelId::FlushReloadMem | ChannelId::FlushReloadL1 => {
-            let mut p = FlushReloadPrimitive::new(victim.pid, victim.array2, platform);
-            if warm {
-                attack.recover(machine, &mut victim, &mut p, off, 1);
-                machine.reset_counters();
-            }
-            attack.recover(machine, &mut victim, &mut p, off, symbols.len())
-        }
-        ChannelId::LruAlg1 => {
-            let mut p = LruAlg1Primitive::new(machine, victim.pid, victim.array2, platform);
-            if warm {
-                attack.recover(machine, &mut victim, &mut p, off, 1);
-                machine.reset_counters();
-            }
-            attack.recover(machine, &mut victim, &mut p, off, symbols.len())
-        }
-        ChannelId::LruAlg2 => {
-            let mut p = LruAlg2Primitive::new(machine, victim.pid, victim.array2, platform);
-            if warm {
-                attack.recover(machine, &mut victim, &mut p, off, 1);
-                machine.reset_counters();
-            }
-            attack.recover(machine, &mut victim, &mut p, off, symbols.len())
-        }
-    };
-    let text = decode_symbols(&got);
-    let correct = text
-        .bytes()
-        .zip(secret.bytes())
-        .filter(|(a, b)| a == b)
-        .count();
-    (text, correct as f64 / secret.len().max(1) as f64)
-}
-
 /// Spectre-v1 secret recovery through a disclosure channel (§VIII,
 /// Appendix C).
 fn run_spectre(s: &Scenario, seed: u64, _engine: Engine) -> Value {
@@ -768,7 +722,20 @@ fn run_spectre(s: &Scenario, seed: u64, _engine: Engine) -> Value {
         seed,
         ..SpectreAttack::default()
     };
-    let (text, accuracy) = spectre_recover(&mut machine, platform, channel, &attack, secret, true);
+    let (_, got) = attack.recover_secret(
+        &mut machine,
+        platform,
+        channel,
+        &encode_symbols(secret),
+        true,
+    );
+    let text = decode_symbols(&got);
+    let correct = text
+        .bytes()
+        .zip(secret.bytes())
+        .filter(|(a, b)| a == b)
+        .count();
+    let accuracy = correct as f64 / secret.len().max(1) as f64;
     Value::obj()
         .with("channel", channel.name())
         .with("rounds", rounds)
@@ -947,14 +914,9 @@ fn run_encoding_latency(s: &Scenario, _seed: u64, _engine: Engine) -> Value {
     let ExperimentKind::EncodingLatency { channel } = s.kind else {
         unreachable!("kind checked at build");
     };
-    let encoded = match channel {
-        ChannelId::FlushReloadMem => EncodedChannel::FlushReloadMem,
-        ChannelId::FlushReloadL1 => EncodedChannel::FlushReloadL1,
-        ChannelId::LruAlg1 | ChannelId::LruAlg2 => EncodedChannel::LruChannel,
-    };
     Value::obj()
-        .with("label", encoded.label())
-        .with("cycles", encoding_latency(s.platform.platform(), encoded))
+        .with("label", encoding_time::row_label(channel))
+        .with("cycles", encoding_latency(s.platform.platform(), channel))
 }
 
 fn miss_rate_row_metrics(row: &MissRateRow) -> Value {
@@ -988,14 +950,9 @@ fn run_spectre_miss_rates(s: &Scenario, seed: u64, _engine: Engine) -> Value {
     let ExperimentKind::SpectreMissRates { channel } = s.kind else {
         unreachable!("kind checked at build");
     };
-    let spectre_channel = match channel {
-        ChannelId::FlushReloadMem | ChannelId::FlushReloadL1 => SpectreChannel::FlushReloadMem,
-        ChannelId::LruAlg1 => SpectreChannel::LruAlg1,
-        ChannelId::LruAlg2 => SpectreChannel::LruAlg2,
-    };
     let row = miss_rates::spectre_miss_rates(
         s.platform.platform(),
-        spectre_channel,
+        channel,
         s.message.text().expect("checked at build"),
         seed,
     );

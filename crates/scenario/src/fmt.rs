@@ -57,25 +57,12 @@ pub fn kbps(bps: f64) -> String {
 /// (noise specs, histogram rows) are embedded as compact JSON in one
 /// quoted cell. Pure renderer over [`Value`] — no measurement code.
 pub fn summary_to_csv(metrics: &Value) -> String {
-    let id = metrics.get("id").and_then(Value::as_str).unwrap_or("");
-    let rows: Vec<&Value> = match metrics.get("summary") {
-        Some(Value::Arr(items)) => items.iter().collect(),
-        Some(other) => vec![other],
-        None => Vec::new(),
-    };
-    // Column order: first appearance across all rows, so every run
-    // of the same artifact produces the same header.
-    let mut columns: Vec<&str> = Vec::new();
-    for row in &rows {
-        if let Value::Obj(pairs) = row {
-            for (k, _) in pairs {
-                if !columns.iter().any(|c| c == k) {
-                    columns.push(k);
-                }
-            }
-        }
-    }
-    let scalar_rows = rows.iter().any(|r| !matches!(r, Value::Obj(_)));
+    let SummaryTable {
+        id,
+        rows,
+        columns,
+        scalar_rows,
+    } = SummaryTable::of(metrics);
     let mut out = String::from("artifact");
     for c in &columns {
         out.push(',');
@@ -114,27 +101,16 @@ pub fn summary_to_csv(metrics: &Value) -> String {
 /// byte-identical specs; paste the output into any Vega editor or
 /// `vega-lite` CLI to get the plot.
 pub fn summary_to_vega(metrics: &Value) -> String {
-    let id = metrics.get("id").and_then(Value::as_str).unwrap_or("");
+    let SummaryTable {
+        id,
+        rows,
+        columns,
+        scalar_rows,
+    } = SummaryTable::of(metrics);
     let paper_ref = metrics.get("paper_ref").and_then(Value::as_str);
     let what = metrics.get("what").and_then(Value::as_str);
-    let rows: Vec<&Value> = match metrics.get("summary") {
-        Some(Value::Arr(items)) => items.iter().collect(),
-        Some(other) => vec![other],
-        None => Vec::new(),
-    };
-    // Column order mirrors the CSV renderer: first appearance across
-    // all rows. A column is quantitative when every present value is
-    // numeric, nominal otherwise.
-    let mut columns: Vec<&str> = Vec::new();
-    for row in &rows {
-        if let Value::Obj(pairs) = row {
-            for (k, _) in pairs {
-                if !columns.iter().any(|c| c == k) {
-                    columns.push(k);
-                }
-            }
-        }
-    }
+    // A column is quantitative when every present value is numeric,
+    // nominal otherwise.
     let numeric = |col: &str| {
         let mut seen = false;
         for row in &rows {
@@ -153,7 +129,6 @@ pub fn summary_to_vega(metrics: &Value) -> String {
         .copied()
         .filter(|c| !quantitative.contains(c))
         .collect();
-    let scalar_rows = rows.iter().any(|r| !matches!(r, Value::Obj(_)));
     // Inline data: one flat object per row; nested values embed as
     // compact JSON strings, scalar rows become {index, value}.
     let values: Vec<Value> = rows
@@ -203,6 +178,45 @@ pub fn summary_to_vega(metrics: &Value) -> String {
         )
         .with("encoding", encoding);
     format!("{}\n", spec.pretty())
+}
+
+/// The summary table [`summary_to_csv`] and [`summary_to_vega`] both
+/// render: one row per entry of the metrics' `summary` array (any
+/// other summary is one row), and the object rows' keys as columns in
+/// first-seen order, so every run of an artifact has the same header.
+struct SummaryTable<'a> {
+    /// The artifact ID.
+    id: &'a str,
+    rows: Vec<&'a Value>,
+    columns: Vec<&'a str>,
+    /// Whether some row is not an object (it renders as one `value`).
+    scalar_rows: bool,
+}
+
+impl<'a> SummaryTable<'a> {
+    fn of(metrics: &'a Value) -> Self {
+        let rows: Vec<&Value> = match metrics.get("summary") {
+            Some(Value::Arr(items)) => items.iter().collect(),
+            Some(other) => vec![other],
+            None => Vec::new(),
+        };
+        let mut columns: Vec<&str> = Vec::new();
+        for row in &rows {
+            if let Value::Obj(pairs) = row {
+                for (k, _) in pairs {
+                    if !columns.iter().any(|c| c == k) {
+                        columns.push(k);
+                    }
+                }
+            }
+        }
+        SummaryTable {
+            id: metrics.get("id").and_then(Value::as_str).unwrap_or(""),
+            scalar_rows: rows.iter().any(|r| !matches!(r, Value::Obj(_))),
+            rows,
+            columns,
+        }
+    }
 }
 
 /// One CSV cell: scalars print through the deterministic JSON

@@ -17,7 +17,7 @@ use crate::engine::{CancelToken, Engine};
 use crate::fmt::{geomean, header, kbps, pct, pct1, row, sparkline, BENCH_SEED};
 use crate::json::Value;
 use crate::spec::{
-    ChannelId, DefenseId, ExperimentKind, Inclusion, InitCond, MessageSource, Named, NoiseModel,
+    Channel, DefenseId, ExperimentKind, Inclusion, InitCond, MessageSource, Named, NoiseModel,
     PlatformId, Scenario, ScenarioError, SequenceKind, WorkloadId,
 };
 
@@ -1176,9 +1176,9 @@ fn table4_render(_o: &RunOpts, grid: &[Scenario], outs: &[Value]) -> (String, Va
 fn table5_grid(opts: &RunOpts) -> Result<Vec<Scenario>, ScenarioError> {
     let mut grid = Vec::new();
     for channel in [
-        ChannelId::FlushReloadMem,
-        ChannelId::FlushReloadL1,
-        ChannelId::LruAlg1,
+        Channel::FlushReload,
+        Channel::FlushReloadL1,
+        Channel::LruAlg1,
     ] {
         for platform in PlatformId::all() {
             grid.push(
@@ -1264,11 +1264,7 @@ const TABLE7_SECRET: &str = "The Magic Words are Squeamish Ossifrage";
 fn table7_grid(opts: &RunOpts) -> Result<Vec<Scenario>, ScenarioError> {
     let mut grid = Vec::new();
     for platform in [PlatformId::E5_2690, PlatformId::E3_1245V5] {
-        for channel in [
-            ChannelId::FlushReloadMem,
-            ChannelId::LruAlg1,
-            ChannelId::LruAlg2,
-        ] {
+        for channel in [Channel::FlushReload, Channel::LruAlg1, Channel::LruAlg2] {
             grid.push(
                 Scenario::builder()
                     .platform(platform)
@@ -1280,11 +1276,7 @@ fn table7_grid(opts: &RunOpts) -> Result<Vec<Scenario>, ScenarioError> {
         }
     }
     // The recovery demo rows (§VIII) on the E5-2690.
-    for channel in [
-        ChannelId::FlushReloadMem,
-        ChannelId::LruAlg1,
-        ChannelId::LruAlg2,
-    ] {
+    for channel in [Channel::FlushReload, Channel::LruAlg1, Channel::LruAlg2] {
         grid.push(
             Scenario::builder()
                 .message(MessageSource::Text(TABLE7_SECRET.into()))
@@ -1530,7 +1522,7 @@ fn ablation_prefetcher_grid(opts: &RunOpts) -> Result<Vec<Scenario>, ScenarioErr
             Scenario::builder()
                 .message(MessageSource::Text("prefetchers are noisy".into()))
                 .kind(ExperimentKind::Spectre {
-                    channel: ChannelId::LruAlg2,
+                    channel: Channel::LruAlg2,
                     rounds,
                     prefetcher,
                 })

@@ -13,6 +13,7 @@
 use std::error::Error;
 use std::fmt;
 
+pub use attacks::primitive::Channel;
 pub use cache_sim::hierarchy::Inclusion;
 use cache_sim::replacement::PolicyKind;
 use lru_channel::covert::{Sharing, Variant};
@@ -446,37 +447,13 @@ impl Named for Inclusion {
 }
 
 /// The disclosure/comparison channel of an attack-flavored
-/// experiment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ChannelId {
-    /// Flush+Reload, `clflush` flavor.
-    FlushReloadMem,
-    /// Flush+Reload, L1-eviction-set flavor.
-    FlushReloadL1,
-    /// LRU Algorithm 1.
-    LruAlg1,
-    /// LRU Algorithm 2.
-    LruAlg2,
-}
-
-impl ChannelId {
-    /// Paper table label.
-    pub fn label(self) -> &'static str {
-        match self {
-            ChannelId::FlushReloadMem => "F+R (mem)",
-            ChannelId::FlushReloadL1 => "F+R (L1)",
-            ChannelId::LruAlg1 => "L1 LRU Alg.1",
-            ChannelId::LruAlg2 => "L1 LRU Alg.2",
-        }
-    }
-}
-
-impl Named for ChannelId {
+/// experiment. `fr-mem` is the `clflush` flavour of Flush+Reload.
+impl Named for Channel {
     const NAMES: &'static [(Self, &'static str)] = &[
-        (ChannelId::FlushReloadMem, "fr-mem"),
-        (ChannelId::FlushReloadL1, "fr-l1"),
-        (ChannelId::LruAlg1, "lru-alg1"),
-        (ChannelId::LruAlg2, "lru-alg2"),
+        (Channel::FlushReload, "fr-mem"),
+        (Channel::FlushReloadL1, "fr-l1"),
+        (Channel::LruAlg1, "lru-alg1"),
+        (Channel::LruAlg2, "lru-alg2"),
     ];
 }
 
@@ -522,7 +499,7 @@ pub enum ExperimentKind {
     /// Spectre v1 secret recovery through `channel` (§VIII).
     Spectre {
         /// Disclosure channel.
-        channel: ChannelId,
+        channel: Channel,
         /// Scan rounds (Appendix C mitigation when > 1).
         rounds: usize,
         /// Enable the next-line hardware prefetcher (Appendix C).
@@ -551,7 +528,7 @@ pub enum ExperimentKind {
     /// Table V: sender encode latency of `channel`.
     EncodingLatency {
         /// Channel whose encode is timed.
-        channel: ChannelId,
+        channel: Channel,
     },
     /// Table VI: sender-process miss rates in one co-run scenario.
     SenderMissRates {
@@ -564,7 +541,7 @@ pub enum ExperimentKind {
     /// Table VII: whole-attack miss rates through `channel`.
     SpectreMissRates {
         /// Disclosure channel.
-        channel: ChannelId,
+        channel: Channel,
     },
     /// Figs. 3/13: readout histograms of an L1-hit vs L1-miss
     /// target.
@@ -1423,7 +1400,7 @@ mod tests {
         // spectre without a secret.
         let err = Scenario::builder()
             .kind(ExperimentKind::Spectre {
-                channel: ChannelId::LruAlg2,
+                channel: Channel::LruAlg2,
                 rounds: 1,
                 prefetcher: false,
             })
@@ -1509,7 +1486,7 @@ mod tests {
             ),
             (
                 ExperimentKind::Spectre {
-                    channel: ChannelId::FlushReloadMem,
+                    channel: Channel::FlushReload,
                     rounds: 3,
                     prefetcher: true,
                 },
@@ -1534,7 +1511,7 @@ mod tests {
             ),
             (
                 ExperimentKind::EncodingLatency {
-                    channel: ChannelId::LruAlg1,
+                    channel: Channel::LruAlg1,
                 },
                 MessageSource::Alternating { bits: 1 },
             ),
@@ -1547,7 +1524,7 @@ mod tests {
             ),
             (
                 ExperimentKind::SpectreMissRates {
-                    channel: ChannelId::LruAlg2,
+                    channel: Channel::LruAlg2,
                 },
                 MessageSource::Text("secret".into()),
             ),
@@ -1627,7 +1604,7 @@ mod tests {
             }),
             ("spectre rounds", |n| {
                 kind(ExperimentKind::Spectre {
-                    channel: ChannelId::LruAlg2,
+                    channel: Channel::LruAlg2,
                     rounds: n,
                     prefetcher: false,
                 })

@@ -5,7 +5,7 @@
 //!
 //! Run with `cargo run --release --example spectre_attack`.
 
-use lru_leak::scenario::spec::{ChannelId, ExperimentKind, MessageSource, Scenario};
+use lru_leak::scenario::spec::{Channel, ExperimentKind, MessageSource, Scenario};
 use lru_leak::scenario::Value;
 
 const SECRET: &str = "The Magic Words are Squeamish Ossifrage";
@@ -13,11 +13,7 @@ const SECRET: &str = "The Magic Words are Squeamish Ossifrage";
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("victim secret: {SECRET:?}\n");
 
-    for channel in [
-        ChannelId::FlushReloadMem,
-        ChannelId::LruAlg1,
-        ChannelId::LruAlg2,
-    ] {
+    for channel in [Channel::FlushReload, Channel::LruAlg1, Channel::LruAlg2] {
         // Recovery through this channel…
         let recovery = Scenario::builder()
             .message(MessageSource::Text(SECRET.into()))

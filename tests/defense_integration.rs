@@ -1,9 +1,10 @@
 //! Defense integration: each §IX mitigation actually stops the
 //! channel it targets, at the claimed cost.
 
+use lru_leak::attacks::Channel;
 use lru_leak::cache_sim::plcache::PlDesign;
 use lru_leak::cache_sim::replacement::PolicyKind;
-use lru_leak::defense::delayed_update::{spectre_under_mode, Channel};
+use lru_leak::defense::delayed_update::spectre_under_mode;
 use lru_leak::defense::detection::{detection_study, MissRateDetector};
 use lru_leak::defense::partition_eval::{dawg_partitioned_leak, shared_plru_leak};
 use lru_leak::defense::pl_cache_eval::pl_cache_alg2_trace;

@@ -29,10 +29,10 @@ use lru_leak::exec_sim::sched::Engine;
 use lru_leak::lru_channel::covert::{Sharing, Variant};
 use lru_leak::lru_channel::params::ChannelParams;
 use lru_leak::scenario::registry;
-use lru_leak::scenario::spec::{ChannelId, DefenseId, InitCond, SequenceKind, WorkloadId};
+use lru_leak::scenario::spec::{Channel, DefenseId, InitCond, SequenceKind, WorkloadId};
 use lru_leak::scenario::{
-    content_hash64, ExperimentKind, Inclusion, MessageSource, PlatformId, ResultCache, RunOpts,
-    Scenario, BENCH_SEED,
+    content_hash64, fmt, ExperimentKind, Inclusion, MessageSource, PlatformId, ResultCache,
+    RunOpts, Scenario, BENCH_SEED,
 };
 
 /// The pinned scenarios: the smallest counts each kind accepts that
@@ -89,7 +89,7 @@ fn cases() -> Vec<(&'static str, Scenario, u64)> {
             "spectre",
             b().message(MessageSource::Text("Hi".into()))
                 .kind(ExperimentKind::Spectre {
-                    channel: ChannelId::LruAlg2,
+                    channel: Channel::LruAlg2,
                     rounds: 1,
                     prefetcher: false,
                 })
@@ -129,7 +129,7 @@ fn cases() -> Vec<(&'static str, Scenario, u64)> {
         (
             "encoding-latency",
             b().kind(ExperimentKind::EncodingLatency {
-                channel: ChannelId::FlushReloadL1,
+                channel: Channel::FlushReloadL1,
             })
             .seed(10),
             0x543a_bd7c_0a53_858d,
@@ -144,7 +144,7 @@ fn cases() -> Vec<(&'static str, Scenario, u64)> {
             "spectre-miss-rates",
             b().message(MessageSource::Text("A".into()))
                 .kind(ExperimentKind::SpectreMissRates {
-                    channel: ChannelId::LruAlg1,
+                    channel: Channel::LruAlg1,
                 })
                 .seed(12),
             0xdc89_9e61_3fb4_c36f,
@@ -445,28 +445,392 @@ fn corpus() -> Vec<(&'static str, [u64; 3])> {
     ]
 }
 
+/// The rendering corpus: per registry artifact, in registry order, the
+/// hashes of its one-trial [`Report::text`](lru_leak::scenario::Report)
+/// (what `lru-leak run <id>` prints) and of
+/// [`fmt::summary_to_csv`] over its metrics (what `--csv` prints), at
+/// each of [`CORPUS_SEEDS`].
+fn rendering_corpus() -> Vec<(&'static str, [u64; 3], [u64; 3])> {
+    vec![
+        (
+            "fig3",
+            [
+                0x8397_0968_a529_4abc,
+                0x1954_ae35_6fd9_0d3c,
+                0x9af6_1226_8d7e_a940,
+            ],
+            [
+                0x55ac_9267_f3e0_1bb6,
+                0x2b00_99fb_8be9_4a67,
+                0x23d5_03aa_86f4_58c9,
+            ],
+        ),
+        (
+            "fig4",
+            [
+                0x405c_32c6_278a_3fcc,
+                0x1002_43a4_b07d_bdfb,
+                0x2aa9_f71d_6ffa_725f,
+            ],
+            [
+                0x09ae_77da_91de_69bc,
+                0xb037_9218_e8e0_54ea,
+                0x0db4_5750_005d_9e97,
+            ],
+        ),
+        (
+            "fig5",
+            [
+                0x8a0e_c2b6_ecce_b585,
+                0xda0a_df3b_2a19_c029,
+                0xc407_14ed_a682_b979,
+            ],
+            [
+                0x317d_acf0_a138_d551,
+                0xfa78_2ede_6bc6_6e81,
+                0x317d_acf0_a138_d551,
+            ],
+        ),
+        (
+            "fig6",
+            [
+                0xb7e2_23a4_f0cd_6f5e,
+                0xb7e2_23a4_f0cd_6f5e,
+                0xb7e2_23a4_f0cd_6f5e,
+            ],
+            [
+                0x071e_c3ba_a3a5_b722,
+                0x071e_c3ba_a3a5_b722,
+                0x071e_c3ba_a3a5_b722,
+            ],
+        ),
+        (
+            "fig7",
+            [
+                0xa6af_42d4_49db_3865,
+                0x22ae_3d5f_0178_c909,
+                0xd4c0_ff3e_cf98_59f2,
+            ],
+            [
+                0x9386_2ce1_67cf_0b82,
+                0x6436_c665_183a_5038,
+                0x9386_2ce1_67cf_0b82,
+            ],
+        ),
+        (
+            "fig8",
+            [
+                0x00cf_8670_66e4_4f95,
+                0x00cf_8670_66e4_4f95,
+                0x00cf_8670_66e4_4f95,
+            ],
+            [
+                0xc1f5_3cf4_8235_f7e2,
+                0xc1f5_3cf4_8235_f7e2,
+                0xc1f5_3cf4_8235_f7e2,
+            ],
+        ),
+        (
+            "fig9",
+            [
+                0x08e6_2cab_d73f_c6b4,
+                0x08e6_2cab_d73f_c6b4,
+                0x08e6_2cab_d73f_c6b4,
+            ],
+            [
+                0x63b1_eaef_dbd5_14ca,
+                0x63b1_eaef_dbd5_14ca,
+                0x63b1_eaef_dbd5_14ca,
+            ],
+        ),
+        (
+            "fig11",
+            [
+                0x5749_1bc7_f74e_c672,
+                0x5749_1bc7_f74e_c672,
+                0x5749_1bc7_f74e_c672,
+            ],
+            [
+                0xe26a_a7a2_8d38_04a1,
+                0xe26a_a7a2_8d38_04a1,
+                0xe26a_a7a2_8d38_04a1,
+            ],
+        ),
+        (
+            "fig13",
+            [
+                0xf8a8_5b94_a9e1_9f5d,
+                0xff9e_9831_933c_5d35,
+                0x1126_a0b7_304f_474d,
+            ],
+            [
+                0xb578_4674_d2c5_6abe,
+                0x2875_a081_8f70_6034,
+                0x7323_0eaf_93f5_e5c9,
+            ],
+        ),
+        (
+            "fig14",
+            [
+                0x9e67_3499_ce47_5eab,
+                0x2f3a_67ef_4263_b336,
+                0xea79_f0f8_9059_edac,
+            ],
+            [
+                0xce7c_4487_5c4b_8348,
+                0x73ff_595c_35ab_a53e,
+                0xc3a5_1cfb_a321_5f53,
+            ],
+        ),
+        (
+            "fig15",
+            [
+                0x83ee_5543_9ab4_5ad2,
+                0x83ee_5543_9ab4_5ad2,
+                0x83ee_5543_9ab4_5ad2,
+            ],
+            [
+                0xd8b3_440f_0606_faf2,
+                0xd8b3_440f_0606_faf2,
+                0xd8b3_440f_0606_faf2,
+            ],
+        ),
+        (
+            "table1",
+            [
+                0x6498_fcb9_2831_fffb,
+                0x1580_7b2c_6b3d_4e8b,
+                0x2907_8bd0_4aa6_5eee,
+            ],
+            [
+                0x383c_9863_ee18_1e81,
+                0x1f0e_98bd_48e4_df3c,
+                0xc32b_1228_c80a_a24b,
+            ],
+        ),
+        (
+            "table2",
+            [
+                0xf0aa_2fa2_e709_442c,
+                0xf0aa_2fa2_e709_442c,
+                0xf0aa_2fa2_e709_442c,
+            ],
+            [
+                0xfd0d_a449_e66a_c58f,
+                0xfd0d_a449_e66a_c58f,
+                0xfd0d_a449_e66a_c58f,
+            ],
+        ),
+        (
+            "table3",
+            [
+                0xb81f_1ee4_1ad1_e7b0,
+                0xb81f_1ee4_1ad1_e7b0,
+                0xb81f_1ee4_1ad1_e7b0,
+            ],
+            [
+                0x596d_3a14_7599_3367,
+                0x596d_3a14_7599_3367,
+                0x596d_3a14_7599_3367,
+            ],
+        ),
+        (
+            "table4",
+            [
+                0x12ac_0723_8b7c_ddab,
+                0x3413_2d33_ca7f_78e8,
+                0x12ac_0723_8b7c_ddab,
+            ],
+            [
+                0xb4b1_4291_8829_4739,
+                0x90cd_c215_890e_8d22,
+                0x0b85_b429_4ea8_9d97,
+            ],
+        ),
+        (
+            "table5",
+            [
+                0x946c_2837_d36d_2709,
+                0x946c_2837_d36d_2709,
+                0x946c_2837_d36d_2709,
+            ],
+            [
+                0x99d2_a09f_f88b_38ae,
+                0x99d2_a09f_f88b_38ae,
+                0x99d2_a09f_f88b_38ae,
+            ],
+        ),
+        (
+            "table6",
+            [
+                0x26ac_c77a_9338_fad1,
+                0x26ac_c77a_9338_fad1,
+                0x26ac_c77a_9338_fad1,
+            ],
+            [
+                0x5fa7_7896_5d86_83fe,
+                0x5fa7_7896_5d86_83fe,
+                0x5fa7_7896_5d86_83fe,
+            ],
+        ),
+        (
+            "table7",
+            [
+                0x2b02_4ad6_d5df_a70a,
+                0x2b02_4ad6_d5df_a70a,
+                0x2b02_4ad6_d5df_a70a,
+            ],
+            [
+                0xa032_429f_3c56_485f,
+                0xa032_429f_3c56_485f,
+                0xa032_429f_3c56_485f,
+            ],
+        ),
+        (
+            "ablation_defenses",
+            [
+                0x4b4e_10af_e9d3_c55e,
+                0xad18_f3c4_cc0f_d15d,
+                0x909d_3ba5_e891_ac75,
+            ],
+            [
+                0x07f0_87df_f5d8_e6b8,
+                0x1f1c_40c9_b741_aad5,
+                0x9674_0c94_ebbc_2f6b,
+            ],
+        ),
+        (
+            "ablation_multiset",
+            [
+                0x1794_5449_bc6b_66bd,
+                0x1794_5449_bc6b_66bd,
+                0x1794_5449_bc6b_66bd,
+            ],
+            [
+                0x8292_9086_f71e_3361,
+                0x8292_9086_f71e_3361,
+                0x8292_9086_f71e_3361,
+            ],
+        ),
+        (
+            "ablation_prefetcher",
+            [
+                0x871e_a3be_d8b1_1bf7,
+                0x18cc_7d5c_f26e_1467,
+                0xb11c_f7cc_c437_86df,
+            ],
+            [
+                0xac3d_4083_37f1_df69,
+                0x8c38_a018_1dd1_5fa7,
+                0x979b_5a77_c18c_3a7b,
+            ],
+        ),
+        (
+            "ablation_noise_ber",
+            [
+                0x6670_79db_1438_af53,
+                0x222f_7c11_b490_c2f6,
+                0x0e03_c281_e69d_2453,
+            ],
+            [
+                0x7aa9_77b9_7dcc_4bf3,
+                0x495c_0581_a3c3_5ca2,
+                0x2fa2_2b02_e5f5_8871,
+            ],
+        ),
+        (
+            "ablation_noise_capacity",
+            [
+                0x0d40_0adf_5366_0a11,
+                0xd059_f99d_2184_1f3d,
+                0xe056_1942_4854_0f2c,
+            ],
+            [
+                0x0ad7_cfb7_af8c_99ed,
+                0x94bc_5567_abcc_ab7e,
+                0x2037_a142_6f2c_ea9f,
+            ],
+        ),
+        (
+            "ablation_noise_grid",
+            [
+                0xd925_43a8_2c20_d719,
+                0xd925_43a8_2c20_d719,
+                0xd925_43a8_2c20_d719,
+            ],
+            [
+                0xb307_d6b0_ff99_06ed,
+                0xb307_d6b0_ff99_06ed,
+                0xb307_d6b0_ff99_06ed,
+            ],
+        ),
+        (
+            "l2_lru_channel",
+            [
+                0x4365_a16b_855f_b9bf,
+                0x4365_a16b_855f_b9bf,
+                0x4365_a16b_855f_b9bf,
+            ],
+            [
+                0x543a_4f43_90d5_2370,
+                0x543a_4f43_90d5_2370,
+                0x543a_4f43_90d5_2370,
+            ],
+        ),
+        (
+            "l2_inclusion_victim",
+            [
+                0xd2f4_f2e6_bfc2_dd5f,
+                0xd2f4_f2e6_bfc2_dd5f,
+                0xd2f4_f2e6_bfc2_dd5f,
+            ],
+            [
+                0xd8cb_381a_5653_5ade,
+                0xd8cb_381a_5653_5ade,
+                0xd8cb_381a_5653_5ade,
+            ],
+        ),
+    ]
+}
+
 #[test]
 fn every_artifact_is_in_the_corpus() {
     let ids: Vec<&str> = corpus().iter().map(|(id, _)| *id).collect();
     assert_eq!(ids, registry::ids(), "corpus and registry disagree");
+    let ids: Vec<&str> = rendering_corpus().iter().map(|(id, ..)| *id).collect();
+    assert_eq!(
+        ids,
+        registry::ids(),
+        "rendering corpus and registry disagree"
+    );
 }
 
+/// One run per artifact and seed pins all three renderings of it: the
+/// `--json` stdout, the text report and the CSV.
 #[test]
 fn every_artifact_reproduces_its_pinned_bytes() {
     let mut drift = Vec::new();
-    for (id, hashes) in corpus() {
+    for ((id, hashes), (_, text_hashes, csv_hashes)) in corpus().into_iter().zip(rendering_corpus())
+    {
         let artifact = registry::get(id).expect("corpus ids come from the registry");
-        for (seed, want) in CORPUS_SEEDS.into_iter().zip(hashes) {
+        for (i, seed) in CORPUS_SEEDS.into_iter().enumerate() {
             let opts = RunOpts {
                 trials: Some(1),
                 seed,
             };
-            let stdout = format!("{}\n", artifact.run(&opts).metrics.pretty());
-            let got = content_hash64(stdout.as_bytes());
-            if got != want {
-                drift.push(format!(
-                    "{id} seed {seed}: got {got:#018x}, pinned {want:#018x}"
-                ));
+            let report = artifact.run(&opts);
+            let renderings = [
+                ("json", format!("{}\n", report.metrics.pretty()), hashes[i]),
+                ("text", report.text, text_hashes[i]),
+                ("csv", fmt::summary_to_csv(&report.metrics), csv_hashes[i]),
+            ];
+            for (what, bytes, want) in renderings {
+                let got = content_hash64(bytes.as_bytes());
+                if got != want {
+                    drift.push(format!(
+                        "{id} {what} seed {seed}: got {got:#018x}, pinned {want:#018x}"
+                    ));
+                }
             }
         }
     }

@@ -9,8 +9,11 @@ use lru_leak::cache_sim::prefetcher::Prefetcher;
 use lru_leak::cache_sim::profiles::MicroArch;
 use lru_leak::cache_sim::replacement::PolicyKind;
 use lru_leak::exec_sim::machine::Machine;
+use lru_leak::exec_sim::sched::Engine;
 use lru_leak::exec_sim::speculation::{build_victim, SpecMode};
 use lru_leak::lru_channel::params::Platform;
+use lru_leak::scenario::spec::Channel;
+use lru_leak::scenario::{ExperimentKind, MessageSource, Scenario, Value};
 
 const SECRET: &str = "open sesame 42";
 
@@ -149,4 +152,45 @@ fn small_speculation_window_still_fits_the_lru_channel() {
     let mut prim = LruAlg1Primitive::new(&mut machine, victim.pid, victim.array2, platform);
     let got = SpectreAttack::default().recover(&mut machine, &mut victim, &mut prim, off, 1);
     assert_eq!(decode_symbols(&got), "w");
+}
+
+/// Both Flush+Reload flavours disclose through the one `clflush`
+/// primitive: a Spectre trial and a Table VII trial through `fr-l1`
+/// produce the metrics of `fr-mem`, apart from the echoed channel.
+#[test]
+fn both_flush_reload_flavours_disclose_through_one_primitive() {
+    let without_channel = |metrics: Value| match metrics {
+        Value::Obj(pairs) => {
+            Value::Obj(pairs.into_iter().filter(|(k, _)| k != "channel").collect())
+        }
+        other => other,
+    };
+    let kinds = |channel| {
+        [
+            ExperimentKind::Spectre {
+                channel,
+                rounds: 2,
+                prefetcher: false,
+            },
+            ExperimentKind::SpectreMissRates { channel },
+        ]
+    };
+    for seed in [1, 2, 3] {
+        let run = |kind| {
+            let sc = Scenario::builder()
+                .message(MessageSource::Text("Hi".into()))
+                .kind(kind)
+                .seed(seed)
+                .build()
+                .unwrap();
+            without_channel(sc.run_trial(seed, Engine::FastForward))
+        };
+        for (mem, l1) in kinds(Channel::FlushReload)
+            .into_iter()
+            .zip(kinds(Channel::FlushReloadL1))
+        {
+            let tag = mem.tag();
+            assert_eq!(run(mem), run(l1), "{tag} seed {seed}: fr-l1 != fr-mem");
+        }
+    }
 }
