@@ -44,6 +44,19 @@ pub fn decode_symbols(symbols: &[u8]) -> String {
         .collect()
 }
 
+/// How many characters of `recovered` match `secret` as the attack
+/// transmits it. The reference is `decode_symbols(&encode_symbols(
+/// secret))`, not `secret` itself: [`encode_symbols`] sends every
+/// character outside [`ALPHABET`] as a space, so a perfect recovery of
+/// `"Hi!"` reads `"Hi "` and scores 3 of 3.
+pub fn symbols_correct(secret: &str, recovered: &str) -> usize {
+    decode_symbols(&encode_symbols(secret))
+        .bytes()
+        .zip(recovered.bytes())
+        .filter(|(a, b)| a == b)
+        .count()
+}
+
 /// Configuration of one Spectre run.
 #[derive(Debug, Clone, Copy)]
 pub struct SpectreAttack {
@@ -270,10 +283,12 @@ mod tests {
     fn prefetcher_noise_is_defeated_by_rounds_and_voting() {
         // Appendix C: attach a next-line prefetcher and check the
         // multi-round random-order attack still recovers the secret.
-        let mut m = machine();
-        *m.hierarchy_mut() = MicroArch::sandy_bridge_e5_2690()
-            .build_hierarchy(PolicyKind::TreePlru, 7)
-            .with_prefetcher(Prefetcher::next_line());
+        let arch = MicroArch::sandy_bridge_e5_2690();
+        let mut m = Machine::with_hierarchy(
+            arch,
+            arch.build_hierarchy(PolicyKind::TreePlru, 7)
+                .with_prefetcher(Prefetcher::next_line()),
+        );
         let secret = encode_symbols("magic");
         let (mut victim, off) = build_victim(&mut m, &secret, 8);
         let mut prim =

@@ -15,8 +15,12 @@
 //! a whole lookup — tag compare, valid check, replacement update,
 //! victim search — touches one or two host cache lines, and the tag
 //! compare itself is a branchless sweep of one 64-byte line. PL-lock
-//! and µtag-presence words live in cold side arrays that are skipped
-//! entirely (one flag test) until a lock or µtag is first used.
+//! and µtag words live in cold side arrays, allocated on first use.
+//! Until the first lock is set, the lock array is empty: every lock
+//! read answers "unlocked" and lock maintenance is one emptiness
+//! test. The µtag arrays work the same way. Most caches never lock a
+//! line or train a µtag, so they never allocate these arrays; on the
+//! 16 MiB LLC they would take 768 KiB.
 //!
 //! The old layout survives as [`crate::reference`], which the
 //! `layout_equivalence` suite replays against this one.
@@ -138,16 +142,16 @@ pub(crate) struct SoaStore {
     full_mask: u64,
     /// The set rows, `sets × stride` words.
     words: Vec<u64>,
-    /// Cold side arrays: per-set PL-lock and µtag-presence masks,
-    /// flat µtag values.
+    /// Cold side array: per-set PL-lock masks. Empty until the first
+    /// lock is set ([`SoaStore::set_locked`]); an empty array reads
+    /// as all zeros.
     locked: Vec<u64>,
+    /// Cold side arrays: per-set µtag-presence masks and flat µtag
+    /// values. Both empty until the first µtag is trained
+    /// ([`SoaStore::set_utag`]; only way-predictor hierarchies train
+    /// them).
     utagged: Vec<u64>,
     utags: Vec<u16>,
-    /// Whether any lock bit was ever set — while false, all lock
-    /// maintenance is a single flag test.
-    uses_locks: bool,
-    /// Same, for µtags (only way-predictor hierarchies train them).
-    uses_utags: bool,
     repl: ReplPolicy,
     /// Per-set Random generators (empty for every other policy).
     rngs: Vec<SmallRng>,
@@ -163,11 +167,9 @@ impl SoaStore {
             stride,
             full_mask: WayMask::all(ways).bits(),
             words: vec![0; sets * stride],
-            locked: vec![0; sets],
-            utagged: vec![0; sets],
-            utags: vec![0; sets * ways],
-            uses_locks: false,
-            uses_utags: false,
+            locked: Vec::new(),
+            utagged: Vec::new(),
+            utags: Vec::new(),
             repl: ReplPolicy::new(kind, ways),
             rngs: random_streams(kind, sets, seed),
         }
@@ -177,6 +179,25 @@ impl SoaStore {
     #[inline]
     pub(crate) fn ways(&self) -> usize {
         self.ways
+    }
+
+    /// Number of sets.
+    #[inline]
+    fn sets(&self) -> usize {
+        self.words.len() / self.stride
+    }
+
+    /// Whether a lock was ever set (the lock array is allocated).
+    #[inline]
+    fn uses_locks(&self) -> bool {
+        !self.locked.is_empty()
+    }
+
+    /// Whether a µtag was ever trained (the µtag arrays are
+    /// allocated).
+    #[inline]
+    fn uses_utags(&self) -> bool {
+        !self.utagged.is_empty()
     }
 
     /// This set's row split into `(tags, valid-and-repl)`.
@@ -212,10 +233,10 @@ impl SoaStore {
         if !out.hit {
             // The fill replaced the way's line: drop its lock and µtag.
             let bit = 1u64 << out.way;
-            if self.uses_locks {
+            if self.uses_locks() {
                 self.locked[set] &= !bit;
             }
-            if self.uses_utags {
+            if self.uses_utags() {
                 self.utagged[set] &= !bit;
             }
         }
@@ -255,16 +276,19 @@ impl SoaStore {
     /// Whether `way` of `set` holds a valid, PL-locked line.
     #[inline]
     pub(crate) fn is_locked(&self, set: usize, way: usize) -> bool {
-        self.uses_locks && (self.locked[set] >> way) & 1 == 1
+        self.uses_locks() && (self.locked[set] >> way) & 1 == 1
     }
 
-    /// Sets or clears the PL-lock bit of a valid line.
+    /// Sets or clears the PL-lock bit of a valid line. The first lock
+    /// allocates the lock array.
     #[inline]
     pub(crate) fn set_locked(&mut self, set: usize, way: usize, locked: bool) {
         if locked {
-            self.uses_locks = true;
+            if !self.uses_locks() {
+                self.locked = vec![0; self.sets()];
+            }
             self.locked[set] |= 1 << way;
-        } else if self.uses_locks {
+        } else if self.uses_locks() {
             self.locked[set] &= !(1 << way);
         }
     }
@@ -272,7 +296,11 @@ impl SoaStore {
     /// Mask of ways of `set` holding locked lines.
     #[inline]
     pub(crate) fn locked_mask(&self, set: usize) -> WayMask {
-        WayMask::from_bits(self.locked[set])
+        if self.uses_locks() {
+            WayMask::from_bits(self.locked[set])
+        } else {
+            WayMask::EMPTY
+        }
     }
 
     /// Tag stored in `way` of `set` (meaningful only when valid).
@@ -284,24 +312,29 @@ impl SoaStore {
     /// µtag of the line in `way` of `set`, if one was trained.
     #[inline]
     pub(crate) fn utag(&self, set: usize, way: usize) -> Option<u16> {
-        if self.uses_utags && (self.utagged[set] >> way) & 1 == 1 {
+        if self.uses_utags() && (self.utagged[set] >> way) & 1 == 1 {
             Some(self.utags[set * self.ways + way])
         } else {
             None
         }
     }
 
-    /// Trains or clears the µtag of a valid line.
+    /// Trains or clears the µtag of a valid line. The first trained
+    /// µtag allocates the µtag arrays.
     #[inline]
     pub(crate) fn set_utag(&mut self, set: usize, way: usize, utag: Option<u16>) {
         match utag {
             Some(t) => {
-                self.uses_utags = true;
+                if !self.uses_utags() {
+                    let sets = self.sets();
+                    self.utagged = vec![0; sets];
+                    self.utags = vec![0; sets * self.ways];
+                }
                 self.utagged[set] |= 1 << way;
                 self.utags[set * self.ways + way] = t;
             }
             None => {
-                if self.uses_utags {
+                if self.uses_utags() {
                     self.utagged[set] &= !(1 << way);
                 }
             }
@@ -340,10 +373,10 @@ impl SoaStore {
         let clear = !(1u64 << way);
         let vidx = set * self.stride + self.ways;
         self.words[vidx] &= clear;
-        if self.uses_locks {
+        if self.uses_locks() {
             self.locked[set] &= clear;
         }
-        if self.uses_utags {
+        if self.uses_utags() {
             self.utagged[set] &= clear;
         }
         old
@@ -392,7 +425,8 @@ impl SoaStore {
 
     /// Clears every line and resets replacement state (the Random
     /// generators keep their streams: they are part of the
-    /// simulation, not of the cache state).
+    /// simulation, not of the cache state). Side arrays already
+    /// allocated stay allocated, zeroed.
     pub(crate) fn clear(&mut self) {
         self.words.fill(0);
         self.locked.fill(0);
@@ -503,6 +537,130 @@ mod tests {
             assert_eq!(fast, slow);
             assert_eq!(fused.repl_words(set), manual.repl_words(set));
         }
+    }
+
+    /// The side arrays' allocation state: (lock array, µtag arrays).
+    fn allocated(s: &SoaStore) -> (bool, bool) {
+        assert_eq!(s.utagged.is_empty(), s.utags.is_empty());
+        (s.uses_locks(), s.uses_utags())
+    }
+
+    #[test]
+    fn side_arrays_are_allocated_on_first_use() {
+        let mut s = store8();
+        assert_eq!(allocated(&s), (false, false));
+        // Installs, clears, invalidations and fills that carry no
+        // lock or µtag leave both arrays unallocated.
+        s.install(1, 2, LineMeta::new(5));
+        s.set_locked(1, 2, false);
+        s.set_utag(1, 2, None);
+        s.demand_access(3, 9);
+        s.invalidate(1, 2);
+        s.clear();
+        assert_eq!(allocated(&s), (false, false));
+        s.install(0, 1, LineMeta::new(7));
+        s.set_locked(0, 1, true);
+        assert_eq!(allocated(&s), (true, false));
+        assert_eq!((s.locked.len(), s.locked_mask(0).bits()), (4, 0b10));
+        s.set_utag(0, 1, Some(3));
+        assert_eq!(allocated(&s), (true, true));
+        assert_eq!((s.utagged.len(), s.utags.len()), (4, 32));
+        // A µtag alone allocates only the µtag arrays.
+        let mut u = store8();
+        u.install(2, 0, LineMeta::with_utag(1, 0xcd));
+        assert_eq!(allocated(&u), (false, true));
+        // Once allocated, the arrays stay allocated (zeroed) across
+        // `clear`.
+        s.clear();
+        assert_eq!(allocated(&s), (true, true));
+        assert_eq!(s.locked_mask(0), WayMask::EMPTY);
+    }
+
+    #[test]
+    fn lazy_side_arrays_answer_as_an_eager_store() {
+        // An eager model of every way's metadata, replayed against the
+        // store over a random mix of operations that crosses the
+        // first lock and the first µtag: every read must agree at
+        // every step, before the arrays exist and after.
+        const SETS: usize = 4;
+        let mut s = store8();
+        let mut model = [[None::<LineMeta>; 8]; SETS];
+        let mut x = 17u64;
+        let mut crossed = (false, false);
+        for step in 0..4000usize {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let set = (x >> 33) as usize % SETS;
+            let way = (x >> 40) as usize % 8;
+            let tag = (x >> 48) % 24;
+            // Stay lock- and µtag-free for the first stretch, so the
+            // unallocated reads are checked against a populated store.
+            let op = if step < 400 {
+                (x >> 20) % 4
+            } else {
+                (x >> 20) % 9
+            };
+            match op {
+                0 => {
+                    let old = s.install(set, way, LineMeta::new(tag));
+                    assert_eq!(old, model[set][way]);
+                    model[set][way] = Some(LineMeta::new(tag));
+                }
+                1 => {
+                    assert_eq!(s.invalidate(set, way), model[set][way]);
+                    model[set][way] = None;
+                }
+                2 => {
+                    let out = s.demand_access(set, tag);
+                    if !out.hit {
+                        model[set][out.way] = Some(LineMeta::new(tag));
+                    }
+                }
+                3 if step.is_multiple_of(97) => {
+                    s.clear();
+                    model = [[None; 8]; SETS];
+                }
+                4 | 5 => {
+                    if let Some(m) = model[set][way].as_mut() {
+                        let lock = op == 4;
+                        s.set_locked(set, way, lock);
+                        m.locked = lock;
+                    }
+                }
+                6 | 7 => {
+                    if let Some(m) = model[set][way].as_mut() {
+                        let utag = (op == 6).then_some(tag as u16 ^ 0x5a);
+                        s.set_utag(set, way, utag);
+                        m.utag = utag;
+                    }
+                }
+                8 => {
+                    let meta = LineMeta {
+                        tag,
+                        locked: tag.is_multiple_of(2),
+                        utag: tag.is_multiple_of(3).then_some(tag as u16),
+                    };
+                    assert_eq!(s.install(set, way, meta), model[set][way]);
+                    model[set][way] = Some(meta);
+                }
+                _ => {}
+            }
+            let (locks, utags) = allocated(&s);
+            crossed = (crossed.0 || locks, crossed.1 || utags);
+            for (set, lines) in model.iter().enumerate() {
+                let mut locked = WayMask::EMPTY;
+                for (way, line) in lines.iter().enumerate() {
+                    assert_eq!(s.line_meta(set, way), *line, "step {step}");
+                    assert_eq!(s.utag(set, way), line.and_then(|m| m.utag));
+                    if line.is_some_and(|m| m.locked) {
+                        locked = locked.with(way);
+                    }
+                }
+                assert_eq!(s.locked_mask(set), locked, "step {step}");
+            }
+        }
+        assert_eq!(crossed, (true, true), "the run must allocate both");
     }
 
     #[test]

@@ -309,13 +309,13 @@ pub fn percent_ones(
         seed,
         engine: opts.engine,
     };
-    let mut machine = Machine::new(platform.arch, PolicyKind::TreePlru, seed);
-    // Swap the inclusion model only when asked, so the default path
-    // stays byte-identical to the pre-hierarchy-axis behaviour.
-    if opts.inclusion != Inclusion::Inclusive {
-        let swapped = machine.hierarchy().clone().with_inclusion(opts.inclusion);
-        *machine.hierarchy_mut() = swapped;
-    }
+    let mut machine = Machine::with_hierarchy(
+        platform.arch,
+        platform
+            .arch
+            .build_hierarchy(PolicyKind::TreePlru, seed)
+            .with_inclusion(opts.inclusion),
+    );
     let (samples, _) = cfg.run_parties(&mut machine, opts.co_runner, Some(n_samples))?;
     let convention = match variant {
         Variant::SharedMemory | Variant::SharedMemoryThreads => BitConvention::HitIsOne,

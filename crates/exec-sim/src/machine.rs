@@ -36,6 +36,11 @@ impl AddressSpace {
 /// threat model (§III: the two parties are co-located on one core,
 /// hyper-threaded or time-sliced).
 ///
+/// A machine is built once around its hierarchy and keeps it: a run
+/// on a non-default hierarchy passes it to [`Machine::with_hierarchy`]
+/// rather than swapping it in later, so a run never holds two. On the
+/// E5-2690 model the hierarchy is about 4.3 MiB, almost all LLC rows.
+///
 /// ```
 /// use exec_sim::Machine;
 /// use cache_sim::profiles::MicroArch;
@@ -64,11 +69,36 @@ pub struct Machine {
 
 impl Machine {
     /// Builds a machine for `arch` with the given L1D replacement
-    /// policy.
+    /// policy: [`Machine::with_hierarchy`] over
+    /// `arch.build_hierarchy(l1_policy, seed)`.
     pub fn new(arch: MicroArch, l1_policy: PolicyKind, seed: u64) -> Self {
+        Self::with_hierarchy(arch, arch.build_hierarchy(l1_policy, seed))
+    }
+
+    /// Builds a machine for `arch` around a hierarchy the caller has
+    /// already configured (a prefetcher, a non-default inclusion
+    /// model). This is the one way to run on a non-default
+    /// hierarchy, so a run never holds a second hierarchy (a full
+    /// LLC) alongside the one it uses.
+    ///
+    /// ```
+    /// use exec_sim::Machine;
+    /// use cache_sim::hierarchy::Inclusion;
+    /// use cache_sim::profiles::MicroArch;
+    /// use cache_sim::replacement::PolicyKind;
+    ///
+    /// let arch = MicroArch::sandy_bridge_e5_2690();
+    /// let m = Machine::with_hierarchy(
+    ///     arch,
+    ///     arch.build_hierarchy(PolicyKind::TreePlru, 42)
+    ///         .with_inclusion(Inclusion::NonInclusive),
+    /// );
+    /// assert_eq!(m.hierarchy().inclusion(), Inclusion::NonInclusive);
+    /// ```
+    pub fn with_hierarchy(arch: MicroArch, hierarchy: CacheHierarchy) -> Self {
         Self {
             arch,
-            hierarchy: arch.build_hierarchy(l1_policy, seed),
+            hierarchy,
             spaces: Vec::new(),
             counters: Vec::new(),
             memory: BTreeMap::new(),
@@ -88,9 +118,11 @@ impl Machine {
         &self.hierarchy
     }
 
-    /// Mutable hierarchy access (experiments use it to attach
-    /// prefetchers or inspect replacement state).
-    pub fn hierarchy_mut(&mut self) -> &mut CacheHierarchy {
+    /// Mutable hierarchy access for the block engine, which drives
+    /// its accesses straight into the hierarchy. Crate-private: a run
+    /// that wants a different hierarchy builds the machine around it
+    /// with [`Machine::with_hierarchy`].
+    pub(crate) fn hierarchy_mut(&mut self) -> &mut CacheHierarchy {
         &mut self.hierarchy
     }
 

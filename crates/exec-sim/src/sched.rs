@@ -1189,9 +1189,12 @@ mod tests {
         // stops being quantum-ff-safe — the capability bit consulted
         // next to `Program::footprint`.
         let run_with = |inclusion: Inclusion| {
-            let mut m = machine();
-            let swapped = m.hierarchy().clone().with_inclusion(inclusion);
-            *m.hierarchy_mut() = swapped;
+            let arch = MicroArch::sandy_bridge_e5_2690();
+            let mut m = Machine::with_hierarchy(
+                arch,
+                arch.build_hierarchy(PolicyKind::TreePlru, 11)
+                    .with_inclusion(inclusion),
+            );
             let a = m.create_process();
             let buf = m.alloc_pages(a, 1);
             let mut prog = RandomTouches::new(buf, 8, 64, 500, 1);

@@ -54,7 +54,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fs;
-use std::io;
+use std::io::{self, Read};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -71,6 +71,14 @@ use crate::spec::Scenario;
 /// outcome encoding changes so stale stores are recomputed rather
 /// than trusted.
 pub const CACHE_FORMAT_VERSION: u64 = 1;
+
+/// The largest cache entry file a lookup reads, in bytes. A longer
+/// one counts as corrupt and is never read, so a planted or runaway
+/// file cannot make a lookup hold it in memory; [`ResultCache::store`]
+/// declines to write one. Every registry cell at its default trial
+/// count is far below this (the largest whole artifact, fig4, prints
+/// about 0.4 MB of JSON).
+pub const MAX_ENTRY_BYTES: u64 = 16 << 20;
 
 /// One schedulable unit of work: a labelled scenario grid. Seeds and
 /// trial counts live inside each [`Scenario`], so a `Job` is the
@@ -329,12 +337,13 @@ impl ResultCache {
     }
 
     /// Fetches a verified outcome, or `None` on any miss: absent
-    /// entry, I/O error, unparsable JSON, version mismatch, or a key
-    /// that does not match the scenario byte-for-byte. Every call
-    /// increments exactly one [`CacheStats`] counter: `hits` for a
-    /// verified entry, `misses` when no entry could be read, and
-    /// `corrupt_recovered` when an entry was present but failed
-    /// verification (the caller recomputes and overwrites it).
+    /// entry, I/O error, an entry longer than [`MAX_ENTRY_BYTES`],
+    /// unparsable JSON, version mismatch, or a key that does not match
+    /// the scenario byte-for-byte. Every call increments exactly one
+    /// [`CacheStats`] counter: `hits` for a verified entry, `misses`
+    /// when no entry could be read, and `corrupt_recovered` when an
+    /// entry was present but failed verification (the caller
+    /// recomputes and overwrites it).
     pub fn lookup(&self, scenario: &Scenario) -> Option<Value> {
         let (counter, outcome) = match self.read_verified(scenario) {
             Ok(Some(outcome)) => (&self.counters.hits, Some(outcome)),
@@ -347,10 +356,25 @@ impl ResultCache {
 
     /// Reads `scenario`'s entry: `Err` when no entry could be read,
     /// `Ok(None)` when one was present but failed verification
-    /// (non-UTF-8 or unparsable bytes, version or key mismatch, no
-    /// outcome), and the outcome when it verified.
+    /// (longer than [`MAX_ENTRY_BYTES`], non-UTF-8 or unparsable
+    /// bytes, version or key mismatch, no outcome), and the outcome
+    /// when it verified. An over-cap entry is rejected on its length
+    /// before any byte is read, and the read itself stops one byte
+    /// past the cap, so a file that grows after the check is
+    /// rejected too.
     fn read_verified(&self, scenario: &Scenario) -> io::Result<Option<Value>> {
-        let bytes = fs::read(self.entry_path(scenario))?;
+        let file = fs::File::open(self.entry_path(scenario))?;
+        let len = file.metadata()?.len();
+        if len > MAX_ENTRY_BYTES {
+            return Ok(None);
+        }
+        // Sized up front, as `fs::read` does, so a whole entry takes
+        // one read.
+        let mut bytes = Vec::with_capacity(len as usize);
+        file.take(MAX_ENTRY_BYTES + 1).read_to_end(&mut bytes)?;
+        if bytes.len() as u64 > MAX_ENTRY_BYTES {
+            return Ok(None);
+        }
         let entry = std::str::from_utf8(&bytes)
             .ok()
             .and_then(|text| Value::parse(text).ok());
@@ -369,13 +393,25 @@ impl ResultCache {
     ///
     /// # Errors
     ///
-    /// Propagates I/O failures; callers may treat them as soft (a
-    /// failed store only loses the cache benefit).
+    /// An entry longer than [`MAX_ENTRY_BYTES`] is not written
+    /// ([`io::ErrorKind::FileTooLarge`]), since no lookup would read
+    /// it. Propagates I/O failures. Callers may treat either as soft
+    /// (a failed store only loses the cache benefit).
     pub fn store(&self, scenario: &Scenario, outcome: &Value) -> io::Result<()> {
         let entry = Value::obj()
             .with("version", CACHE_FORMAT_VERSION)
             .with("key", Self::key(scenario))
-            .with("outcome", outcome.clone());
+            .with("outcome", outcome.clone())
+            .to_string();
+        if entry.len() as u64 > MAX_ENTRY_BYTES {
+            return Err(io::Error::new(
+                io::ErrorKind::FileTooLarge,
+                format!(
+                    "cache entry of {} bytes exceeds {MAX_ENTRY_BYTES}",
+                    entry.len()
+                ),
+            ));
+        }
         let path = self.entry_path(scenario);
         let tmp = self.dir.join(format!(
             ".{:016x}.{}-{}.tmp",
@@ -383,7 +419,7 @@ impl ResultCache {
             std::process::id(),
             TMP_SEQ.fetch_add(1, Ordering::Relaxed),
         ));
-        fs::write(&tmp, entry.to_string())?;
+        fs::write(&tmp, entry)?;
         fs::rename(&tmp, &path)
     }
 
@@ -912,6 +948,47 @@ mod tests {
         )
         .unwrap();
         assert!(cache.lookup(&sc).is_none(), "key mismatch must miss");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn over_cap_entries_are_never_read_or_written() {
+        let dir = tmp_dir("overcap");
+        let cache = ResultCache::open(&dir).unwrap();
+        let sc = tiny_scenario(17);
+        let outcome = sc.run();
+        cache.store(&sc, &outcome).unwrap();
+        assert!(cache.contains(&sc));
+        // Extend the verified entry past the cap: a sparse file, so
+        // the test writes no data. Reading it whole would allocate
+        // the full length; the lookup must reject it on its length.
+        let path = cache.dir().join(ResultCache::entry_name(&sc));
+        fs::OpenOptions::new()
+            .write(true)
+            .open(&path)
+            .unwrap()
+            .set_len(MAX_ENTRY_BYTES + 1)
+            .unwrap();
+        assert!(!cache.contains(&sc), "an over-cap entry is not read");
+        assert!(cache.lookup(&sc).is_none());
+        assert_eq!(
+            cache.stats(),
+            CacheStats {
+                hits: 0,
+                misses: 0,
+                corrupt_recovered: 1
+            }
+        );
+        // `store` declines an entry over the cap and leaves the file
+        // it would have replaced alone.
+        let huge = Value::from("x".repeat(MAX_ENTRY_BYTES as usize));
+        let err = cache.store(&sc, &huge).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::FileTooLarge);
+        assert_eq!(fs::metadata(&path).unwrap().len(), MAX_ENTRY_BYTES + 1);
+        assert_eq!(fs::read_dir(&dir).unwrap().count(), 1, "no temp file");
+        // A store under the cap replaces the over-cap file.
+        cache.store(&sc, &outcome).unwrap();
+        assert_eq!(cache.lookup(&sc), Some(outcome));
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -14,7 +14,7 @@ use attacks::encoding_time::{self, encoding_latency};
 use attacks::flush_reload::{EvictionMethod, FlushReloadReceiver};
 use attacks::miss_rates::{self, MissRateRow, SenderScenario};
 use attacks::prime_probe::PrimeProbeReceiver;
-use attacks::spectre::{decode_symbols, encode_symbols, SpectreAttack};
+use attacks::spectre::{decode_symbols, encode_symbols, symbols_correct, SpectreAttack};
 use cache_sim::addr::PhysAddr;
 use cache_sim::geometry::CacheGeometry;
 use cache_sim::hierarchy::{DualCore, HitLevel};
@@ -343,14 +343,13 @@ fn run_covert(s: &Scenario, seed: u64, engine: Engine) -> Value {
         seed,
         engine,
     };
-    let mut machine = Machine::new(platform.arch, s.policy, seed);
-    // Swap the inclusion model only when the hierarchy axis is
-    // non-default, so the default path builds the machine exactly
-    // as before and stays byte-identical.
-    if s.hierarchy != Inclusion::Inclusive {
-        let swapped = machine.hierarchy().clone().with_inclusion(s.hierarchy);
-        *machine.hierarchy_mut() = swapped;
-    }
+    let mut machine = Machine::with_hierarchy(
+        platform.arch,
+        platform
+            .arch
+            .build_hierarchy(s.policy, seed)
+            .with_inclusion(s.hierarchy),
+    );
     let run = cfg
         .run_on_with_noise(&mut machine, s.noise)
         .expect("validated at build");
@@ -710,13 +709,11 @@ fn run_spectre(s: &Scenario, seed: u64, _engine: Engine) -> Value {
     };
     let secret = s.message.text().expect("checked at build");
     let platform = s.platform.platform();
-    let mut machine = Machine::new(platform.arch, s.policy, seed);
+    let mut hierarchy = platform.arch.build_hierarchy(s.policy, seed);
     if prefetcher {
-        *machine.hierarchy_mut() = platform
-            .arch
-            .build_hierarchy(s.policy, seed)
-            .with_prefetcher(Prefetcher::next_line());
+        hierarchy = hierarchy.with_prefetcher(Prefetcher::next_line());
     }
+    let mut machine = Machine::with_hierarchy(platform.arch, hierarchy);
     let attack = SpectreAttack {
         rounds,
         seed,
@@ -730,12 +727,7 @@ fn run_spectre(s: &Scenario, seed: u64, _engine: Engine) -> Value {
         true,
     );
     let text = decode_symbols(&got);
-    let correct = text
-        .bytes()
-        .zip(secret.bytes())
-        .filter(|(a, b)| a == b)
-        .count();
-    let accuracy = correct as f64 / secret.len().max(1) as f64;
+    let accuracy = symbols_correct(secret, &text) as f64 / secret.len().max(1) as f64;
     Value::obj()
         .with("channel", channel.name())
         .with("rounds", rounds)

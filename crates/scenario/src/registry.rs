@@ -8,6 +8,7 @@
 
 use std::fmt::Write;
 
+use attacks::spectre::symbols_correct;
 use cache_sim::replacement::PolicyKind;
 use lru_channel::covert::{Sharing, Variant};
 use lru_channel::params::ChannelParams;
@@ -1321,11 +1322,7 @@ fn table7_render(_o: &RunOpts, grid: &[Scenario], outs: &[Value]) -> (String, Va
         };
         let secret = sc.message.text().unwrap_or_default();
         let text = s(out, "recovered");
-        let correct = text
-            .bytes()
-            .zip(secret.bytes())
-            .filter(|(a, b)| a == b)
-            .count();
+        let correct = symbols_correct(secret, text);
         let _ = writeln!(
             buf,
             "  {:<14} recovered: {text:?}  ({correct}/{} symbols)",

@@ -31,18 +31,14 @@ use lru_leak::lru_channel::covert::{percent_ones, PercentOnesOpts, Variant};
 use lru_leak::lru_channel::params::{ChannelParams, Platform};
 use proptest::prelude::*;
 
-/// A machine whose hierarchy has been swapped to `inclusion`.
+/// A machine built around a hierarchy under `inclusion`.
 fn machine_with(inclusion: Inclusion, seed: u64) -> Machine {
-    let mut machine = Machine::new(
-        MicroArch::sandy_bridge_e5_2690(),
-        PolicyKind::TreePlru,
-        seed,
-    );
-    if inclusion != Inclusion::Inclusive {
-        let swapped = machine.hierarchy().clone().with_inclusion(inclusion);
-        *machine.hierarchy_mut() = swapped;
-    }
-    machine
+    let arch = MicroArch::sandy_bridge_e5_2690();
+    Machine::with_hierarchy(
+        arch,
+        arch.build_hierarchy(PolicyKind::TreePlru, seed)
+            .with_inclusion(inclusion),
+    )
 }
 
 #[test]

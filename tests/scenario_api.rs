@@ -287,6 +287,36 @@ fn cli_adhoc_runs_a_serialized_scenario_deterministically() {
     );
 }
 
+#[test]
+fn spectre_accuracy_scores_the_secret_as_transmitted() {
+    // `encode_symbols` sends every character outside the alphabet as
+    // a space, so a perfect recovery of "Hi!" reads "Hi " and must
+    // score 1.0 (as `delayed_update::spectre_under_mode` does), not
+    // the 2 of 3 a raw byte compare against the secret gives.
+    let cell = registry::get("table7")
+        .unwrap()
+        .scenarios(&RunOpts::default())
+        .pop()
+        .unwrap();
+    let secret = cell
+        .message
+        .text()
+        .expect("table7's last cell is a text secret");
+    let json = cell
+        .to_json()
+        .to_string()
+        .replace(&format!("{:?}", secret), r#""Hi!""#);
+    assert!(json.contains(r#""Hi!""#), "{json}");
+    let out = cli(&["adhoc", &json, "--json"]).unwrap();
+    let parsed = Value::parse(out.trim()).unwrap();
+    let outcome = parsed.get("outcome").expect("adhoc prints the outcome");
+    assert_eq!(
+        outcome.get("recovered").and_then(Value::as_str),
+        Some("Hi ")
+    );
+    assert_eq!(outcome.get("accuracy").and_then(Value::as_f64), Some(1.0));
+}
+
 // ---- CLI robustness: bad input must exit non-zero with a message,
 // ---- never panic ----
 

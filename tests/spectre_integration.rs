@@ -6,7 +6,6 @@ use lru_leak::attacks::primitive::{
 };
 use lru_leak::attacks::spectre::{decode_symbols, encode_symbols, SpectreAttack};
 use lru_leak::cache_sim::prefetcher::Prefetcher;
-use lru_leak::cache_sim::profiles::MicroArch;
 use lru_leak::cache_sim::replacement::PolicyKind;
 use lru_leak::exec_sim::machine::Machine;
 use lru_leak::exec_sim::sched::Engine;
@@ -117,10 +116,13 @@ fn invisible_speculation_blocks_every_primitive() {
 #[test]
 fn prefetcher_noise_is_survivable_with_rounds() {
     let platform = Platform::e5_2690();
-    let mut machine = Machine::new(platform.arch, PolicyKind::TreePlru, 30);
-    *machine.hierarchy_mut() = MicroArch::sandy_bridge_e5_2690()
-        .build_hierarchy(PolicyKind::TreePlru, 30)
-        .with_prefetcher(Prefetcher::next_line());
+    let mut machine = Machine::with_hierarchy(
+        platform.arch,
+        platform
+            .arch
+            .build_hierarchy(PolicyKind::TreePlru, 30)
+            .with_prefetcher(Prefetcher::next_line()),
+    );
     let symbols = encode_symbols("noisy");
     let (mut victim, off) = build_victim(&mut machine, &symbols, 8);
     let mut prim = LruAlg2Primitive::new(&mut machine, victim.pid, victim.array2, platform);
