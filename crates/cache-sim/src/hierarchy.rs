@@ -1,4 +1,6 @@
-//! Multi-level cache hierarchy with cycle-latency accounting.
+//! Multi-level cache hierarchy with cycle-latency accounting: the one
+//! model of the three L1↔L2 [`Inclusion`] policies, for one core or
+//! for several cores with private L1s over shared levels.
 
 use crate::addr::{PhysAddr, VirtAddr};
 use crate::cache::Cache;
@@ -122,12 +124,26 @@ pub struct HierarchyOutcome {
 
 /// An L1D / L2 / optional-LLC hierarchy.
 ///
-/// Fills are inclusive (a miss installs the line at every level).
-/// An optional [`Prefetcher`] reacts to L1 demand misses and an
-/// optional [`WayPredictor`] models the AMD µtag behaviour.
+/// Fills follow the [`Inclusion`] policy (inclusive by default: a
+/// miss installs the line at every level). An optional
+/// [`Prefetcher`] reacts to L1 demand misses and an optional
+/// [`WayPredictor`] models the AMD µtag behaviour.
+///
+/// Core 0's L1 is the one [`access`](Self::access), [`l1`](Self::l1)
+/// and [`probe_level`](Self::probe_level) address. Cores added with
+/// [`with_core`](Self::with_core) load through
+/// [`access_from`](Self::access_from): each sees only its private L1
+/// and shares the L2 (tags **and** replacement bits) and the LLC.
+/// Under [`Inclusion::BackInvalidate`] an L2 eviction caused by one
+/// core invalidates every core's L1 copy — the cross-core
+/// inclusion-victim channel. Methods taking a `core` panic if the
+/// hierarchy has no such core.
 #[derive(Debug, Clone)]
 pub struct CacheHierarchy {
     l1: Cache,
+    /// Private L1s of cores 1, 2, …; empty on a one-core hierarchy.
+    /// Core 0's L1 stays a plain field so its hot path never indexes.
+    core_l1s: Vec<Cache>,
     l2: Cache,
     llc: Option<Cache>,
     lat: Latencies,
@@ -141,6 +157,7 @@ impl CacheHierarchy {
     pub fn new(l1: Cache, l2: Cache, llc: Option<Cache>, lat: Latencies) -> Self {
         Self {
             l1,
+            core_l1s: Vec::new(),
             l2,
             llc,
             lat,
@@ -148,6 +165,14 @@ impl CacheHierarchy {
             prefetcher: None,
             way_predictor: None,
         }
+    }
+
+    /// Adds one core with private L1 `l1` over the shared levels; the
+    /// first call adds core 1, the next core 2, and so on.
+    #[must_use]
+    pub fn with_core(mut self, l1: Cache) -> Self {
+        self.core_l1s.push(l1);
+        self
     }
 
     /// Attaches a prefetcher reacting to L1 demand misses.
@@ -224,7 +249,18 @@ impl CacheHierarchy {
         self.llc.as_ref()
     }
 
-    /// Performs a demand load.
+    /// A core's private L1 (core 0's is [`l1_mut`](Self::l1_mut)),
+    /// for local events that bypass the shared levels — e.g. a sender
+    /// evicting its own copy so its next load must reach the L2.
+    #[inline(always)]
+    pub fn core_l1_mut(&mut self, core: usize) -> &mut Cache {
+        match core {
+            0 => &mut self.l1,
+            _ => &mut self.core_l1s[core - 1],
+        }
+    }
+
+    /// Performs a demand load on core 0.
     ///
     /// `va` is the linear address issuing the load (only consulted by
     /// the way predictor); `pa` is the translated physical address.
@@ -235,8 +271,24 @@ impl CacheHierarchy {
         pa: PhysAddr,
         counters: &mut PerfCounters,
     ) -> HierarchyOutcome {
+        self.access_from(0, va, pa, counters)
+    }
+
+    /// Performs a demand load on `core`, which sees its private L1
+    /// and the shared levels. The way predictor's µtags and the
+    /// prefetcher's fills land in that core's L1.
+    // Always inlined, so `access` folds `core == 0` and core 0's hot
+    // path reads its L1 field with no index.
+    #[inline(always)]
+    pub fn access_from(
+        &mut self,
+        core: usize,
+        va: VirtAddr,
+        pa: PhysAddr,
+        counters: &mut PerfCounters,
+    ) -> HierarchyOutcome {
         counters.l1d_accesses += 1;
-        let l1_out = self.l1.access(pa);
+        let l1_out = self.core_l1_mut(core).access(pa);
         if l1_out.hit {
             let mut cycles = self.lat.l1;
             let mut mispredict = false;
@@ -245,14 +297,15 @@ impl CacheHierarchy {
                 // positional µtag accessors instead of re-running
                 // the tag search.
                 let (set, way) = (l1_out.set, l1_out.way);
-                match wp.check(self.l1.utag_at(set, way), va) {
+                let l1 = self.core_l1_mut(core);
+                match wp.check(l1.utag_at(set, way), va) {
                     UtagCheck::Match => {}
-                    UtagCheck::Trained => self.l1.set_utag_at(set, way, Some(wp.utag(va))),
+                    UtagCheck::Trained => l1.set_utag_at(set, way, Some(wp.utag(va))),
                     UtagCheck::Mismatch => {
                         // Data is in L1 but the µtag belongs to a
                         // different linear address: pay an L1-miss
                         // latency and retrain (§VI-B).
-                        self.l1.set_utag_at(set, way, Some(wp.utag(va)));
+                        l1.set_utag_at(set, way, Some(wp.utag(va)));
                         cycles = self.lat.l2;
                         mispredict = true;
                     }
@@ -274,8 +327,8 @@ impl CacheHierarchy {
                 if self.inclusion == Inclusion::BackInvalidate {
                     if let Some(victim) = l2_out.evicted {
                         // Inclusion enforcement: the L2 victim may
-                        // not outlive its L2 line in the L1.
-                        self.l1.flush_line(victim);
+                        // not outlive its L2 line in any L1.
+                        self.back_invalidate(victim);
                     }
                 }
                 l2_out.hit
@@ -318,7 +371,7 @@ impl CacheHierarchy {
 
         if let Some(wp) = self.way_predictor {
             // The miss installed the line at (l1_out.set, l1_out.way).
-            self.l1
+            self.core_l1_mut(core)
                 .set_utag_at(l1_out.set, l1_out.way, Some(wp.utag(va)));
         }
 
@@ -328,14 +381,14 @@ impl CacheHierarchy {
         }
         for addr in prefetched {
             counters.prefetch_fills += 1;
-            self.l1.prefetch_fill(addr);
+            self.core_l1_mut(core).prefetch_fill(addr);
             match self.inclusion {
                 Inclusion::Inclusive => {
                     self.l2.prefetch_fill(addr);
                 }
                 Inclusion::BackInvalidate => {
                     if let Some(victim) = self.l2.prefetch_fill(addr) {
-                        self.l1.flush_line(victim);
+                        self.back_invalidate(victim);
                     }
                 }
                 // Non-inclusive prefetches allocate in the L1 only.
@@ -351,9 +404,28 @@ impl CacheHierarchy {
         }
     }
 
-    /// Read-only classification of where `pa` would hit right now.
+    /// Invalidates `pa` in every core's L1.
+    fn back_invalidate(&mut self, pa: PhysAddr) {
+        self.l1.flush_line(pa);
+        for l1 in &mut self.core_l1s {
+            l1.flush_line(pa);
+        }
+    }
+
+    /// Read-only classification of where a core-0 load of `pa` would
+    /// hit right now.
     pub fn probe_level(&self, pa: PhysAddr) -> HitLevel {
-        if self.l1.probe(pa) {
+        self.probe_level_from(0, pa)
+    }
+
+    /// Read-only classification of where a load of `pa` by `core`
+    /// would hit right now.
+    pub fn probe_level_from(&self, core: usize, pa: PhysAddr) -> HitLevel {
+        let l1 = match core {
+            0 => &self.l1,
+            _ => &self.core_l1s[core - 1],
+        };
+        if l1.probe(pa) {
             HitLevel::L1
         } else if self.l2.probe(pa) {
             HitLevel::L2
@@ -364,164 +436,27 @@ impl CacheHierarchy {
         }
     }
 
-    /// `clflush`: invalidates the line at every level (so the next
-    /// access goes to memory, as in Flush+Reload-from-memory).
+    /// `clflush`: invalidates the line at every level and in every
+    /// core's L1 (so the next access goes to memory, as in
+    /// Flush+Reload-from-memory).
     pub fn flush(&mut self, pa: PhysAddr) {
-        self.l1.flush_line(pa);
+        self.back_invalidate(pa);
         self.l2.flush_line(pa);
         if let Some(llc) = &mut self.llc {
             llc.flush_line(pa);
         }
     }
 
-    /// Empties every level.
+    /// Empties every level and every core's L1.
     pub fn clear(&mut self) {
         self.l1.clear();
+        for l1 in &mut self.core_l1s {
+            l1.clear();
+        }
         self.l2.clear();
         if let Some(llc) = &mut self.llc {
             llc.clear();
         }
-    }
-}
-
-/// Two cores with private L1s over one shared L2 — the cross-core
-/// setting the paper's single-L1 channel cannot express.
-///
-/// Each party runs on its own core: its loads see only its private
-/// L1, and the *only* shared state is the L2 (tags **and**
-/// replacement bits). Under [`Inclusion::BackInvalidate`] an L2
-/// eviction caused by one core invalidates the other core's L1 copy,
-/// which is what makes the inclusion-victim readout work; under
-/// [`Inclusion::NonInclusive`] the L2 holds L1 victims and the
-/// cross-core signal survives only in the L2 replacement state.
-#[derive(Debug, Clone)]
-pub struct DualCore {
-    l1: [Cache; 2],
-    l2: Cache,
-    lat: Latencies,
-    inclusion: Inclusion,
-}
-
-impl DualCore {
-    /// Builds two identical private L1s (policy `l1_policy`) over a
-    /// shared LRU L2. Seeds are derived per level so the cores'
-    /// Random-policy streams stay independent.
-    pub fn new(
-        l1_geom: crate::geometry::CacheGeometry,
-        l1_policy: crate::replacement::PolicyKind,
-        l2_geom: crate::geometry::CacheGeometry,
-        l2_policy: crate::replacement::PolicyKind,
-        lat: Latencies,
-        inclusion: Inclusion,
-        seed: u64,
-    ) -> Self {
-        Self {
-            l1: [
-                Cache::new(l1_geom, l1_policy, seed ^ 0x1111),
-                Cache::new(l1_geom, l1_policy, seed ^ 0x2222),
-            ],
-            l2: Cache::new(l2_geom, l2_policy, seed ^ 0xaaaa),
-            lat,
-            inclusion,
-        }
-    }
-
-    /// The configured inclusion policy.
-    pub fn inclusion(&self) -> Inclusion {
-        self.inclusion
-    }
-
-    /// A core's private L1.
-    pub fn l1(&self, core: usize) -> &Cache {
-        &self.l1[core]
-    }
-
-    /// Mutable access to a core's private L1, for modeling local
-    /// events that bypass the shared L2 — e.g. a sender evicting its
-    /// own copy so a later reload is forced to touch the L2's
-    /// replacement state (the cross-core LRU channel's encode step).
-    pub fn l1_mut(&mut self, core: usize) -> &mut Cache {
-        &mut self.l1[core]
-    }
-
-    /// The shared L2.
-    pub fn l2(&self) -> &Cache {
-        &self.l2
-    }
-
-    /// A demand load issued by `core` (0 or 1). Returns where the
-    /// line was served from and the cycles it cost that core.
-    pub fn access(&mut self, core: usize, pa: PhysAddr) -> HierarchyOutcome {
-        let l1_out = self.l1[core].access(pa);
-        if l1_out.hit {
-            return HierarchyOutcome {
-                level: HitLevel::L1,
-                cycles: self.lat.l1,
-                l1_evicted: None,
-                utag_mispredict: false,
-            };
-        }
-        let l2_hit = match self.inclusion {
-            Inclusion::Inclusive | Inclusion::BackInvalidate => {
-                let l2_out = self.l2.access(pa);
-                if self.inclusion == Inclusion::BackInvalidate {
-                    if let Some(victim) = l2_out.evicted {
-                        // Back-invalidation reaches *both* cores.
-                        self.l1[0].flush_line(victim);
-                        self.l1[1].flush_line(victim);
-                    }
-                }
-                l2_out.hit
-            }
-            Inclusion::NonInclusive => {
-                if self.l2.probe(pa) {
-                    self.l2.access(pa).hit
-                } else {
-                    false
-                }
-            }
-        };
-        if self.inclusion == Inclusion::NonInclusive {
-            if let Some(victim) = l1_out.evicted {
-                self.l2.access(victim);
-            }
-        }
-        let (level, cycles) = if l2_hit {
-            (HitLevel::L2, self.lat.l2)
-        } else {
-            (HitLevel::Mem, self.lat.mem)
-        };
-        HierarchyOutcome {
-            level,
-            cycles,
-            l1_evicted: l1_out.evicted,
-            utag_mispredict: false,
-        }
-    }
-
-    /// Read-only classification of where `core`'s load would hit.
-    pub fn probe_level(&self, core: usize, pa: PhysAddr) -> HitLevel {
-        if self.l1[core].probe(pa) {
-            HitLevel::L1
-        } else if self.l2.probe(pa) {
-            HitLevel::L2
-        } else {
-            HitLevel::Mem
-        }
-    }
-
-    /// `clflush` semantics: coherent across both cores and the L2.
-    pub fn flush(&mut self, pa: PhysAddr) {
-        self.l1[0].flush_line(pa);
-        self.l1[1].flush_line(pa);
-        self.l2.flush_line(pa);
-    }
-
-    /// Empties every cache.
-    pub fn clear(&mut self) {
-        self.l1[0].clear();
-        self.l1[1].clear();
-        self.l2.clear();
     }
 }
 
@@ -718,28 +653,35 @@ mod tests {
         assert!(!h.quantum_ff_safe());
     }
 
+    /// Two cores over `l2_geom` (LRU): each core's private L1 is the
+    /// paper's Tree-PLRU L1D.
+    fn two_cores(l2_geom: CacheGeometry, lat: Latencies, inclusion: Inclusion) -> CacheHierarchy {
+        let l1 = |seed| Cache::new(CacheGeometry::l1d_paper(), PolicyKind::TreePlru, seed);
+        CacheHierarchy::new(l1(1), Cache::new(l2_geom, PolicyKind::Lru, 2), None, lat)
+            .with_inclusion(inclusion)
+            .with_core(l1(3))
+    }
+
+    fn load(h: &mut CacheHierarchy, core: usize, pa: PhysAddr) -> HierarchyOutcome {
+        h.access_from(core, VirtAddr::new(pa.raw()), pa, &mut PerfCounters::new())
+    }
+
     #[test]
     fn dual_core_inclusion_victim_crosses_cores() {
-        let l1_geom = CacheGeometry::l1d_paper();
-        let l2_geom = CacheGeometry::new(64, 1, 2).unwrap();
-        let mut d = DualCore::new(
-            l1_geom,
-            PolicyKind::TreePlru,
-            l2_geom,
-            PolicyKind::Lru,
+        let mut h = two_cores(
+            CacheGeometry::new(64, 1, 2).unwrap(),
             Latencies::gem5_fig9(),
             Inclusion::BackInvalidate,
-            7,
         );
         let x = PhysAddr::new(0);
-        d.access(0, x);
-        assert_eq!(d.probe_level(0, x), HitLevel::L1);
+        load(&mut h, 0, x);
+        assert_eq!(h.probe_level_from(0, x), HitLevel::L1);
         // Core 1 cycles the 2-way shared L2: x is evicted there and
         // back-invalidated out of core 0's private L1.
-        d.access(1, PhysAddr::new(0x40));
-        d.access(1, PhysAddr::new(0x80));
+        load(&mut h, 1, PhysAddr::new(0x40));
+        load(&mut h, 1, PhysAddr::new(0x80));
         assert_eq!(
-            d.probe_level(0, x),
+            h.probe_level_from(0, x),
             HitLevel::Mem,
             "core 1's L2 pressure must reach core 0's L1"
         );
@@ -747,20 +689,16 @@ mod tests {
 
     #[test]
     fn dual_core_l1s_are_private() {
-        let mut d = DualCore::new(
-            CacheGeometry::l1d_paper(),
-            PolicyKind::TreePlru,
+        let mut h = two_cores(
             CacheGeometry::new(64, 512, 8).unwrap(),
-            PolicyKind::Lru,
             Latencies::sandy_bridge(),
             Inclusion::Inclusive,
-            7,
         );
         let pa = PhysAddr::new(0x1000);
-        d.access(0, pa);
-        assert_eq!(d.probe_level(0, pa), HitLevel::L1);
+        load(&mut h, 0, pa);
+        assert_eq!(h.probe_level_from(0, pa), HitLevel::L1);
         // The other core sees it only at the shared level.
-        assert_eq!(d.probe_level(1, pa), HitLevel::L2);
-        assert_eq!(d.access(1, pa).level, HitLevel::L2);
+        assert_eq!(h.probe_level_from(1, pa), HitLevel::L2);
+        assert_eq!(load(&mut h, 1, pa).level, HitLevel::L2);
     }
 }

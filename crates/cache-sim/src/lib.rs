@@ -40,7 +40,9 @@
 //! * [`hierarchy`] — an L1D/L2/(LLC) hierarchy with cycle latencies
 //!   (paper Table II), optional next-line [`prefetcher`] (Appendix C
 //!   noise source) and the AMD linear-address µtag
-//!   [`way_predictor`] (paper §VI-B).
+//!   [`way_predictor`] (paper §VI-B). It is the one model of the
+//!   three L1↔L2 inclusion policies, and it takes extra cores with
+//!   private L1s over the shared levels for the cross-core channels.
 //! * [`counters`] — per-hardware-thread performance-counter model used
 //!   to regenerate the miss-rate tables (paper Tables VI, VII).
 //! * [`profiles`] — geometry/latency presets for the three evaluated
@@ -97,7 +99,7 @@ pub use backend::{Backend, HierarchyBackend};
 pub use cache::{AccessOutcome, Cache, SetView};
 pub use counters::{MissRates, PerfCounters};
 pub use geometry::CacheGeometry;
-pub use hierarchy::{CacheHierarchy, DualCore, HierarchyOutcome, HitLevel, Inclusion, Latencies};
+pub use hierarchy::{CacheHierarchy, HierarchyOutcome, HitLevel, Inclusion, Latencies};
 pub use plcache::{PlCache, PlDesign, PlRequest};
 pub use profiles::MicroArch;
 pub use replacement::{PolicyKind, SetState, WayMask};

@@ -15,9 +15,11 @@ use attacks::flush_reload::{EvictionMethod, FlushReloadReceiver};
 use attacks::miss_rates::{self, MissRateRow, SenderScenario};
 use attacks::prime_probe::PrimeProbeReceiver;
 use attacks::spectre::{decode_symbols, encode_symbols, symbols_correct, SpectreAttack};
-use cache_sim::addr::PhysAddr;
+use cache_sim::addr::{PhysAddr, VirtAddr};
+use cache_sim::cache::Cache;
+use cache_sim::counters::PerfCounters;
 use cache_sim::geometry::CacheGeometry;
-use cache_sim::hierarchy::{DualCore, HitLevel};
+use cache_sim::hierarchy::{CacheHierarchy, HierarchyOutcome, HitLevel};
 use cache_sim::plcache::PlDesign;
 use cache_sim::prefetcher::Prefetcher;
 use cache_sim::profiles::MicroArch;
@@ -474,34 +476,46 @@ fn cross_core_l2() -> CacheGeometry {
     CacheGeometry::new(64, 512, 2).expect("static L2 geometry is valid")
 }
 
-/// The cross-core LRU channel through the shared L2 (`l2-channel`):
-/// two cores with private L1s over one shared 2-way LRU L2. Per bit,
-/// the sender parks a line in the target L2 set and the receiver
-/// parks its own; the sender encodes a `1` by re-touching its line
-/// (after a modeled self-eviction from its private L1 — an L2 *hit*
-/// that flips the set's LRU order), so the receiver's subsequent
-/// fill evicts the receiver's parked line instead of the sender's.
-/// Only a back-invalidating hierarchy propagates that L2 eviction
-/// into the receiver's private L1 where the reload can time it, so
-/// the artifact grid contrasts hierarchy backends: error_rate ~0
-/// under `back-invalidate`, and the sent fraction of ones under the
-/// silent `inclusive` / `non-inclusive` backends (the receiver then
-/// always reads 0).
+/// The two-core machine of the cross-core experiments: the receiver
+/// on core 0 and the sender on core 1, each with a private L1 of the
+/// platform's geometry under `s.policy`, over one shared
+/// [`cross_core_l2`] under `s.hierarchy`; no LLC, prefetcher or way
+/// predictor. Seeds are derived per level so the cores'
+/// Random-policy streams stay independent.
+fn cross_core_hierarchy(s: &Scenario, seed: u64) -> CacheHierarchy {
+    let arch = s.platform.platform().arch;
+    let l1 = |salt| Cache::new(arch.l1d, s.policy, seed ^ salt);
+    let l2 = Cache::new(cross_core_l2(), PolicyKind::Lru, seed ^ 0xaaaa);
+    CacheHierarchy::new(l1(0x1111), l2, None, arch.latencies)
+        .with_inclusion(s.hierarchy)
+        .with_core(l1(0x2222))
+}
+
+/// A demand load of `pa` by `core` of a [`cross_core_hierarchy`]
+/// (which counts nothing and predicts no ways).
+fn cross_core_load(cores: &mut CacheHierarchy, core: usize, pa: PhysAddr) -> HierarchyOutcome {
+    cores.access_from(core, VirtAddr::new(pa.raw()), pa, &mut PerfCounters::new())
+}
+
+/// The cross-core LRU channel through the shared L2 (`l2-channel`),
+/// on a [`cross_core_hierarchy`]. Per bit, the sender parks a line
+/// in the target L2 set and the receiver parks its own; the sender
+/// encodes a `1` by re-touching its line (after a modeled
+/// self-eviction from its private L1 — an L2 *hit* that flips the
+/// set's LRU order), so the receiver's subsequent fill evicts the
+/// receiver's parked line instead of the sender's. Only a
+/// back-invalidating hierarchy propagates that L2 eviction into the
+/// receiver's private L1 where the reload can time it, so the
+/// artifact grid contrasts hierarchy backends: error_rate ~0 under
+/// `back-invalidate`, and the sent fraction of ones under the silent
+/// `inclusive` / `non-inclusive` backends (the receiver then always
+/// reads 0).
 fn run_l2_channel(s: &Scenario, seed: u64, _engine: Engine) -> Value {
     let ExperimentKind::L2Channel { samples } = s.kind else {
         unreachable!("kind checked at build");
     };
-    let platform = s.platform.platform();
     let l2_geom = cross_core_l2();
-    let mut cores = DualCore::new(
-        platform.arch.l1d,
-        s.policy,
-        l2_geom,
-        PolicyKind::Lru,
-        platform.arch.latencies,
-        s.hierarchy,
-        seed,
-    );
+    let mut cores = cross_core_hierarchy(s, seed);
     let message = s.message.bits(seed);
     let sent: Vec<bool> = (0..samples).map(|i| message[i % message.len()]).collect();
     // Lines k=0,1,2 of L2 set `t` sit `set_stride` apart: same L2
@@ -515,17 +529,17 @@ fn run_l2_channel(s: &Scenario, seed: u64, _engine: Engine) -> Value {
         let parked = PhysAddr::new(set * 64 + stride);
         let filler = PhysAddr::new(set * 64 + 2 * stride);
         cores.clear();
-        cores.access(1, sender_line); // sender installs its line
-        cores.access(0, parked); // L2 LRU order: sender_line, then parked
+        cross_core_load(&mut cores, 1, sender_line); // sender installs its line
+        cross_core_load(&mut cores, 0, parked); // L2 LRU order: sender_line, then parked
         if bit {
             // Encode 1: self-evict from the private L1, reload —
             // the L2 hit promotes sender_line and demotes the
             // receiver's parked line to LRU victim.
-            cores.l1_mut(1).flush_line(sender_line);
-            cores.access(1, sender_line);
+            cores.core_l1_mut(1).flush_line(sender_line);
+            cross_core_load(&mut cores, 1, sender_line);
         }
-        cores.access(0, filler); // the fill evicts the set's LRU line
-        let reload = cores.access(0, parked);
+        cross_core_load(&mut cores, 0, filler); // the fill evicts the set's LRU line
+        let reload = cross_core_load(&mut cores, 0, parked);
         decoded.push(reload.level != HitLevel::L1);
     }
     let errors = sent.iter().zip(&decoded).filter(|(a, b)| a != b).count();
@@ -537,28 +551,20 @@ fn run_l2_channel(s: &Scenario, seed: u64, _engine: Engine) -> Value {
         .with("decoded", bitstring(&decoded, 512))
 }
 
-/// The inclusion-victim probe (`inclusion-victim`): the receiver
-/// parks one line, the sender fills the line's 2-way shared-L2 set
-/// from the other core, and the receiver reloads. Back-invalidation
-/// turns the sender's L2 eviction into a flush of the receiver's
-/// private L1 copy — the classic inclusion-victim interference — so
-/// `signal_rate` (the fraction of trials whose reload missed L1) is
-/// 1 under `back-invalidate` and 0 under the silent backends.
+/// The inclusion-victim probe (`inclusion-victim`), on a
+/// [`cross_core_hierarchy`]: the receiver parks one line, the sender
+/// fills the line's 2-way shared-L2 set from the other core, and the
+/// receiver reloads. Back-invalidation turns the sender's L2
+/// eviction into a flush of the receiver's private L1 copy — the
+/// classic inclusion-victim interference — so `signal_rate` (the
+/// fraction of trials whose reload missed L1) is 1 under
+/// `back-invalidate` and 0 under the silent backends.
 fn run_inclusion_victim(s: &Scenario, seed: u64, _engine: Engine) -> Value {
     let ExperimentKind::InclusionVictim { trials } = s.kind else {
         unreachable!("kind checked at build");
     };
-    let platform = s.platform.platform();
     let l2_geom = cross_core_l2();
-    let mut cores = DualCore::new(
-        platform.arch.l1d,
-        s.policy,
-        l2_geom,
-        PolicyKind::Lru,
-        platform.arch.latencies,
-        s.hierarchy,
-        seed,
-    );
+    let mut cores = cross_core_hierarchy(s, seed);
     let stride = l2_geom.set_stride();
     let mut signals = 0usize;
     let mut reload_cycles = 0u64;
@@ -566,10 +572,10 @@ fn run_inclusion_victim(s: &Scenario, seed: u64, _engine: Engine) -> Value {
         let set = (t as u64) % l2_geom.num_sets();
         let victim = PhysAddr::new(set * 64);
         cores.clear();
-        cores.access(0, victim); // receiver parks its line
-        cores.access(1, PhysAddr::new(set * 64 + stride));
-        cores.access(1, PhysAddr::new(set * 64 + 2 * stride));
-        let reload = cores.access(0, victim);
+        cross_core_load(&mut cores, 0, victim); // receiver parks its line
+        cross_core_load(&mut cores, 1, PhysAddr::new(set * 64 + stride));
+        cross_core_load(&mut cores, 1, PhysAddr::new(set * 64 + 2 * stride));
+        let reload = cross_core_load(&mut cores, 0, victim);
         if reload.level != HitLevel::L1 {
             signals += 1;
         }

@@ -249,7 +249,8 @@ impl MessageSource {
     pub fn len(&self) -> usize {
         match self {
             MessageSource::Alternating { bits } | MessageSource::Constant { bits, .. } => *bits,
-            MessageSource::Random { bits, repeats } => bits * repeats,
+            // `bits` sends the base string at least once.
+            MessageSource::Random { bits, repeats } => bits * (*repeats).max(1),
             MessageSource::Text(t) => t.len() * 8,
             MessageSource::Bits(bits) => bits.len(),
         }
@@ -1242,7 +1243,7 @@ impl ScenarioBuilder {
                     ));
                 }
             }
-            ExperimentKind::MultiSet { sets, .. } => {
+            ExperimentKind::MultiSet { sets, frames } => {
                 let num_sets = geom.num_sets() as usize;
                 // The highest set driven is (sets-1)*3 and the last
                 // set is reserved for the probe chain.
@@ -1259,6 +1260,9 @@ impl ScenarioBuilder {
                     return Err(ScenarioError::incompatible(format!(
                         "a text payload needs exactly 8 multi-set channels (one per bit), got {sets}"
                     )));
+                }
+                if s.message.text().is_none() && *frames == 0 {
+                    return Err(ScenarioError::incompatible("multi-set needs frames >= 1"));
                 }
             }
             ExperimentKind::SenderMissRates { sender, bits } => {
@@ -1285,11 +1289,6 @@ impl ScenarioBuilder {
                     "probe-histogram needs samples >= 1",
                 ));
             }
-            ExperimentKind::Covert if s.message.is_empty() => {
-                return Err(ScenarioError::incompatible(
-                    "covert needs a non-empty message",
-                ));
-            }
             ExperimentKind::L2Channel { samples } if *samples == 0 => {
                 return Err(ScenarioError::incompatible("l2-channel needs samples >= 1"));
             }
@@ -1299,6 +1298,23 @@ impl ScenarioBuilder {
                 ));
             }
             _ => {}
+        }
+        // Every kind whose sender transmits the message needs at
+        // least one bit of it to send.
+        let sends_message = match s.kind {
+            ExperimentKind::Covert
+            | ExperimentKind::PrimeProbe { .. }
+            | ExperimentKind::FlushReload { .. }
+            | ExperimentKind::L2Channel { .. } => true,
+            // Other messages leave multi-set to send random frames.
+            ExperimentKind::MultiSet { .. } => s.message.text().is_some(),
+            _ => false,
+        };
+        if sends_message && s.message.is_empty() {
+            return Err(ScenarioError::incompatible(format!(
+                "{} needs a non-empty message",
+                s.kind.tag()
+            )));
         }
         if let Some(what) = s.kind.count_over_cap() {
             return Err(ScenarioError::over_cap(what));

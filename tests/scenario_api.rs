@@ -629,6 +629,91 @@ fn covert_message_length_is_capped() {
 }
 
 #[test]
+fn every_message_sending_kind_rejects_an_empty_message() {
+    // Each of these senders cycles through the message bit by bit;
+    // an empty one used to build and then panic at run time, and so
+    // did a multi-set run with nothing to send.
+    let kinds = [
+        ExperimentKind::Covert,
+        ExperimentKind::PrimeProbe { samples: 64 },
+        ExperimentKind::FlushReload {
+            samples: 64,
+            to_mem: false,
+        },
+        ExperimentKind::L2Channel { samples: 64 },
+    ];
+    for kind in kinds {
+        let with = |message| {
+            Scenario::builder()
+                .kind(kind.clone())
+                .message(message)
+                .build()
+        };
+        let valid = with(MessageSource::Alternating { bits: 8 }).expect("a non-empty message");
+        // Zero repeats still send the base string once.
+        with(MessageSource::Random {
+            bits: 8,
+            repeats: 0,
+        })
+        .expect("a random string with zero repeats is not empty");
+        let want = format!("{} needs a non-empty message", kind.tag());
+        for (empty, empty_json) in [
+            (
+                MessageSource::Alternating { bits: 0 },
+                r#"{"alternating":0}"#,
+            ),
+            (MessageSource::Text(String::new()), r#"{"text":""}"#),
+        ] {
+            let err = with(empty.clone()).unwrap_err();
+            assert!(
+                matches!(&err, ScenarioError::Incompatible(m) if *m == want),
+                "{empty:?}: {err}"
+            );
+            let json = valid
+                .to_json()
+                .to_string()
+                .replace(r#"{"alternating":8}"#, empty_json);
+            assert!(json.contains(empty_json), "{json}");
+            let err = cli(&["adhoc", &json, "--json"]).unwrap_err();
+            assert_eq!(err.code, 1, "{json}");
+            assert!(
+                err.message.contains("incompatible scenario") && err.message.contains(&want),
+                "{json}: got {:?}",
+                err.message
+            );
+        }
+    }
+    // Multi-set sends a text payload one byte per frame, and random
+    // frames otherwise: an empty text or zero frames sends nothing.
+    let multi_set = |frames, message| {
+        Scenario::builder()
+            .kind(ExperimentKind::MultiSet { sets: 8, frames })
+            .message(message)
+            .build()
+    };
+    multi_set(0, MessageSource::Text("Hi".into())).expect("the text sets the frames");
+    multi_set(2, MessageSource::Alternating { bits: 0 }).expect("random frames");
+    for (frames, message, want) in [
+        (
+            2,
+            MessageSource::Text(String::new()),
+            "multi-set needs a non-empty message",
+        ),
+        (
+            0,
+            MessageSource::Alternating { bits: 8 },
+            "multi-set needs frames >= 1",
+        ),
+    ] {
+        let err = multi_set(frames, message).unwrap_err();
+        assert!(
+            matches!(&err, ScenarioError::Incompatible(m) if m == want),
+            "{err}"
+        );
+    }
+}
+
+#[test]
 fn trials_that_push_a_grid_past_a_count_cap_are_a_typed_error() {
     // l2_lru_channel sends one bit per trial; past the cap its grid
     // does not validate. `run` and `show` report that instead of
